@@ -3,15 +3,19 @@ obstruction machinery.
 
 Curves are kept in long Weierstrass form y^2 + a1 xy + a3 y = x^3 + a2 x^2 +
 a4 x + a6 so that small rank-one curves such as y^2 + y = x^3 - x can be used
-directly.  Torsion is decided by the bound on rational torsion orders
-(1..10 or 12), which turns the question into finitely many exact scalar
-multiplications.
+directly.  Torsion is decided by two theorems.  Mazur's bound on rational
+torsion orders (1..10 or 12) limits the search to twelve multiples, and the
+generalised Nagell-Lutz theorem (Silverman, AEC VII.3.4 and VIII.7.1) ends
+it early: on an integral model every affine torsion point has 4x, 8y in Z,
+so the first multiple that breaks this integrality certifies non-torsion
+before the coordinates grow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -174,15 +178,25 @@ def is_torsion(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
     """Torsion(n) for the least admissible rational torsion order n with
     n*p = infinity, else NonTorsion.
 
-    Rational torsion orders are 1..10 and 12, so twelve exact additions
-    decide the question.
+    Rational torsion orders are 1..10 and 12 (Mazur), so at most twelve
+    multiples are formed.  With u the lcm of the coefficient denominators,
+    (x, y) -> (u^2 x, u^3 y) maps the curve to an integral model, on which
+    every affine torsion point has 4x, 8y in Z (generalised Nagell-Lutz).
+    Every multiple of a torsion point is torsion, so the first multiple
+    that fails this integrality certifies NonTorsion.
     """
     _require_on_curve(curve, p)
+    coefficients = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    u = lcm(*(c.denominator for c in coefficients))
+    x_scale, y_scale = 4 * u * u, 8 * u * u * u
     running = ECPoint.infinity()
     for n in range(1, 13):
         running = add(curve, running, p)
-        if running.is_infinity and n in RATIONAL_TORSION_ORDERS:
-            return TorsionStatus(True, n)
+        if running.is_infinity:
+            if n in RATIONAL_TORSION_ORDERS:
+                return TorsionStatus(True, n)
+        elif x_scale % running.x.denominator or y_scale % running.y.denominator:
+            return TorsionStatus(False)
     return TorsionStatus(False)
 
 

@@ -67,7 +67,7 @@ class SymmetricMatrix:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise InputError(f"row {i} has length {len(row)}, expected {n}")
-            coerced.append(tuple(as_rational(x) for x in row))
+            coerced.append(tuple([as_rational(x) for x in row]))
         for i in range(n):
             for j in range(i + 1, n):
                 if coerced[i][j] != coerced[j][i]:

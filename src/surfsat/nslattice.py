@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .configuration import Configuration, CurveNode
 from .errors import InputError, PreconditionError
-from .linalg import SymmetricMatrix
+from .linalg import SymmetricMatrix, as_rational
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class ClassRecord:
     def __post_init__(self):
         if self.genus < 0:
             raise InputError(f"class {self.name!r} has negative genus")
-        object.__setattr__(self, "vector", tuple(int(v) for v in self.vector))
+        object.__setattr__(self, "vector", tuple([int(v) for v in self.vector]))
 
 
 @dataclass(frozen=True)
@@ -44,36 +45,54 @@ class NSLattice:
             raise InputError("gram dimension does not match basis size")
         if len(self.canonical) != len(self.basis_names):
             raise InputError("canonical class has wrong dimension")
-        for i in range(self.gram.n):
-            for j in range(self.gram.n):
-                if self.gram.entry(i, j).denominator != 1:
-                    raise InputError("lattice pairing must be integral")
+        if any(x.denominator != 1 for row in self.gram.rows for x in row):
+            raise InputError("lattice pairing must be integral")
         rank = self.gram.n
         if self.gram.inertia() != (1, rank - 1, 0):
             raise InputError(
                 f"lattice pairing must have signature (1,{rank - 1}), got "
                 f"inertia {self.gram.inertia()}"
             )
-        object.__setattr__(self, "canonical", tuple(int(v) for v in self.canonical))
+        object.__setattr__(self, "canonical", tuple([int(v) for v in self.canonical]))
 
     @property
     def rank(self) -> int:
         return self.gram.n
 
-    def _vec(self, c: Union[ClassRecord, Sequence[int]]) -> tuple[int, ...]:
-        v = c.vector if isinstance(c, ClassRecord) else tuple(c)
+    def _vec(self, c: Union[ClassRecord, Sequence[int]]) -> Sequence:
+        if isinstance(c, ClassRecord):
+            v = c.vector
+        else:
+            v = [as_rational(x) for x in c]
         if len(v) != self.rank:
             raise PreconditionError(
                 f"class vector has dimension {len(v)}, lattice rank is {self.rank}"
             )
         return v
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Nonzero Gram entries of each row as (column, int) pairs; built on
+        the first pairing, so the lattices of a blowup tower that are never
+        paired do not pay for it."""
+        rows = self.gram.rows
+        return tuple([tuple([(j, int(x)) for j, x in enumerate(r) if x]) for r in rows])
+
+    def _pair(self, u: Sequence, v: Sequence):
+        """u^T G v over the nonzero Gram entries; exact int arithmetic for
+        integer vectors."""
+        total = 0
+        for ui, row in zip(u, self._sparse_rows):
+            if ui:
+                total += ui * sum(g * v[j] for j, g in row)
+        return total
+
     def pair(self, c1, c2) -> Fraction:
-        return self.gram.pair(self._vec(c1), self._vec(c2))
+        return Fraction(self._pair(self._vec(c1), self._vec(c2)))
 
     def self_intersection(self, c) -> Fraction:
         v = self._vec(c)
-        return self.gram.pair(v, v)
+        return Fraction(self._pair(v, v))
 
 
 @dataclass(frozen=True)
@@ -138,7 +157,7 @@ def adjunction_genus(lattice: NSLattice, c) -> Fraction:
     """Arithmetic genus of a curve class: half its pairing with itself plus
     the canonical class, plus one."""
     v = lattice._vec(c)
-    return lattice.gram.pair(v, v) / 2 + lattice.gram.pair(v, lattice.canonical) / 2 + 1
+    return Fraction(lattice._pair(v, v) + lattice._pair(v, lattice.canonical), 2) + 1
 
 
 def configuration_from_classes(

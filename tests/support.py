@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package's elimination
 code: determinants come from cofactor expansion, inertia from principal
 minors (leading-minor sign chains over permutations, with the
 characteristic-polynomial sign-variation method as the general fallback),
-and connectivity from a fresh union-find.
+connectivity from a fresh union-find, and torsion from plain repeated
+addition.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from surfsat import Configuration, SymmetricMatrix
+from surfsat import Configuration, ECPoint, SymmetricMatrix, TorsionStatus, add
 
 
 # -- determinants and principal minors (cofactor expansion) ------------
@@ -236,6 +237,22 @@ def oracle_components(config: Configuration, subset):
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
 
+# -- torsion oracle -----------------------------------------------------
+
+
+def oracle_is_torsion(curve, point) -> TorsionStatus:
+    """Torsion by brute force: add the point to itself twelve times and
+    stop at the first multiple of an admissible rational torsion order
+    (1..10, 12) that is the identity.  No integrality screening."""
+    admissible = set(range(1, 11)) | {12}
+    running = ECPoint.infinity()
+    for n in range(1, 13):
+        running = add(curve, running, point)
+        if running.is_infinity and n in admissible:
+            return TorsionStatus(True, n)
+    return TorsionStatus(False)
+
+
 # -- random data ---------------------------------------------------------
 
 
@@ -253,6 +270,23 @@ def random_symmetric_rational(rng, n, max_num=4, max_den=3) -> SymmetricMatrix:
         for j in range(i, n):
             value = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
             rows[i][j] = rows[j][i] = value
+    return SymmetricMatrix(rows)
+
+
+def random_hyperbolic_gram(rng, rank):
+    """Integral Gram matrix U^T diag(1, -1, ..., -1) U for a random
+    unimodular integer U (rank >= 2), so signature (1, rank - 1) by
+    Sylvester's law of inertia, and usually far from diagonal."""
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(3 * rank):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    d = [1] + [-1] * (rank - 1)
+    rows = [
+        [sum(u[k][a] * d[k] * u[k][b] for k in range(rank)) for b in range(rank)]
+        for a in range(rank)
+    ]
     return SymmetricMatrix(rows)
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from surfsat import (
     InputError,
     PreconditionError,
     SchemeSaturationVerdict,
+    TorsionStatus,
     WeierstrassCurve,
     add,
     hironaka_build,
@@ -18,6 +20,8 @@ from surfsat import (
     scalar_mul,
     sum_obstruction,
 )
+
+from support import oracle_is_torsion
 
 # rank-one curve with tiny generator, long form: y^2 + y = x^3 - x
 CURVE_37A = WeierstrassCurve(a3=1, a4=-1)
@@ -147,6 +151,69 @@ class TestTorsion:
                         assert integral
                     checked += 1
         assert checked > 10
+
+
+class TestTorsionAgainstOracle:
+    """The integrality exit must never change a verdict or an order."""
+
+    def agree(self, curve, p):
+        status = is_torsion(curve, p)
+        assert status == oracle_is_torsion(curve, p)
+        return status
+
+    def test_criterion_nine_catalogue(self):
+        catalogue = [
+            (CURVE_37A, GEN),
+            (WeierstrassCurve(a6=1), ECPoint.affine(2, 3)),
+            (WeierstrassCurve(a6=3), ECPoint.affine(1, 2)),
+        ]
+        for curve, base in catalogue:
+            for k in range(-6, 7):
+                self.agree(curve, scalar_mul(curve, k, base))
+
+    def test_multiples_of_generator(self):
+        for k in range(-12, 13):
+            status = self.agree(CURVE_37A, scalar_mul(CURVE_37A, k, GEN))
+            assert status.torsion == (k == 0)
+
+    def test_torsion_points_of_y2_x3_plus_1(self):
+        orders = {
+            ECPoint.infinity(): 1,
+            ECPoint.affine(-1, 0): 2,
+            ECPoint.affine(0, 1): 3,
+            ECPoint.affine(0, -1): 3,
+            ECPoint.affine(2, 3): 6,
+            ECPoint.affine(2, -3): 6,
+        }
+        for p, order in orders.items():
+            assert self.agree(CURVE_6TOR, p) == TorsionStatus(True, order)
+
+    def test_non_integral_models(self):
+        # y^2 = x^3 + 1/u^6 is y^2 = x^3 + 1 rescaled by (x, y) -> (x/u^2,
+        # y/u^3), so (2/u^2, 3/u^3) has order 6.  For u = 3 the point
+        # itself fails 4x, 8y in Z: only the integral model decides it.
+        for u in (2, 3):
+            curve = WeierstrassCurve(a6=Fraction(1, u**6))
+            p = ECPoint.affine(Fraction(2, u**2), Fraction(3, u**3))
+            assert self.agree(curve, p) == TorsionStatus(True, 6)
+        assert (4 * Fraction(2, 9)).denominator != 1
+
+
+class TestTorsionBudget:
+    def test_heavy_multiplicity_sum(self):
+        start = time.perf_counter()
+        report = sum_obstruction(CURVE_37A, [(GEN, 200)])
+        elapsed = time.perf_counter() - start
+        assert report.torsion == TorsionStatus(False)
+        assert elapsed < 1.0, f"sum_obstruction took {elapsed:.2f}s"
+
+    def test_twenty_point_sum(self):
+        total = scalar_mul(CURVE_37A, sum(range(1, 21)), GEN)
+        start = time.perf_counter()
+        status = is_torsion(CURVE_37A, total)
+        elapsed = time.perf_counter() - start
+        assert not status.torsion
+        assert elapsed < 0.05, f"is_torsion took {elapsed * 1000:.1f}ms"
 
 
 def _sqrt_exact(value: Fraction):

@@ -6,12 +6,15 @@ import pytest
 from surfsat import (
     ClassRecord,
     InputError,
+    NSLattice,
     PreconditionError,
     adjunction_genus,
     blowup,
     configuration_from_classes,
     projective_plane,
 )
+
+from support import random_hyperbolic_gram
 
 
 def blown_up_plane(n, cubic_mult=1):
@@ -93,6 +96,60 @@ class TestBlowup:
                 lat = blowup(lat, []).lattice
             rank = lat.rank
             assert lat.gram.inertia() == (1, rank - 1, 0)
+
+
+class TestIntegerPairing:
+    """The sparse integer pairing must equal the dense Fraction pairing
+    u^T G v on the Gram matrix, for records and plain vectors alike."""
+
+    def check(self, lat, classes, rng):
+        classes = list(classes)
+        for _ in range(4):
+            classes.append(tuple(rng.randint(-4, 4) for _ in range(lat.rank)))
+        pairs = [
+            (c, c.vector if isinstance(c, ClassRecord) else c) for c in classes
+        ]
+        for c1, u in pairs:
+            uu = lat.gram.pair(u, u)
+            assert lat.self_intersection(c1) == uu
+            expected_genus = uu / 2 + lat.gram.pair(u, lat.canonical) / 2 + 1
+            assert adjunction_genus(lat, c1) == expected_genus
+            for c2, v in pairs:
+                value = lat.pair(c1, c2)
+                assert isinstance(value, Fraction)
+                assert value == lat.gram.pair(u, v)
+
+    def test_random_blowup_towers(self):
+        rng = random.Random(20245)
+        for _ in range(20):
+            lat = projective_plane()
+            tracked = [ClassRecord("L", (1,), genus=0)]
+            for _ in range(rng.randint(1, 12)):
+                passing = [(record, rng.randint(0, 2)) for record in tracked]
+                result = blowup(lat, passing)
+                lat = result.lattice
+                tracked = list(result.classes)
+                if rng.random() < 0.5:
+                    tracked.append(result.exceptional)
+            self.check(lat, tracked + [lat.canonical], rng)
+
+    def test_random_non_diagonal_lattices(self):
+        rng = random.Random(20246)
+        off_diagonal = 0
+        for _ in range(40):
+            rank = rng.randint(2, 8)
+            gram = random_hyperbolic_gram(rng, rank)
+            canonical = tuple(rng.randint(-3, 3) for _ in range(rank))
+            lat = NSLattice(tuple(f"B{i}" for i in range(rank)), gram, canonical)
+            off_diagonal += any(
+                gram.entry(i, j) for i in range(rank) for j in range(rank) if i != j
+            )
+            records = [
+                ClassRecord(f"R{k}", tuple(rng.randint(-3, 3) for _ in range(rank)))
+                for k in range(3)
+            ]
+            self.check(lat, records, rng)
+        assert off_diagonal >= 35
 
 
 class TestAdjunction:
