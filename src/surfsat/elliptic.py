@@ -322,14 +322,12 @@ def hironaka_build(
     saturation = is_saturated(surface)
     plan = saturation_plan(surface)
 
-    oracle = {}
-    for comp in surface.boundary_components():
-        if config.gram_on(comp).is_negative_definite():
-            oracle[comp] = (
-                SchemeContractibility.NOT_SCHEME_CONTRACTIBLE
-                if obstruction.found
-                else SchemeContractibility.UNKNOWN
-            )
+    contractibility = (
+        SchemeContractibility.NOT_SCHEME_CONTRACTIBLE
+        if obstruction.found
+        else SchemeContractibility.UNKNOWN
+    )
+    oracle = {comp: contractibility for comp in plan.d_minus}
     scheme = scheme_saturation_check(surface, oracle)
 
     model = surface if saturation.saturated else apply_plan(surface, plan)

@@ -32,9 +32,13 @@ class ContractionContext:
                 f"{self.ambient.names(exceptional)} is not negative definite; "
                 "only negative definite curve sets are contractible"
             )
+        # every pullback reads the components of E: find them once
+        object.__setattr__(
+            self, "_components", self.ambient.connected_components(exceptional)
+        )
 
     def components(self) -> tuple[frozenset[int], ...]:
-        return self.ambient.connected_components(self.exceptional)
+        return self._components
 
 
 def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
@@ -92,9 +96,6 @@ class ContractedConfiguration:
     configuration: Configuration
     ambient_ids: tuple[int, ...]
     singular_points: tuple[SingularPoint, ...]
-
-    def new_id(self, ambient_id: int) -> int:
-        return self.ambient_ids.index(ambient_id)
 
 
 def contract(

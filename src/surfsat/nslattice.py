@@ -31,7 +31,12 @@ class ClassRecord:
     def __post_init__(self):
         if self.genus < 0:
             raise InputError(f"class {self.name!r} has negative genus")
-        object.__setattr__(self, "vector", tuple([int(v) for v in self.vector]))
+        # exact ints, the common case, skip the rational coercion
+        coords = [v if type(v) is int else as_rational(v) for v in self.vector]
+        for x in coords:
+            if x.denominator != 1:
+                raise InputError(f"class {self.name!r} has non-integral coordinate {x}")
+        object.__setattr__(self, "vector", tuple([int(x) for x in coords]))
 
 
 @dataclass(frozen=True)
@@ -105,10 +110,6 @@ class BlowupResult:
 def projective_plane() -> NSLattice:
     """Rank-one lattice of the plane: L^2 = 1, canonical class -3L."""
     return NSLattice(("L",), SymmetricMatrix([[1]]), (-3,))
-
-
-def line_class(genus: int = 0) -> ClassRecord:
-    return ClassRecord("L", (1,), genus=genus)
 
 
 def blowup(

@@ -104,9 +104,31 @@ class SaturationPlan:
     resulting_boundary_ok: bool
 
 
+def _reject_contracted_claims(
+    surface: CompactifiedSurface, d_minus: tuple[frozenset[int], ...]
+) -> None:
+    """Refuse false-fibre claims that meet a component to be contracted."""
+    removed = frozenset().union(*d_minus)
+    for claim in surface.false_fibre_claims:
+        if claim.subject & removed:
+            raise PreconditionError(
+                "false-fibre claim on "
+                f"{surface.ambient.names(claim.subject)} overlaps a "
+                "contracted component; a fibre-type divisor can never lie in "
+                "a negative definite one, so this input is inconsistent"
+            )
+
+
 def saturation_plan(surface: CompactifiedSurface) -> SaturationPlan:
     """Contract every negative definite boundary component, keep the rest,
-    and forget the isolated boundary points."""
+    and forget the isolated boundary points.
+
+    ``resulting_boundary_ok`` holds without contracting: no kept curve meets
+    a contracted component, so its pullback is itself and the Gram, the
+    adjacency and the non-definiteness of the kept components survive.
+    Claims that meet a contracted component are rejected, as in
+    :func:`apply_plan`.
+    """
     d_minus = []
     d_plus = []
     for comp in surface.boundary_components():
@@ -118,15 +140,10 @@ def saturation_plan(surface: CompactifiedSurface) -> SaturationPlan:
         d_minus=tuple(d_minus),
         d_plus=tuple(d_plus),
         points_to_remove=surface.isolated_boundary_points,
-        resulting_boundary_ok=False,
+        resulting_boundary_ok=True,
     )
-    result = apply_plan(surface, plan)
-    return SaturationPlan(
-        plan.d_minus,
-        plan.d_plus,
-        plan.points_to_remove,
-        resulting_boundary_ok=is_saturated(result).saturated,
-    )
+    _reject_contracted_claims(surface, plan.d_minus)
+    return plan
 
 
 def apply_plan(
@@ -145,30 +162,23 @@ def apply_plan(
             false_fibre_claims=surface.false_fibre_claims,
             fibration_asserted=surface.fibration_asserted,
         )
+    _reject_contracted_claims(surface, plan.d_minus)
     contracted: ContractedConfiguration = contract(surface.ambient, plan.d_minus)
     removed = frozenset().union(*plan.d_minus)
     new_id = {old: new for new, old in enumerate(contracted.ambient_ids)}
-    claims = []
-    for claim in surface.false_fibre_claims:
-        if claim.subject & removed:
-            raise PreconditionError(
-                "false-fibre claim on "
-                f"{surface.ambient.names(claim.subject)} overlaps a "
-                "contracted component; a fibre-type divisor can never lie in "
-                "a negative definite one, so this input is inconsistent"
-            )
-        claims.append(
-            FalseFibreClaim(
-                frozenset(new_id[i] for i in claim.subject), claim.certificate
-            )
+    claims = tuple([
+        FalseFibreClaim(
+            frozenset(new_id[i] for i in claim.subject), claim.certificate
         )
+        for claim in surface.false_fibre_claims
+    ])
     return CompactifiedSurface(
         ambient=contracted.configuration,
         boundary=frozenset(
             new_id[i] for i in surface.boundary if i not in removed
         ),
         isolated_boundary_points=0,
-        false_fibre_claims=tuple(claims),
+        false_fibre_claims=claims,
         fibration_asserted=surface.fibration_asserted,
     )
 

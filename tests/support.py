@@ -5,7 +5,8 @@ code: determinants come from cofactor expansion, inertia from principal
 minors (leading-minor sign chains over permutations, with the
 characteristic-polynomial sign-variation method as the general fallback),
 connectivity from a fresh union-find, and torsion from plain repeated
-addition.
+addition.  The Zariski oracle is the exhaustive sub-support enumeration the
+package replaced by the kernel certificate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from surfsat import Configuration, ECPoint, SymmetricMatrix, TorsionStatus, add
+from surfsat import (
+    Configuration,
+    ECPoint,
+    FibreVerdict,
+    SymmetricMatrix,
+    TorsionStatus,
+    add,
+    classify_fibre_type,
+)
+from surfsat.fibres import ZariskiReport, ZariskiViolation
 
 
 # -- determinants and principal minors (cofactor expansion) ------------
@@ -235,6 +245,37 @@ def oracle_components(config: Configuration, subset):
     for i in nodes:
         groups.setdefault(find(i), set()).add(i)
     return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+# -- Zariski oracle -------------------------------------------------------
+
+
+def oracle_validate_zariski(config: Configuration, subject) -> ZariskiReport:
+    """Zariski's lemma by enumeration: after the fibre-type check, test the
+    kernel for uniqueness and every nonempty proper sub-support for negative
+    definiteness, 2^n - 2 eliminations in all.  Keep n small."""
+    nodes = sorted(set(subject))
+    report = classify_fibre_type(config, nodes)
+    if report.verdict is not FibreVerdict.FIBRE_TYPE:
+        return ZariskiReport(
+            status="violations",
+            violations=(ZariskiViolation(report.verdict.value, tuple(nodes)),),
+            note="subject is not of fibre type",
+        )
+    violations = []
+    _, _, zero = config.gram_on(nodes).inertia()
+    if zero != 1:
+        violations.append(ZariskiViolation("kernel-not-unique", tuple(nodes)))
+    for size in range(1, len(nodes)):
+        for combo in itertools.combinations(nodes, size):
+            if not config.gram_on(combo).is_negative_definite():
+                violations.append(
+                    ZariskiViolation("proper-subset-not-negative-definite", combo)
+                )
+    violations.sort(key=lambda v: v.subset)
+    if violations:
+        return ZariskiReport(status="violations", violations=tuple(violations))
+    return ZariskiReport(status="ok")
 
 
 # -- torsion oracle -----------------------------------------------------

@@ -48,6 +48,32 @@ class TestExitCodes:
         assert "verdict: inconsistent" in out
         assert "disjoint" in out
 
+    @pytest.mark.parametrize("command", ["saturate", "affdim", "analyze"])
+    def test_claim_on_contracted_component_is_exit_one(
+        self, capsys, tmp_path, command
+    ):
+        doc = tmp_path / "claim_on_contracted.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "curves": [
+                        {"name": "E", "self": -2},
+                        {"name": "H", "self": 1},
+                    ],
+                    "intersections": [[0, 1, 1]],
+                    "boundary": ["E"],
+                    "false_fibre_claims": [
+                        {"subject": ["E"], "certificate": "user-asserted"}
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, command, doc)
+        assert code == 1
+        assert out == ""
+        assert "overlaps a contracted component" in err
+
     def test_schema_violation_names_field(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"curves": [{"name": "A"}]}))

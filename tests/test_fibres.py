@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,8 @@ from surfsat import (
     validate_false_fibre_claims,
     validate_zariski,
 )
+
+from support import oracle_validate_zariski, random_configuration
 
 
 def cycle(k):
@@ -112,11 +116,91 @@ class TestZariski:
         assert report.status == "violations"
         assert report.violations[0].kind == "disconnected"
 
-    def test_large_subject_skipped(self):
+    def test_large_subject_ok(self):
         config = cycle(17)
         report = validate_zariski(config, range(17))
-        assert report.status == "skipped"
-        assert "n > 16" in report.note
+        assert report.status == "ok"
+        assert report.violations == ()
+
+
+def tree(arms):
+    """Star of (-2)-curves: a centre with chains of the given lengths."""
+    curves = [("Z", -2)]
+    edges = []
+    for a, length in enumerate(arms):
+        prev = 0
+        for step in range(length):
+            curves.append((f"T{a}_{step}", -2))
+            edges.append((prev, len(curves) - 1, 1))
+            prev = len(curves) - 1
+    return Configuration.build(curves, edges)
+
+
+def d_tilde(n):
+    """Extended D_n: a chain of n - 3 (-2)-curves with two legs at each end."""
+    chain = n - 3
+    curves = [(f"C{i}", -2) for i in range(chain)] + [
+        (f"L{i}", -2) for i in range(4)
+    ]
+    edges = [(i, i + 1, 1) for i in range(chain - 1)]
+    edges += [(0, chain, 1), (0, chain + 1, 1)]
+    edges += [(chain - 1, chain + 2, 1), (chain - 1, chain + 3, 1)]
+    return Configuration.build(curves, edges)
+
+
+class TestZariskiOracle:
+    """The kernel certificate agrees with the exhaustive enumeration."""
+
+    def agree(self, config, subject):
+        assert validate_zariski(config, subject) == oracle_validate_zariski(
+            config, subject
+        )
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_cycles(self, k):
+        self.agree(cycle(k), range(k))
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_d_tilde(self, n):
+        config = d_tilde(n)
+        assert classify_fibre_type(config, range(n + 1)).verdict is (
+            FibreVerdict.FIBRE_TYPE
+        )
+        self.agree(config, range(n + 1))
+
+    @pytest.mark.parametrize("arms", [(2, 2, 2), (3, 3, 1), (5, 2, 1)])
+    def test_e_tilde(self, arms):
+        config = tree(arms)
+        assert classify_fibre_type(config, range(config.n)).verdict is (
+            FibreVerdict.FIBRE_TYPE
+        )
+        self.agree(config, range(config.n))
+
+    def test_zero_curve(self):
+        self.agree(cycle(1), {0})
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(diag_lo=-2, diag_hi=-2, edge_hi=1),
+            dict(diag_lo=-4, diag_hi=0, edge_hi=2),
+        ],
+    )
+    def test_random_connected_subjects(self, params):
+        rng = random.Random(83)
+        sizes = []
+        for _ in range(30):
+            n = rng.randint(4, 10)
+            config = random_configuration(rng, n, **params)
+            for size in range(1, n + 1):
+                for subject in itertools.combinations(range(n), size):
+                    if not config.is_connected(subject):
+                        continue
+                    report = classify_fibre_type(config, subject)
+                    if report.verdict is FibreVerdict.FIBRE_TYPE:
+                        sizes.append(size)
+                        self.agree(config, subject)
+        assert len(sizes) >= 40 and max(sizes) >= 4
 
 
 class TestProportionality:

@@ -241,3 +241,14 @@ class TestLatticeValidation:
 
         with pytest.raises(InputError):
             NSLattice(("A",), SymmetricMatrix([[Fraction(1, 2)]]), (0,))
+
+    def test_class_coordinates_are_exact_integers(self):
+        record = ClassRecord("C", (Fraction(6, 2), "-1", 0))
+        assert record.vector == (3, -1, 0)
+        assert all(type(x) is int for x in record.vector)
+        with pytest.raises(InputError, match="non-integral coordinate 1/2"):
+            ClassRecord("C", (Fraction(1, 2), 1))
+        with pytest.raises(InputError, match="non-integral coordinate 3/2"):
+            ClassRecord("C", (1, "3/2"))
+        with pytest.raises(InputError, match="float 1.7 is not exact"):
+            ClassRecord("C", (1, 1.7))
