@@ -15,7 +15,6 @@ import logging
 import sys
 from typing import Optional
 
-from .configuration import Divisor
 from .elliptic import hironaka_build, sum_obstruction
 from .errors import DataInconsistencyError, InputError, PreconditionError
 from .fibres import (
@@ -25,7 +24,7 @@ from .fibres import (
     validate_false_fibre_claims,
     zariski_report,
 )
-from .mumford import ContractionContext, contract, pullback
+from .mumford import contract
 from .saturation import (
     affinisation_dimension,
     apply_plan,
@@ -53,8 +52,7 @@ def _names(config, subset) -> list[str]:
     return sorted(config.nodes[i].name for i in subset)
 
 
-def _saturation_to_json(surface) -> dict:
-    verdict = is_saturated(surface)
+def _saturation_to_json(surface, verdict) -> dict:
     return {
         "saturated": verdict.saturated,
         "criterion": verdict.criterion,
@@ -65,8 +63,7 @@ def _saturation_to_json(surface) -> dict:
     }
 
 
-def _plan_to_json(surface) -> dict:
-    plan = saturation_plan(surface)
+def _plan_to_json(surface, plan) -> dict:
     return {
         "criterion": "contract-negative-definite-components",
         "contract": [_names(surface.ambient, comp) for comp in plan.d_minus],
@@ -114,8 +111,8 @@ def cmd_saturate(doc: Document, args) -> dict:
     return {
         "command": "saturate",
         "verdict": "saturated" if verdict.saturated else "not-saturated",
-        "saturation": _saturation_to_json(surface),
-        "plan": _plan_to_json(surface),
+        "saturation": _saturation_to_json(surface, verdict),
+        "plan": _plan_to_json(surface, saturation_plan(surface)),
     }
 
 
@@ -127,8 +124,9 @@ def cmd_affdim(doc: Document, args) -> dict:
             "input is not saturated; the saturation plan was applied first "
             "(the classification is invariant under it)"
         )
-        out["plan"] = _plan_to_json(surface)
-        surface = apply_plan(surface)
+        plan = saturation_plan(surface)
+        out["plan"] = _plan_to_json(surface, plan)
+        surface = apply_plan(surface, plan)
     report = affinisation_dimension(surface)
     out.update(_affdim_to_json(report))
     return out
@@ -163,12 +161,11 @@ def cmd_mumford(doc: Document, args) -> dict:
     if not parts:
         out["verdict"] = "nothing-to-contract"
         return out
-    ctx = ContractionContext(config, frozenset().union(*parts))
     result = contract(config, parts)
-    pullbacks = {}
-    for old in result.ambient_ids:
-        pb = pullback(ctx, Divisor.of(old))
-        pullbacks[config.nodes[old].name] = divisor_to_json(config, pb)
+    pullbacks = {
+        config.nodes[old].name: divisor_to_json(config, pb)
+        for old, pb in zip(result.ambient_ids, result.pullbacks)
+    }
     contracted = result.configuration
     out.update(
         {
@@ -214,8 +211,8 @@ def cmd_hironaka(doc: Document, args) -> dict:
             "verdict": report.obstruction.verdict,
             "torsion": str(report.obstruction.torsion),
         },
-        "saturation": _saturation_to_json(surface),
-        "plan": _plan_to_json(surface),
+        "saturation": _saturation_to_json(surface, report.saturation),
+        "plan": _plan_to_json(surface, report.plan),
         "scheme_saturation": {
             "criterion": "negative-definite-components-scheme-contractibility",
             "verdict": report.scheme_saturation.verdict.value,
@@ -235,10 +232,12 @@ def cmd_hironaka(doc: Document, args) -> dict:
 
 def cmd_analyze(doc: Document, args) -> dict:
     surface = doc.surface
+    saturation = is_saturated(surface)
+    plan = saturation_plan(surface)
     out = {
         "command": "analyze",
-        "saturation": _saturation_to_json(surface),
-        "plan": _plan_to_json(surface),
+        "saturation": _saturation_to_json(surface, saturation),
+        "plan": _plan_to_json(surface, plan),
     }
     components = surface.boundary_components()
     if components:
@@ -246,9 +245,9 @@ def cmd_analyze(doc: Document, args) -> dict:
             _fibre_component_to_json(surface.ambient, comp) for comp in components
         ]
     model = surface
-    if not is_saturated(surface).saturated:
+    if not saturation.saturated:
         out["note"] = "affinisation classified after applying the saturation plan"
-        model = apply_plan(surface)
+        model = apply_plan(surface, plan)
     affdim = affinisation_dimension(model)
     out["affinisation"] = _affdim_to_json(affdim)
     out["verdict"] = affdim.verdict.value

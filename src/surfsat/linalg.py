@@ -7,6 +7,7 @@ definiteness) are made by symmetric elimination over Q.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -22,6 +23,8 @@ def as_rational(value) -> Fraction:
     Accepts ints, Fractions and strings like ``"2/3"`` or ``"-7"``.  Floats
     are rejected: they would silently destroy exactness.
     """
+    if type(value) is Fraction:  # immutable, so the common case is free
+        return value
     if isinstance(value, bool):
         raise InputError(f"expected a rational number, got boolean {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -158,14 +161,9 @@ class SymmetricMatrix:
             r += 1
         return rows, pivots
 
-    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Basis of the null space.
-
-        Each basis vector is primitive integral with positive leading entry,
-        ordered by the free column it parametrises; the result is empty
-        exactly when the matrix is nonsingular.
-        """
-        rows, pivots = self._rref()
+    def _kernel_from_rref(self, rows, pivots) -> tuple[tuple[int, ...], ...]:
+        """Null space read off a reduced row echelon form of M (possibly
+        augmented): one vector per free column, in column order."""
         pivot_cols = {c for _, c in pivots}
         basis = []
         for f in range(self.n):
@@ -178,12 +176,23 @@ class SymmetricMatrix:
             basis.append(_primitive_integral(v))
         return tuple(basis)
 
+    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Basis of the null space.
+
+        Each basis vector is primitive integral with positive leading entry,
+        ordered by the free column it parametrises; the result is empty
+        exactly when the matrix is nonsingular.
+        """
+        return self._kernel_from_rref(*self._rref())
+
     def solve(self, b: Sequence) -> Optional[tuple[Fraction, ...]]:
         """Solve Mx = b exactly.
 
         Returns ``None`` when ``b`` is outside the column space.  When the
         system is underdetermined, returns the unique solution orthogonal to
         the kernel (the minimum-norm one), so the output is deterministic.
+        The kernel comes from the same elimination, and only when M is
+        singular.
         """
         if len(b) != self.n:
             raise InputError(f"rhs has length {len(b)}, expected {self.n}")
@@ -196,8 +205,8 @@ class SymmetricMatrix:
         x = [Fraction(0)] * self.n
         for pr, pc in pivots:
             x[pc] = rows[pr][self.n]
-        kernel = self.kernel_basis()
-        if kernel:
+        if rank < self.n:
+            kernel = self._kernel_from_rref(rows, pivots)
             gram = SymmetricMatrix(
                 [
                     [sum(u[i] * v[i] for i in range(self.n)) for v in kernel]
@@ -213,6 +222,49 @@ class SymmetricMatrix:
                 for i in range(self.n):
                     x[i] -= c * v[i]
         return tuple(x)
+
+    def negative_definite_ldl(
+        self, indices: Optional[Sequence[int]] = None
+    ) -> Optional["LDL"]:
+        """Factorise the principal block on ``indices`` (default: all, in
+        order) as L D L^T without pivoting, or return ``None`` when the block
+        is not negative definite.
+
+        Zero entries are skipped, so a chain eliminates with no fill.  By
+        Sylvester's criterion the block is negative definite exactly when
+        every pivot is negative, so the elimination stops at the first
+        pivot >= 0.
+        """
+        idx = list(range(self.n)) if indices is None else list(indices)
+        for i in idx:
+            if not 0 <= i < self.n:
+                raise InputError(f"index {i} out of range for n={self.n}")
+        position = {node: p for p, node in enumerate(idx)}
+        diag = []
+        upper: list[dict[int, Fraction]] = []
+        for p, node in enumerate(idx):
+            row = self._rows[node]
+            diag.append(row[node])
+            upper.append({position[j]: row[j] for j in idx[p + 1:] if row[j]})
+        lower = []
+        for p, d in enumerate(diag):
+            if d >= 0:
+                return None
+            col = sorted(upper[p].items())
+            multipliers = []
+            for a, (q, v) in enumerate(col):
+                l = v / d
+                multipliers.append((q, l))
+                diag[q] -= l * v
+                row_q = upper[q]
+                for r, w in col[a + 1:]:
+                    value = row_q.get(r, 0) - l * w
+                    if value:
+                        row_q[r] = value
+                    else:
+                        row_q.pop(r, None)
+            lower.append(tuple(multipliers))
+        return LDL(tuple(idx), tuple(lower), tuple(diag))
 
     def inertia(self) -> tuple[int, int, int]:
         """Counts of (positive, negative, zero) eigenvalues.
@@ -283,11 +335,44 @@ class SymmetricMatrix:
         return (plus, minus, zero)
 
     def is_negative_definite(self) -> bool:
-        """True iff all eigenvalues are negative; the empty matrix counts
-        as negative definite."""
-        plus, _, zero = self.inertia()
-        return plus == 0 and zero == 0
+        """True iff all eigenvalues are negative, read off the L D L^T
+        factorisation; the empty matrix counts as negative definite."""
+        return self.negative_definite_ldl() is not None
 
     def is_negative_semidefinite(self) -> bool:
         plus, _, _ = self.inertia()
         return plus == 0
+
+
+@dataclass(frozen=True)
+class LDL:
+    """M = L D L^T of a negative definite block, from
+    :meth:`SymmetricMatrix.negative_definite_ldl`.
+
+    ``order`` lists the factorised indices; right-hand sides and solutions
+    are indexed by position in it.  ``lower[p]`` holds the nonzero
+    multipliers (q, L[q][p]) below pivot p, ``diag`` the pivots.
+    """
+
+    order: tuple[int, ...]
+    lower: tuple[tuple[tuple[int, Fraction], ...], ...]
+    diag: tuple[Fraction, ...]
+
+    def solve(self, rhs: Sequence[Fraction]) -> list[Fraction]:
+        """The unique x with M x = rhs, by forward and back substitution."""
+        x = list(rhs)
+        for p, column in enumerate(self.lower):
+            xp = x[p]
+            if xp:
+                for q, l in column:
+                    x[q] -= l * xp
+        for p, d in enumerate(self.diag):
+            if x[p]:
+                x[p] /= d
+        for p in range(len(x) - 1, -1, -1):
+            total = x[p]
+            for q, l in self.lower[p]:
+                if x[q]:
+                    total -= l * x[q]
+            x[p] = total
+        return x

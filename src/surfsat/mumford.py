@@ -5,6 +5,11 @@ produces a normal surface whose intersection theory is computed upstairs:
 a divisor D away from E pulls back to D + sum(a_i E_i) with the unique
 rational coefficients making the pullback orthogonal to every E_i, and the
 product of two divisors downstairs is the product of their pullbacks.
+
+Each connected component of E is factorised once as L D L^T, which also
+decides its negative definiteness; every pullback is then a forward and
+back substitution against Gram rows, and the contracted Gram is the Schur
+complement M_RR - M_RE M_EE^-1 M_ER.
 """
 
 from __future__ import annotations
@@ -26,16 +31,19 @@ class ContractionContext:
     def __post_init__(self):
         exceptional = frozenset(self.exceptional)
         object.__setattr__(self, "exceptional", exceptional)
-        if exceptional and not self.ambient.gram_on(exceptional).is_negative_definite():
+        components = self.ambient.connected_components(exceptional)
+        # E is block diagonal over its components, so it is negative
+        # definite iff every component's factorisation succeeds
+        gram = self.ambient.gram
+        factors = tuple([gram.negative_definite_ldl(sorted(c)) for c in components])
+        if None in factors:
             raise PreconditionError(
                 "exceptional set "
                 f"{self.ambient.names(exceptional)} is not negative definite; "
                 "only negative definite curve sets are contractible"
             )
-        # every pullback reads the components of E: find them once
-        object.__setattr__(
-            self, "_components", self.ambient.connected_components(exceptional)
-        )
+        object.__setattr__(self, "_components", components)
+        object.__setattr__(self, "_factors", factors)
 
     def components(self) -> tuple[frozenset[int], ...]:
         return self._components
@@ -44,8 +52,9 @@ class ContractionContext:
 def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
     """Extend ``strict`` by exceptional multiples orthogonal to all of E.
 
-    Solves one exact linear system per connected component of E; components
-    that do not meet the divisor keep coefficient zero.
+    Each component of E contributes M_EE^-1 applied to minus the Gram
+    rows of ``strict``, read off the component's one factorisation;
+    components that do not meet the divisor keep coefficient zero.
     """
     overlap = strict.support() & ctx.exceptional
     if overlap:
@@ -53,19 +62,20 @@ def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
             f"divisor is supported on exceptional curves "
             f"{ctx.ambient.names(overlap)}; pass its strict part instead"
         )
-    total = strict
-    for component in ctx.components():
-        nodes = sorted(component)
+    coeffs = strict.coefficients
+    if ctx._factors:
+        for i in coeffs:
+            if not 0 <= i < ctx.ambient.n:
+                raise PreconditionError(f"divisor references unknown node {i}")
+    rows = ctx.ambient.gram.rows
+    total = dict(coeffs)
+    for factor in ctx._factors:
         rhs = [
-            -ctx.ambient.intersection_number(strict, Divisor.of(j))
-            for j in nodes
+            -sum(c * rows[i][j] for i, c in coeffs.items()) for j in factor.order
         ]
-        if all(v == 0 for v in rhs):
-            continue
-        coeffs = ctx.ambient.gram_on(nodes).solve(rhs)
-        assert coeffs is not None  # negative definite => nonsingular
-        total = total + Divisor(dict(zip(nodes, coeffs)))
-    return total
+        if any(rhs):
+            total.update(zip(factor.order, factor.solve(rhs)))
+    return Divisor(total)  # drops the zero coefficients
 
 
 def induced_product(ctx: ContractionContext, d1: Divisor, d2: Divisor) -> Fraction:
@@ -96,6 +106,8 @@ class ContractedConfiguration:
     configuration: Configuration
     ambient_ids: tuple[int, ...]
     singular_points: tuple[SingularPoint, ...]
+    # pullbacks[i] is the pullback of ambient curve ambient_ids[i]
+    pullbacks: tuple[Divisor, ...]
 
 
 def contract(
@@ -104,10 +116,14 @@ def contract(
     """Contract disjoint negative definite connected node sets.
 
     Returns the configuration of the remaining curves under the induced
-    product, with one singular-point marker per contracted part.
+    product, with one singular-point marker per contracted part and the
+    pullback of every remaining curve.  Each part is factorised once: the
+    factorisation is its negative definiteness check, and it yields the
+    pullbacks and the induced Gram as a Schur complement.
     """
     normalized = [frozenset(part) for part in parts]
     seen: set[int] = set()
+    factors = []
     for part in normalized:
         if not part:
             raise PreconditionError("cannot contract an empty part")
@@ -118,12 +134,14 @@ def contract(
             raise PreconditionError(
                 f"part {config.names(part)} is not connected"
             )
-        if not config.gram_on(part).is_negative_definite():
+        factor = config.gram.negative_definite_ldl(sorted(part))
+        if factor is None:
             raise PreconditionError(
                 f"part {config.names(part)} is not negative definite, hence "
                 "not contractible: connected components that are not negative "
                 "definite are exactly the ones a saturated boundary keeps"
             )
+        factors.append(factor)
     for a in range(len(normalized)):
         for b in range(a + 1, len(normalized)):
             if not config.disjoint(normalized[a], normalized[b]):
@@ -134,15 +152,30 @@ def contract(
                 )
 
     exceptional = frozenset(seen)
-    ctx = ContractionContext(config, exceptional)
     remaining = [i for i in range(config.n) if i not in exceptional]
-    pullbacks = [pullback(ctx, Divisor.of(i)) for i in remaining]
-    k = len(remaining)
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            value = config.intersection_number(pullbacks[a], Divisor.of(remaining[b]))
-            rows[a][b] = rows[b][a] = value
+    gram = config.gram.rows
+    rows = [[gram[a][b] for b in remaining] for a in remaining]
+    pullback_coeffs = [{old: 1} for old in remaining]
+    for factor in factors:
+        # remaining curves meeting this component, with their nonzero Gram
+        # entries on it as (position, value)
+        touching = []
+        for a, old in enumerate(remaining):
+            row = gram[old]
+            entries = [(p, row[j]) for p, j in enumerate(factor.order) if row[j]]
+            if entries:
+                touching.append((a, entries))
+        for t, (a, entries) in enumerate(touching):
+            rhs = [0] * len(factor.order)
+            for p, v in entries:
+                rhs[p] = -v
+            x = factor.solve(rhs)
+            pullback_coeffs[a].update(zip(factor.order, x))
+            # Schur complement: pullback(a) . b = M_ab + x . M_Eb, summed
+            # over the exceptional neighbours of b
+            for b, entries_b in touching[t:]:
+                value = rows[a][b] + sum(x[p] * v for p, v in entries_b)
+                rows[a][b] = rows[b][a] = value
     nodes = [
         CurveNode(new, config.nodes[old].name, config.nodes[old].genus,
                   config.nodes[old].proper)
@@ -160,4 +193,5 @@ def contract(
         configuration=Configuration(nodes, SymmetricMatrix(rows)),
         ambient_ids=tuple(remaining),
         singular_points=markers,
+        pullbacks=tuple([Divisor(coeffs) for coeffs in pullback_coeffs]),
     )

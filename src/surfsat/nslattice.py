@@ -19,6 +19,17 @@ from .errors import InputError, PreconditionError
 from .linalg import SymmetricMatrix, as_rational
 
 
+def _integral_vector(values: Sequence, what: str) -> tuple[int, ...]:
+    """Exact integer coordinates: floats are refused by :func:`as_rational`
+    and a non-integral rational raises, so nothing is truncated."""
+    # exact ints, the common case, skip the rational coercion
+    coords = [v if type(v) is int else as_rational(v) for v in values]
+    for x in coords:
+        if x.denominator != 1:
+            raise InputError(f"{what} has non-integral coordinate {x}")
+    return tuple([int(x) for x in coords])
+
+
 @dataclass(frozen=True)
 class ClassRecord:
     """A tracked curve class: integer coordinates in the lattice basis plus
@@ -31,12 +42,9 @@ class ClassRecord:
     def __post_init__(self):
         if self.genus < 0:
             raise InputError(f"class {self.name!r} has negative genus")
-        # exact ints, the common case, skip the rational coercion
-        coords = [v if type(v) is int else as_rational(v) for v in self.vector]
-        for x in coords:
-            if x.denominator != 1:
-                raise InputError(f"class {self.name!r} has non-integral coordinate {x}")
-        object.__setattr__(self, "vector", tuple([int(x) for x in coords]))
+        object.__setattr__(
+            self, "vector", _integral_vector(self.vector, f"class {self.name!r}")
+        )
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,9 @@ class NSLattice:
                 f"lattice pairing must have signature (1,{rank - 1}), got "
                 f"inertia {self.gram.inertia()}"
             )
-        object.__setattr__(self, "canonical", tuple([int(v) for v in self.canonical]))
+        object.__setattr__(
+            self, "canonical", _integral_vector(self.canonical, "canonical class")
+        )
 
     @property
     def rank(self) -> int:

@@ -6,7 +6,9 @@ minors (leading-minor sign chains over permutations, with the
 characteristic-polynomial sign-variation method as the general fallback),
 connectivity from a fresh union-find, and torsion from plain repeated
 addition.  The Zariski oracle is the exhaustive sub-support enumeration the
-package replaced by the kernel certificate.
+package replaced by the kernel certificate, and the contraction oracle is
+the per-pullback Gauss-Jordan solve the package replaced by one L D L^T
+factorisation per component.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from surfsat import (
     Configuration,
+    Divisor,
     ECPoint,
     FibreVerdict,
     SymmetricMatrix,
@@ -247,6 +250,39 @@ def oracle_components(config: Configuration, subset):
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
 
+# -- contraction oracle ---------------------------------------------------
+
+
+def oracle_pullback(config: Configuration, exceptional, strict) -> Divisor:
+    """Mumford's pullback by one Gauss-Jordan solve (``SymmetricMatrix.solve``,
+    not the L D L^T factorisation) per component of E and divisor, with
+    right-hand sides from the divisor pairing."""
+    total = strict
+    for component in oracle_components(config, exceptional):
+        nodes = sorted(component)
+        rhs = [-config.intersection_number(strict, Divisor.of(j)) for j in nodes]
+        if all(v == 0 for v in rhs):
+            continue
+        coeffs = config.gram_on(nodes).solve(rhs)
+        assert coeffs is not None  # negative definite => nonsingular
+        total = total + Divisor(dict(zip(nodes, coeffs)))
+    return total
+
+
+def oracle_contract(config: Configuration, exceptional):
+    """Remaining node ids, the induced Gram rows and the pullbacks of the
+    remaining curves, each Gram entry paired as pullback(a) . b."""
+    remaining = [i for i in range(config.n) if i not in exceptional]
+    pullbacks = [
+        oracle_pullback(config, exceptional, Divisor.of(i)) for i in remaining
+    ]
+    rows = [
+        [config.intersection_number(pb, Divisor.of(b)) for b in remaining]
+        for pb in pullbacks
+    ]
+    return remaining, rows, pullbacks
+
+
 # -- Zariski oracle -------------------------------------------------------
 
 
@@ -356,3 +392,65 @@ def random_negative_definite_configuration(rng, k, edge_hi=2) -> Configuration:
         row_sum = sum(v for (a, b), v in edges.items() if i in (a, b))
         curves.append((f"E{i}", -(row_sum + rng.randint(1, 3))))
     return Configuration.build(curves, [(i, j, v) for (i, j), v in edges.items()])
+
+
+def _random_tree_edges(rng, k):
+    return [(rng.randrange(i), i) for i in range(1, k)]
+
+
+def random_contraction_setup(rng):
+    """A configuration with a negative definite set E of one to three
+    components and a few further curves meeting it.
+
+    Components are (-2)/(-3) chains, trees of (-2)/(-3)-curves, or
+    diagonally dominant blocks with fractional self-intersections; node
+    ids are shuffled, so components interleave and are not eliminated in
+    chain order.  Returns (configuration, E, remaining node ids).
+    """
+    while True:
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 7)
+            kind = rng.choice(("chain", "tree", "fractional"))
+            if kind == "chain":
+                edges = [(i, i + 1) for i in range(k - 1)]
+            else:
+                edges = _random_tree_edges(rng, k)
+            if kind == "fractional":
+                degree = [sum(i in e for e in edges) for i in range(k)]
+                diag = [
+                    -degree[i] - Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                    for i in range(k)
+                ]
+            else:
+                diag = [rng.choice((-2, -3)) for _ in range(k)]
+            blocks.append((diag, edges))
+        n_exc = sum(len(diag) for diag, _ in blocks)
+        m = rng.randint(1, 4)
+        ids = list(range(n_exc + m))
+        rng.shuffle(ids)
+        exc_ids, rest_ids = ids[:n_exc], ids[n_exc:]
+        diag_of = {}
+        inters = []
+        offset = 0
+        for diag, edges in blocks:
+            nodes = exc_ids[offset:offset + len(diag)]
+            offset += len(diag)
+            diag_of.update(zip(nodes, diag))
+            inters += [(nodes[a], nodes[b], 1) for a, b in edges]
+        for r in rest_ids:
+            diag_of[r] = rng.choice((-3, -2, -1, 0, 1, 2, Fraction(-1, 2)))
+            inters += [
+                (r, e, rng.choice((1, 1, 2, Fraction(1, 2))))
+                for e in exc_ids
+                if rng.random() < 0.3
+            ]
+        for a in range(m):
+            for b in range(a + 1, m):
+                if rng.random() < 0.3:
+                    inters.append((rest_ids[a], rest_ids[b], rng.randint(1, 2)))
+        curves = [(f"N{i}", diag_of[i]) for i in range(n_exc + m)]
+        config = Configuration.build(curves, inters)
+        exceptional = frozenset(exc_ids)
+        if oracle_negative_definite_fast(config.gram_on(exceptional)):
+            return config, exceptional, sorted(rest_ids)

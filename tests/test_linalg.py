@@ -10,7 +10,9 @@ from surfsat import InputError, SymmetricMatrix, as_rational
 from support import (
     oracle_inertia_charpoly,
     oracle_inertia_leading_minors,
+    oracle_negative_definite_fast,
     oracle_negative_semidefinite,
+    random_negative_definite_configuration,
     random_symmetric_int,
     random_symmetric_rational,
 )
@@ -168,6 +170,60 @@ class TestOracleAgreement:
                 solved += 1
                 assert m.apply(x) == tuple(Fraction(v) for v in b)
         assert solved > 50  # the sweep actually exercised the solver
+
+
+class TestNegativeDefiniteLDL:
+    def test_decision_matches_sylvester_oracle(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = (
+                random_symmetric_int(rng, n, lo=-3, hi=1)
+                if rng.random() < 0.5
+                else random_symmetric_rational(rng, n)
+            )
+            factor = m.negative_definite_ldl()
+            assert (factor is not None) == oracle_negative_definite_fast(m)
+            if factor is not None:
+                assert all(d < 0 for d in factor.diag)
+
+    def test_solve_matches_gauss_jordan_for_many_rhs(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            k = rng.randint(1, 7)
+            m = random_negative_definite_configuration(rng, k).gram
+            factor = m.negative_definite_ldl()
+            assert factor is not None
+            for _ in range(3):
+                b = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+                x = factor.solve(b)
+                assert tuple(x) == m.solve(b)
+                assert m.apply(x) == tuple(b)
+
+    def test_chain_has_no_fill(self):
+        n = 50
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = -2
+            if i + 1 < n:
+                rows[i][i + 1] = rows[i + 1][i] = 1
+        factor = SymmetricMatrix(rows).negative_definite_ldl()
+        assert [len(column) for column in factor.lower] == [1] * (n - 1) + [0]
+        assert factor.diag == tuple(Fraction(-(k + 2), k + 1) for k in range(n))
+
+    def test_stops_at_first_nonnegative_pivot(self):
+        # pivots -2, -3/2, 0: a semidefinite cycle is not negative definite
+        cycle = SymmetricMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
+        assert cycle.negative_definite_ldl() is None
+        assert not cycle.is_negative_definite()
+
+    def test_principal_block_on_indices(self):
+        m = SymmetricMatrix([[-3, 1, 0], [1, 5, 1], [0, 1, -2]])
+        factor = m.negative_definite_ldl([2, 0])
+        assert factor.order == (2, 0)
+        expected = m.restrict([2, 0]).negative_definite_ldl()
+        assert (factor.lower, factor.diag) == (expected.lower, expected.diag)
+        assert m.negative_definite_ldl() is None
 
 
 class TestRationals:

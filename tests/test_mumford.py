@@ -8,12 +8,26 @@ from surfsat import (
     ContractionContext,
     Divisor,
     PreconditionError,
+    SymmetricMatrix,
     contract,
     induced_product,
     pullback,
 )
 
-from support import random_negative_definite_configuration
+from support import (
+    oracle_contract,
+    oracle_pullback,
+    random_contraction_setup,
+    random_negative_definite_configuration,
+)
+
+
+def random_divisor(rng, nodes):
+    """A divisor with several curves of ``nodes`` in its support."""
+    chosen = rng.sample(nodes, rng.randint(1, len(nodes)))
+    return Divisor(
+        {i: Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)) for i in chosen}
+    )
 
 
 def a1_setup():
@@ -260,4 +274,76 @@ class TestContract:
             )
             assert result.configuration.gram.is_negative_semidefinite() == (
                 config.gram.is_negative_semidefinite()
+            )
+
+
+class TestAgainstOracle:
+    """The factorised contraction against the per-pullback Gauss-Jordan
+    solves and divisor pairings it replaced."""
+
+    def test_contract_matches_oracle(self):
+        rng = random.Random(71)
+        for _ in range(150):
+            config, exceptional, _ = random_contraction_setup(rng)
+            parts = list(config.connected_components(exceptional))
+            rng.shuffle(parts)
+            result = contract(config, parts)
+            remaining, rows, pullbacks = oracle_contract(config, exceptional)
+            assert result.ambient_ids == tuple(remaining)
+            assert result.configuration.gram == SymmetricMatrix(rows)
+            assert result.pullbacks == tuple(pullbacks)
+
+    def test_pullback_and_induced_product_match_oracle(self):
+        rng = random.Random(73)
+        for _ in range(150):
+            config, exceptional, rest = random_contraction_setup(rng)
+            ctx = ContractionContext(config, exceptional)
+            d1, d2 = random_divisor(rng, rest), random_divisor(rng, rest)
+            p1 = oracle_pullback(config, exceptional, d1)
+            p2 = oracle_pullback(config, exceptional, d2)
+            assert pullback(ctx, d1) == p1
+            assert pullback(ctx, d2) == p2
+            assert induced_product(ctx, d1, d2) == config.intersection_number(p1, p2)
+
+    def test_unknown_node_is_refused(self):
+        _, ctx = a1_setup()
+        with pytest.raises(PreconditionError, match="unknown node 5"):
+            pullback(ctx, Divisor({1: 1, 5: 2}))
+
+
+class TestOneFactorisation:
+    @pytest.fixture
+    def factorised(self, monkeypatch):
+        """Indices of every L D L^T factorisation made while the test runs."""
+        calls = []
+        original = SymmetricMatrix.negative_definite_ldl
+
+        def counting(matrix, indices=None):
+            calls.append(tuple(indices) if indices is not None else None)
+            return original(matrix, indices)
+
+        monkeypatch.setattr(SymmetricMatrix, "negative_definite_ldl", counting)
+        return calls
+
+    def test_each_component_once_per_contract(self, factorised):
+        rng = random.Random(79)
+        for _ in range(40):
+            config, exceptional, _ = random_contraction_setup(rng)
+            parts = config.connected_components(exceptional)
+            factorised.clear()
+            contract(config, parts)
+            assert sorted(factorised) == sorted(tuple(sorted(p)) for p in parts)
+
+    def test_each_component_once_per_context(self, factorised):
+        rng = random.Random(83)
+        for _ in range(40):
+            config, exceptional, rest = random_contraction_setup(rng)
+            factorised.clear()
+            ctx = ContractionContext(config, exceptional)
+            for _ in range(3):
+                induced_product(
+                    ctx, random_divisor(rng, rest), random_divisor(rng, rest)
+                )
+            assert sorted(factorised) == sorted(
+                tuple(sorted(p)) for p in ctx.components()
             )

@@ -252,3 +252,16 @@ class TestLatticeValidation:
             ClassRecord("C", (1, "3/2"))
         with pytest.raises(InputError, match="float 1.7 is not exact"):
             ClassRecord("C", (1, 1.7))
+
+    def test_canonical_class_is_exact_integers(self):
+        from surfsat import SymmetricMatrix
+
+        gram = SymmetricMatrix([[1]])
+        lat = NSLattice(("L",), gram, (Fraction(-6, 2),))
+        assert lat.canonical == (-3,)
+        assert type(lat.canonical[0]) is int
+        assert NSLattice(("L",), gram, ("-3",)).canonical == (-3,)
+        with pytest.raises(InputError, match="non-integral coordinate -5/2"):
+            NSLattice(("L",), gram, (Fraction(-5, 2),))
+        with pytest.raises(InputError, match="float -2.7 is not exact"):
+            NSLattice(("L",), gram, (-2.7,))

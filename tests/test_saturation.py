@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -135,6 +137,30 @@ class TestSaturationPlan:
                     or len(is_saturated(smaller).offending_components)
                     < len(verdict.offending_components)
                 )
+
+
+class TestApplyPlanBudget:
+    def test_chain_of_80_with_interior_curves_under_one_second(self):
+        # boundary: an A_80 chain of (-2)-curves E_i; interior: a
+        # (+1)-curve C_i meeting E_i once, for every i
+        n = 80
+        s = surface(
+            [(f"E{i}", -2) for i in range(n)] + [(f"C{i}", 1) for i in range(n)],
+            [(i, i + 1, 1) for i in range(n - 1)] + [(i, n + i, 1) for i in range(n)],
+            boundary=[f"E{i}" for i in range(n)],
+        )
+        start = time.perf_counter()
+        result = apply_plan(s)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"apply_plan took {elapsed:.2f}s"
+        # downstairs C_a . C_b = delta_ab + (A^-1)_ab, A the A_80 Cartan
+        # matrix, whose inverse is i (n + 1 - j) / (n + 1) for i <= j
+        assert not result.boundary
+        for a in range(n):
+            for b in range(n):
+                i, j = min(a, b) + 1, max(a, b) + 1
+                expected = (a == b) + Fraction(i * (n + 1 - j), n + 1)
+                assert result.ambient.gram.entry(a, b) == expected
 
 
 class TestAffinisationDimension:
