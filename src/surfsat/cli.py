@@ -174,10 +174,7 @@ def cmd_mumford(doc: Document, args) -> dict:
             "pullbacks": pullbacks,
             "induced_matrix": {
                 "curves": [node.name for node in contracted.nodes],
-                "entries": [
-                    [rational_to_json(contracted.gram.entry(i, j)) for j in range(contracted.n)]
-                    for i in range(contracted.n)
-                ],
+                "entries": _dense_json(contracted.gram),
             },
             "singular_points": [
                 {"name": s.name, "contracted": list(s.contracted_names)}
@@ -185,6 +182,18 @@ def cmd_mumford(doc: Document, args) -> dict:
             ],
         }
     )
+    return out
+
+
+def _dense_json(gram) -> list:
+    """JSON rows of a matrix, converting only its nonzero entries."""
+    out = []
+    for i in range(gram.n):
+        row = [0] * gram.n
+        for j, x in gram.off_diagonal(i).items():
+            row[j] = rational_to_json(x)
+        row[i] = rational_to_json(gram.entry(i, i))
+        out.append(row)
     return out
 
 

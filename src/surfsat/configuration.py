@@ -6,6 +6,12 @@ for properness) and the symmetric matrix of pairwise intersection numbers.
 Distinct prime divisors meet non-negatively, so off-diagonal entries must be
 >= 0; diagonal entries (self-intersections) are unconstrained and may be
 fractional on singular surfaces.
+
+Boundary graphs are sparse, so the sign check reads only the nonzero
+off-diagonal entries of the Gram, and every configuration keeps each
+curve's neighbour set: adjacency is a membership test, components are a
+breadth-first search and disjointness a neighbour intersection, all in
+O(n + meetings).
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ class Restriction:
 class Configuration:
     """Dual graph: curve nodes plus their intersection matrix."""
 
-    __slots__ = ("_nodes", "_gram")
+    __slots__ = ("_nodes", "_gram", "_neighbours")
 
     def __init__(self, nodes: Sequence[CurveNode], gram: SymmetricMatrix):
         nodes = tuple(nodes)
@@ -128,15 +134,23 @@ class Configuration:
         names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise InputError("curve names must be unique")
+        neighbours = []
         for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                if gram.entry(i, j) < 0:
-                    raise InputError(
-                        f"distinct curves {names[i]!r} and {names[j]!r} have "
-                        f"negative intersection {gram.entry(i, j)}"
-                    )
+            row = gram.off_diagonal(i)
+            negative = [j for j, x in row.items() if x.numerator < 0]
+            if negative:
+                # the first offending pair in row-major order: a negative
+                # entry left of the diagonal would have been met in an
+                # earlier row
+                j = min(negative)
+                raise InputError(
+                    f"distinct curves {names[i]!r} and {names[j]!r} have "
+                    f"negative intersection {row[j]}"
+                )
+            neighbours.append(frozenset(row))
         self._nodes = nodes
         self._gram = gram
+        self._neighbours = tuple(neighbours)
 
     @classmethod
     def build(cls, curves, intersections=()) -> "Configuration":
@@ -144,7 +158,8 @@ class Configuration:
 
         ``curves`` is a sequence of (name, self_intersection) pairs or
         (name, self_intersection, genus) triples; ``intersections`` lists
-        (i, j, value) for the nonzero off-diagonal entries.
+        (i, j, value) for the nonzero off-diagonal entries.  A pair listed
+        twice keeps its last value.
         """
         nodes = []
         diag = []
@@ -153,15 +168,12 @@ class Configuration:
             genus = rest[0] if rest else 0
             nodes.append(CurveNode(idx, name, genus=genus))
             diag.append(as_rational(self_int))
-        n = len(nodes)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = diag[i]
+        entries = []
         for i, j, value in intersections:
             if i == j:
                 raise InputError(f"self-intersection of node {i} belongs in 'curves'")
-            rows[i][j] = rows[j][i] = as_rational(value)
-        return cls(nodes, SymmetricMatrix(rows))
+            entries.append((i, j, as_rational(value)))
+        return cls(nodes, SymmetricMatrix.from_entries(diag, entries))
 
     @property
     def nodes(self) -> tuple[CurveNode, ...]:
@@ -196,7 +208,11 @@ class Configuration:
 
     def adjacent(self, i: int, j: int) -> bool:
         """Curves meet iff their intersection number is > 0."""
-        return i != j and self._gram.entry(i, j) > 0
+        return j in self._neighbours[i]
+
+    def neighbours(self, i: int) -> frozenset[int]:
+        """The curves that meet curve ``i``."""
+        return self._neighbours[i]
 
     def connected_components(
         self, subset: Optional[Iterable[int]] = None
@@ -211,16 +227,12 @@ class Configuration:
         for start in ids:
             if start not in remaining:
                 continue
-            stack = [start]
-            comp = set()
             remaining.discard(start)
-            while stack:
-                i = stack.pop()
-                comp.add(i)
-                for j in list(remaining):
-                    if self.adjacent(i, j):
-                        remaining.discard(j)
-                        stack.append(j)
+            comp = [start]
+            for i in comp:  # breadth first: comp grows while it is walked
+                found = self._neighbours[i] & remaining
+                remaining -= found
+                comp.extend(found)
             components.append(frozenset(comp))
         return tuple(components)
 
@@ -262,9 +274,10 @@ class Configuration:
         """No shared nodes and no positive pairing across the two sets."""
         sa = self._check_subset(a)
         sb = self._check_subset(b)
-        if set(sa) & set(sb):
+        set_b = set(sb)
+        if not set_b.isdisjoint(sa):
             return False
-        return all(not self.adjacent(i, j) for i in sa for j in sb)
+        return all(self._neighbours[i].isdisjoint(set_b) for i in sa)
 
     def __eq__(self, other) -> bool:
         return (

@@ -128,6 +128,13 @@ def add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     """Chord-tangent addition with the point at infinity as identity."""
     _require_on_curve(curve, p)
     _require_on_curve(curve, q)
+    return _add(curve, p, q)
+
+
+def _add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
+    """:func:`add` for points already known to lie on the curve: the group
+    law keeps them there, so sums and multiples of checked points are never
+    re-checked."""
     if p.is_infinity:
         return q
     if q.is_infinity:
@@ -154,14 +161,19 @@ def scalar_mul(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
     if n < 0:
         return scalar_mul(curve, -n, negate(curve, p))
     _require_on_curve(curve, p)
+    return _scalar_mul(curve, n, p)
+
+
+def _scalar_mul(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
+    """n p for n >= 0 and p known to lie on the curve."""
     result = ECPoint.infinity()
     doubling = p
     while n:
         if n & 1:
-            result = add(curve, result, doubling)
+            result = _add(curve, result, doubling)
         n >>= 1
         if n:
-            doubling = add(curve, doubling, doubling)
+            doubling = _add(curve, doubling, doubling)
     return result
 
 
@@ -186,12 +198,17 @@ def is_torsion(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
     that fails this integrality certifies NonTorsion.
     """
     _require_on_curve(curve, p)
+    return _torsion_status(curve, p)
+
+
+def _torsion_status(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
+    """:func:`is_torsion` for a point known to lie on the curve."""
     coefficients = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
     u = lcm(*(c.denominator for c in coefficients))
     x_scale, y_scale = 4 * u * u, 8 * u * u * u
     running = ECPoint.infinity()
     for n in range(1, 13):
-        running = add(curve, running, p)
+        running = _add(curve, running, p)
         if running.is_infinity:
             if n in RATIONAL_TORSION_ORDERS:
                 return TorsionStatus(True, n)
@@ -237,8 +254,8 @@ def sum_obstruction(
         seen.append(point)
     total = ECPoint.infinity()
     for point, mult in points:
-        total = add(curve, total, scalar_mul(curve, mult, point))
-    torsion = is_torsion(curve, total)
+        total = _add(curve, total, _scalar_mul(curve, mult, point))
+    torsion = _torsion_status(curve, total)
     return ObstructionReport(found=not torsion.torsion, total=total, torsion=torsion)
 
 

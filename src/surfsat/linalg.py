@@ -3,6 +3,12 @@
 Everything here is exact: scalars are :class:`fractions.Fraction`, there is
 no floating point anywhere, and all decisions (solvability, inertia,
 definiteness) are made by symmetric elimination over Q.
+
+Intersection matrices of curve configurations are sparse, so a matrix keeps
+its diagonal and, per row, only the nonzero off-diagonal entries.  Building
+one from entries, taking a principal block and the L D L^T factorisation
+walk those entries; the dense ``rows`` view is built only when asked for
+(by the Gauss-Jordan and inertia eliminations, and by callers).
 """
 
 from __future__ import annotations
@@ -10,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
 Rational = Fraction
+_ZERO = Fraction(0)
 
 
 def as_rational(value) -> Fraction:
@@ -60,9 +68,15 @@ def _primitive_integral(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 class SymmetricMatrix:
-    """Immutable symmetric matrix over the rationals."""
+    """Immutable symmetric matrix over the rationals.
 
-    __slots__ = ("_rows",)
+    Stored sparsely: the diagonal, plus for every row a ``{column: value}``
+    map of its nonzero off-diagonal entries.  :meth:`from_entries` builds
+    one from a diagonal and off-diagonal entries in O(n + nnz); the dense
+    ``rows`` view is built on first use.
+    """
+
+    __slots__ = ("_diag", "_off", "_rows")
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
         n = len(rows)
@@ -78,54 +92,130 @@ class SymmetricMatrix:
                         f"matrix is not symmetric at ({i},{j}): "
                         f"{coerced[i][j]} != {coerced[j][i]}"
                     )
+        self._diag = tuple([row[i] for i, row in enumerate(coerced)])
+        self._off = tuple([
+            {j: x for j, x in enumerate(row) if x and j != i}
+            for i, row in enumerate(coerced)
+        ])
         self._rows = tuple(coerced)
 
     @classmethod
+    def _from_sparse(
+        cls, diag: tuple[Fraction, ...], off: tuple[dict[int, Fraction], ...]
+    ) -> "SymmetricMatrix":
+        """Adopt already symmetric storage with no zero off-diagonal entry."""
+        matrix = cls.__new__(cls)
+        matrix._diag = diag
+        matrix._off = off
+        matrix._rows = None
+        return matrix
+
+    @classmethod
+    def from_entries(
+        cls, diagonal: Sequence, entries: Iterable[tuple[int, int, object]] = ()
+    ) -> "SymmetricMatrix":
+        """The matrix with the given diagonal and off-diagonal entries
+        (i, j, value), each setting both (i, j) and (j, i).
+
+        Symmetric by construction, so nothing is compared pairwise: the
+        cost is O(n + number of entries).  Unlisted entries are zero, and
+        an entry listed twice keeps its last value.
+        """
+        diag = tuple([as_rational(x) for x in diagonal])
+        n = len(diag)
+        off: tuple[dict[int, Fraction], ...] = tuple([{} for _ in range(n)])
+        for i, j, value in entries:
+            if not (0 <= i < n and 0 <= j < n):
+                raise InputError(f"entry ({i},{j}) out of range for n={n}")
+            if i == j:
+                raise InputError(f"entry ({i},{j}) is on the diagonal")
+            x = as_rational(value)
+            if x:
+                off[i][j] = off[j][i] = x
+            else:
+                off[i].pop(j, None)
+                off[j].pop(i, None)
+        return cls._from_sparse(diag, off)
+
+    @classmethod
     def diagonal(cls, values: Sequence) -> "SymmetricMatrix":
-        n = len(values)
-        return cls(
-            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return cls.from_entries(values)
 
     @property
     def n(self) -> int:
-        return len(self._rows)
+        return len(self._diag)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense view, built on first use."""
+        if self._rows is None:
+            n = len(self._diag)
+            dense = []
+            for i, (d, row) in enumerate(zip(self._diag, self._off)):
+                r = [_ZERO] * n
+                for j, x in row.items():
+                    r[j] = x
+                r[i] = d
+                dense.append(tuple(r))
+            self._rows = tuple(dense)
         return self._rows
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        if i == j:
+            return self._diag[i]
+        if not 0 <= j < len(self._diag):
+            raise IndexError(f"column {j} out of range for n={self.n}")
+        return self._off[i].get(j, _ZERO)
+
+    def off_diagonal(self, i: int) -> Mapping[int, Fraction]:
+        """Read-only ``{column: value}`` map of the nonzero off-diagonal
+        entries of row ``i``."""
+        return MappingProxyType(self._off[i])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetricMatrix) and self._rows == other._rows
+        return (
+            isinstance(other, SymmetricMatrix)
+            and self._diag == other._diag
+            and self._off == other._off
+        )
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(
+            (self._diag, tuple([tuple(sorted(row.items())) for row in self._off]))
+        )
 
     def __repr__(self) -> str:
         body = "; ".join(
-            " ".join(str(x) for x in row) for row in self._rows
+            " ".join(str(x) for x in row) for row in self.rows
         )
         return f"SymmetricMatrix[{body}]"
 
     def restrict(self, indices: Sequence[int]) -> "SymmetricMatrix":
-        """Principal submatrix on ``indices`` (kept in the given order)."""
+        """Principal submatrix on ``indices`` (kept in the given order), in
+        O(k + the off-diagonal entries of the k rows)."""
         idx = list(indices)
         for i in idx:
             if not 0 <= i < self.n:
                 raise InputError(f"index {i} out of range for n={self.n}")
-        return SymmetricMatrix([[self._rows[i][j] for j in idx] for i in idx])
+        position = {node: p for p, node in enumerate(idx)}
+        if len(position) < len(idx):  # repeated indices: the dense way
+            return SymmetricMatrix([[self.entry(i, j) for j in idx] for i in idx])
+        off = tuple([
+            {position[j]: x for j, x in self._off[i].items() if j in position}
+            for i in idx
+        ])
+        return SymmetricMatrix._from_sparse(
+            tuple([self._diag[i] for i in idx]), off
+        )
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         if len(vec) != self.n:
             raise InputError(f"vector has length {len(vec)}, expected {self.n}")
         v = [as_rational(x) for x in vec]
-        return tuple(
-            sum((self._rows[i][j] * v[j] for j in range(self.n)), Fraction(0))
-            for i in range(self.n)
-        )
+        return tuple([
+            sum((x * v[j] for j, x in row.items()), d * v[i])
+            for i, (d, row) in enumerate(zip(self._diag, self._off))
+        ])
 
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
         """Bilinear form u^T M v."""
@@ -140,7 +230,7 @@ class SymmetricMatrix:
     def _rref(self, rhs: Optional[Sequence[Fraction]] = None):
         """Reduced row echelon form of [M | rhs]; returns (rows, pivots)."""
         n = self.n
-        rows = [list(self._rows[i]) for i in range(n)]
+        rows = [list(row) for row in self.rows]
         if rhs is not None:
             for i in range(n):
                 rows[i].append(rhs[i])
@@ -240,12 +330,15 @@ class SymmetricMatrix:
             if not 0 <= i < self.n:
                 raise InputError(f"index {i} out of range for n={self.n}")
         position = {node: p for p, node in enumerate(idx)}
-        diag = []
+        diag = [self._diag[node] for node in idx]
         upper: list[dict[int, Fraction]] = []
         for p, node in enumerate(idx):
-            row = self._rows[node]
-            diag.append(row[node])
-            upper.append({position[j]: row[j] for j in idx[p + 1:] if row[j]})
+            row = {}
+            for j, x in self._off[node].items():
+                q = position.get(j)
+                if q is not None and q > p:
+                    row[q] = x
+            upper.append(row)
         lower = []
         for p, d in enumerate(diag):
             if d >= 0:
@@ -276,7 +369,7 @@ class SymmetricMatrix:
         contributes (1,1,0) and is eliminated by its own Schur complement.
         """
         n = self.n
-        work = [[self._rows[i][j] for j in range(n)] for i in range(n)]
+        work = [list(row) for row in self.rows]
         active = list(range(n))
         plus = minus = zero = 0
         while active:

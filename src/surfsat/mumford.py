@@ -67,12 +67,16 @@ def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
         for i in coeffs:
             if not 0 <= i < ctx.ambient.n:
                 raise PreconditionError(f"divisor references unknown node {i}")
-    rows = ctx.ambient.gram.rows
+    gram = ctx.ambient.gram
     total = dict(coeffs)
     for factor in ctx._factors:
-        rhs = [
-            -sum(c * rows[i][j] for i, c in coeffs.items()) for j in factor.order
-        ]
+        position = {node: p for p, node in enumerate(factor.order)}
+        rhs = [0] * len(position)
+        for i, c in coeffs.items():
+            for j, v in gram.off_diagonal(i).items():
+                p = position.get(j)
+                if p is not None:
+                    rhs[p] -= c * v
         if any(rhs):
             total.update(zip(factor.order, factor.solve(rhs)))
     return Divisor(total)  # drops the zero coefficients
@@ -122,14 +126,14 @@ def contract(
     pullbacks and the induced Gram as a Schur complement.
     """
     normalized = [frozenset(part) for part in parts]
-    seen: set[int] = set()
+    owner: dict[int, int] = {}
     factors = []
-    for part in normalized:
+    for k, part in enumerate(normalized):
         if not part:
             raise PreconditionError("cannot contract an empty part")
-        if part & seen:
+        if not owner.keys().isdisjoint(part):
             raise PreconditionError("contracted parts must be pairwise disjoint")
-        seen |= part
+        owner.update(dict.fromkeys(part, k))
         if not config.is_connected(part):
             raise PreconditionError(
                 f"part {config.names(part)} is not connected"
@@ -142,30 +146,40 @@ def contract(
                 "definite are exactly the ones a saturated boundary keeps"
             )
         factors.append(factor)
-    for a in range(len(normalized)):
-        for b in range(a + 1, len(normalized)):
-            if not config.disjoint(normalized[a], normalized[b]):
-                raise PreconditionError(
-                    f"parts {config.names(normalized[a])} and "
-                    f"{config.names(normalized[b])} meet; contract their "
-                    "union as a single connected part instead"
-                )
+    for a, part in enumerate(normalized):
+        # the first meeting pair (a, b) in the order a < b
+        met = [
+            owner[j] for i in part for j in config.neighbours(i)
+            if owner.get(j, a) > a
+        ]
+        if met:
+            b = min(met)
+            raise PreconditionError(
+                f"parts {config.names(part)} and "
+                f"{config.names(normalized[b])} meet; contract their "
+                "union as a single connected part instead"
+            )
 
-    exceptional = frozenset(seen)
-    remaining = [i for i in range(config.n) if i not in exceptional]
-    gram = config.gram.rows
-    rows = [[gram[a][b] for b in remaining] for a in remaining]
+    gram = config.gram
+    remaining = [i for i in range(config.n) if i not in owner]
+    new_id = {old: new for new, old in enumerate(remaining)}
+    diag = [gram.entry(old, old) for old in remaining]
+    off = [
+        {new_id[j]: v for j, v in gram.off_diagonal(old).items() if j in new_id}
+        for old in remaining
+    ]
     pullback_coeffs = [{old: 1} for old in remaining]
     for factor in factors:
+        position = {node: p for p, node in enumerate(factor.order)}
         # remaining curves meeting this component, with their nonzero Gram
         # entries on it as (position, value)
-        touching = []
-        for a, old in enumerate(remaining):
-            row = gram[old]
-            entries = [(p, row[j]) for p, j in enumerate(factor.order) if row[j]]
-            if entries:
-                touching.append((a, entries))
-        for t, (a, entries) in enumerate(touching):
+        touching: dict[int, list[tuple[int, Fraction]]] = {}
+        for node in factor.order:
+            for j, v in gram.off_diagonal(node).items():
+                if j in new_id:
+                    touching.setdefault(new_id[j], []).append((position[node], v))
+        touching_sorted = sorted(touching.items())
+        for t, (a, entries) in enumerate(touching_sorted):
             rhs = [0] * len(factor.order)
             for p, v in entries:
                 rhs[p] = -v
@@ -173,9 +187,17 @@ def contract(
             pullback_coeffs[a].update(zip(factor.order, x))
             # Schur complement: pullback(a) . b = M_ab + x . M_Eb, summed
             # over the exceptional neighbours of b
-            for b, entries_b in touching[t:]:
-                value = rows[a][b] + sum(x[p] * v for p, v in entries_b)
-                rows[a][b] = rows[b][a] = value
+            diag[a] += sum(x[p] * v for p, v in entries)
+            for b, entries_b in touching_sorted[t + 1:]:
+                value = off[a].get(b, 0) + sum(x[p] * v for p, v in entries_b)
+                if value:
+                    off[a][b] = off[b][a] = value
+                else:
+                    off[a].pop(b, None)
+                    off[b].pop(a, None)
+    induced = SymmetricMatrix.from_entries(
+        diag, [(a, b, v) for a, row in enumerate(off) for b, v in row.items()]
+    )
     nodes = [
         CurveNode(new, config.nodes[old].name, config.nodes[old].genus,
                   config.nodes[old].proper)
@@ -190,7 +212,7 @@ def contract(
         for idx, part in enumerate(sorted(normalized, key=min))
     )
     return ContractedConfiguration(
-        configuration=Configuration(nodes, SymmetricMatrix(rows)),
+        configuration=Configuration(nodes, induced),
         ambient_ids=tuple(remaining),
         singular_points=markers,
         pullbacks=tuple([Divisor(coeffs) for coeffs in pullback_coeffs]),

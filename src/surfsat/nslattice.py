@@ -58,7 +58,12 @@ class NSLattice:
             raise InputError("gram dimension does not match basis size")
         if len(self.canonical) != len(self.basis_names):
             raise InputError("canonical class has wrong dimension")
-        if any(x.denominator != 1 for row in self.gram.rows for x in row):
+        gram = self.gram
+        if any(
+            gram.entry(i, i).denominator != 1
+            or any(x.denominator != 1 for x in gram.off_diagonal(i).values())
+            for i in range(gram.n)
+        ):
             raise InputError("lattice pairing must be integral")
         rank = self.gram.n
         if self.gram.inertia() != (1, rank - 1, 0):
@@ -90,8 +95,13 @@ class NSLattice:
         """Nonzero Gram entries of each row as (column, int) pairs; built on
         the first pairing, so the lattices of a blowup tower that are never
         paired do not pay for it."""
-        rows = self.gram.rows
-        return tuple([tuple([(j, int(x)) for j, x in enumerate(r) if x]) for r in rows])
+        gram = self.gram
+        return tuple([
+            tuple([(i, int(gram.entry(i, i)))] + [
+                (j, int(x)) for j, x in gram.off_diagonal(i).items()
+            ])
+            for i in range(gram.n)
+        ])
 
     def _pair(self, u: Sequence, v: Sequence):
         """u^T G v over the nonzero Gram entries; exact int arithmetic for
@@ -146,16 +156,18 @@ def blowup(
             )
         lattice._vec(record)  # dimension check
 
+    # The new generator is an orthogonal (-1)-class, so the Gram stays
+    # integral and signature (1, r - 1) becomes (1, r) by construction: the
+    # lattice is built without the checks of NSLattice.__post_init__.
     old = lattice.gram
-    rows = [
-        [old.entry(i, j) for j in range(rank)] + [0] for i in range(rank)
-    ]
-    rows.append([0] * rank + [-1])
-    new_lattice = NSLattice(
-        lattice.basis_names + (exc_name,),
-        SymmetricMatrix(rows),
-        lattice.canonical + (1,),
+    gram = SymmetricMatrix.from_entries(
+        [old.entry(i, i) for i in range(rank)] + [-1],
+        [(i, j, x) for i in range(rank) for j, x in old.off_diagonal(i).items()],
     )
+    new_lattice = object.__new__(NSLattice)
+    object.__setattr__(new_lattice, "basis_names", lattice.basis_names + (exc_name,))
+    object.__setattr__(new_lattice, "gram", gram)
+    object.__setattr__(new_lattice, "canonical", lattice.canonical + (1,))
     updated = tuple(
         ClassRecord(record.name, record.vector + (-mult,), record.genus)
         for record, mult in passing
@@ -181,19 +193,21 @@ def configuration_from_classes(
     divisors; the offending pair is reported.
     """
     n = len(records)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    diag = []
+    entries = []
     for i in range(n):
-        for j in range(i, n):
+        diag.append(lattice.self_intersection(records[i]))
+        for j in range(i + 1, n):
             value = lattice.pair(records[i], records[j])
-            if i != j and value < 0:
+            if value < 0:
                 raise InputError(
                     f"classes {records[i].name!r} and {records[j].name!r} "
                     f"pair negatively ({value}); they cannot both be "
                     "irreducible curves in one configuration"
                 )
-            rows[i][j] = rows[j][i] = value
+            entries.append((i, j, value))
     nodes = [
         CurveNode(i, rec.name, genus=rec.genus, proper=True)
         for i, rec in enumerate(records)
     ]
-    return Configuration(nodes, SymmetricMatrix(rows))
+    return Configuration(nodes, SymmetricMatrix.from_entries(diag, entries))

@@ -216,13 +216,12 @@ def _split_claims(surface: CompactifiedSurface):
             )
         else:
             for i in claim.subject:
-                for b in surface.boundary:
-                    if surface.ambient.adjacent(i, b):
-                        raise PreconditionError(
-                            f"claim subject {surface.ambient.names(claim.subject)} "
-                            "meets the boundary, so it is not a divisor inside "
-                            "the surface"
-                        )
+                if not surface.ambient.neighbours(i).isdisjoint(surface.boundary):
+                    raise PreconditionError(
+                        f"claim subject {surface.ambient.names(claim.subject)} "
+                        "meets the boundary, so it is not a divisor inside "
+                        "the surface"
+                    )
             interior_claims.append(claim)
     return boundary_claims, interior_claims
 
@@ -230,11 +229,11 @@ def _split_claims(surface: CompactifiedSurface):
 def _inner_nodes(surface: CompactifiedSurface) -> list[int]:
     """Interior curves that do not meet the boundary: the only curves that
     can support a divisor contained in the open surface."""
-    inner = []
-    for i in sorted(surface.interior_curves):
-        if all(not surface.ambient.adjacent(i, b) for b in surface.boundary):
-            inner.append(i)
-    return inner
+    return [
+        i
+        for i in sorted(surface.interior_curves)
+        if surface.ambient.neighbours(i).isdisjoint(surface.boundary)
+    ]
 
 
 def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
@@ -244,9 +243,12 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     Not-negative-definiteness is inherited by supersets, so two different
     such divisors exist iff some proper subset of the inner curve set fails
     to be negative definite; dropping one curve at a time covers all cases.
+    Every principal block of a negative definite matrix is negative
+    definite, so one factorisation of the whole inner block settles that
+    case first.
     """
     inner = _inner_nodes(surface)
-    if len(inner) < 1:
+    if surface.ambient.gram.negative_definite_ldl(inner) is not None:
         return None
     for drop in inner:
         rest = [i for i in inner if i != drop]

@@ -97,7 +97,7 @@ def parse_document(data) -> Document:
 
     curves = _expect(data.get("curves", []), list, path="curves")
     parsed = []
-    names = []
+    index_of: dict[str, int] = {}
     for i, entry in enumerate(curves):
         path = f"curves[{i}]"
         _expect(entry, dict, path=path)
@@ -116,9 +116,9 @@ def parse_document(data) -> Document:
         self_int = _rational(entry["self"], path=f"{path}.self")
         proper = entry.get("proper", True)
         _expect(proper, bool, path=f"{path}.proper")
-        if name in names:
+        if name in index_of:
             raise InputError(f"duplicate curve name {name!r}", path=f"{path}.name")
-        names.append(name)
+        index_of[name] = i
         parsed.append((name, self_int, genus, proper))
 
     inters = _expect(data.get("intersections", []), list, path="intersections")
@@ -133,11 +133,11 @@ def parse_document(data) -> Document:
         for pos in (0, 1):
             ref = entry[pos]
             if isinstance(ref, str):
-                if ref not in names:
+                if ref not in index_of:
                     raise InputError(f"unknown curve {ref!r}", path=f"{path}[{pos}]")
-                pair.append(names.index(ref))
+                pair.append(index_of[ref])
             elif isinstance(ref, int) and not isinstance(ref, bool):
-                if not 0 <= ref < len(names):
+                if not 0 <= ref < len(parsed):
                     raise InputError(
                         f"curve index {ref} out of range", path=f"{path}[{pos}]"
                     )
@@ -155,35 +155,32 @@ def parse_document(data) -> Document:
         key = (min(pair), max(pair))
         if key in seen_pairs:
             raise InputError(
-                f"pair ({names[key[0]]!r}, {names[key[1]]!r}) listed twice",
+                f"pair ({parsed[key[0]][0]!r}, {parsed[key[1]][0]!r}) listed twice",
                 path=path,
             )
         seen_pairs.add(key)
         triples.append((pair[0], pair[1], value))
 
-    n = len(parsed)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    nodes = []
-    for idx, (name, self_int, genus, proper) in enumerate(parsed):
-        rows[idx][idx] = self_int
-        nodes.append(CurveNode(idx, name, genus=genus, proper=proper))
-    for i, j, value in triples:
-        if i == j:
-            raise InputError(
-                "self-intersections belong in the curve entry, not in "
-                "'intersections'",
-                path="intersections",
-            )
-        rows[i][j] = rows[j][i] = value
-    config = Configuration(nodes, SymmetricMatrix(rows))
+    nodes = [
+        CurveNode(idx, name, genus=genus, proper=proper)
+        for idx, (name, _, genus, proper) in enumerate(parsed)
+    ]
+    if any(i == j for i, j, _ in triples):
+        raise InputError(
+            "self-intersections belong in the curve entry, not in "
+            "'intersections'",
+            path="intersections",
+        )
+    gram = SymmetricMatrix.from_entries([entry[1] for entry in parsed], triples)
+    config = Configuration(nodes, gram)
 
     boundary_names = _expect(data.get("boundary", []), list, path="boundary")
     boundary = set()
     for k, name in enumerate(boundary_names):
         _expect(name, str, path=f"boundary[{k}]")
-        if name not in names:
+        if name not in index_of:
             raise InputError(f"unknown curve {name!r}", path=f"boundary[{k}]")
-        boundary.add(names.index(name))
+        boundary.add(index_of[name])
 
     points = data.get("isolated_boundary_points", 0)
     if not isinstance(points, int) or isinstance(points, bool) or points < 0:
@@ -206,9 +203,9 @@ def parse_document(data) -> Document:
         subject = set()
         for m, name in enumerate(subject_names):
             _expect(name, str, path=f"{path}.subject[{m}]")
-            if name not in names:
+            if name not in index_of:
                 raise InputError(f"unknown curve {name!r}", path=f"{path}.subject[{m}]")
-            subject.add(names.index(name))
+            subject.add(index_of[name])
         if not subject:
             raise InputError("subject must be nonempty", path=f"{path}.subject")
         cert_data = entry.get("certificate", "user-asserted")

@@ -5,10 +5,12 @@ code: determinants come from cofactor expansion, inertia from principal
 minors (leading-minor sign chains over permutations, with the
 characteristic-polynomial sign-variation method as the general fallback),
 connectivity from a fresh union-find, and torsion from plain repeated
-addition.  The Zariski oracle is the exhaustive sub-support enumeration the
-package replaced by the kernel certificate, and the contraction oracle is
-the per-pullback Gauss-Jordan solve the package replaced by one L D L^T
-factorisation per component.
+addition.  Dense-row oracles read adjacency, disjointness, principal
+blocks and the second-fibre witness off the dense Gram view, which the
+package's sparse storage only builds on request.  The Zariski oracle is
+the exhaustive sub-support enumeration the package replaced by the kernel
+certificate, and the contraction oracle is the per-pullback Gauss-Jordan
+solve the package replaced by one L D L^T factorisation per component.
 """
 
 from __future__ import annotations
@@ -248,6 +250,50 @@ def oracle_components(config: Configuration, subset):
     for i in nodes:
         groups.setdefault(find(i), set()).add(i)
     return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+# -- dense-row oracles ----------------------------------------------------
+
+
+def dense_adjacent(config: Configuration, i, j) -> bool:
+    """Adjacency read off the dense Gram rows."""
+    return i != j and config.gram.rows[i][j] > 0
+
+
+def dense_disjoint(config: Configuration, a, b) -> bool:
+    """No shared node and no positive dense Gram entry across the sets."""
+    rows = config.gram.rows
+    if set(a) & set(b):
+        return False
+    return all(rows[i][j] <= 0 for i in a for j in b)
+
+
+def dense_restrict(matrix: SymmetricMatrix, indices):
+    """Dense rows of the principal submatrix on ``indices``, in order."""
+    rows = matrix.rows
+    return tuple(tuple(rows[i][j] for j in indices) for i in indices)
+
+
+def oracle_second_fibre_witness(surface):
+    """The drop-one loop the package shortcuts: one negative definiteness
+    test per inner curve, inner curves found by dense adjacency."""
+    config = surface.ambient
+    inner = [
+        i
+        for i in sorted(surface.interior_curves)
+        if not any(dense_adjacent(config, i, b) for b in surface.boundary)
+    ]
+    for drop in inner:
+        rest = [i for i in inner if i != drop]
+        block = SymmetricMatrix(dense_restrict(config.gram, rest))
+        if rest and not oracle_negative_definite_fast(block):
+            names = config.names(rest)
+            return (
+                f"supplied interior curves contain two different divisors "
+                f"that are not negative definite (e.g. {names} and all inner "
+                "curves); a trivial-affinisation surface allows at most one"
+            )
+    return None
 
 
 # -- contraction oracle ---------------------------------------------------

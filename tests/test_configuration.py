@@ -12,7 +12,17 @@ from surfsat import (
     SymmetricMatrix,
 )
 
-from support import oracle_components, random_configuration
+from surfsat.saturation import CompactifiedSurface, _second_fibre_witness
+
+from support import (
+    dense_adjacent,
+    dense_disjoint,
+    dense_restrict,
+    oracle_components,
+    oracle_second_fibre_witness,
+    random_configuration,
+    random_contraction_setup,
+)
 
 
 def triangle():
@@ -182,3 +192,99 @@ class TestValidation:
     def test_subset_out_of_range(self):
         with pytest.raises(PreconditionError):
             triangle().restrict([5])
+
+
+def sparse_configuration(rng, n):
+    """A random configuration with about one meeting per curve, built
+    through the sparse constructor with some pairs listed twice."""
+    curves = [(f"C{i}", rng.randint(-3, 1)) for i in range(n)]
+    inters = []
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        inters.append((i, j, rng.choice((1, 2, Fraction(1, 2)))))
+    if inters and rng.random() < 0.5:
+        i, j, _ = rng.choice(inters)
+        inters.append((j, i, 0))  # the later zero removes the meeting
+    return Configuration.build(curves, inters)
+
+
+class TestNeighbourQueries:
+    """Graph and block queries walk neighbour lists; the dense Gram rows
+    are the oracle."""
+
+    def configurations(self, seed, count):
+        rng = random.Random(seed)
+        for k in range(count):
+            if k % 3 == 0:
+                config = random_configuration(rng, rng.randint(1, 9))
+            elif k % 3 == 1:
+                config = sparse_configuration(rng, rng.randint(2, 30))
+            else:
+                config = random_contraction_setup(rng)[0]
+            yield rng, config
+
+    def test_components_match_union_find(self):
+        for rng, config in self.configurations(101, 150):
+            subset = {i for i in range(config.n) if rng.random() < 0.7}
+            assert list(config.connected_components(subset)) == oracle_components(
+                config, subset
+            )
+            assert list(config.connected_components()) == oracle_components(
+                config, range(config.n)
+            )
+
+    def test_adjacent_matches_dense_rows(self):
+        for _, config in self.configurations(103, 90):
+            for i in range(config.n):
+                for j in range(config.n):
+                    assert config.adjacent(i, j) == dense_adjacent(config, i, j)
+                assert config.neighbours(i) == {
+                    j for j in range(config.n) if dense_adjacent(config, i, j)
+                }
+
+    def test_disjoint_matches_dense_rows(self):
+        for rng, config in self.configurations(107, 150):
+            for _ in range(5):
+                a = {i for i in range(config.n) if rng.random() < 0.3}
+                b = {i for i in range(config.n) if rng.random() < 0.3}
+                assert config.disjoint(a, b) == dense_disjoint(config, a, b)
+
+    def test_restrict_and_gram_on_match_dense_rows(self):
+        for rng, config in self.configurations(109, 150):
+            subset = sorted(i for i in range(config.n) if rng.random() < 0.6)
+            assert config.gram_on(subset).rows == dense_restrict(config.gram, subset)
+            sub = config.restrict(subset).configuration
+            assert sub.gram.rows == dense_restrict(config.gram, subset)
+            # the restricted configuration's own neighbour sets
+            assert list(sub.connected_components()) == oracle_components(
+                sub, range(sub.n)
+            )
+
+    def test_second_fibre_witness_matches_drop_one_loop(self):
+        rng = random.Random(113)
+        for k in range(200):
+            n = rng.randint(1, 9)
+            # about half with an all-negative diagonal, so the inner block
+            # is often negative definite and the shortcut decides
+            hi = -1 if k % 2 else 2
+            config = random_configuration(rng, n, diag_lo=-5, diag_hi=hi, edge_hi=1)
+            boundary = {i for i in range(n) if rng.random() < 0.3}
+            surface = CompactifiedSurface(ambient=config, boundary=boundary)
+            assert _second_fibre_witness(surface) == oracle_second_fibre_witness(
+                surface
+            )
+
+
+class TestValidationMessages:
+    def test_first_negative_pair_in_row_major_order(self):
+        curves = [("A", 0), ("B", 0), ("C", 0), ("D", 0)]
+        inters = [(2, 3, -3), (1, 3, -1), (0, 1, 1), (3, 0, -2), (2, 0, -1)]
+        expected = "distinct curves 'A' and 'C' have negative intersection -1"
+        with pytest.raises(InputError) as info:
+            Configuration.build(curves, inters)
+        assert str(info.value) == expected
+        rows = [[0, 1, -1, -2], [1, 0, 0, -1], [-1, 0, 0, -3], [-2, -1, -3, 0]]
+        nodes = [CurveNode(i, name) for i, (name, _) in enumerate(curves)]
+        with pytest.raises(InputError) as info:
+            Configuration(nodes, SymmetricMatrix(rows))
+        assert str(info.value) == expected

@@ -83,6 +83,26 @@ class TestGroupLaw:
         with pytest.raises(PreconditionError):
             add(CURVE_37A, ECPoint.affine(5, 5), GEN)
 
+    def test_every_public_entry_refuses_off_curve_points(self):
+        # sums and multiples of checked points skip the re-check inside;
+        # each public function still checks what it is handed
+        off = ECPoint.affine(1, 1)
+        message = r"ECPoint\(1, 1\) does not satisfy the curve equation"
+        calls = [
+            lambda: add(CURVE_37A, off, GEN),
+            lambda: add(CURVE_37A, GEN, off),
+            lambda: add(CURVE_37A, ECPoint.infinity(), off),
+            lambda: negate(CURVE_37A, off),
+            lambda: scalar_mul(CURVE_37A, 0, off),
+            lambda: scalar_mul(CURVE_37A, 3, off),
+            lambda: scalar_mul(CURVE_37A, -2, off),
+            lambda: is_torsion(CURVE_37A, off),
+            lambda: sum_obstruction(CURVE_37A, [(GEN, 1), (off, 2)]),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match=message):
+                call()
+
     def test_singular_curve_rejected(self):
         with pytest.raises(InputError):
             WeierstrassCurve()  # y^2 = x^3 is a cusp

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from surfsat import InputError, SymmetricMatrix, as_rational
 
 from support import (
+    dense_restrict,
     oracle_inertia_charpoly,
     oracle_inertia_leading_minors,
     oracle_negative_definite_fast,
@@ -260,3 +261,97 @@ class TestConstruction:
     def test_restrict(self):
         m = SymmetricMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
         assert m.restrict([0, 2]) == SymmetricMatrix([[-2, 1], [1, -2]])
+
+
+class TestSparseStorage:
+    """The sparse constructor and the dense one must give the same matrix,
+    whatever the route; the dense rows are the oracle."""
+
+    @staticmethod
+    def entries_of(rows, rng):
+        """Off-diagonal entries of ``rows`` in random order and orientation,
+        with decoys overwritten later (the last write wins)."""
+        n = len(rows)
+        decoys, finals = [], []
+        for i in range(n):
+            for j in range(i + 1, n):
+                decoy = rng.random() < 0.3
+                if decoy:
+                    decoys.append((j, i, Fraction(rng.randint(1, 9), 7)))
+                if rows[i][j] or decoy or rng.random() < 0.3:
+                    a, b = (i, j) if rng.random() < 0.5 else (j, i)
+                    finals.append((a, b, rows[i][j]))
+        rng.shuffle(decoys)
+        rng.shuffle(finals)
+        return decoys + finals
+
+    def test_sparse_and_dense_constructors_agree(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            n = rng.randint(0, 9)
+            dense = random_symmetric_rational(rng, n)
+            rows = dense.rows
+            sparse = SymmetricMatrix.from_entries(
+                [rows[i][i] for i in range(n)], self.entries_of(rows, rng)
+            )
+            assert sparse == dense and dense == sparse
+            assert hash(sparse) == hash(dense)
+            assert sparse.rows == rows
+            assert all(
+                sparse.entry(i, j) == rows[i][j] for i in range(n) for j in range(n)
+            )
+            for i in range(n):
+                assert dict(sparse.off_diagonal(i)) == {
+                    j: x for j, x in enumerate(rows[i]) if x and j != i
+                }
+
+    def test_last_write_wins_and_zero_clears(self):
+        m = SymmetricMatrix.from_entries([-2, -2], [(0, 1, 3), (1, 0, 1)])
+        assert m == SymmetricMatrix([[-2, 1], [1, -2]])
+        cleared = SymmetricMatrix.from_entries([-2, -2], [(0, 1, 3), (1, 0, 0)])
+        assert cleared == SymmetricMatrix.diagonal([-2, -2])
+        assert hash(cleared) == hash(SymmetricMatrix.diagonal([-2, -2]))
+
+    def test_constructor_refuses_bad_entries(self):
+        with pytest.raises(InputError, match="out of range"):
+            SymmetricMatrix.from_entries([0, 0], [(0, 2, 1)])
+        with pytest.raises(InputError, match="diagonal"):
+            SymmetricMatrix.from_entries([0, 0], [(1, 1, 1)])
+        with pytest.raises(InputError, match="not exact"):
+            SymmetricMatrix.from_entries([0, 0], [(0, 1, 0.5)])
+
+    def test_restrict_matches_dense_rows(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            m = random_symmetric_rational(rng, n)
+            if rng.random() < 0.5:  # the sparse route, dense view not built
+                m = SymmetricMatrix.from_entries(
+                    [m.entry(i, i) for i in range(n)],
+                    [(i, j, m.entry(i, j)) for i in range(n) for j in range(i)],
+                )
+            idx = rng.sample(range(n), rng.randint(0, n))
+            block = m.restrict(idx)
+            expected = dense_restrict(m, idx)
+            assert block.rows == expected
+            assert block == SymmetricMatrix(expected)
+            assert hash(block) == hash(SymmetricMatrix(expected))
+
+    def test_restrict_with_repeated_indices(self):
+        m = SymmetricMatrix([[-2, 1], [1, -3]])
+        assert m.restrict([1, 0, 1]).rows == dense_restrict(m, [1, 0, 1])
+
+    def test_asymmetric_message(self):
+        with pytest.raises(InputError) as info:
+            SymmetricMatrix([[0, 1, 5], [1, 0, 2], [4, 3, 0]])
+        assert str(info.value) == "matrix is not symmetric at (0,2): 5 != 4"
+
+    def test_apply_matches_dense_rows(self):
+        rng = random.Random(71)
+        for _ in range(50):
+            n = rng.randint(1, 7)
+            m = random_symmetric_rational(rng, n)
+            v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            assert m.apply(v) == tuple(
+                sum(m.rows[i][j] * v[j] for j in range(n)) for i in range(n)
+            )

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from surfsat import (
 )
 
 from support import (
+    dense_disjoint,
     oracle_contract,
     oracle_pullback,
     random_contraction_setup,
@@ -209,6 +211,37 @@ class TestContract:
         config = Configuration.build([("A", -1), ("B", -1)])
         with pytest.raises(PreconditionError, match="not connected"):
             contract(config, [{0, 1}])
+
+    def test_rejects_overlapping_parts(self):
+        config = Configuration.build([("A", -2), ("B", -2)], [(0, 1, 1)])
+        with pytest.raises(PreconditionError, match="pairwise disjoint"):
+            contract(config, [{0, 1}, {1}])
+
+    def test_reports_the_first_meeting_pair(self):
+        # parts listed in random order; the error names the first pair
+        # (a, b), a < b, that the pairwise dense-row check finds
+        rng = random.Random(71)
+        for _ in range(80):
+            n = rng.randint(3, 9)
+            config = Configuration.build(
+                [(f"E{i}", -3) for i in range(n)],
+                [(i, j, 1) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.25],
+            )
+            parts = [frozenset({i}) for i in rng.sample(range(n), rng.randint(2, n))]
+            meeting = [
+                (a, b)
+                for a in range(len(parts))
+                for b in range(a + 1, len(parts))
+                if not dense_disjoint(config, parts[a], parts[b])
+            ]
+            if not meeting:
+                assert len(contract(config, parts).ambient_ids) == n - len(parts)
+                continue
+            a, b = meeting[0]
+            message = f"parts {config.names(parts[a])} and {config.names(parts[b])} meet"
+            with pytest.raises(PreconditionError, match=re.escape(message)):
+                contract(config, parts)
 
     def test_contract_twice_equals_contract_union(self):
         rng = random.Random(61)

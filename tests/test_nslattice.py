@@ -5,12 +5,17 @@ import pytest
 
 from surfsat import (
     ClassRecord,
+    ECPoint,
     InputError,
     NSLattice,
     PreconditionError,
+    SymmetricMatrix,
+    WeierstrassCurve,
+    add,
     adjunction_genus,
     blowup,
     configuration_from_classes,
+    hironaka_build,
     projective_plane,
 )
 
@@ -96,6 +101,57 @@ class TestBlowup:
                 lat = blowup(lat, []).lattice
             rank = lat.rank
             assert lat.gram.inertia() == (1, rank - 1, 0)
+
+
+class TestBlowupWithoutRecheck:
+    """A blowup appends an orthogonal (-1)-class, so its lattice skips the
+    integrality and signature checks; a lattice built directly keeps them."""
+
+    @staticmethod
+    def count_lattice_inertia(monkeypatch):
+        """Record every inertia call on a Gram of the form diag(1, -1, ...)."""
+        calls = []
+        original = SymmetricMatrix.inertia
+
+        def counting(self):
+            if self == SymmetricMatrix.diagonal([1] + [-1] * (self.n - 1)):
+                calls.append(self.n)
+            return original(self)
+
+        monkeypatch.setattr(SymmetricMatrix, "inertia", counting)
+        return calls
+
+    def test_tower_checks_the_plane_only(self, monkeypatch):
+        calls = self.count_lattice_inertia(monkeypatch)
+        lat, _, _ = blown_up_plane(12)
+        assert calls == [1]
+        assert lat.gram == SymmetricMatrix.diagonal([1] + [-1] * 12)
+        assert lat.canonical == (-3,) + (1,) * 12
+
+    def test_hironaka_build_checks_the_plane_only(self, monkeypatch):
+        curve = WeierstrassCurve(a3=1, a4=-1)  # y^2 + y = x^3 - x
+        p = ECPoint.affine(0, 0)
+        points, running = [], p
+        for _ in range(10):
+            points.append((running, 1))
+            running = add(curve, running, p)
+        calls = self.count_lattice_inertia(monkeypatch)
+        report = hironaka_build(curve, points)
+        assert calls == [1]
+        assert report.lattice.gram == SymmetricMatrix.diagonal([1] + [-1] * 10)
+
+    def test_direct_lattice_is_still_checked(self, monkeypatch):
+        calls = self.count_lattice_inertia(monkeypatch)
+        with pytest.raises(InputError, match="signature"):
+            NSLattice(("L", "E"), SymmetricMatrix.diagonal([1, 1]), (-3, 1))
+        with pytest.raises(InputError, match="integral"):
+            NSLattice(
+                ("L", "E"),
+                SymmetricMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), -1]]),
+                (-3, 1),
+            )
+        NSLattice(("L", "E"), SymmetricMatrix.diagonal([1, -1]), (-3, 1))
+        assert calls == [2]
 
 
 class TestIntegerPairing:

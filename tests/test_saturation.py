@@ -21,6 +21,7 @@ from surfsat import (
     saturation_plan,
     scheme_saturation_check,
 )
+from surfsat.schema import parse_document
 
 from support import random_configuration
 
@@ -161,6 +162,27 @@ class TestApplyPlanBudget:
                 i, j = min(a, b) + 1, max(a, b) + 1
                 expected = (a == b) + Fraction(i * (n + 1 - j), n + 1)
                 assert result.ambient.gram.entry(a, b) == expected
+
+
+class TestWideDocumentBudget:
+    def test_3000_disjoint_pairs_parse_and_saturate_under_one_second(self):
+        # 1500 disjoint A_2 chains of (-2)-curves, all on the boundary:
+        # the parse, the sign check and the component search must be
+        # linear in the curves and meetings, not quadratic in the curves
+        n = 3000
+        data = {
+            "curves": [{"name": f"C{i}", "self": -2} for i in range(n)],
+            "intersections": [[2 * k, 2 * k + 1, 1] for k in range(n // 2)],
+            "boundary": [f"C{i}" for i in range(n)],
+        }
+        start = time.perf_counter()
+        verdict = is_saturated(parse_document(data).surface)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"parse and is_saturated took {elapsed:.2f}s"
+        assert not verdict.saturated
+        assert verdict.offending_components == tuple(
+            frozenset({2 * k, 2 * k + 1}) for k in range(n // 2)
+        )
 
 
 class TestAffinisationDimension:
