@@ -282,14 +282,6 @@ def cmd_validate(doc: Document, args) -> dict:
     except (PreconditionError, DataInconsistencyError) as exc:
         problems.append(str(exc))
 
-    # A component that classifies as fibre type satisfies Zariski's lemma
-    # (fibres.zariski_report), so classifying each one is the whole check.
-    for comp in surface.boundary_components():
-        try:
-            classify_fibre_type(surface.ambient, comp)
-        except DataInconsistencyError as exc:
-            problems.append(str(exc))
-
     if doc.elliptic is not None and doc.elliptic.points:
         obstruction = sum_obstruction(doc.elliptic.curve, doc.elliptic.points)
         for claim in surface.false_fibre_claims:

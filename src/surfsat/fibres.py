@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .configuration import Configuration, Divisor
-from .errors import DataInconsistencyError, PreconditionError
+from .errors import PreconditionError
+from .linalg import _primitive_integral
 
 
 class FibreVerdict(Enum):
@@ -72,6 +73,14 @@ def classify_fibre_type(
 
     The verdict distinguishes the three ways the definition can fail:
     disconnected, negative definite, or not negative semidefinite.
+
+    One L D L^T factorisation and one Schur scalar decide it.  Let l be the
+    last node and R the rest.  R is negative definite when the subject is
+    negative definite or of fibre type (Zariski's lemma, Barth-Hulek-Peters-
+    Van de Ven, *Compact Complex Surfaces*, III.8.2); otherwise the subject
+    is not negative semidefinite.  Then x = -M_RR^-1 m_Rl, and the sign of
+    the Schur complement s = m_ll + m_lR x decides: s < 0 negative definite,
+    s > 0 not negative semidefinite, s = 0 fibre type with kernel (x, 1).
     """
     nodes = sorted(set(subject))
     if not nodes:
@@ -85,29 +94,27 @@ def classify_fibre_type(
     subject_set = frozenset(nodes)
     if not config.is_connected(nodes):
         return FibreTypeReport(subject_set, FibreVerdict.DISCONNECTED)
-    gram = config.gram_on(nodes)
-    plus, _, zero = gram.inertia()
-    if plus > 0:
+    *rest, last = nodes
+    factor = config.gram.negative_definite_ldl(rest)
+    if factor is None:
         return FibreTypeReport(subject_set, FibreVerdict.NOT_SEMIDEFINITE)
-    if zero == 0:
+    position = {node: p for p, node in enumerate(rest)}
+    column = {
+        position[j]: m
+        for j, m in config.gram.off_diagonal(last).items()
+        if j in position
+    }
+    x = factor.solve([-column.get(p, Fraction(0)) for p in range(len(rest))])
+    schur = config.gram.entry(last, last) + sum(m * x[p] for p, m in column.items())
+    if schur < 0:
         return FibreTypeReport(subject_set, FibreVerdict.NEGATIVE_DEFINITE)
-    # zariski_report relies on the two checks below: a fibre-type verdict
-    # certifies a one-dimensional kernel spanned by a positive vector.
-    basis = gram.kernel_basis()
-    if len(basis) != 1:
-        raise DataInconsistencyError(
-            f"connected semidefinite subject {config.names(nodes)} has a "
-            f"{len(basis)}-dimensional kernel; the kernel divisor of a fibre "
-            "shape is unique up to multiples, so the input pairing cannot "
-            "come from curves on a surface"
-        )
-    vec = basis[0]
-    if any(v <= 0 for v in vec):
-        raise DataInconsistencyError(
-            f"kernel vector {vec} of {config.names(nodes)} is not strictly "
-            "positive; a fibre-shaped pairing forces full support"
-        )
-    kernel = Divisor(dict(zip(nodes, vec)))
+    if schur > 0:
+        return FibreTypeReport(subject_set, FibreVerdict.NOT_SEMIDEFINITE)
+    # The Gram M of a connected subject has off-diagonal entries >= 0, so
+    # by Perron-Frobenius (applied to M + cI) the kernel of a negative
+    # semidefinite M is a line spanned by a strictly positive vector;
+    # zariski_report relies on that.
+    kernel = Divisor(dict(zip(nodes, _primitive_integral([*x, Fraction(1)]))))
     return FibreTypeReport(subject_set, FibreVerdict.FIBRE_TYPE, kernel)
 
 
@@ -140,9 +147,10 @@ def zariski_report(report: FibreTypeReport) -> ZariskiReport:
             ),
             note="subject is not of fibre type",
         )
-    # classify_fibre_type has shown that the Gram M of the subject is
-    # negative semidefinite (NSD) with a one-dimensional kernel spanned by
-    # a strictly positive vector; it raises otherwise.  Suppose a proper
+    # A fibre-type verdict means the Gram M of the subject is negative
+    # semidefinite (NSD) and singular; since the subject is connected and
+    # its off-diagonal entries are >= 0, Perron-Frobenius makes the kernel
+    # a line spanned by a strictly positive vector.  Suppose a proper
     # sub-support S were not negative definite.  Its block is NSD, so some
     # w != 0 supported on S has w^T M w = 0.  As M is NSD, that forces
     # M w = 0, so w is a multiple of the full-support kernel vector, which
@@ -267,12 +275,12 @@ def check_disjoint_pair(
         raise PreconditionError("the two divisors meet; they must be disjoint")
     if not config.is_connected(s2):
         raise PreconditionError(f"second divisor {config.names(s2)} is not connected")
-    if config.gram_on(s2).is_negative_definite():
+    r2 = classify_fibre_type(config, s2)
+    if r2.verdict is FibreVerdict.NEGATIVE_DEFINITE:
         raise PreconditionError(
             f"second divisor {config.names(s2)} is negative definite; the "
             "disjointness constraint says nothing about it"
         )
-    r2 = classify_fibre_type(config, s2)
     if r2.verdict is FibreVerdict.FIBRE_TYPE:
         return DisjointPairReport(ok=True, d2_verdict=r2.verdict)
     return DisjointPairReport(

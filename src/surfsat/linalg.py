@@ -6,9 +6,10 @@ definiteness) are made by symmetric elimination over Q.
 
 Intersection matrices of curve configurations are sparse, so a matrix keeps
 its diagonal and, per row, only the nonzero off-diagonal entries.  Building
-one from entries, taking a principal block and the L D L^T factorisation
-walk those entries; the dense ``rows`` view is built only when asked for
-(by the Gauss-Jordan and inertia eliminations, and by callers).
+one from entries, taking a principal block, the inertia elimination and the
+L D L^T factorisation walk those entries; the dense ``rows`` view is built
+only when asked for (by ``repr``, by the Gauss-Jordan ``solve`` and
+``kernel_basis``, which no verdict uses, and by callers).
 """
 
 from __future__ import annotations
@@ -251,9 +252,14 @@ class SymmetricMatrix:
             r += 1
         return rows, pivots
 
-    def _kernel_from_rref(self, rows, pivots) -> tuple[tuple[int, ...], ...]:
-        """Null space read off a reduced row echelon form of M (possibly
-        augmented): one vector per free column, in column order."""
+    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Basis of the null space, by Gauss-Jordan elimination.
+
+        Each basis vector is primitive integral with positive leading entry,
+        ordered by the free column it parametrises; the result is empty
+        exactly when the matrix is nonsingular.
+        """
+        rows, pivots = self._rref()
         pivot_cols = {c for _, c in pivots}
         basis = []
         for f in range(self.n):
@@ -266,52 +272,27 @@ class SymmetricMatrix:
             basis.append(_primitive_integral(v))
         return tuple(basis)
 
-    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Basis of the null space.
-
-        Each basis vector is primitive integral with positive leading entry,
-        ordered by the free column it parametrises; the result is empty
-        exactly when the matrix is nonsingular.
-        """
-        return self._kernel_from_rref(*self._rref())
-
     def solve(self, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-        """Solve Mx = b exactly.
+        """Solve Mx = b exactly, by Gauss-Jordan elimination.
 
         Returns ``None`` when ``b`` is outside the column space.  When the
         system is underdetermined, returns the unique solution orthogonal to
         the kernel (the minimum-norm one), so the output is deterministic.
-        The kernel comes from the same elimination, and only when M is
-        singular.
+        As M is symmetric, that is the solution in the column space: M y
+        for any y with M^2 y = b, which exists exactly when Mx = b is
+        solvable.
         """
         if len(b) != self.n:
             raise InputError(f"rhs has length {len(b)}, expected {self.n}")
-        rhs = [as_rational(x) for x in b]
-        rows, pivots = self._rref(rhs)
-        rank = len(pivots)
-        for i in range(rank, self.n):
+        square = SymmetricMatrix([self.apply(row) for row in self.rows])
+        rows, pivots = square._rref([as_rational(x) for x in b])
+        for i in range(len(pivots), self.n):
             if rows[i][self.n] != 0:
                 return None
-        x = [Fraction(0)] * self.n
+        y = [Fraction(0)] * self.n
         for pr, pc in pivots:
-            x[pc] = rows[pr][self.n]
-        if rank < self.n:
-            kernel = self._kernel_from_rref(rows, pivots)
-            gram = SymmetricMatrix(
-                [
-                    [sum(u[i] * v[i] for i in range(self.n)) for v in kernel]
-                    for u in kernel
-                ]
-            )
-            proj = [
-                sum(v[i] * x[i] for i in range(self.n)) for v in kernel
-            ]
-            coeffs = gram.solve(proj)
-            assert coeffs is not None  # kernel Gram is positive definite
-            for c, v in zip(coeffs, kernel):
-                for i in range(self.n):
-                    x[i] -= c * v[i]
-        return tuple(x)
+            y[pc] = rows[pr][self.n]
+        return self.apply(y)
 
     def negative_definite_ldl(
         self, indices: Optional[Sequence[int]] = None
@@ -362,79 +343,76 @@ class SymmetricMatrix:
     def inertia(self) -> tuple[int, int, int]:
         """Counts of (positive, negative, zero) eigenvalues.
 
-        Computed by exact symmetric elimination (Sylvester's law of inertia)
-        with full symmetric pivoting on the largest diagonal entry.  When
-        every remaining diagonal entry vanishes but the block is nonzero, an
-        off-diagonal entry t gives a hyperbolic 2x2 block [[0,t],[t,0]] that
-        contributes (1,1,0) and is eliminated by its own Schur complement.
+        Computed by exact sparse symmetric elimination (Sylvester's law of
+        inertia), pivoting on the largest diagonal entry in absolute value
+        and updating only nonzero entries.  When every remaining diagonal
+        entry vanishes but the block is nonzero, an off-diagonal entry t
+        gives a hyperbolic 2x2 block [[0,t],[t,0]] that contributes (1,1,0)
+        and is eliminated by its own Schur complement.
         """
-        n = self.n
-        work = [list(row) for row in self.rows]
-        active = list(range(n))
-        plus = minus = zero = 0
-        while active:
-            pivot = None
-            best = None
-            for i in active:
-                v = work[i][i]
-                if v != 0 and (best is None or abs(v) > best):
-                    best = abs(v)
-                    pivot = i
-            if pivot is not None:
-                d = work[pivot][pivot]
+        diag = dict(enumerate(self._diag))
+        off = {i: dict(row) for i, row in enumerate(self._off)}
+        plus = minus = 0
+        while diag:
+            pivot = max(diag, key=lambda i: abs(diag[i]))
+            d = diag[pivot]
+            if d:
+                del diag[pivot]
                 if d > 0:
                     plus += 1
                 else:
                     minus += 1
-                rest = [i for i in active if i != pivot]
-                col = {i: work[i][pivot] for i in rest}
-                for a, i in enumerate(rest):
-                    if col[i] == 0:
-                        continue
-                    for j in rest[a:]:
-                        if col[j] == 0:
-                            continue
-                        work[i][j] -= col[i] * col[j] / d
-                        if i != j:
-                            work[j][i] = work[i][j]
-                active = rest
+                col = list(_detach(off, pivot).items())
+                for a, (i, u) in enumerate(col):
+                    diag[i] -= u * u / d
+                    for j, w in col[a + 1:]:
+                        _add_off(off, i, j, -u * w / d)
                 continue
-            block = None
-            for a in range(len(active)):
-                for b in range(a + 1, len(active)):
-                    if work[active[a]][active[b]] != 0:
-                        block = (active[a], active[b])
-                        break
-                if block:
-                    break
-            if block is None:
-                zero += len(active)
+            i0 = next((i for i in diag if off[i]), None)
+            if i0 is None:
                 break
-            i0, j0 = block
-            t = work[i0][j0]
+            del diag[i0]
+            j0, t = next(iter(off[i0].items()))
+            del diag[j0]
             plus += 1
             minus += 1
-            rest = [i for i in active if i != i0 and i != j0]
-            ui = {r: work[r][i0] for r in rest}
-            uj = {r: work[r][j0] for r in rest}
+            ui = _detach(off, i0)
+            del ui[j0]
+            uj = _detach(off, j0)
+            rest = list(ui | uj)
             for a, r in enumerate(rest):
-                for s in rest[a:]:
-                    delta = (ui[r] * uj[s] + uj[r] * ui[s]) / t
-                    if delta:
-                        work[r][s] -= delta
-                        if r != s:
-                            work[s][r] = work[r][s]
-            active = rest
-        return (plus, minus, zero)
+                ur, vr = ui.get(r, _ZERO), uj.get(r, _ZERO)
+                diag[r] -= 2 * ur * vr / t
+                for s in rest[a + 1:]:
+                    us, vs = ui.get(s, _ZERO), uj.get(s, _ZERO)
+                    _add_off(off, r, s, -(ur * vs + vr * us) / t)
+        return (plus, minus, self.n - plus - minus)
 
     def is_negative_definite(self) -> bool:
         """True iff all eigenvalues are negative, read off the L D L^T
         factorisation; the empty matrix counts as negative definite."""
         return self.negative_definite_ldl() is not None
 
-    def is_negative_semidefinite(self) -> bool:
-        plus, _, _ = self.inertia()
-        return plus == 0
+
+def _detach(off: dict[int, dict[int, Fraction]], i: int) -> dict[int, Fraction]:
+    """Remove row and column ``i`` from sparse symmetric storage and return
+    the row."""
+    row = off.pop(i)
+    for j in row:
+        del off[j][i]
+    return row
+
+
+def _add_off(off: dict[int, dict[int, Fraction]], i: int, j: int, value) -> None:
+    """Add ``value`` to the off-diagonal entry (i, j) and its mirror,
+    dropping the entry when it becomes zero."""
+    if not value:
+        return
+    total = off[i].get(j, _ZERO) + value
+    if total:
+        off[i][j] = off[j][i] = total
+    else:
+        del off[i][j], off[j][i]
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,16 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
             AffDim.ZERO,
             (("proper-surface", "empty boundary: only constant functions"),),
         )
-    plus, _, _ = surface.ambient.gram_on(surface.boundary).inertia()
+    # The boundary Gram is block diagonal over the components, and on a
+    # saturated boundary each one is of fibre type (no positive direction)
+    # or not negative semidefinite, so only the latter add to the count.
+    components = surface.boundary_components()
+    plus = sum(
+        surface.ambient.gram_on(comp).inertia()[0]
+        for comp in components
+        if classify_fibre_type(surface.ambient, comp).verdict
+        is not FibreVerdict.FIBRE_TYPE
+    )
     if plus > 0:
         return AffDimReport(
             AffDim.TWO,
@@ -292,16 +301,6 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
                 ),
             ),
         )
-
-    components = surface.boundary_components()
-    for comp in components:
-        report = classify_fibre_type(surface.ambient, comp)
-        if report.verdict is not FibreVerdict.FIBRE_TYPE:
-            raise DataInconsistencyError(
-                f"boundary component {surface.ambient.names(comp)} of a "
-                f"saturated, semidefinite boundary classifies as "
-                f"{report.verdict.value}; this cannot happen"
-            )
     base_reason = (
         "fibre-type-boundary",
         f"every boundary component ({len(components)}) is of fibre type",

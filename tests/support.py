@@ -9,8 +9,12 @@ addition.  Dense-row oracles read adjacency, disjointness, principal
 blocks and the second-fibre witness off the dense Gram view, which the
 package's sparse storage only builds on request.  The Zariski oracle is
 the exhaustive sub-support enumeration the package replaced by the kernel
-certificate, and the contraction oracle is the per-pullback Gauss-Jordan
-solve the package replaced by one L D L^T factorisation per component.
+certificate, the fibre-type oracle is the dense inertia and Gauss-Jordan
+kernel the package replaced by one L D L^T and one Schur scalar, and the
+contraction oracle is the per-pullback Gauss-Jordan solve the package
+replaced by one L D L^T factorisation per component.  ``dense_inertia``,
+``oracle_solve`` and ``oracle_kernel_basis`` are the package's former
+eliminations on the dense rows.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from surfsat import (
     classify_fibre_type,
 )
 from surfsat.fibres import ZariskiReport, ZariskiViolation
+from surfsat.linalg import _primitive_integral
 
 
 # -- determinants and principal minors (cofactor expansion) ------------
@@ -227,6 +232,150 @@ def oracle_inertia_leading_minors(matrix: SymmetricMatrix):
     return None
 
 
+def dense_inertia(matrix: SymmetricMatrix):
+    """Inertia by dense symmetric elimination on the rows: full pivoting on
+    the largest diagonal entry, with the hyperbolic 2x2 block when every
+    remaining diagonal entry vanishes.  The package's elimination before it
+    walked the sparse entries."""
+    n = matrix.n
+    work = [list(row) for row in matrix.rows]
+    active = list(range(n))
+    plus = minus = zero = 0
+    while active:
+        pivot = None
+        best = None
+        for i in active:
+            v = work[i][i]
+            if v != 0 and (best is None or abs(v) > best):
+                best = abs(v)
+                pivot = i
+        if pivot is not None:
+            d = work[pivot][pivot]
+            if d > 0:
+                plus += 1
+            else:
+                minus += 1
+            rest = [i for i in active if i != pivot]
+            col = {i: work[i][pivot] for i in rest}
+            for a, i in enumerate(rest):
+                if col[i] == 0:
+                    continue
+                for j in rest[a:]:
+                    if col[j] == 0:
+                        continue
+                    work[i][j] -= col[i] * col[j] / d
+                    if i != j:
+                        work[j][i] = work[i][j]
+            active = rest
+            continue
+        block = None
+        for a in range(len(active)):
+            for b in range(a + 1, len(active)):
+                if work[active[a]][active[b]] != 0:
+                    block = (active[a], active[b])
+                    break
+            if block:
+                break
+        if block is None:
+            zero += len(active)
+            break
+        i0, j0 = block
+        t = work[i0][j0]
+        plus += 1
+        minus += 1
+        rest = [i for i in active if i != i0 and i != j0]
+        ui = {r: work[r][i0] for r in rest}
+        uj = {r: work[r][j0] for r in rest}
+        for a, r in enumerate(rest):
+            for s in rest[a:]:
+                delta = (ui[r] * uj[s] + uj[r] * ui[s]) / t
+                if delta:
+                    work[r][s] -= delta
+                    if r != s:
+                        work[s][r] = work[r][s]
+        active = rest
+    return (plus, minus, zero)
+
+
+def _gauss_jordan(matrix: SymmetricMatrix, rhs=None):
+    """Reduced row echelon form of [M | rhs]; returns (rows, pivots) with
+    pivots as (row, column) pairs."""
+    n = matrix.n
+    rows = [list(row) for row in matrix.rows]
+    if rhs is not None:
+        for i in range(n):
+            rows[i].append(rhs[i])
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+    return rows, pivots
+
+
+def _kernel_from_gauss_jordan(n, rows, pivots):
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(n):
+        if f in pivot_cols:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for pr, pc in pivots:
+            v[pc] = -rows[pr][f]
+        basis.append(_primitive_integral(v))
+    return tuple(basis)
+
+
+def oracle_kernel_basis(matrix: SymmetricMatrix):
+    """Null space by Gauss-Jordan on [M]: one primitive integral vector
+    with positive leading entry per free column, in column order."""
+    return _kernel_from_gauss_jordan(matrix.n, *_gauss_jordan(matrix))
+
+
+def oracle_solve(matrix: SymmetricMatrix, b):
+    """Mx = b by Gauss-Jordan on [M | b]; ``None`` when unsolvable, and for
+    singular M the particular solution minus its projection on the kernel,
+    found by solving the kernel's Gram matrix."""
+    n = matrix.n
+    rhs = [Fraction(x) for x in b]
+    rows, pivots = _gauss_jordan(matrix, rhs)
+    rank = len(pivots)
+    for i in range(rank, n):
+        if rows[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for pr, pc in pivots:
+        x[pc] = rows[pr][n]
+    if rank < n:
+        kernel = _kernel_from_gauss_jordan(n, rows, pivots)
+        gram = SymmetricMatrix(
+            [[sum(u[i] * v[i] for i in range(n)) for v in kernel] for u in kernel]
+        )
+        proj = [sum(v[i] * x[i] for i in range(n)) for v in kernel]
+        coeffs = oracle_solve(gram, proj)
+        assert coeffs is not None  # kernel Gram is positive definite
+        for c, v in zip(coeffs, kernel):
+            for i in range(n):
+                x[i] -= c * v[i]
+    return tuple(x)
+
+
+def is_negative_semidefinite(matrix: SymmetricMatrix) -> bool:
+    """No positive eigenvalue, by the dense elimination."""
+    return dense_inertia(matrix)[0] == 0
+
+
 # -- graph oracle --------------------------------------------------------
 
 
@@ -300,8 +449,8 @@ def oracle_second_fibre_witness(surface):
 
 
 def oracle_pullback(config: Configuration, exceptional, strict) -> Divisor:
-    """Mumford's pullback by one Gauss-Jordan solve (``SymmetricMatrix.solve``,
-    not the L D L^T factorisation) per component of E and divisor, with
+    """Mumford's pullback by one Gauss-Jordan solve (``oracle_solve``, not
+    the L D L^T factorisation) per component of E and divisor, with
     right-hand sides from the divisor pairing."""
     total = strict
     for component in oracle_components(config, exceptional):
@@ -309,7 +458,7 @@ def oracle_pullback(config: Configuration, exceptional, strict) -> Divisor:
         rhs = [-config.intersection_number(strict, Divisor.of(j)) for j in nodes]
         if all(v == 0 for v in rhs):
             continue
-        coeffs = config.gram_on(nodes).solve(rhs)
+        coeffs = oracle_solve(config.gram_on(nodes), rhs)
         assert coeffs is not None  # negative definite => nonsingular
         total = total + Divisor(dict(zip(nodes, coeffs)))
     return total
@@ -327,6 +476,28 @@ def oracle_contract(config: Configuration, exceptional):
         for pb in pullbacks
     ]
     return remaining, rows, pullbacks
+
+
+# -- fibre-type oracle ----------------------------------------------------
+
+
+def oracle_classify_fibre_type(config: Configuration, subject):
+    """Fibre type by the dense inertia of the whole subject and, when it is
+    singular, the Gauss-Jordan kernel basis: the verdict and kernel the
+    package now reads off one factorisation and one Schur scalar.  Returns
+    (verdict, kernel vector in sorted node order or None, kernel
+    dimension)."""
+    nodes = sorted(set(subject))
+    if not config.is_connected(nodes):
+        return FibreVerdict.DISCONNECTED, None, None
+    gram = config.gram_on(nodes)
+    plus, _, zero = dense_inertia(gram)
+    if plus > 0:
+        return FibreVerdict.NOT_SEMIDEFINITE, None, None
+    if zero == 0:
+        return FibreVerdict.NEGATIVE_DEFINITE, None, None
+    basis = oracle_kernel_basis(gram)
+    return FibreVerdict.FIBRE_TYPE, basis[0], len(basis)
 
 
 # -- Zariski oracle -------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +14,7 @@ from surfsat import (
     FibreVerdict,
     NormalBundleNonTorsion,
     PreconditionError,
+    SymmetricMatrix,
     UserAsserted,
     blowup,
     check_disjoint_pair,
@@ -24,7 +27,11 @@ from surfsat import (
     validate_zariski,
 )
 
-from support import oracle_validate_zariski, random_configuration
+from support import (
+    oracle_classify_fibre_type,
+    oracle_validate_zariski,
+    random_configuration,
+)
 
 
 def cycle(k):
@@ -280,6 +287,15 @@ class TestDisjointPair:
         with pytest.raises(PreconditionError):
             check_disjoint_pair(config, {0}, {1})
 
+    def test_negative_definite_second_divisor_rejected(self):
+        config = Configuration.build([("A", 0), ("E", -2), ("F", -2)], [(1, 2, 1)])
+        with pytest.raises(PreconditionError) as info:
+            check_disjoint_pair(config, {0}, {1, 2}, complete_surface=True)
+        assert str(info.value) == (
+            "second divisor ('E', 'F') is negative definite; the disjointness "
+            "constraint says nothing about it"
+        )
+
 
 class TestClaims:
     def ruled_config(self):
@@ -355,3 +371,234 @@ class TestNormalBundleCertificate:
         config = Configuration.build([("E", -1)])
         with pytest.raises(PreconditionError, match="degree"):
             normal_bundle_certificate(config, 0, nontorsion=True)
+
+
+def relabel(config, order):
+    """The same configuration with old node ``order[k]`` as new node k."""
+    new_id = {old: new for new, old in enumerate(order)}
+    curves = [
+        (config.nodes[old].name, config.gram.entry(old, old), config.nodes[old].genus)
+        for old in order
+    ]
+    inters = [
+        (new_id[i], new_id[j], x)
+        for i in range(config.n)
+        for j, x in config.gram.off_diagonal(i).items()
+        if i < j
+    ]
+    return Configuration.build(curves, inters)
+
+
+def weighted_fibre(rng, k, extra_edges=0):
+    """A connected rational configuration of fibre type with a chosen
+    positive kernel vector v: random rational meetings along a random
+    tree plus ``extra_edges`` more, and self-intersections
+    -sum_j m_ij v_j / v_i, so M v = 0.  Returns (configuration, v)."""
+    v = [rng.randint(1, 4) for _ in range(k)]
+    edges = {}
+    for i in range(1, k):
+        edges[(rng.randrange(i), i)] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    for _ in range(extra_edges if k > 2 else 0):
+        i, j = sorted(rng.sample(range(k), 2))
+        edges[(i, j)] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    row = [Fraction(0)] * k
+    for (i, j), m in edges.items():
+        row[i] += m * v[j]
+        row[j] += m * v[i]
+    curves = [(f"W{i}", -row[i] / v[i]) for i in range(k)]
+    return Configuration.build(curves, [(i, j, m) for (i, j), m in edges.items()]), v
+
+
+def random_rational_configuration(rng, n):
+    """Random dual graph with fractional self-intersections and meetings."""
+    curves = [
+        (f"Q{i}", Fraction(rng.randint(-9, 3), rng.randint(1, 3))) for i in range(n)
+    ]
+    inters = [
+        (i, j, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.4
+    ]
+    return Configuration.build(curves, inters)
+
+
+def extended_dynkin():
+    """Extended A, D and E diagrams of (-2)-curves."""
+    return [cycle(k) for k in (2, 3, 5)] + [d_tilde(n) for n in (4, 6)] + [
+        tree(arms) for arms in ((2, 2, 2), (3, 3, 1), (5, 2, 1))
+    ]
+
+
+class TestClassifyAgainstOracle:
+    """One L D L^T and one Schur scalar against the dense inertia and the
+    Gauss-Jordan kernel they replaced."""
+
+    def agree(self, config, subject):
+        report = classify_fibre_type(config, subject)
+        verdict, kernel, dimension = oracle_classify_fibre_type(config, subject)
+        assert report.verdict is verdict
+        if verdict is FibreVerdict.FIBRE_TYPE:
+            # Perron-Frobenius: a line spanned by a positive vector
+            assert dimension == 1 and all(c > 0 for c in kernel)
+            nodes = sorted(set(subject))
+            assert report.kernel == Divisor(dict(zip(nodes, kernel)))
+        else:
+            assert report.kernel is None
+        return verdict
+
+    def test_every_connected_subject_of_random_configurations(self):
+        rng = random.Random(101)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            params = rng.choice(
+                (dict(), dict(diag_lo=-2, diag_hi=-2, edge_hi=1),
+                 dict(diag_lo=-4, diag_hi=0, edge_hi=2))
+            )
+            config = random_configuration(rng, n, **params)
+            for size in range(1, n + 1):
+                for subject in itertools.combinations(range(n), size):
+                    if config.is_connected(subject):
+                        seen.add(self.agree(config, subject))
+        assert seen == {
+            FibreVerdict.FIBRE_TYPE,
+            FibreVerdict.NEGATIVE_DEFINITE,
+            FibreVerdict.NOT_SEMIDEFINITE,
+        }
+
+    def test_rational_grams(self):
+        rng = random.Random(103)
+        seen = []
+        for _ in range(150):
+            config = random_rational_configuration(rng, rng.randint(1, 6))
+            seen.append(self.agree(config, range(config.n)))
+        for _ in range(150):
+            k = rng.randint(1, 9)
+            config, v = weighted_fibre(rng, k, extra_edges=rng.randint(0, 3))
+            assert self.agree(config, range(k)) is FibreVerdict.FIBRE_TYPE
+            # a nudge of one self-intersection leaves fibre type either way
+            i = rng.randrange(k)
+            for delta in (Fraction(-1, 7), Fraction(1, 7)):
+                curves = [
+                    (f"W{j}", config.gram.entry(j, j) + (delta if j == i else 0))
+                    for j in range(k)
+                ]
+                inters = [
+                    (a, b, x)
+                    for a in range(k)
+                    for b, x in config.gram.off_diagonal(a).items()
+                    if a < b
+                ]
+                seen.append(self.agree(Configuration.build(curves, inters), range(k)))
+        assert FibreVerdict.NEGATIVE_DEFINITE in seen
+        assert FibreVerdict.NOT_SEMIDEFINITE in seen
+
+    def test_kernel_multiplicities_of_weighted_fibres(self):
+        rng = random.Random(107)
+        for _ in range(50):
+            k = rng.randint(2, 8)
+            config, v = weighted_fibre(rng, k)
+            report = classify_fibre_type(config, range(k))
+            g = 0
+            for x in v:
+                g = gcd(g, x)
+            assert report.kernel == Divisor({i: x // g for i, x in enumerate(v)})
+
+    @pytest.mark.parametrize("self_int", [-3, Fraction(-1, 2), 0, Fraction(1, 3), 2])
+    def test_single_curves(self, self_int):
+        config = Configuration.build([("C", self_int, 1)])
+        verdict = self.agree(config, {0})
+        assert verdict is (
+            FibreVerdict.NEGATIVE_DEFINITE if self_int < 0
+            else FibreVerdict.FIBRE_TYPE if self_int == 0
+            else FibreVerdict.NOT_SEMIDEFINITE
+        )
+
+    def test_disconnected_subjects(self):
+        rng = random.Random(109)
+        disconnected = 0
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            config = random_configuration(rng, n)
+            for size in range(2, n + 1):
+                for subject in itertools.combinations(range(n), size):
+                    if not config.is_connected(subject):
+                        disconnected += 1
+                        assert self.agree(config, subject) is FibreVerdict.DISCONNECTED
+        assert disconnected > 100
+
+    @pytest.mark.parametrize("shape", range(len(extended_dynkin())))
+    def test_extended_dynkin_with_every_last_node(self, shape):
+        config = extended_dynkin()[shape]
+        rng = random.Random(shape)
+        for last in range(config.n):
+            others = [i for i in range(config.n) if i != last]
+            rng.shuffle(others)
+            shuffled = relabel(config, others + [last])
+            assert self.agree(shuffled, range(config.n)) is FibreVerdict.FIBRE_TYPE
+            # dropping a curve leaves a negative definite Dynkin diagram
+            if config.n > 1:
+                for drop in range(config.n):
+                    rest = [i for i in range(config.n) if i != drop]
+                    if shuffled.is_connected(rest):
+                        assert self.agree(shuffled, rest) is (
+                            FibreVerdict.NEGATIVE_DEFINITE
+                        )
+
+
+class TestClassifyCost:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the factorisation, the eliminations and the dense view."""
+        calls = {"ldl": 0, "inertia": 0, "kernel_basis": 0, "solve": 0, "rows": 0}
+        ldl = SymmetricMatrix.negative_definite_ldl
+        rows = SymmetricMatrix.rows
+
+        def counting_ldl(matrix, indices=None):
+            calls["ldl"] += 1
+            return ldl(matrix, indices)
+
+        def counting(name):
+            original = getattr(SymmetricMatrix, name)
+
+            def wrapper(matrix, *args):
+                calls[name] += 1
+                return original(matrix, *args)
+
+            return wrapper
+
+        def counting_rows(matrix):
+            calls["rows"] += 1
+            return rows.fget(matrix)
+
+        monkeypatch.setattr(SymmetricMatrix, "negative_definite_ldl", counting_ldl)
+        for name in ("inertia", "kernel_basis", "solve"):
+            monkeypatch.setattr(SymmetricMatrix, name, counting(name))
+        monkeypatch.setattr(SymmetricMatrix, "rows", property(counting_rows))
+        return calls
+
+    def test_one_factorisation_and_no_dense_work(self, counts):
+        rng = random.Random(113)
+        configs = extended_dynkin() + [
+            random_configuration(rng, rng.randint(1, 7)) for _ in range(40)
+        ]
+        for config in configs:
+            for comp in config.connected_components(range(config.n)):
+                for key in counts:
+                    counts[key] = 0
+                classify_fibre_type(config, comp)
+                assert counts == {
+                    "ldl": 1, "inertia": 0, "kernel_basis": 0, "solve": 0, "rows": 0
+                }
+
+    def test_long_cycle_under_budget(self):
+        # the dense inertia and Gauss-Jordan kernel took minutes here
+        k = 1000
+        config = cycle(k)
+        start = time.perf_counter()
+        report = classify_fibre_type(config, range(k))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"classifying a cycle of {k} took {elapsed:.2f}s"
+        assert report.verdict is FibreVerdict.FIBRE_TYPE
+        assert report.kernel == Divisor({i: 1 for i in range(k)})

@@ -12,7 +12,9 @@ from support import (
     oracle_inertia_charpoly,
     oracle_inertia_leading_minors,
     oracle_negative_definite_fast,
+    oracle_kernel_basis,
     oracle_negative_semidefinite,
+    oracle_solve,
     random_negative_definite_configuration,
     random_symmetric_int,
     random_symmetric_rational,
@@ -95,24 +97,24 @@ class TestInertia:
         m = SymmetricMatrix([])
         assert m.inertia() == (0, 0, 0)
         assert m.is_negative_definite()
-        assert m.is_negative_semidefinite()
+        assert m.inertia()[0] == 0
 
 
 class TestDefiniteness:
     def test_single_negative(self):
         m = SymmetricMatrix([[-1]])
         assert m.is_negative_definite()
-        assert m.is_negative_semidefinite()
+        assert m.inertia()[0] == 0
 
     def test_semidefinite_not_definite(self):
         m = SymmetricMatrix([[-2, 2], [2, -2]])
         assert not m.is_negative_definite()
-        assert m.is_negative_semidefinite()
+        assert m.inertia()[0] == 0
 
     def test_positive(self):
         m = SymmetricMatrix([[1]])
         assert not m.is_negative_definite()
-        assert not m.is_negative_semidefinite()
+        assert m.inertia()[0] > 0
 
 
 class TestOracleAgreement:
@@ -139,7 +141,7 @@ class TestOracleAgreement:
         for _ in range(200):
             n = rng.randint(1, 5)
             m = random_symmetric_int(rng, n)
-            assert m.is_negative_semidefinite() == oracle_negative_semidefinite(m)
+            assert (m.inertia()[0] == 0) == oracle_negative_semidefinite(m)
 
     def test_kernel_count_matches_inertia_and_annihilates(self):
         rng = random.Random(17)
@@ -171,6 +173,54 @@ class TestOracleAgreement:
                 solved += 1
                 assert m.apply(x) == tuple(Fraction(v) for v in b)
         assert solved > 50  # the sweep actually exercised the solver
+
+
+class TestGaussJordanAgainstOracle:
+    """solve (the column-space solution, via M^2) and kernel_basis against
+    the former Gauss-Jordan code, kept as oracles."""
+
+    def matrices(self, rng):
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            if rng.random() < 0.5:
+                yield random_symmetric_int(rng, n, lo=-2, hi=2)
+            else:
+                yield random_symmetric_rational(rng, n)
+        for _ in range(100):  # singular: +-u u^T summed over fewer than n u's
+            n = rng.randint(2, 6)
+            terms = [
+                (rng.choice((-1, 1)), [rng.randint(-2, 2) for _ in range(n)])
+                for _ in range(rng.randint(1, n - 1))
+            ]
+            yield SymmetricMatrix(
+                [
+                    [sum(e * u[i] * u[j] for e, u in terms) for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+
+    def test_kernel_basis(self):
+        rng = random.Random(31)
+        singular = 0
+        for m in self.matrices(rng):
+            basis = m.kernel_basis()
+            assert basis == oracle_kernel_basis(m)
+            singular += bool(basis)
+        assert singular > 40
+
+    def test_solve(self):
+        rng = random.Random(37)
+        solved_singular = refused = 0
+        for m in self.matrices(rng):
+            z = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.n)]
+            for b in (m.apply(z), [rng.randint(-2, 2) for _ in range(m.n)]):
+                x = m.solve(b)
+                assert x == oracle_solve(m, b)
+                if x is None:
+                    refused += 1
+                elif m.kernel_basis():
+                    solved_singular += 1
+        assert solved_singular > 40 and refused > 20
 
 
 class TestNegativeDefiniteLDL:

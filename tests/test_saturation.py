@@ -14,6 +14,7 @@ from surfsat import (
     PreconditionError,
     SchemeContractibility,
     SchemeSaturationVerdict,
+    SymmetricMatrix,
     UserAsserted,
     affinisation_dimension,
     apply_plan,
@@ -23,7 +24,7 @@ from surfsat import (
 )
 from surfsat.schema import parse_document
 
-from support import random_configuration
+from support import dense_inertia, random_configuration
 
 
 def surface(curves, inters=(), boundary=(), points=0, claims=(), fibration=False):
@@ -307,6 +308,60 @@ class TestAffinisationDimension:
                         classify_fibre_type(s.ambient, comp).verdict
                         is FibreVerdict.FIBRE_TYPE
                     )
+
+
+    def test_positive_count_matches_dense_inertia_of_whole_boundary(self):
+        # the per-component count against one dense elimination of the
+        # whole boundary Gram, on saturated surfaces of many components
+        rng = random.Random(89)
+        two = 0
+        for _ in range(150):
+            config = random_configuration(
+                rng, rng.randint(1, 12), diag_lo=-3, diag_hi=2, edge_hi=2
+            )
+            boundary = frozenset(i for i in range(config.n) if rng.random() < 0.7)
+            s = apply_plan(CompactifiedSurface(ambient=config, boundary=boundary))
+            if not s.boundary:
+                continue
+            plus = dense_inertia(s.ambient.gram_on(s.boundary))[0]
+            report = affinisation_dimension(s)
+            if plus:
+                two += 1
+                assert report.verdict is AffDim.TWO
+                assert report.reasons == (
+                    (
+                        "not-negative-semidefinite",
+                        f"boundary pairing has {plus} positive direction(s)",
+                    ),
+                )
+            else:
+                assert report.verdict is not AffDim.TWO
+        assert two > 50
+
+    def test_2000_disjoint_zero_curves_under_budget(self, monkeypatch):
+        # a dense elimination of the whole boundary took seconds here; a
+        # fibre-type boundary needs no inertia at all
+        b = 2000
+        config = Configuration.build([(f"Z{i}", 0, 1) for i in range(b)])
+        s = CompactifiedSurface(ambient=config, boundary=frozenset(range(b)))
+        inertia = []
+        original = SymmetricMatrix.inertia
+
+        def counting(matrix):
+            inertia.append(matrix.n)
+            return original(matrix)
+
+        monkeypatch.setattr(SymmetricMatrix, "inertia", counting)
+        start = time.perf_counter()
+        report = affinisation_dimension(s)
+        elapsed = time.perf_counter() - start
+        assert inertia == []
+        assert elapsed < 0.5, f"affinisation_dimension took {elapsed:.2f}s"
+        assert report.verdict is AffDim.ONE
+        assert report.criteria() == (
+            "fibre-type-boundary",
+            "three-disjoint-fibre-type-components",
+        )
 
 
 class TestSchemeSaturation:
