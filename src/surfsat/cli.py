@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from typing import Optional
 
@@ -20,7 +21,6 @@ from .errors import DataInconsistencyError, InputError, PreconditionError
 from .fibres import (
     FibreVerdict,
     GroupLawObstruction,
-    classify_fibre_type,
     validate_false_fibre_claims,
     zariski_report,
 )
@@ -82,10 +82,9 @@ def _affdim_to_json(report) -> dict:
     }
 
 
-def _fibre_component_to_json(config, comp) -> dict:
-    report = classify_fibre_type(config, comp)
+def _fibre_component_to_json(config, report) -> dict:
     out = {
-        "component": _names(config, comp),
+        "component": _names(config, report.subject),
         "criterion": "connected-negative-semidefinite-not-definite",
         "verdict": report.verdict.value,
     }
@@ -134,14 +133,14 @@ def cmd_affdim(doc: Document, args) -> dict:
 
 def cmd_fibre(doc: Document, args) -> dict:
     surface = doc.surface
-    components = surface.boundary_components()
-    if not components:
+    if not surface.component_reports:
         raise InputError("no boundary components to classify", path="boundary")
     return {
         "command": "fibre",
         "verdict": "classified",
         "components": [
-            _fibre_component_to_json(surface.ambient, comp) for comp in components
+            _fibre_component_to_json(surface.ambient, report)
+            for report in surface.component_reports
         ],
     }
 
@@ -149,11 +148,7 @@ def cmd_fibre(doc: Document, args) -> dict:
 def cmd_mumford(doc: Document, args) -> dict:
     surface = doc.surface
     config = surface.ambient
-    parts = [
-        comp
-        for comp in surface.boundary_components()
-        if config.gram_on(comp).is_negative_definite()
-    ]
+    parts = is_saturated(surface).offending_components
     out = {
         "command": "mumford",
         "criterion": "pullback-orthogonal-to-exceptional",
@@ -248,16 +243,14 @@ def cmd_analyze(doc: Document, args) -> dict:
         "saturation": _saturation_to_json(surface, saturation),
         "plan": _plan_to_json(surface, plan),
     }
-    components = surface.boundary_components()
-    if components:
+    if surface.component_reports:
         out["components"] = [
-            _fibre_component_to_json(surface.ambient, comp) for comp in components
+            _fibre_component_to_json(surface.ambient, report)
+            for report in surface.component_reports
         ]
-    model = surface
     if not saturation.saturated:
         out["note"] = "affinisation classified after applying the saturation plan"
-        model = apply_plan(surface, plan)
-    affdim = affinisation_dimension(model)
+    affdim = affinisation_dimension(apply_plan(surface, plan))
     out["affinisation"] = _affdim_to_json(affdim)
     out["verdict"] = affdim.verdict.value
     return out
@@ -380,10 +373,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_human(report))
+    try:
+        if args.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print(render_human(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at the null
+        # device so the interpreter's flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
 
     if report.get("verdict") == "inconsistent":
         return EXIT_INPUT

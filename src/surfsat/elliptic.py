@@ -347,8 +347,7 @@ def hironaka_build(
     oracle = {comp: contractibility for comp in plan.d_minus}
     scheme = scheme_saturation_check(surface, oracle)
 
-    model = surface if saturation.saturated else apply_plan(surface, plan)
-    affinisation = affinisation_dimension(model)
+    affinisation = affinisation_dimension(apply_plan(surface, plan))
 
     return HironakaReport(
         n=n,

@@ -91,9 +91,15 @@ def classify_fibre_type(
             f"curves {config.names(improper)} are not proper; fibre type is "
             "defined for proper curves only"
         )
-    subject_set = frozenset(nodes)
     if not config.is_connected(nodes):
-        return FibreTypeReport(subject_set, FibreVerdict.DISCONNECTED)
+        return FibreTypeReport(frozenset(nodes), FibreVerdict.DISCONNECTED)
+    return _classify_connected(config, nodes)
+
+
+def _classify_connected(config: Configuration, nodes: list[int]) -> FibreTypeReport:
+    """:func:`classify_fibre_type` on a sorted, nonempty, connected list of
+    proper curves, such as a boundary component."""
+    subject_set = frozenset(nodes)
     *rest, last = nodes
     factor = config.gram.negative_definite_ldl(rest)
     if factor is None:

@@ -344,48 +344,48 @@ class SymmetricMatrix:
         """Counts of (positive, negative, zero) eigenvalues.
 
         Computed by exact sparse symmetric elimination (Sylvester's law of
-        inertia), pivoting on the largest diagonal entry in absolute value
-        and updating only nonzero entries.  When every remaining diagonal
-        entry vanishes but the block is nonzero, an off-diagonal entry t
-        gives a hyperbolic 2x2 block [[0,t],[t,0]] that contributes (1,1,0)
-        and is eliminated by its own Schur complement.
+        inertia), updating only nonzero entries.  The counts do not depend on
+        the pivot order, so row i is eliminated in index order: on itself if
+        its diagonal entry is nonzero, else after a neighbour with a nonzero
+        one, else with its first neighbour as a hyperbolic 2x2 block
+        [[0,t],[t,0]], which contributes (1,1,0).  A zero row is a zero
+        eigenvalue that no later step changes.
         """
         diag = dict(enumerate(self._diag))
         off = {i: dict(row) for i, row in enumerate(self._off)}
         plus = minus = 0
-        while diag:
-            pivot = max(diag, key=lambda i: abs(diag[i]))
-            d = diag[pivot]
-            if d:
-                del diag[pivot]
-                if d > 0:
-                    plus += 1
-                else:
-                    minus += 1
-                col = list(_detach(off, pivot).items())
-                for a, (i, u) in enumerate(col):
-                    diag[i] -= u * u / d
-                    for j, w in col[a + 1:]:
-                        _add_off(off, i, j, -u * w / d)
-                continue
-            i0 = next((i for i in diag if off[i]), None)
-            if i0 is None:
-                break
-            del diag[i0]
-            j0, t = next(iter(off[i0].items()))
-            del diag[j0]
-            plus += 1
-            minus += 1
-            ui = _detach(off, i0)
-            del ui[j0]
-            uj = _detach(off, j0)
-            rest = list(ui | uj)
-            for a, r in enumerate(rest):
-                ur, vr = ui.get(r, _ZERO), uj.get(r, _ZERO)
-                diag[r] -= 2 * ur * vr / t
-                for s in rest[a + 1:]:
-                    us, vs = ui.get(s, _ZERO), uj.get(s, _ZERO)
-                    _add_off(off, r, s, -(ur * vs + vr * us) / t)
+        for i0 in range(self.n):
+            while i0 in diag:
+                pivot = i0 if diag[i0] else next((j for j in off[i0] if diag[j]), None)
+                if pivot is not None:
+                    d = diag.pop(pivot)
+                    if d > 0:
+                        plus += 1
+                    else:
+                        minus += 1
+                    col = list(_detach(off, pivot).items())
+                    for a, (i, u) in enumerate(col):
+                        diag[i] -= u * u / d
+                        for j, w in col[a + 1:]:
+                            _add_off(off, i, j, -u * w / d)
+                    continue
+                del diag[i0]
+                if not off[i0]:
+                    break
+                j0, t = next(iter(off[i0].items()))
+                del diag[j0]
+                plus += 1
+                minus += 1
+                ui = _detach(off, i0)
+                del ui[j0]
+                uj = _detach(off, j0)
+                rest = list(ui | uj)
+                for a, r in enumerate(rest):
+                    ur, vr = ui.get(r, _ZERO), uj.get(r, _ZERO)
+                    diag[r] -= 2 * ur * vr / t
+                    for s in rest[a + 1:]:
+                        us, vs = ui.get(s, _ZERO), uj.get(s, _ZERO)
+                        _add_off(off, r, s, -(ur * vs + vr * us) / t)
         return (plus, minus, self.n - plus - minus)
 
     def is_negative_definite(self) -> bool:

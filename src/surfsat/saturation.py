@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .configuration import Configuration
 from .errors import DataInconsistencyError, PreconditionError
 from .fibres import (
     FalseFibreClaim,
+    FibreTypeReport,
     FibreVerdict,
+    _classify_connected,
     classify_fibre_type,
     validate_false_fibre_claims,
 )
@@ -68,8 +71,17 @@ class CompactifiedSurface:
     def interior_curves(self) -> frozenset[int]:
         return self.ambient.node_ids() - self.boundary
 
+    @cached_property
+    def component_reports(self) -> tuple[FibreTypeReport, ...]:
+        """One classification per boundary component, in
+        ``connected_components`` order: the record every verdict reads."""
+        return tuple(
+            _classify_connected(self.ambient, sorted(comp))
+            for comp in self.ambient.connected_components(self.boundary)
+        )
+
     def boundary_components(self) -> tuple[frozenset[int], ...]:
-        return self.ambient.connected_components(self.boundary)
+        return tuple(report.subject for report in self.component_reports)
 
 
 @dataclass(frozen=True)
@@ -85,9 +97,9 @@ def is_saturated(surface: CompactifiedSurface) -> SaturationVerdict:
     no isolated points, no negative definite connected component.  An empty
     boundary (a proper surface) is saturated."""
     offending = tuple(
-        comp
-        for comp in surface.boundary_components()
-        if surface.ambient.gram_on(comp).is_negative_definite()
+        report.subject
+        for report in surface.component_reports
+        if report.verdict is FibreVerdict.NEGATIVE_DEFINITE
     )
     return SaturationVerdict(
         saturated=not offending and surface.isolated_boundary_points == 0,
@@ -129,21 +141,18 @@ def saturation_plan(surface: CompactifiedSurface) -> SaturationPlan:
     Claims that meet a contracted component are rejected, as in
     :func:`apply_plan`.
     """
-    d_minus = []
-    d_plus = []
-    for comp in surface.boundary_components():
-        if surface.ambient.gram_on(comp).is_negative_definite():
-            d_minus.append(comp)
-        else:
-            d_plus.append(comp)
-    plan = SaturationPlan(
-        d_minus=tuple(d_minus),
-        d_plus=tuple(d_plus),
+    d_minus = is_saturated(surface).offending_components
+    _reject_contracted_claims(surface, d_minus)
+    return SaturationPlan(
+        d_minus=d_minus,
+        d_plus=tuple(
+            report.subject
+            for report in surface.component_reports
+            if report.verdict is not FibreVerdict.NEGATIVE_DEFINITE
+        ),
         points_to_remove=surface.isolated_boundary_points,
         resulting_boundary_ok=True,
     )
-    _reject_contracted_claims(surface, plan.d_minus)
-    return plan
 
 
 def apply_plan(
@@ -245,10 +254,15 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     to be negative definite; dropping one curve at a time covers all cases.
     Every principal block of a negative definite matrix is negative
     definite, so one factorisation of the whole inner block settles that
-    case first.
+    case first; every proper sub-support of a fibre-type set is negative
+    definite (Zariski's lemma), so one classification settles that case
+    next.
     """
     inner = _inner_nodes(surface)
     if surface.ambient.gram.negative_definite_ldl(inner) is not None:
+        return None
+    report = classify_fibre_type(surface.ambient, inner)
+    if report.verdict is FibreVerdict.FIBRE_TYPE:
         return None
     for drop in inner:
         rest = [i for i in inner if i != drop]
@@ -286,10 +300,9 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
     # or not negative semidefinite, so only the latter add to the count.
     components = surface.boundary_components()
     plus = sum(
-        surface.ambient.gram_on(comp).inertia()[0]
-        for comp in components
-        if classify_fibre_type(surface.ambient, comp).verdict
-        is not FibreVerdict.FIBRE_TYPE
+        surface.ambient.gram_on(report.subject).inertia()[0]
+        for report in surface.component_reports
+        if report.verdict is not FibreVerdict.FIBRE_TYPE
     )
     if plus > 0:
         return AffDimReport(
@@ -406,11 +419,7 @@ def scheme_saturation_check(
     whose scheme nature the configuration cannot see) leave the verdict
     unknown.
     """
-    neg_def = [
-        comp
-        for comp in surface.boundary_components()
-        if surface.ambient.gram_on(comp).is_negative_definite()
-    ]
+    neg_def = is_saturated(surface).offending_components
     missing = [comp for comp in neg_def if comp not in contractibility_oracle]
     if missing:
         raise PreconditionError(

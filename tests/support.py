@@ -14,7 +14,9 @@ kernel the package replaced by one L D L^T and one Schur scalar, and the
 contraction oracle is the per-pullback Gauss-Jordan solve the package
 replaced by one L D L^T factorisation per component.  ``dense_inertia``,
 ``oracle_solve`` and ``oracle_kernel_basis`` are the package's former
-eliminations on the dense rows.
+eliminations on the dense rows, and the saturation oracle is the
+per-reader negative definiteness loop the package replaced by one
+classification per boundary component.
 """
 
 from __future__ import annotations
@@ -500,6 +502,22 @@ def oracle_classify_fibre_type(config: Configuration, subject):
     return FibreVerdict.FIBRE_TYPE, basis[0], len(basis)
 
 
+# -- saturation oracle ---------------------------------------------------
+
+
+def oracle_saturation_partition(surface):
+    """(negative definite, other) boundary components, one negative
+    definiteness test of each component's Gram block: the loop every
+    reader ran before the package classified each component once."""
+    d_minus, d_plus = [], []
+    for comp in surface.ambient.connected_components(surface.boundary):
+        if surface.ambient.gram_on(comp).is_negative_definite():
+            d_minus.append(comp)
+        else:
+            d_plus.append(comp)
+    return tuple(d_minus), tuple(d_plus)
+
+
 # -- Zariski oracle -------------------------------------------------------
 
 
@@ -545,6 +563,51 @@ def oracle_is_torsion(curve, point) -> TorsionStatus:
         if running.is_infinity and n in admissible:
             return TorsionStatus(True, n)
     return TorsionStatus(False)
+
+
+# -- fibre shapes ----------------------------------------------------------
+
+
+def cycle(k):
+    """Cycle of k rational (-2)-curves (k=2 meets in two points)."""
+    if k == 1:
+        return Configuration.build([("A0", 0)])
+    if k == 2:
+        return Configuration.build([("A0", -2), ("A1", -2)], [(0, 1, 2)])
+    edges = [(i, (i + 1) % k, 1) for i in range(k)]
+    return Configuration.build([(f"A{i}", -2) for i in range(k)], edges)
+
+
+def tree(arms):
+    """Star of (-2)-curves: a centre with chains of the given lengths."""
+    curves = [("Z", -2)]
+    edges = []
+    for a, length in enumerate(arms):
+        prev = 0
+        for step in range(length):
+            curves.append((f"T{a}_{step}", -2))
+            edges.append((prev, len(curves) - 1, 1))
+            prev = len(curves) - 1
+    return Configuration.build(curves, edges)
+
+
+def d_tilde(n):
+    """Extended D_n: a chain of n - 3 (-2)-curves with two legs at each end."""
+    chain = n - 3
+    curves = [(f"C{i}", -2) for i in range(chain)] + [
+        (f"L{i}", -2) for i in range(4)
+    ]
+    edges = [(i, i + 1, 1) for i in range(chain - 1)]
+    edges += [(0, chain, 1), (0, chain + 1, 1)]
+    edges += [(chain - 1, chain + 2, 1), (chain - 1, chain + 3, 1)]
+    return Configuration.build(curves, edges)
+
+
+def extended_dynkin():
+    """Extended A, D and E diagrams of (-2)-curves."""
+    return [cycle(k) for k in (2, 3, 5)] + [d_tilde(n) for n in (4, 6)] + [
+        tree(arms) for arms in ((2, 2, 2), (3, 3, 1), (5, 2, 1))
+    ]
 
 
 # -- random data ---------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import surfsat
 from surfsat.cli import main
 from surfsat.errors import InputError
 from surfsat.schema import document_to_json, load_document, parse_document
@@ -80,6 +84,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "affdim", bad)
         assert code == 1
         assert "curves[0].self" in err
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_closed_stdout_is_exit_one_without_traceback(self, fmt):
+        # as in `surfsat analyze n10.json | head -1`, but with the reading
+        # end closed before the first write, so the write always fails
+        src = str(Path(surfsat.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "surfsat.cli", "analyze",
+             str(SAMPLES / "n10.json"), "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestCommands:

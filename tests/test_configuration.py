@@ -18,10 +18,12 @@ from support import (
     dense_adjacent,
     dense_disjoint,
     dense_restrict,
+    extended_dynkin,
     oracle_components,
     oracle_second_fibre_witness,
     random_configuration,
     random_contraction_setup,
+    tree,
 )
 
 
@@ -273,6 +275,60 @@ class TestNeighbourQueries:
             assert _second_fibre_witness(surface) == oracle_second_fibre_witness(
                 surface
             )
+
+    @staticmethod
+    def around_fibres(rng, fibres):
+        """The fibre-type configurations ``fibres`` as inner curves, beside
+        a few random curves of which about half are boundary; the others
+        may meet the fibres, which then stop being of fibre type.  Node ids
+        are shuffled, so the fibres' last nodes vary."""
+        curves, inters = [], []
+        for fibre in fibres:
+            base = len(curves)
+            curves += [
+                (f"F{base + i}", fibre.gram.entry(i, i)) for i in range(fibre.n)
+            ]
+            inters += [
+                (base + i, base + j, x)
+                for i in range(fibre.n)
+                for j, x in fibre.gram.off_diagonal(i).items()
+                if i < j
+            ]
+        k = len(curves)
+        extra = rng.randint(1, 4)
+        boundary = {k + e for e in range(extra) if rng.random() < 0.5}
+        for e in range(extra):
+            curves.append((f"X{e}", rng.randint(-3, 1)))
+            for f in range(e):
+                if rng.random() < 0.4:
+                    inters.append((k + f, k + e, 1))
+            if k + e not in boundary and rng.random() < 0.3:
+                inters.append((rng.randrange(k), k + e, rng.randint(1, 2)))
+        order = list(range(len(curves)))
+        rng.shuffle(order)
+        new_id = {old: new for new, old in enumerate(order)}
+        config = Configuration.build(
+            [curves[old] for old in order],
+            [(new_id[i], new_id[j], x) for i, j, x in inters],
+        )
+        return CompactifiedSurface(
+            ambient=config, boundary={new_id[b] for b in boundary}
+        )
+
+    def test_second_fibre_witness_on_inner_fibres(self):
+        # inner sets of fibre type (extended ADE shapes, cycles), two
+        # disjoint fibres (disconnected, so the drop-one loop decides), and
+        # fibres met by a further inner curve
+        rng = random.Random(127)
+        shapes = extended_dynkin() + [tree((1, 1, 1, 1))]
+        witnessed = 0
+        for _ in range(150):
+            fibres = rng.sample(shapes, rng.choice((1, 1, 2)))
+            surface = self.around_fibres(rng, fibres)
+            got = _second_fibre_witness(surface)
+            assert got == oracle_second_fibre_witness(surface)
+            witnessed += got is not None
+        assert 30 < witnessed < 120
 
 
 class TestValidationMessages:

@@ -28,20 +28,14 @@ from surfsat import (
 )
 
 from support import (
+    cycle,
+    d_tilde,
+    extended_dynkin,
     oracle_classify_fibre_type,
     oracle_validate_zariski,
     random_configuration,
+    tree,
 )
-
-
-def cycle(k):
-    """Cycle of k rational (-2)-curves (k=2 meets in two points)."""
-    if k == 1:
-        return Configuration.build([("A0", 0)])
-    if k == 2:
-        return Configuration.build([("A0", -2), ("A1", -2)], [(0, 1, 2)])
-    edges = [(i, (i + 1) % k, 1) for i in range(k)]
-    return Configuration.build([(f"A{i}", -2) for i in range(k)], edges)
 
 
 class TestClassify:
@@ -128,31 +122,6 @@ class TestZariski:
         report = validate_zariski(config, range(17))
         assert report.status == "ok"
         assert report.violations == ()
-
-
-def tree(arms):
-    """Star of (-2)-curves: a centre with chains of the given lengths."""
-    curves = [("Z", -2)]
-    edges = []
-    for a, length in enumerate(arms):
-        prev = 0
-        for step in range(length):
-            curves.append((f"T{a}_{step}", -2))
-            edges.append((prev, len(curves) - 1, 1))
-            prev = len(curves) - 1
-    return Configuration.build(curves, edges)
-
-
-def d_tilde(n):
-    """Extended D_n: a chain of n - 3 (-2)-curves with two legs at each end."""
-    chain = n - 3
-    curves = [(f"C{i}", -2) for i in range(chain)] + [
-        (f"L{i}", -2) for i in range(4)
-    ]
-    edges = [(i, i + 1, 1) for i in range(chain - 1)]
-    edges += [(0, chain, 1), (0, chain + 1, 1)]
-    edges += [(chain - 1, chain + 2, 1), (chain - 1, chain + 3, 1)]
-    return Configuration.build(curves, edges)
 
 
 class TestZariskiOracle:
@@ -421,13 +390,6 @@ def random_rational_configuration(rng, n):
         if rng.random() < 0.4
     ]
     return Configuration.build(curves, inters)
-
-
-def extended_dynkin():
-    """Extended A, D and E diagrams of (-2)-curves."""
-    return [cycle(k) for k in (2, 3, 5)] + [d_tilde(n) for n in (4, 6)] + [
-        tree(arms) for arms in ((2, 2, 2), (3, 3, 1), (5, 2, 1))
-    ]
 
 
 class TestClassifyAgainstOracle:

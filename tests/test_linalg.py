@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from surfsat import InputError, SymmetricMatrix, as_rational
 
 from support import (
+    dense_inertia,
     dense_restrict,
     oracle_inertia_charpoly,
     oracle_inertia_leading_minors,
@@ -100,6 +102,29 @@ class TestInertia:
         assert m.inertia()[0] == 0
 
 
+class TestInertiaBudget:
+    """Taking rows in index order keeps a chain's elimination linear; a
+    scan for the largest remaining diagonal entry made it quadratic."""
+
+    @staticmethod
+    def chain(n, self_int):
+        return SymmetricMatrix.from_entries(
+            [self_int] * n, [(i, i + 1, 1) for i in range(n - 1)]
+        )
+
+    @pytest.mark.parametrize(
+        "self_int, expected", [(1, (1333, 666, 1)), (0, (1000, 1000, 0))]
+    )
+    def test_2000_node_chain_under_budget(self, self_int, expected):
+        # eigenvalues self_int + 2 cos(k pi / 2001), k = 1..2000
+        m = self.chain(2000, self_int)
+        start = time.perf_counter()
+        got = m.inertia()
+        elapsed = time.perf_counter() - start
+        assert got == expected
+        assert elapsed < 0.2, f"inertia took {elapsed:.2f}s"
+
+
 class TestDefiniteness:
     def test_single_negative(self):
         m = SymmetricMatrix([[-1]])
@@ -135,6 +160,26 @@ class TestOracleAgreement:
             n = rng.randint(1, 6)
             m = random_symmetric_rational(rng, n)
             assert m.inertia() == oracle_inertia_charpoly(m)
+
+    def test_inertia_matches_dense_oracle_zero_diagonal_heavy(self):
+        # mostly zero diagonals, so rows pivot on a neighbour or on the
+        # hyperbolic block; the dense elimination pivots on the largest
+        # diagonal entry instead, and the counts must not care
+        rng = random.Random(23)
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                if rng.random() < 0.3:
+                    rows[i][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for j in range(i + 1, n):
+                    if rng.random() < 0.4:
+                        value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        rows[i][j] = rows[j][i] = value
+            m = SymmetricMatrix(rows)
+            assert m.inertia() == dense_inertia(m)
+            if n <= 4:
+                assert m.inertia() == oracle_inertia_charpoly(m)
 
     def test_semidefiniteness_matches_principal_minor_oracle(self):
         rng = random.Random(13)

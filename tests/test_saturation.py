@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,9 +25,18 @@ from surfsat import (
     saturation_plan,
     scheme_saturation_check,
 )
-from surfsat.schema import parse_document
+from surfsat import classify_fibre_type
+from surfsat.cli import cmd_mumford
+from surfsat.cli import main as cli_main
+from surfsat.saturation import _inner_nodes
+from surfsat.schema import Document, document_to_json, parse_document
 
-from support import dense_inertia, random_configuration
+from support import (
+    dense_inertia,
+    oracle_saturation_partition,
+    random_configuration,
+    random_contraction_setup,
+)
 
 
 def surface(curves, inters=(), boundary=(), points=0, claims=(), fibration=False):
@@ -401,3 +413,171 @@ class TestSchemeSaturation:
         s = surface([("C", 0)], boundary=["C"], points=1)
         report = scheme_saturation_check(s, {})
         assert report.verdict is SchemeSaturationVerdict.UNKNOWN
+
+
+def rational_surface(rng):
+    """A boundary of negative definite parts with fractional self-
+    intersections beside random curves with rational entries, some of
+    them also on the boundary."""
+    config, exceptional, rest = random_contraction_setup(rng)
+    boundary = set(exceptional) | {i for i in rest if rng.random() < 0.5}
+    return CompactifiedSurface(ambient=config, boundary=frozenset(boundary))
+
+
+class TestComponentReports:
+    """Every reader of the per-component record against the negative
+    definiteness loop each of them used to run."""
+
+    @staticmethod
+    def surfaces():
+        rng = random.Random(131)
+        for k in range(240):
+            if k % 2:
+                yield rational_surface(rng)
+                continue
+            config = random_configuration(rng, rng.randint(1, 9), diag_hi=2)
+            boundary = frozenset(i for i in range(config.n) if rng.random() < 0.6)
+            yield CompactifiedSurface(
+                ambient=config,
+                boundary=boundary,
+                isolated_boundary_points=rng.choice((0, 0, 1)),
+            )
+
+    def test_readers_match_partition_oracle(self):
+        contracted = 0
+        for s in self.surfaces():
+            d_minus, d_plus = oracle_saturation_partition(s)
+            contracted += bool(d_minus)
+            assert is_saturated(s).offending_components == d_minus
+            plan = saturation_plan(s)
+            assert (plan.d_minus, plan.d_plus) == (d_minus, d_plus)
+            contractible = dict.fromkeys(
+                d_minus, SchemeContractibility.SCHEME_CONTRACTIBLE
+            )
+            report = scheme_saturation_check(s, contractible)
+            assert report.contractible == d_minus
+            if d_minus:
+                with pytest.raises(PreconditionError, match="lacks entries"):
+                    scheme_saturation_check(s, dict(list(contractible.items())[1:]))
+            mumford = cmd_mumford(Document(s), None)
+            assert mumford.get("contracted_components", []) == [
+                sorted(s.ambient.names(comp)) for comp in d_minus
+            ]
+        assert contracted > 100
+
+    def test_one_report_per_component_in_component_order(self):
+        for s in self.surfaces():
+            components = s.ambient.connected_components(s.boundary)
+            assert s.boundary_components() == components
+            assert s.component_reports == tuple(
+                classify_fibre_type(s.ambient, comp) for comp in components
+            )
+
+    def test_record_is_cached_and_not_a_field(self):
+        args = ([("A", -2), ("B", -2), ("C", 0)], [(0, 1, 1)], ["A", "B", "C"])
+        s = surface(*args)
+        assert s.component_reports is s.component_reports
+        assert s == surface(*args)
+        assert "component_reports" not in {f.name for f in dataclasses.fields(s)}
+
+
+class TestOneClassificationPerComponent:
+    """A component's classification is one L D L^T of its block minus its
+    last curve; every command reads it from the surface's record."""
+
+    COMMANDS = ("saturate", "fibre", "mumford", "affdim", "analyze")
+
+    @pytest.fixture
+    def factorised(self, monkeypatch):
+        calls = []
+        original = SymmetricMatrix.negative_definite_ldl
+
+        def counting(matrix, indices=None):
+            calls.append(tuple(indices) if indices is not None else None)
+            return original(matrix, indices)
+
+        monkeypatch.setattr(SymmetricMatrix, "negative_definite_ldl", counting)
+        return calls
+
+    @staticmethod
+    def documents():
+        # a fibre-type triangle and a 0-curve, an interior curve
+        # meeting them and an inner (-2)-chain; then a not-semidefinite
+        # pair, and negative definite parts to contract, whose interior
+        # neighbours G and H also meet the triangle, so they stay off the
+        # inner set on the saturated model
+        curves = {
+            "A0": -2, "A1": -2, "A2": -2, "Z": 0, "I": -2, "J1": -2, "J2": -2,
+            "P": 1, "Q": -2, "E1": -2, "E2": -2, "F": -1, "G": -1, "H": 0,
+        }
+        meetings = [
+            ("A0", "A1"), ("A1", "A2"), ("A0", "A2"), ("I", "A0"), ("J1", "J2"),
+            ("P", "Q"), ("E1", "E2"), ("G", "E1"), ("G", "F"), ("H", "E2"),
+            ("G", "A1"), ("H", "A2"),
+        ]
+        base = ["A0", "A1", "A2", "Z", "I", "J1", "J2"]
+        plus = ["P", "Q"]
+        negative = ["E1", "E2", "F", "G", "H"]
+        for name, names in (
+            ("fibres", base),
+            ("plus", base + plus),
+            ("contract-fibres", base + negative),
+            ("contract-plus", base + plus + negative),
+        ):
+            index = {c: i for i, c in enumerate(names)}
+            yield name, surface(
+                [(c, curves[c]) for c in names],
+                [(index[a], index[b], 1) for a, b in meetings if {a, b} <= set(names)],
+                [c for c in names if c not in ("I", "J1", "J2", "G", "H")],
+            )
+
+    @staticmethod
+    def classification(s):
+        return [
+            tuple(sorted(comp))[:-1]
+            for comp in s.ambient.connected_components(s.boundary)
+        ]
+
+    def expected(self, s, command):
+        calls = self.classification(s)
+        parts = [tuple(sorted(p)) for p in oracle_saturation_partition(s)[0]]
+        if command == "mumford":
+            calls += parts
+        if command in ("affdim", "analyze"):
+            model = s
+            if parts:
+                model = apply_plan(s)
+                calls += parts + self.classification(model)
+            if affinisation_dimension(model).verdict is not AffDim.TWO:
+                inner = _inner_nodes(model)
+                assert model.ambient.gram_on(inner).is_negative_definite()
+                calls.append(tuple(inner))
+        return Counter(calls)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_component_classified_once(
+        self, command, tmp_path, capsys, factorised
+    ):
+        for name, s in self.documents():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(document_to_json(Document(s))))
+            expected = self.expected(s, command)
+            factorised.clear()
+            assert cli_main([command, str(path)]) in (0, 2)
+            capsys.readouterr()
+            assert Counter(factorised) == expected, name
+
+
+class TestInnerFibreBudget:
+    def test_inner_cycle_of_800_under_budget(self):
+        # every proper sub-support of the inner A~_799 cycle is negative
+        # definite, so the drop-one loop ran to its end in O(m^2)
+        m = 800
+        curves = [("B", 0, 1)] + [(f"A{i}", -2) for i in range(m)]
+        inters = [(1 + i, 1 + (i + 1) % m, 1) for i in range(m)]
+        s = surface(curves, inters, ["B"])
+        start = time.perf_counter()
+        report = affinisation_dimension(s)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.2, f"affinisation_dimension took {elapsed:.2f}s"
+        assert report.verdict is AffDim.ONE_OR_ZERO
