@@ -12,10 +12,10 @@ certificates, never inferred.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configuration import Configuration, Divisor
 from .errors import PreconditionError
@@ -34,6 +34,8 @@ class FibreTypeReport:
     subject: frozenset[int]
     verdict: FibreVerdict
     kernel: Optional[Divisor] = None
+    # positive eigenvalues of the Gram; None for a disconnected subject
+    positive: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,9 @@ def classify_fibre_type(
     The verdict distinguishes the three ways the definition can fail:
     disconnected, negative definite, or not negative semidefinite.
 
-    One L D L^T factorisation and one Schur scalar decide it.  Let l be the
-    last node and R the rest.  R is negative definite when the subject is
-    negative definite or of fibre type (Zariski's lemma, Barth-Hulek-Peters-
-    Van de Ven, *Compact Complex Surfaces*, III.8.2); otherwise the subject
-    is not negative semidefinite.  Then x = -M_RR^-1 m_Rl, and the sign of
-    the Schur complement s = m_ll + m_lR x decides: s < 0 negative definite,
-    s > 0 not negative semidefinite, s = 0 fibre type with kernel (x, 1).
+    One elimination of the subject's Gram decides it, by its inertia: a
+    positive eigenvalue means not negative semidefinite, no zero one means
+    negative definite, and otherwise the subject is of fibre type.
     """
     nodes = sorted(set(subject))
     if not nodes:
@@ -99,29 +97,19 @@ def classify_fibre_type(
 def _classify_connected(config: Configuration, nodes: list[int]) -> FibreTypeReport:
     """:func:`classify_fibre_type` on a sorted, nonempty, connected list of
     proper curves, such as a boundary component."""
-    subject_set = frozenset(nodes)
-    *rest, last = nodes
-    factor = config.gram.negative_definite_ldl(rest)
-    if factor is None:
-        return FibreTypeReport(subject_set, FibreVerdict.NOT_SEMIDEFINITE)
-    position = {node: p for p, node in enumerate(rest)}
-    column = {
-        position[j]: m
-        for j, m in config.gram.off_diagonal(last).items()
-        if j in position
-    }
-    x = factor.solve([-column.get(p, Fraction(0)) for p in range(len(rest))])
-    schur = config.gram.entry(last, last) + sum(m * x[p] for p, m in column.items())
-    if schur < 0:
-        return FibreTypeReport(subject_set, FibreVerdict.NEGATIVE_DEFINITE)
-    if schur > 0:
-        return FibreTypeReport(subject_set, FibreVerdict.NOT_SEMIDEFINITE)
-    # The Gram M of a connected subject has off-diagonal entries >= 0, so
-    # by Perron-Frobenius (applied to M + cI) the kernel of a negative
-    # semidefinite M is a line spanned by a strictly positive vector;
-    # zariski_report relies on that.
-    kernel = Divisor(dict(zip(nodes, _primitive_integral([*x, Fraction(1)]))))
-    return FibreTypeReport(subject_set, FibreVerdict.FIBRE_TYPE, kernel)
+    subject = frozenset(nodes)
+    factor = config.gram.ldl(nodes)
+    plus, _, zero = factor.inertia
+    if plus:
+        return FibreTypeReport(subject, FibreVerdict.NOT_SEMIDEFINITE, positive=plus)
+    if not zero:
+        return FibreTypeReport(subject, FibreVerdict.NEGATIVE_DEFINITE, positive=0)
+    # Negative semidefinite and singular, so by Perron-Frobenius (the
+    # off-diagonal entries are >= 0) the kernel is a line spanned by a
+    # positive vector, and every proper sub-support is negative definite
+    # (Zariski's lemma, see validate_zariski): only the last pivot is zero.
+    kernel = Divisor(dict(zip(nodes, _primitive_integral(factor.null_vector()))))
+    return FibreTypeReport(subject, FibreVerdict.FIBRE_TYPE, kernel, positive=0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +122,7 @@ class ZariskiViolation:
 class ZariskiReport:
     """``status`` is "ok" for a fibre-type subject: its kernel is a line and,
     by Zariski's lemma, its proper sub-supports are negative definite (see
-    :func:`zariski_report`); otherwise "violations", naming the failed
+    :func:`validate_zariski`); otherwise "violations", naming the failed
     fibre-type condition."""
 
     status: str  # "ok" | "violations"
@@ -142,9 +130,12 @@ class ZariskiReport:
     note: str = ""
 
 
-def zariski_report(report: FibreTypeReport) -> ZariskiReport:
-    """Zariski's lemma (Barth-Hulek-Peters-Van de Ven, *Compact Complex
-    Surfaces*, III.8.2) read off a classification, enumerating nothing."""
+def validate_zariski(config: Configuration, subject: Iterable[int]) -> ZariskiReport:
+    """Check that every nonempty proper sub-support of ``subject`` is
+    negative definite and its kernel is a line: Zariski's lemma (Barth-
+    Hulek-Peters-Van de Ven, *Compact Complex Surfaces*, III.8.2) read off
+    one classification, enumerating nothing."""
+    report = classify_fibre_type(config, subject)
     if report.verdict is not FibreVerdict.FIBRE_TYPE:
         return ZariskiReport(
             status="violations",
@@ -162,13 +153,6 @@ def zariski_report(report: FibreTypeReport) -> ZariskiReport:
     # M w = 0, so w is a multiple of the full-support kernel vector, which
     # is impossible because S is proper.
     return ZariskiReport(status="ok")
-
-
-def validate_zariski(config: Configuration, subject: Iterable[int]) -> ZariskiReport:
-    """Check that every nonempty proper sub-support of ``subject`` is
-    negative definite and its kernel is a line: one classification, since
-    both follow from fibre type (see :func:`zariski_report`)."""
-    return zariski_report(classify_fibre_type(config, subject))
 
 
 def _kernel_ratio(
@@ -316,9 +300,21 @@ def validate_false_fibre_claims(
     a disjoint triple proves the input inconsistent.  Claims sharing a
     subject count once.
     """
+    return _check_claims(claims, config, {})
+
+
+def _check_claims(
+    claims: Sequence[FalseFibreClaim],
+    config: Configuration,
+    reports: Mapping[frozenset[int], FibreTypeReport],
+) -> ClaimsReport:
+    """:func:`validate_false_fibre_claims`, reading the report of a subject
+    in ``reports`` instead of classifying it again."""
     unique: dict[frozenset[int], FalseFibreClaim] = {}
     for claim in claims:
-        report = classify_fibre_type(config, claim.subject)
+        report = reports.get(claim.subject) or classify_fibre_type(
+            config, claim.subject
+        )
         if report.verdict is not FibreVerdict.FIBRE_TYPE:
             raise PreconditionError(
                 f"false-fibre claim on {config.names(claim.subject)} is "

@@ -6,10 +6,11 @@ definiteness) are made by symmetric elimination over Q.
 
 Intersection matrices of curve configurations are sparse, so a matrix keeps
 its diagonal and, per row, only the nonzero off-diagonal entries.  Building
-one from entries, taking a principal block, the inertia elimination and the
-L D L^T factorisation walk those entries; the dense ``rows`` view is built
-only when asked for (by ``repr``, by the Gauss-Jordan ``solve`` and
-``kernel_basis``, which no verdict uses, and by callers).
+one from entries, taking a principal block and the one elimination,
+:meth:`SymmetricMatrix.ldl`, walk those entries; its inertia, L D L^T factor
+and kernel vector answer every definiteness question.  The dense ``rows``
+view is built only when asked for (by ``repr``, by the Gauss-Jordan
+``solve`` and ``kernel_basis``, which no verdict uses, and by callers).
 """
 
 from __future__ import annotations
@@ -294,99 +295,90 @@ class SymmetricMatrix:
             y[pc] = rows[pr][self.n]
         return self.apply(y)
 
-    def negative_definite_ldl(
-        self, indices: Optional[Sequence[int]] = None
-    ) -> Optional["LDL"]:
-        """Factorise the principal block on ``indices`` (default: all, in
-        order) as L D L^T without pivoting, or return ``None`` when the block
-        is not negative definite.
+    def ldl(self, indices: Optional[Sequence[int]] = None) -> "LDL":
+        """Eliminate the principal block on ``indices`` (default: all, in
+        order), updating only nonzero entries, so a chain has no fill.
 
-        Zero entries are skipped, so a chain eliminates with no fill.  By
-        Sylvester's criterion the block is negative definite exactly when
-        every pivot is negative, so the elimination stops at the first
-        pivot >= 0.
+        The inertia does not depend on the pivot order (Sylvester's law), so
+        position p is eliminated in order: on itself if its diagonal entry
+        is nonzero, else after a neighbour with a nonzero one, else with its
+        first neighbour as a hyperbolic 2x2 block [[0,t],[t,0]], which
+        contributes (1,1,0).  A zero row is a zero eigenvalue no later step
+        changes.  While every step is an in-order pivot or zero row, its
+        multipliers and pivot are recorded as L and D; a negative definite
+        block records them all (Sylvester's criterion).
         """
         idx = list(range(self.n)) if indices is None else list(indices)
         for i in idx:
             if not 0 <= i < self.n:
                 raise InputError(f"index {i} out of range for n={self.n}")
         position = {node: p for p, node in enumerate(idx)}
-        diag = [self._diag[node] for node in idx]
-        upper: list[dict[int, Fraction]] = []
-        for p, node in enumerate(idx):
-            row = {}
-            for j, x in self._off[node].items():
-                q = position.get(j)
-                if q is not None and q > p:
-                    row[q] = x
-            upper.append(row)
-        lower = []
-        for p, d in enumerate(diag):
-            if d >= 0:
-                return None
-            col = sorted(upper[p].items())
-            multipliers = []
-            for a, (q, v) in enumerate(col):
-                l = v / d
-                multipliers.append((q, l))
-                diag[q] -= l * v
-                row_q = upper[q]
-                for r, w in col[a + 1:]:
-                    value = row_q.get(r, 0) - l * w
-                    if value:
-                        row_q[r] = value
-                    else:
-                        row_q.pop(r, None)
-            lower.append(tuple(multipliers))
-        return LDL(tuple(idx), tuple(lower), tuple(diag))
-
-    def inertia(self) -> tuple[int, int, int]:
-        """Counts of (positive, negative, zero) eigenvalues.
-
-        Computed by exact sparse symmetric elimination (Sylvester's law of
-        inertia), updating only nonzero entries.  The counts do not depend on
-        the pivot order, so row i is eliminated in index order: on itself if
-        its diagonal entry is nonzero, else after a neighbour with a nonzero
-        one, else with its first neighbour as a hyperbolic 2x2 block
-        [[0,t],[t,0]], which contributes (1,1,0).  A zero row is a zero
-        eigenvalue that no later step changes.
-        """
-        diag = dict(enumerate(self._diag))
-        off = {i: dict(row) for i, row in enumerate(self._off)}
+        diag = {p: self._diag[node] for p, node in enumerate(idx)}
+        off = {
+            p: {position[j]: x for j, x in self._off[node].items() if j in position}
+            for p, node in enumerate(idx)
+        }
+        lower: list[tuple[tuple[int, Fraction], ...]] = []
+        pivots: list[Fraction] = []
+        in_order = True
         plus = minus = 0
-        for i0 in range(self.n):
-            while i0 in diag:
-                pivot = i0 if diag[i0] else next((j for j in off[i0] if diag[j]), None)
+        for p0 in range(len(idx)):
+            while p0 in diag:
+                pivot = p0 if diag[p0] else next((q for q in off[p0] if diag[q]), None)
                 if pivot is not None:
                     d = diag.pop(pivot)
                     if d > 0:
                         plus += 1
                     else:
                         minus += 1
-                    col = list(_detach(off, pivot).items())
-                    for a, (i, u) in enumerate(col):
-                        diag[i] -= u * u / d
-                        for j, w in col[a + 1:]:
-                            _add_off(off, i, j, -u * w / d)
+                    col = sorted(_detach(off, pivot).items())
+                    multipliers = [(q, u / d) for q, u in col]
+                    for a, (q, l) in enumerate(multipliers):
+                        diag[q] -= l * col[a][1]
+                        for r, w in col[a + 1:]:
+                            _sub_off(off, q, r, l * w)
+                    in_order = in_order and pivot == p0
+                    if in_order:
+                        lower.append(tuple(multipliers))
+                        pivots.append(d)
                     continue
-                del diag[i0]
-                if not off[i0]:
+                del diag[p0]
+                if not off[p0]:
+                    if in_order:
+                        lower.append(())
+                        pivots.append(_ZERO)
                     break
-                j0, t = next(iter(off[i0].items()))
-                del diag[j0]
+                in_order = False
+                q0, t = next(iter(off[p0].items()))
+                del diag[q0]
                 plus += 1
                 minus += 1
-                ui = _detach(off, i0)
-                del ui[j0]
-                uj = _detach(off, j0)
-                rest = list(ui | uj)
+                up = _detach(off, p0)
+                del up[q0]
+                uq = _detach(off, q0)
+                rest = list(up | uq)
                 for a, r in enumerate(rest):
-                    ur, vr = ui.get(r, _ZERO), uj.get(r, _ZERO)
+                    ur, vr = up.get(r, _ZERO), uq.get(r, _ZERO)
                     diag[r] -= 2 * ur * vr / t
                     for s in rest[a + 1:]:
-                        us, vs = ui.get(s, _ZERO), uj.get(s, _ZERO)
-                        _add_off(off, r, s, -(ur * vs + vr * us) / t)
-        return (plus, minus, self.n - plus - minus)
+                        us, vs = up.get(s, _ZERO), uq.get(s, _ZERO)
+                        _sub_off(off, r, s, (ur * vs + vr * us) / t)
+        return LDL(
+            tuple(idx), tuple(lower), tuple(pivots),
+            (plus, minus, len(idx) - plus - minus),
+        )
+
+    def negative_definite_ldl(
+        self, indices: Optional[Sequence[int]] = None
+    ) -> Optional["LDL"]:
+        """The :meth:`ldl` factor of the principal block on ``indices``, or
+        ``None`` when the block is not negative definite."""
+        factor = self.ldl(indices)
+        return factor if factor.inertia[1] == len(factor.order) else None
+
+    def inertia(self) -> tuple[int, int, int]:
+        """Counts of (positive, negative, zero) eigenvalues, by :meth:`ldl`."""
+        return self.ldl().inertia
 
     def is_negative_definite(self) -> bool:
         """True iff all eigenvalues are negative, read off the L D L^T
@@ -403,12 +395,12 @@ def _detach(off: dict[int, dict[int, Fraction]], i: int) -> dict[int, Fraction]:
     return row
 
 
-def _add_off(off: dict[int, dict[int, Fraction]], i: int, j: int, value) -> None:
-    """Add ``value`` to the off-diagonal entry (i, j) and its mirror,
+def _sub_off(off: dict[int, dict[int, Fraction]], i: int, j: int, value) -> None:
+    """Subtract ``value`` from the off-diagonal entry (i, j) and its mirror,
     dropping the entry when it becomes zero."""
     if not value:
         return
-    total = off[i].get(j, _ZERO) + value
+    total = off[i].get(j, _ZERO) - value
     if total:
         off[i][j] = off[j][i] = total
     else:
@@ -417,17 +409,19 @@ def _add_off(off: dict[int, dict[int, Fraction]], i: int, j: int, value) -> None
 
 @dataclass(frozen=True)
 class LDL:
-    """M = L D L^T of a negative definite block, from
-    :meth:`SymmetricMatrix.negative_definite_ldl`.
+    """The elimination of a principal block, from :meth:`SymmetricMatrix.ldl`.
 
-    ``order`` lists the factorised indices; right-hand sides and solutions
-    are indexed by position in it.  ``lower[p]`` holds the nonzero
-    multipliers (q, L[q][p]) below pivot p, ``diag`` the pivots.
+    ``order`` lists the block's indices; right-hand sides and solutions are
+    indexed by position in it.  ``inertia`` counts the block's (positive,
+    negative, zero) eigenvalues.  ``lower[p]`` holds the nonzero multipliers
+    (q, L[q][p]) below pivot p and ``diag`` the pivots, for the steps taken
+    in order; when they cover every position, M = L D L^T.
     """
 
     order: tuple[int, ...]
     lower: tuple[tuple[tuple[int, Fraction], ...], ...]
     diag: tuple[Fraction, ...]
+    inertia: tuple[int, int, int]
 
     def solve(self, rhs: Sequence[Fraction]) -> list[Fraction]:
         """The unique x with M x = rhs, by forward and back substitution."""
@@ -446,4 +440,14 @@ class LDL:
                 if x[q]:
                     total -= l * x[q]
             x[p] = total
+        return x
+
+    def null_vector(self) -> list[Fraction]:
+        """The x with L^T x = e_last, by back substitution.  When the factor
+        is complete and its last pivot is its only zero one, M x = L D e_last
+        = 0, so x spans the kernel."""
+        x = [_ZERO] * len(self.order)
+        x[-1] = Fraction(1)
+        for p in range(len(x) - 2, -1, -1):
+            x[p] = -sum((l * x[q] for q, l in self.lower[p]), _ZERO)
         return x

@@ -16,7 +16,7 @@ fibre witness.  Everything else is reported honestly as one-or-zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, Optional
@@ -27,9 +27,8 @@ from .fibres import (
     FalseFibreClaim,
     FibreTypeReport,
     FibreVerdict,
+    _check_claims,
     _classify_connected,
-    classify_fibre_type,
-    validate_false_fibre_claims,
 )
 from .mumford import ContractedConfiguration, contract
 
@@ -164,13 +163,10 @@ def apply_plan(
     if not plan.d_minus:
         if surface.isolated_boundary_points == 0:
             return surface
-        return CompactifiedSurface(
-            ambient=surface.ambient,
-            boundary=surface.boundary,
-            isolated_boundary_points=0,
-            false_fibre_claims=surface.false_fibre_claims,
-            fibration_asserted=surface.fibration_asserted,
-        )
+        saturated = replace(surface, isolated_boundary_points=0)
+        # the same curves and boundary, hence the same record
+        saturated.__dict__["component_reports"] = surface.component_reports
+        return saturated
     _reject_contracted_claims(surface, plan.d_minus)
     contracted: ContractedConfiguration = contract(surface.ambient, plan.d_minus)
     removed = frozenset().union(*plan.d_minus)
@@ -252,22 +248,31 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     Not-negative-definiteness is inherited by supersets, so two different
     such divisors exist iff some proper subset of the inner curve set fails
     to be negative definite; dropping one curve at a time covers all cases.
-    Every principal block of a negative definite matrix is negative
-    definite, so one factorisation of the whole inner block settles that
-    case first; every proper sub-support of a fibre-type set is negative
-    definite (Zariski's lemma), so one classification settles that case
-    next.
+    The inner Gram is block diagonal over its connected components, so
+    dropping i leaves a block that is not negative definite iff another
+    component is not negative definite, or i's own component C is not
+    semidefinite and C - {i} is not negative definite.  One elimination per
+    component decides all but the last test: dropping a curve of a negative
+    definite or fibre-type C leaves it negative definite (Zariski's lemma),
+    and when C has two or more eigenvalues >= 0, dropping any curve leaves
+    one (Cauchy interlacing).
     """
     inner = _inner_nodes(surface)
-    if surface.ambient.gram.negative_definite_ldl(inner) is not None:
+    gram = surface.ambient.gram
+    loose = []  # the components that are not negative definite
+    for comp in surface.ambient.connected_components(inner):
+        plus, minus, zero = gram.ldl(sorted(comp)).inertia
+        if minus < len(comp):
+            loose.append((comp, plus, zero))
+    if not loose:
         return None
-    report = classify_fibre_type(surface.ambient, inner)
-    if report.verdict is FibreVerdict.FIBRE_TYPE:
-        return None
+    comp, plus, zero = loose[0]
     for drop in inner:
-        rest = [i for i in inner if i != drop]
-        if rest and not surface.ambient.gram_on(rest).is_negative_definite():
-            names = surface.ambient.names(rest)
+        if (
+            len(loose) > 1 or drop not in comp or plus + zero > 1
+            or (plus and gram.negative_definite_ldl(sorted(comp - {drop})) is None)
+        ):
+            names = surface.ambient.names([i for i in inner if i != drop])
             return (
                 f"supplied interior curves contain two different divisors "
                 f"that are not negative definite (e.g. {names} and all inner "
@@ -295,15 +300,10 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
             AffDim.ZERO,
             (("proper-surface", "empty boundary: only constant functions"),),
         )
-    # The boundary Gram is block diagonal over the components, and on a
-    # saturated boundary each one is of fibre type (no positive direction)
-    # or not negative semidefinite, so only the latter add to the count.
+    # The boundary Gram is block diagonal over the components, so its
+    # positive count is the sum of theirs, read off the record.
     components = surface.boundary_components()
-    plus = sum(
-        surface.ambient.gram_on(report.subject).inertia()[0]
-        for report in surface.component_reports
-        if report.verdict is not FibreVerdict.FIBRE_TYPE
-    )
+    plus = sum(report.positive for report in surface.component_reports)
     if plus > 0:
         return AffDimReport(
             AffDim.TWO,
@@ -319,8 +319,10 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
         f"every boundary component ({len(components)}) is of fibre type",
     )
 
-    claims_check = validate_false_fibre_claims(
-        surface.false_fibre_claims, surface.ambient
+    claims_check = _check_claims(
+        surface.false_fibre_claims,
+        surface.ambient,
+        {report.subject: report for report in surface.component_reports},
     )
     if not claims_check.ok:
         triple = claims_check.disjoint_triple

@@ -9,14 +9,17 @@ addition.  Dense-row oracles read adjacency, disjointness, principal
 blocks and the second-fibre witness off the dense Gram view, which the
 package's sparse storage only builds on request.  The Zariski oracle is
 the exhaustive sub-support enumeration the package replaced by the kernel
-certificate, the fibre-type oracle is the dense inertia and Gauss-Jordan
-kernel the package replaced by one L D L^T and one Schur scalar, and the
-contraction oracle is the per-pullback Gauss-Jordan solve the package
-replaced by one L D L^T factorisation per component.  ``dense_inertia``,
-``oracle_solve`` and ``oracle_kernel_basis`` are the package's former
-eliminations on the dense rows, and the saturation oracle is the
-per-reader negative definiteness loop the package replaced by one
-classification per boundary component.
+certificate.  The fibre-type oracles are the dense inertia and
+Gauss-Jordan kernel and, after it, the L D L^T of all but the last node
+with one Schur scalar; one elimination of the whole subject replaced
+both.  ``oracle_negative_definite_ldl`` is the stand-alone factorisation
+the package folded into that elimination, and the contraction oracle is
+the per-pullback Gauss-Jordan solve the package replaced by one L D L^T
+factorisation per component.  ``dense_inertia``, ``oracle_solve`` and
+``oracle_kernel_basis`` are the package's former eliminations on the
+dense rows, and the saturation oracle is the per-reader negative
+definiteness loop the package replaced by one classification per
+boundary component.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from surfsat import (
     Configuration,
     Divisor,
     ECPoint,
+    FibreTypeReport,
     FibreVerdict,
     SymmetricMatrix,
     TorsionStatus,
@@ -486,7 +490,7 @@ def oracle_contract(config: Configuration, exceptional):
 def oracle_classify_fibre_type(config: Configuration, subject):
     """Fibre type by the dense inertia of the whole subject and, when it is
     singular, the Gauss-Jordan kernel basis: the verdict and kernel the
-    package now reads off one factorisation and one Schur scalar.  Returns
+    package now reads off one elimination of the subject.  Returns
     (verdict, kernel vector in sorted node order or None, kernel
     dimension)."""
     nodes = sorted(set(subject))
@@ -500,6 +504,79 @@ def oracle_classify_fibre_type(config: Configuration, subject):
         return FibreVerdict.NEGATIVE_DEFINITE, None, None
     basis = oracle_kernel_basis(gram)
     return FibreVerdict.FIBRE_TYPE, basis[0], len(basis)
+
+
+def oracle_negative_definite_ldl(matrix: SymmetricMatrix, indices=None):
+    """The package's former negative definite factorisation: L D L^T of the
+    principal block on ``indices`` without pivoting, on the upper triangle
+    only, stopping at the first pivot >= 0.  Returns (order, lower, diag)
+    in the layout of ``LDL``, or ``None`` when the block is not negative
+    definite."""
+    idx = list(range(matrix.n)) if indices is None else list(indices)
+    position = {node: p for p, node in enumerate(idx)}
+    diag = [matrix.entry(node, node) for node in idx]
+    upper = []
+    for p, node in enumerate(idx):
+        row = {}
+        for j, x in matrix.off_diagonal(node).items():
+            q = position.get(j)
+            if q is not None and q > p:
+                row[q] = x
+        upper.append(row)
+    lower = []
+    for p, d in enumerate(diag):
+        if d >= 0:
+            return None
+        col = sorted(upper[p].items())
+        multipliers = []
+        for a, (q, v) in enumerate(col):
+            l = v / d
+            multipliers.append((q, l))
+            diag[q] -= l * v
+            row_q = upper[q]
+            for r, w in col[a + 1:]:
+                value = row_q.get(r, 0) - l * w
+                if value:
+                    row_q[r] = value
+                else:
+                    row_q.pop(r, None)
+        lower.append(tuple(multipliers))
+    return tuple(idx), tuple(lower), tuple(diag)
+
+
+def _oracle_ldl_solve(lower, diag, rhs):
+    """Forward substitution, the pivots, back substitution."""
+    x = list(rhs)
+    for p, column in enumerate(lower):
+        for q, l in column:
+            x[q] -= l * x[p]
+    x = [v / d for v, d in zip(x, diag)]
+    for p in range(len(x) - 1, -1, -1):
+        x[p] -= sum((l * x[q] for q, l in lower[p]), Fraction(0))
+    return x
+
+
+def oracle_classify_connected(config: Configuration, nodes) -> FibreTypeReport:
+    """The package's former classification of a sorted, connected node
+    list: one L D L^T of the nodes minus the last, ``R``, and one Schur
+    scalar.  R is negative definite unless the subject is not negative
+    semidefinite (Zariski's lemma); then x = -M_RR^-1 m_Rl, and the sign of
+    s = m_ll + m_lR x decides, with kernel (x, 1) when s = 0."""
+    subject = frozenset(nodes)
+    *rest, last = nodes
+    factor = oracle_negative_definite_ldl(config.gram, rest)
+    if factor is None:
+        return FibreTypeReport(subject, FibreVerdict.NOT_SEMIDEFINITE)
+    _, lower, diag = factor
+    column = [config.gram.entry(i, last) for i in rest]
+    x = _oracle_ldl_solve(lower, diag, [-m for m in column])
+    schur = config.gram.entry(last, last) + sum(m * v for m, v in zip(column, x))
+    if schur < 0:
+        return FibreTypeReport(subject, FibreVerdict.NEGATIVE_DEFINITE)
+    if schur > 0:
+        return FibreTypeReport(subject, FibreVerdict.NOT_SEMIDEFINITE)
+    kernel = Divisor(dict(zip(nodes, _primitive_integral([*x, Fraction(1)]))))
+    return FibreTypeReport(subject, FibreVerdict.FIBRE_TYPE, kernel)
 
 
 # -- saturation oracle ---------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,14 @@ from surfsat.saturation import CompactifiedSurface, _second_fibre_witness
 from support import (
     dense_adjacent,
     dense_disjoint,
+    dense_inertia,
     dense_restrict,
     extended_dynkin,
     oracle_components,
     oracle_second_fibre_witness,
     random_configuration,
     random_contraction_setup,
+    random_negative_definite_configuration,
     tree,
 )
 
@@ -329,6 +332,69 @@ class TestNeighbourQueries:
             assert got == oracle_second_fibre_witness(surface)
             witnessed += got is not None
         assert 30 < witnessed < 120
+
+    def test_second_fibre_witness_on_disconnected_inner_sets(self):
+        # one to four inner blocks, each negative definite, of fibre type or
+        # random, beside a boundary curve that meets none of them; the
+        # package decides per component, the oracle drops every inner curve
+        rng = random.Random(131)
+        shapes = extended_dynkin() + [tree((1, 1, 1, 1))]
+        cases = Counter()
+        for _ in range(400):
+            blocks = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    blocks.append(rng.choice(shapes))
+                elif kind == 1:
+                    blocks.append(
+                        random_negative_definite_configuration(rng, rng.randint(1, 4))
+                    )
+                else:
+                    blocks.append(
+                        random_configuration(
+                            rng, rng.randint(1, 5), diag_lo=-2, diag_hi=1, edge_hi=1
+                        )
+                    )
+            curves, inters = [("B", 0, 1)], []
+            for block in blocks:
+                base = len(curves)
+                curves += [
+                    (f"N{base + i}", block.gram.entry(i, i)) for i in range(block.n)
+                ]
+                inters += [
+                    (base + i, base + j, x)
+                    for i in range(block.n)
+                    for j, x in block.gram.off_diagonal(i).items()
+                    if i < j
+                ]
+            order = list(range(len(curves)))
+            rng.shuffle(order)
+            new_id = {old: new for new, old in enumerate(order)}
+            config = Configuration.build(
+                [curves[old] for old in order],
+                [(new_id[i], new_id[j], x) for i, j, x in inters],
+            )
+            surface = CompactifiedSurface(ambient=config, boundary={new_id[0]})
+            got = _second_fibre_witness(surface)
+            assert got == oracle_second_fibre_witness(surface)
+            inner = sorted(set(range(config.n)) - {new_id[0]})
+            loose = [
+                dense_inertia(SymmetricMatrix(dense_restrict(config.gram, sorted(c))))
+                for c in oracle_components(config, inner)
+            ]
+            loose = [(p, z) for p, m, z in loose if p or z]
+            if len(loose) == 1:
+                cases[loose[0][:1] + (min(sum(loose[0]), 2), got is not None)] += 1
+            else:
+                cases[min(len(loose), 2)] += 1
+        # no, or two or more components that are not negative definite; or
+        # one, of fibre type, with two or more eigenvalues >= 0, or with one
+        # positive eigenvalue, each with and without a witness where possible
+        assert {
+            0, 2, (0, 1, False), (0, 1, True), (1, 2, True), (2, 2, True),
+            (1, 1, True), (1, 1, False),
+        } <= set(cases), cases
 
 
 class TestValidationMessages:

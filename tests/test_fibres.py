@@ -26,11 +26,14 @@ from surfsat import (
     validate_false_fibre_claims,
     validate_zariski,
 )
+from surfsat.linalg import LDL
 
 from support import (
     cycle,
     d_tilde,
+    dense_inertia,
     extended_dynkin,
+    oracle_classify_connected,
     oracle_classify_fibre_type,
     oracle_validate_zariski,
     random_configuration,
@@ -393,8 +396,9 @@ def random_rational_configuration(rng, n):
 
 
 class TestClassifyAgainstOracle:
-    """One L D L^T and one Schur scalar against the dense inertia and the
-    Gauss-Jordan kernel they replaced."""
+    """One elimination of the subject against the dense inertia and the
+    Gauss-Jordan kernel, and against the L D L^T of all but the last node
+    and the Schur scalar that it replaced."""
 
     def agree(self, config, subject):
         report = classify_fibre_type(config, subject)
@@ -428,6 +432,27 @@ class TestClassifyAgainstOracle:
             FibreVerdict.NEGATIVE_DEFINITE,
             FibreVerdict.NOT_SEMIDEFINITE,
         }
+
+    def test_positive_count_and_schur_scalar_on_every_subject(self):
+        rng = random.Random(139)
+        positives = set()
+        for k in range(80):
+            n = rng.randint(1, 7)
+            if k % 4 == 3:
+                config = random_rational_configuration(rng, n)
+            else:
+                config = random_configuration(rng, n, diag_hi=rng.choice((-1, 1, 3)))
+            for size in range(1, n + 1):
+                for subject in itertools.combinations(range(n), size):
+                    report = classify_fibre_type(config, subject)
+                    if not config.is_connected(subject):
+                        assert report.positive is None
+                        continue
+                    plus = dense_inertia(config.gram_on(subject))[0]
+                    assert report.positive == plus
+                    assert report == oracle_classify_connected(config, list(subject))
+                    positives.add(plus)
+        assert {0, 1, 2, 3} <= positives
 
     def test_rational_grams(self):
         rng = random.Random(103)
@@ -512,14 +537,22 @@ class TestClassifyAgainstOracle:
 class TestClassifyCost:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Calls of the factorisation, the eliminations and the dense view."""
-        calls = {"ldl": 0, "inertia": 0, "kernel_basis": 0, "solve": 0, "rows": 0}
-        ldl = SymmetricMatrix.negative_definite_ldl
+        """Calls of the elimination, the solves and the dense view."""
+        calls = {
+            "ldl": 0, "inertia": 0, "kernel_basis": 0, "solve": 0, "rows": 0,
+            "ldl_solve": 0,
+        }
+        ldl = SymmetricMatrix.ldl
+        ldl_solve = LDL.solve
         rows = SymmetricMatrix.rows
 
         def counting_ldl(matrix, indices=None):
             calls["ldl"] += 1
             return ldl(matrix, indices)
+
+        def counting_ldl_solve(factor, rhs):
+            calls["ldl_solve"] += 1
+            return ldl_solve(factor, rhs)
 
         def counting(name):
             original = getattr(SymmetricMatrix, name)
@@ -534,7 +567,8 @@ class TestClassifyCost:
             calls["rows"] += 1
             return rows.fget(matrix)
 
-        monkeypatch.setattr(SymmetricMatrix, "negative_definite_ldl", counting_ldl)
+        monkeypatch.setattr(SymmetricMatrix, "ldl", counting_ldl)
+        monkeypatch.setattr(LDL, "solve", counting_ldl_solve)
         for name in ("inertia", "kernel_basis", "solve"):
             monkeypatch.setattr(SymmetricMatrix, name, counting(name))
         monkeypatch.setattr(SymmetricMatrix, "rows", property(counting_rows))
@@ -551,7 +585,8 @@ class TestClassifyCost:
                     counts[key] = 0
                 classify_fibre_type(config, comp)
                 assert counts == {
-                    "ldl": 1, "inertia": 0, "kernel_basis": 0, "solve": 0, "rows": 0
+                    "ldl": 1, "inertia": 0, "kernel_basis": 0, "solve": 0, "rows": 0,
+                    "ldl_solve": 0,
                 }
 
     def test_long_cycle_under_budget(self):

@@ -1,0 +1,30 @@
+"""The runtime stays stdlib-only: every import in the package is relative
+or names a standard-library module."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "surfsat"
+
+
+def test_package_modules_are_found():
+    assert (PACKAGE / "__init__.py").is_file()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_relative_or_stdlib(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        top = [name.partition(".")[0] for name in names]
+        outside += [name for name in top if name not in sys.stdlib_module_names]
+    assert outside == [], f"{path.name} imports non-stdlib modules {outside}"

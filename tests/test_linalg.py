@@ -15,6 +15,7 @@ from support import (
     oracle_inertia_leading_minors,
     oracle_negative_definite_fast,
     oracle_kernel_basis,
+    oracle_negative_definite_ldl,
     oracle_negative_semidefinite,
     oracle_solve,
     random_negative_definite_configuration,
@@ -320,6 +321,118 @@ class TestNegativeDefiniteLDL:
         expected = m.restrict([2, 0]).negative_definite_ldl()
         assert (factor.lower, factor.diag) == (expected.lower, expected.diag)
         assert m.negative_definite_ldl() is None
+
+
+def random_block(rng):
+    """A matrix and a principal block of it: rational, mostly zero on the
+    diagonal, or negative definite by diagonal dominance with rational
+    entries of both signs; the block is everything in order, a
+    permutation or a shuffled subset."""
+    n = rng.randint(1, 8)
+    kind = rng.randrange(3)
+    if kind == 0:
+        m = random_symmetric_rational(rng, n)
+    else:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    rows[i][j] = rows[j][i] = value
+        for i in range(n):
+            if kind == 1:
+                if rng.random() < 0.3:
+                    rows[i][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            else:
+                dominance = sum(abs(x) for x in rows[i])
+                rows[i][i] = -dominance - Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        m = SymmetricMatrix(rows)
+    shape = rng.randrange(3)
+    if shape == 0:
+        return m, None
+    idx = list(range(n)) if shape == 1 else rng.sample(range(n), rng.randint(0, n))
+    rng.shuffle(idx)
+    return m, idx
+
+
+class TestOneElimination:
+    """``ldl`` on principal blocks against the dense elimination and the
+    stand-alone negative definite factorisation it replaced."""
+
+    def test_matches_dense_inertia_and_former_factor(self):
+        rng = random.Random(137)
+        definite = complete_indefinite = 0
+        for _ in range(900):
+            m, idx = random_block(rng)
+            order = tuple(range(m.n)) if idx is None else tuple(idx)
+            block = dense_restrict(m, order)
+            factor = m.ldl(idx)
+            assert factor.order == order
+            assert factor.inertia == dense_inertia(SymmetricMatrix(block))
+            former = oracle_negative_definite_ldl(m, idx)
+            assert (former is not None) == (factor.inertia[1] == len(order))
+            if former is not None:
+                definite += 1
+                assert (factor.order, factor.lower, factor.diag) == former
+                assert m.negative_definite_ldl(idx) == factor
+            else:
+                assert m.negative_definite_ldl(idx) is None
+            if len(factor.diag) == len(order):
+                # a complete record is a factorisation of the block
+                complete_indefinite += former is None
+                k = len(order)
+                lower = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+                for p, column in enumerate(factor.lower):
+                    for q, l in column:
+                        lower[q][p] = l
+                diag = factor.diag
+                product = tuple(
+                    tuple(
+                        sum(lower[i][p] * diag[p] * lower[j][p] for p in range(k))
+                        for j in range(k)
+                    )
+                    for i in range(k)
+                )
+                assert product == block
+        assert definite > 250 and complete_indefinite > 100
+
+    def test_inertia_and_definiteness_read_the_elimination(self):
+        m = SymmetricMatrix([[-2, 1, 0], [1, 0, 1], [0, 1, 3]])
+        factor = m.ldl()
+        assert m.inertia() == factor.inertia == (2, 1, 0)
+        assert len(factor.diag) == 3
+        assert m.negative_definite_ldl() is None
+        assert m.ldl([0]).inertia == (0, 1, 0)
+        assert m.negative_definite_ldl([0]) == m.ldl([0])
+
+    def test_record_stops_at_first_step_out_of_order(self):
+        # row 0 pivots after its neighbour 1: nothing is recorded
+        m = SymmetricMatrix([[0, 1, 0], [1, -1, 0], [0, 0, -2]])
+        factor = m.ldl()
+        assert factor.inertia == (1, 2, 0)
+        assert factor.lower == () and factor.diag == ()
+        # a zero row in order is a zero pivot with no multipliers
+        m = SymmetricMatrix([[-1, 0, 0], [0, 0, 0], [0, 0, 4]])
+        factor = m.ldl()
+        assert factor.inertia == (1, 1, 1)
+        assert factor.diag == (-1, 0, 4)
+        assert factor.lower == ((), (), ())
+
+    def test_null_vector_spans_the_kernel_of_a_fibre_block(self):
+        # an extended D4 with the centre first: kernel (2, 1, 1, 1, 1)
+        m = SymmetricMatrix.from_entries(
+            [-2] * 5, [(0, j, 1) for j in range(1, 5)]
+        )
+        factor = m.ldl()
+        assert factor.inertia == (0, 4, 1)
+        x = factor.null_vector()
+        assert x == [2, 1, 1, 1, 1]
+        assert m.apply(x) == (0,) * 5
+        assert factor.diag[-1] == 0 and all(d < 0 for d in factor.diag[:-1])
+
+    def test_index_out_of_range(self):
+        with pytest.raises(InputError, match="out of range"):
+            SymmetricMatrix([[1]]).ldl([1])
 
 
 class TestRationals:

@@ -350,13 +350,13 @@ class TestOneFactorisation:
     def factorised(self, monkeypatch):
         """Indices of every L D L^T factorisation made while the test runs."""
         calls = []
-        original = SymmetricMatrix.negative_definite_ldl
+        original = SymmetricMatrix.ldl
 
         def counting(matrix, indices=None):
             calls.append(tuple(indices) if indices is not None else None)
             return original(matrix, indices)
 
-        monkeypatch.setattr(SymmetricMatrix, "negative_definite_ldl", counting)
+        monkeypatch.setattr(SymmetricMatrix, "ldl", counting)
         return calls
 
     def test_each_component_once_per_contract(self, factorised):

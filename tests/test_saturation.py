@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -482,21 +483,24 @@ class TestComponentReports:
 
 
 class TestOneClassificationPerComponent:
-    """A component's classification is one L D L^T of its block minus its
-    last curve; every command reads it from the surface's record."""
+    """A component's classification is one elimination of its whole block;
+    every command reads it from the surface's record."""
 
     COMMANDS = ("saturate", "fibre", "mumford", "affdim", "analyze")
+    # samples whose saturated model or claims used to classify a boundary
+    # component a second time
+    SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
     @pytest.fixture
     def factorised(self, monkeypatch):
         calls = []
-        original = SymmetricMatrix.negative_definite_ldl
+        original = SymmetricMatrix.ldl
 
         def counting(matrix, indices=None):
             calls.append(tuple(indices) if indices is not None else None)
             return original(matrix, indices)
 
-        monkeypatch.setattr(SymmetricMatrix, "negative_definite_ldl", counting)
+        monkeypatch.setattr(SymmetricMatrix, "ldl", counting)
         return calls
 
     @staticmethod
@@ -534,11 +538,14 @@ class TestOneClassificationPerComponent:
     @staticmethod
     def classification(s):
         return [
-            tuple(sorted(comp))[:-1]
+            tuple(sorted(comp))
             for comp in s.ambient.connected_components(s.boundary)
         ]
 
     def expected(self, s, command):
+        # every elimination goes through ldl (inertia reads it too), so the
+        # not-semidefinite pair P, Q of the plus documents shows up once:
+        # affdim and analyze read its positive count off the record
         calls = self.classification(s)
         parts = [tuple(sorted(p)) for p in oracle_saturation_partition(s)[0]]
         if command == "mumford":
@@ -551,7 +558,10 @@ class TestOneClassificationPerComponent:
             if affinisation_dimension(model).verdict is not AffDim.TWO:
                 inner = _inner_nodes(model)
                 assert model.ambient.gram_on(inner).is_negative_definite()
-                calls.append(tuple(inner))
+                calls += [
+                    tuple(sorted(comp))
+                    for comp in model.ambient.connected_components(inner)
+                ]
         return Counter(calls)
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -567,6 +577,31 @@ class TestOneClassificationPerComponent:
             capsys.readouterr()
             assert Counter(factorised) == expected, name
 
+    def run(self, command, path, capsys):
+        code = cli_main([command, str(path)])
+        capsys.readouterr()
+        return code
+
+    @pytest.mark.parametrize("points", [0, 2])
+    def test_dropping_points_keeps_the_record(
+        self, points, tmp_path, capsys, factorised
+    ):
+        # the boundary cubic once; every other curve meets it, so the inner
+        # set is empty and needs no elimination
+        doc = json.loads((self.SAMPLES / "hironaka9_pencil.json").read_text())
+        doc["isolated_boundary_points"] = points
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(doc))
+        assert self.run("analyze", path, capsys) == 0
+        assert factorised == [(0,)]
+
+    @pytest.mark.parametrize("command", ["affdim", "analyze"])
+    def test_boundary_claim_reads_the_record(self, command, capsys, factorised):
+        # the certified boundary cubic once, and no claim re-classifies it
+        path = self.SAMPLES / "hironaka9_nontorsion.json"
+        assert self.run(command, path, capsys) == 0
+        assert factorised == [(0,)]
+
 
 class TestInnerFibreBudget:
     def test_inner_cycle_of_800_under_budget(self):
@@ -581,3 +616,21 @@ class TestInnerFibreBudget:
         elapsed = time.perf_counter() - start
         assert elapsed < 0.2, f"affinisation_dimension took {elapsed:.2f}s"
         assert report.verdict is AffDim.ONE_OR_ZERO
+
+    def test_inner_cycle_of_400_and_a_disjoint_curve_under_budget(self):
+        # a disconnected inner set ran the O(m^2) drop-one loop: every drop
+        # of a cycle curve leaves a negative definite rest
+        m = 400
+        curves = [("B", 0, 1)] + [(f"A{i}", -2) for i in range(m)] + [("X", -2)]
+        inters = [(1 + i, 1 + (i + 1) % m, 1) for i in range(m)]
+        s = surface(curves, inters, ["B"])
+        start = time.perf_counter()
+        report = affinisation_dimension(s)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.2, f"affinisation_dimension took {elapsed:.2f}s"
+        # dropping the first cycle curves leaves negative definite rests;
+        # dropping X leaves the cycle, a second divisor of fibre type
+        assert report.verdict is AffDim.ONE
+        assert report.criteria() == ("fibre-type-boundary", "second-fibre-type-divisor")
+        cycle = ", ".join(repr(f"A{i}") for i in range(m))
+        assert f"(e.g. ({cycle}) and all inner curves)" in report.reasons[1][1]
