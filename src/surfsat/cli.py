@@ -23,10 +23,9 @@ from .fibres import (
     GroupLawObstruction,
     validate_false_fibre_claims,
 )
-from .mumford import contract
 from .saturation import (
-    affinisation_dimension,
-    apply_plan,
+    _affinisation_after_plan,
+    _contract_components,
     is_saturated,
     saturation_plan,
 )
@@ -109,16 +108,14 @@ def cmd_saturate(doc: Document, args) -> dict:
 def cmd_affdim(doc: Document, args) -> dict:
     surface = doc.surface
     out = {"command": "affdim"}
+    plan = saturation_plan(surface)
     if not is_saturated(surface).saturated:
         out["note"] = (
             "input is not saturated; the saturation plan was applied first "
             "(the classification is invariant under it)"
         )
-        plan = saturation_plan(surface)
         out["plan"] = _plan_to_json(surface, plan)
-        surface = apply_plan(surface, plan)
-    report = affinisation_dimension(surface)
-    out.update(_affdim_to_json(report))
+    out.update(_affdim_to_json(_affinisation_after_plan(surface, plan)))
     return out
 
 
@@ -147,7 +144,7 @@ def cmd_mumford(doc: Document, args) -> dict:
     if not parts:
         out["verdict"] = "nothing-to-contract"
         return out
-    result = contract(config, parts)
+    result, _ = _contract_components(surface, parts)
     pullbacks = {
         config.nodes[old].name: divisor_to_json(config, pb)
         for old, pb in zip(result.ambient_ids, result.pullbacks)
@@ -241,7 +238,7 @@ def cmd_analyze(doc: Document, args) -> dict:
         ]
     if not saturation.saturated:
         out["note"] = "affinisation classified after applying the saturation plan"
-    affdim = affinisation_dimension(apply_plan(surface, plan))
+    affdim = _affinisation_after_plan(surface, plan)
     out["affinisation"] = _affdim_to_json(affdim)
     out["verdict"] = affdim.verdict.value
     return out

@@ -36,8 +36,7 @@ from .saturation import (
     SaturationVerdict,
     SchemeContractibility,
     SchemeSaturationReport,
-    affinisation_dimension,
-    apply_plan,
+    _affinisation_after_plan,
     is_saturated,
     saturation_plan,
     scheme_saturation_check,
@@ -347,7 +346,7 @@ def hironaka_build(
     oracle = {comp: contractibility for comp in plan.d_minus}
     scheme = scheme_saturation_check(surface, oracle)
 
-    affinisation = affinisation_dimension(apply_plan(surface, plan))
+    affinisation = _affinisation_after_plan(surface, plan)
 
     return HironakaReport(
         n=n,

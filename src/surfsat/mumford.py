@@ -9,18 +9,19 @@ product of two divisors downstairs is the product of their pullbacks.
 Each connected component of E is factorised once as L D L^T, which also
 decides its negative definiteness; every pullback is then a forward and
 back substitution against Gram rows, and the contracted Gram is the Schur
-complement M_RR - M_RE M_EE^-1 M_ER.
+complement M_RR - M_RE M_EE^-1 M_ER.  A boundary record that already holds
+the factorisation of a part passes it to :func:`contract`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .configuration import Configuration, CurveNode, Divisor
 from .errors import PreconditionError
-from .linalg import SymmetricMatrix
+from .linalg import LDL, SymmetricMatrix
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,9 @@ def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
             f"{ctx.ambient.names(overlap)}; pass its strict part instead"
         )
     coeffs = strict.coefficients
-    if ctx._factors:
-        for i in coeffs:
-            if not 0 <= i < ctx.ambient.n:
-                raise PreconditionError(f"divisor references unknown node {i}")
+    for i in coeffs:
+        if not 0 <= i < ctx.ambient.n:
+            raise PreconditionError(f"divisor references unknown node {i}")
     gram = ctx.ambient.gram
     total = dict(coeffs)
     for factor in ctx._factors:
@@ -115,7 +115,9 @@ class ContractedConfiguration:
 
 
 def contract(
-    config: Configuration, parts: Sequence[Iterable[int]]
+    config: Configuration,
+    parts: Sequence[Iterable[int]],
+    factors: Optional[Sequence[Optional[LDL]]] = None,
 ) -> ContractedConfiguration:
     """Contract disjoint negative definite connected node sets.
 
@@ -123,11 +125,13 @@ def contract(
     product, with one singular-point marker per contracted part and the
     pullback of every remaining curve.  Each part is factorised once: the
     factorisation is its negative definiteness check, and it yields the
-    pullbacks and the induced Gram as a Schur complement.
+    pullbacks and the induced Gram as a Schur complement.  ``factors[k]``,
+    if given, is the negative definite L D L^T of ``sorted(parts[k])``, as
+    a boundary record keeps it, and stands in for that factorisation.
     """
     normalized = [frozenset(part) for part in parts]
     owner: dict[int, int] = {}
-    factors = []
+    factors = list(factors or [None] * len(normalized))
     for k, part in enumerate(normalized):
         if not part:
             raise PreconditionError("cannot contract an empty part")
@@ -138,14 +142,13 @@ def contract(
             raise PreconditionError(
                 f"part {config.names(part)} is not connected"
             )
-        factor = config.gram.negative_definite_ldl(sorted(part))
-        if factor is None:
+        factors[k] = factors[k] or config.gram.negative_definite_ldl(sorted(part))
+        if factors[k] is None:
             raise PreconditionError(
                 f"part {config.names(part)} is not negative definite, hence "
                 "not contractible: connected components that are not negative "
                 "definite are exactly the ones a saturated boundary keeps"
             )
-        factors.append(factor)
     for a, part in enumerate(normalized):
         # the first meeting pair (a, b) in the order a < b
         met = [

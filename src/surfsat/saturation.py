@@ -5,10 +5,12 @@ saturated exactly when the boundary has no isolated points and no negative
 definite connected component.  When it is not, the saturation plan contracts
 the negative definite components and drops the isolated points; the
 classification of the affinisation dimension is invariant under this, so the
-classifier insists on a saturated input.
+classifier insists on a saturated input.  The plan contracts with the
+factorisations the surface's boundary record keeps.
 
 The affinisation dimension is 2, 1 or 0.  The boundary numbers decide 2
-outright; they can never separate 1 from 0, so the 0 verdict requires a
+outright, and 0 for an empty boundary, read off the kept components before
+any contraction; they can never separate 1 from 0, so the 0 verdict requires a
 false-fibre certificate for every boundary component, and the 1 verdict a
 fibration assertion or enough supplied interior curves to force a second
 fibre witness.  Everything else is reported honestly as one-or-zero.
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
-from .configuration import Configuration
+from .configuration import Configuration, Divisor
 from .errors import DataInconsistencyError, PreconditionError
 from .fibres import (
     FalseFibreClaim,
@@ -154,10 +156,22 @@ def saturation_plan(surface: CompactifiedSurface) -> SaturationPlan:
     )
 
 
+def _contract_components(
+    surface: CompactifiedSurface, parts: Sequence[frozenset[int]]
+) -> tuple[ContractedConfiguration, bool]:
+    """Contract ``parts`` with the factorisations the boundary record keeps
+    for its negative definite components; the flag says whether every part
+    is one."""
+    factor_of = {r.subject: r.factor for r in surface.component_reports}
+    factors = [factor_of.get(frozenset(part)) for part in parts]
+    return contract(surface.ambient, parts, factors), None not in factors
+
+
 def apply_plan(
     surface: CompactifiedSurface, plan: Optional[SaturationPlan] = None
 ) -> CompactifiedSurface:
-    """Carry out a saturation plan, re-indexing curves and claims."""
+    """Carry out a saturation plan, re-indexing curves, claims and, when it
+    contracts whole boundary components, the boundary record."""
     if plan is None:
         plan = saturation_plan(surface)
     if not plan.d_minus:
@@ -168,7 +182,7 @@ def apply_plan(
         saturated.__dict__["component_reports"] = surface.component_reports
         return saturated
     _reject_contracted_claims(surface, plan.d_minus)
-    contracted: ContractedConfiguration = contract(surface.ambient, plan.d_minus)
+    contracted, from_record = _contract_components(surface, plan.d_minus)
     removed = frozenset().union(*plan.d_minus)
     new_id = {old: new for new, old in enumerate(contracted.ambient_ids)}
     claims = tuple([
@@ -177,7 +191,7 @@ def apply_plan(
         )
         for claim in surface.false_fibre_claims
     ])
-    return CompactifiedSurface(
+    saturated = CompactifiedSurface(
         ambient=contracted.configuration,
         boundary=frozenset(
             new_id[i] for i in surface.boundary if i not in removed
@@ -186,6 +200,24 @@ def apply_plan(
         false_fibre_claims=claims,
         fibration_asserted=surface.fibration_asserted,
     )
+    if from_record:
+        # the kept components meet no contracted one, so only their ids
+        # change, increasingly (an LDL's lower and diag are positional)
+        saturated.__dict__["component_reports"] = tuple(
+            replace(
+                r,
+                subject=frozenset(new_id[i] for i in r.subject),
+                kernel=r.kernel and Divisor(
+                    {new_id[i]: c for i, c in r.kernel.coefficients.items()}
+                ),
+                factor=r.factor and replace(
+                    r.factor, order=tuple(new_id[i] for i in r.factor.order)
+                ),
+            )
+            for r in surface.component_reports
+            if r.subject.isdisjoint(removed)
+        )
+    return saturated
 
 
 class AffDim(Enum):
@@ -281,6 +313,29 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     return None
 
 
+def _decided_by_boundary(reports: Sequence[FibreTypeReport]) -> Optional[AffDimReport]:
+    """The verdict a saturated boundary's component reports settle alone:
+    zero for no component, two for a positive direction, else None."""
+    if not reports:
+        reason = "empty boundary: only constant functions"
+        return AffDimReport(AffDim.ZERO, (("proper-surface", reason),))
+    plus = sum(report.positive for report in reports)
+    if plus > 0:
+        reason = f"boundary pairing has {plus} positive direction(s)"
+        return AffDimReport(AffDim.TWO, (("not-negative-semidefinite", reason),))
+    return None
+
+
+def _affinisation_after_plan(surface: CompactifiedSurface, plan: SaturationPlan):
+    """``affinisation_dimension(apply_plan(surface, plan))`` for the plan of
+    :func:`saturation_plan`, read off the kept components when they settle it."""
+    kept = set(plan.d_plus)
+    reports = [r for r in surface.component_reports if r.subject in kept]
+    return _decided_by_boundary(reports) or affinisation_dimension(
+        apply_plan(surface, plan)
+    )
+
+
 def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
     """Classify the dimension of the affinisation of a saturated surface.
 
@@ -295,25 +350,10 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
             "surface is not saturated; apply the saturation plan first "
             "(the classification is invariant under it)"
         )
-    if not surface.boundary:
-        return AffDimReport(
-            AffDim.ZERO,
-            (("proper-surface", "empty boundary: only constant functions"),),
-        )
-    # The boundary Gram is block diagonal over the components, so its
-    # positive count is the sum of theirs, read off the record.
+    decided = _decided_by_boundary(surface.component_reports)
+    if decided:
+        return decided
     components = surface.boundary_components()
-    plus = sum(report.positive for report in surface.component_reports)
-    if plus > 0:
-        return AffDimReport(
-            AffDim.TWO,
-            (
-                (
-                    "not-negative-semidefinite",
-                    f"boundary pairing has {plus} positive direction(s)",
-                ),
-            ),
-        )
     base_reason = (
         "fibre-type-boundary",
         f"every boundary component ({len(components)}) is of fibre type",

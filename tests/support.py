@@ -19,24 +19,34 @@ factorisation per component.  ``dense_inertia``, ``oracle_solve`` and
 ``oracle_kernel_basis`` are the package's former eliminations on the
 dense rows, and the saturation oracle is the per-reader negative
 definiteness loop the package replaced by one classification per
-boundary component.
+boundary component.  The affinisation-after-plan oracle carries out the
+whole saturation plan, contracting through the checked public
+``contract`` and classifying the saturated boundary afresh, where the
+package reads the verdict off the boundary record when it can and
+contracts from the record's factorisations.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from surfsat import (
+    CompactifiedSurface,
     Configuration,
     Divisor,
     ECPoint,
+    FalseFibreClaim,
     FibreTypeReport,
     FibreVerdict,
     SymmetricMatrix,
     TorsionStatus,
     add,
+    affinisation_dimension,
     classify_fibre_type,
+    contract,
+    saturation_plan,
 )
 from surfsat.fibres import ZariskiReport, ZariskiViolation
 from surfsat.linalg import _primitive_integral
@@ -593,6 +603,39 @@ def oracle_saturation_partition(surface):
         else:
             d_plus.append(comp)
     return tuple(d_minus), tuple(d_plus)
+
+
+def oracle_apply_plan(surface, plan):
+    """The saturation plan carried out in full: the checked ``contract``,
+    which factorises every part again, and a new surface whose boundary
+    record is built afresh."""
+    if not plan.d_minus:
+        return replace(surface, isolated_boundary_points=0)
+    contracted = contract(surface.ambient, plan.d_minus)
+    removed = frozenset().union(*plan.d_minus)
+    new_id = {old: new for new, old in enumerate(contracted.ambient_ids)}
+    return CompactifiedSurface(
+        ambient=contracted.configuration,
+        boundary=frozenset(new_id[i] for i in surface.boundary - removed),
+        isolated_boundary_points=0,
+        false_fibre_claims=tuple(
+            FalseFibreClaim(
+                frozenset(new_id[i] for i in claim.subject), claim.certificate
+            )
+            for claim in surface.false_fibre_claims
+        ),
+        fibration_asserted=surface.fibration_asserted,
+    )
+
+
+def oracle_affinisation_after_plan(surface):
+    """The affinisation dimension of the saturation, always classified on
+    the contracted surface: ``affinisation_dimension(apply_plan(s,
+    saturation_plan(s)))`` as the CLI computed it before it read the
+    verdict off the boundary record."""
+    return affinisation_dimension(
+        oracle_apply_plan(surface, saturation_plan(surface))
+    )
 
 
 # -- Zariski oracle -------------------------------------------------------

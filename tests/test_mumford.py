@@ -344,6 +344,18 @@ class TestAgainstOracle:
         with pytest.raises(PreconditionError, match="unknown node 5"):
             pullback(ctx, Divisor({1: 1, 5: 2}))
 
+    @pytest.mark.parametrize("node", [5, -1])
+    def test_unknown_node_is_refused_when_nothing_is_contracted(self, node):
+        # an empty E leaves every divisor as it is, but only a divisor on
+        # the configuration: pullback refuses what induced_product refuses
+        config, _ = a1_setup()
+        ctx = ContractionContext(config, frozenset())
+        with pytest.raises(PreconditionError, match=f"unknown node {node}"):
+            pullback(ctx, Divisor({node: 1}))
+        with pytest.raises(PreconditionError, match=f"unknown node {node}"):
+            induced_product(ctx, Divisor({node: 1}), Divisor.of(1))
+        assert pullback(ctx, Divisor({0: 2, 1: 1})) == Divisor({0: 2, 1: 1})
+
 
 class TestOneFactorisation:
     @pytest.fixture
@@ -367,6 +379,39 @@ class TestOneFactorisation:
             factorised.clear()
             contract(config, parts)
             assert sorted(factorised) == sorted(tuple(sorted(p)) for p in parts)
+
+    def test_given_factors_stand_in_for_the_factorisation(self, factorised):
+        # a factor passed for a part replaces its elimination, and a None
+        # leaves that part to contract; the result is the same either way
+        rng = random.Random(89)
+        for _ in range(40):
+            config, exceptional, _ = random_contraction_setup(rng)
+            parts = config.connected_components(exceptional)
+            given = [
+                config.gram.negative_definite_ldl(sorted(p))
+                if rng.random() < 0.7 else None
+                for p in parts
+            ]
+            factorised.clear()
+            result = contract(config, parts, given)
+            assert sorted(factorised) == sorted(
+                tuple(sorted(p)) for p, f in zip(parts, given) if f is None
+            )
+            assert result == contract(config, parts)
+
+    def test_given_factors_keep_the_checks(self):
+        # the checks on the parts run, in their order, whatever is given
+        config = Configuration.build(
+            [("A", -2), ("B", -2), ("C", -2)], [(0, 1, 1)]
+        )
+        ab = config.gram.negative_definite_ldl([0, 1])
+        c = config.gram.negative_definite_ldl([2])
+        with pytest.raises(PreconditionError, match="pairwise disjoint"):
+            contract(config, [{0, 1}, {0, 1}], [ab, ab])
+        with pytest.raises(PreconditionError, match="not connected"):
+            contract(config, [{0, 2}], [c])
+        with pytest.raises(PreconditionError, match="meet"):
+            contract(config, [{0}, {1}], [c, c])
 
     def test_each_component_once_per_context(self, factorised):
         rng = random.Random(83)

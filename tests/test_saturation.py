@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -26,14 +27,18 @@ from surfsat import (
     saturation_plan,
     scheme_saturation_check,
 )
-from surfsat import classify_fibre_type
+from surfsat import SaturationPlan, classify_fibre_type
+from surfsat import mumford, saturation
 from surfsat.cli import cmd_mumford
 from surfsat.cli import main as cli_main
-from surfsat.saturation import _inner_nodes
+from surfsat.saturation import _affinisation_after_plan, _inner_nodes
 from surfsat.schema import Document, document_to_json, parse_document
 
 from support import (
+    cycle,
     dense_inertia,
+    oracle_affinisation_after_plan,
+    oracle_apply_plan,
     oracle_saturation_partition,
     random_configuration,
     random_contraction_setup,
@@ -482,6 +487,212 @@ class TestComponentReports:
         assert "component_reports" not in {f.name for f in dataclasses.fields(s)}
 
 
+class TestAffinisationAfterPlan:
+    """The verdict read off the boundary record, and the record carried
+    through the plan, against carrying out the whole plan."""
+
+    @staticmethod
+    def claims(rng, s):
+        if rng.random() < 0.3:
+            # certify every kept component: zero, or inconsistent data
+            kept = oracle_saturation_partition(s)[1]
+            return tuple(FalseFibreClaim(comp, UserAsserted()) for comp in kept)
+        inner = _inner_nodes(s)
+        subjects = list(s.ambient.connected_components(s.boundary))
+        subjects += s.ambient.connected_components(inner) if inner else ()
+        subjects += [frozenset(rng.sample(range(s.ambient.n), 1))]
+        return tuple(
+            FalseFibreClaim(rng.choice(subjects), UserAsserted())
+            for _ in range(rng.randint(0, 3))
+        )
+
+    @staticmethod
+    def with_fibres(rng, s):
+        """``s`` with one to three disjoint fibre-type cycles of (-2)-curves
+        added, on the boundary, except that the first may lie inside."""
+        config = s.ambient
+        curves = [(node.name, config.gram.entry(node.id, node.id))
+                  for node in config.nodes]
+        edges = [
+            (i, j, v)
+            for i in range(config.n)
+            for j, v in config.gram.off_diagonal(i).items()
+            if i < j
+        ]
+        boundary = set(s.boundary)
+        for f in range(rng.randint(1, 3)):
+            shape, start = cycle(rng.randint(1, 4)), len(curves)
+            curves += [(f"F{f}_{i}", shape.gram.entry(i, i)) for i in range(shape.n)]
+            edges += [
+                (start + i, start + j, v)
+                for i in range(shape.n)
+                for j, v in shape.gram.off_diagonal(i).items()
+                if i < j
+            ]
+            if f or rng.random() < 0.7:
+                boundary |= set(range(start, len(curves)))
+        return CompactifiedSurface(
+            ambient=Configuration.build(curves, edges), boundary=frozenset(boundary)
+        )
+
+    @classmethod
+    def surfaces(cls):
+        rng = random.Random(139)
+        for k in range(600):
+            if k % 4 == 0:
+                s = rational_surface(rng)
+                if rng.random() < 0.5:
+                    s = cls.with_fibres(rng, s)
+            elif k % 4 == 1:
+                # the whole boundary negative definite, some of it rational
+                config, exceptional, _ = random_contraction_setup(rng)
+                s = CompactifiedSurface(ambient=config, boundary=exceptional)
+            else:
+                config = random_configuration(
+                    rng, rng.randint(1, 9), diag_hi=rng.choice((3, 0, -1))
+                )
+                boundary = frozenset(
+                    i for i in range(config.n) if rng.random() < 0.6
+                )
+                s = CompactifiedSurface(ambient=config, boundary=boundary)
+            yield dataclasses.replace(
+                s,
+                isolated_boundary_points=rng.choice((0, 0, 2)),
+                false_fibre_claims=cls.claims(rng, s) if rng.random() < 0.3 else (),
+                fibration_asserted=rng.random() < 0.2,
+            )
+
+    @staticmethod
+    def outcome(classify, s):
+        try:
+            report = classify(s)
+        except (PreconditionError, DataInconsistencyError) as exc:
+            return type(exc), str(exc)
+        return report.verdict, report.reasons
+
+    def test_matches_classifying_the_contracted_surface(self):
+        seen = Counter()
+        for s in self.surfaces():
+            got = self.outcome(
+                lambda s: _affinisation_after_plan(s, saturation_plan(s)), s
+            )
+            assert got == self.outcome(oracle_affinisation_after_plan, s)
+            kept = oracle_saturation_partition(s)[1]
+            if isinstance(got[0], AffDim) and len(kept) < len(s.boundary_components()):
+                seen[got[1][0][0]] += 1
+            else:
+                seen[got[0]] += 1
+        # contracted surfaces that end proper, with a positive direction or
+        # with a fibre-type boundary, and every kind of refusal
+        assert seen["proper-surface"] > 100
+        assert seen["not-negative-semidefinite"] > 40
+        assert seen["fibre-type-boundary"] > 10
+        assert seen[PreconditionError] > 20 and seen[DataInconsistencyError] > 0
+
+    def test_carried_record_is_the_fresh_classification(self):
+        carried = 0
+        for s in self.surfaces():
+            try:
+                plan = saturation_plan(s)
+            except PreconditionError:
+                continue
+            saturated = apply_plan(s, plan)
+            assert saturated == oracle_apply_plan(s, plan)
+            carried += "component_reports" in vars(saturated) and bool(plan.d_minus)
+            fresh = dataclasses.replace(saturated).component_reports
+            assert [
+                (r.subject, r.verdict, r.kernel, r.positive, r.factor)
+                for r in saturated.component_reports
+            ] == [
+                (r.subject, r.verdict, r.kernel, r.positive, r.factor)
+                for r in fresh
+            ]
+        assert carried > 100
+
+    def test_partial_plan_carries_the_factors_it_keeps(self):
+        # contract the first negative definite component only: the others
+        # stay in the carried record with their factorisations, re-indexed,
+        # and a second plan contracts with those
+        partial = 0
+        for s in self.surfaces():
+            d_minus = oracle_saturation_partition(s)[0]
+            if len(d_minus) < 2 or any(
+                claim.subject & d_minus[0] for claim in s.false_fibre_claims
+            ):
+                continue
+            plan = SaturationPlan(d_minus[:1], (), 0, True)
+            once = apply_plan(s, plan)
+            assert "component_reports" in vars(once)
+            assert once == oracle_apply_plan(s, plan)
+            again = dataclasses.replace(once)  # classified afresh
+            assert [
+                (r.subject, r.verdict, r.kernel, r.positive, r.factor)
+                for r in once.component_reports
+            ] == [
+                (r.subject, r.verdict, r.kernel, r.positive, r.factor)
+                for r in again.component_reports
+            ]
+            assert any(r.factor is not None for r in once.component_reports)
+            assert self.outcome(
+                lambda s: _affinisation_after_plan(s, saturation_plan(s)), once
+            ) == self.outcome(oracle_affinisation_after_plan, again)
+            try:
+                expected = oracle_apply_plan(again, saturation_plan(again))
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                    apply_plan(once)
+                continue
+            assert apply_plan(once) == expected
+            partial += 1
+        assert partial > 20
+
+    def test_plan_not_read_off_the_record_is_checked(self):
+        # contracting E1 alone, a part of the component E1 + E2 + P: the
+        # record holds no factor for it, so contract checks and factorises
+        # it, and the saturated surface classifies its boundary afresh
+        s = surface(
+            [("E1", -2), ("E2", -2), ("P", 1), ("C", 1)],
+            [(0, 1, 1), (1, 2, 1), (0, 3, 1)],
+            boundary=["E1", "E2", "P"],
+        )
+        plan = SaturationPlan((frozenset({0}),), (), 0, True)
+        saturated = apply_plan(s, plan)
+        assert "component_reports" not in vars(saturated)
+        assert saturated == oracle_apply_plan(s, plan)
+        with pytest.raises(PreconditionError, match="not negative definite"):
+            apply_plan(s, SaturationPlan((frozenset({2}),), (), 0, True))
+        # a record component listed twice is refused as contract refuses it
+        t = surface([("E", -2), ("C", 1)], [(0, 1, 1)], boundary=["E"])
+        twice = SaturationPlan((frozenset({0}),) * 2, (), 0, True)
+        with pytest.raises(PreconditionError, match="pairwise disjoint"):
+            apply_plan(t, twice)
+
+
+class TestSaturationPlanBudget:
+    @pytest.mark.parametrize("command", ["affdim", "analyze"])
+    def test_chain_of_1000_with_interior_curves(self, command, tmp_path, capsys):
+        # boundary: an A_1000 chain of (-2)-curves E_i; interior: a
+        # (+1)-curve C_i meeting E_i once.  The plan keeps no boundary, so
+        # the saturation is proper without computing the contraction.
+        n = 1000
+        doc = {
+            "schema_version": 1,
+            "curves": [{"name": f"E{i}", "self": -2} for i in range(n)]
+            + [{"name": f"C{i}", "self": 1} for i in range(n)],
+            "intersections": [[i, i + 1, 1] for i in range(n - 1)]
+            + [[i, n + i, 1] for i in range(n)],
+            "boundary": [f"E{i}" for i in range(n)],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = cli_main([command, str(path), "--format", "json"])
+        elapsed = time.perf_counter() - start
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["verdict"] == "zero"
+        assert elapsed < 0.5, f"{command} took {elapsed:.2f}s"
+
+
 class TestOneClassificationPerComponent:
     """A component's classification is one elimination of its whole block;
     every command reads it from the surface's record."""
@@ -527,6 +738,8 @@ class TestOneClassificationPerComponent:
             ("plus", base + plus),
             ("contract-fibres", base + negative),
             ("contract-plus", base + plus + negative),
+            # the whole boundary E1 + E2, F is negative definite
+            ("negative", negative),
         ):
             index = {c: i for i, c in enumerate(names)}
             yield name, surface(
@@ -545,17 +758,17 @@ class TestOneClassificationPerComponent:
     def expected(self, s, command):
         # every elimination goes through ldl (inertia reads it too), so the
         # not-semidefinite pair P, Q of the plus documents shows up once:
-        # affdim and analyze read its positive count off the record
+        # affdim and analyze read its positive count off the record.  The
+        # contraction reads each part's factor off the record too, and the
+        # saturated model takes the kept components' reports, so neither
+        # eliminates a boundary component again.
         calls = self.classification(s)
-        parts = [tuple(sorted(p)) for p in oracle_saturation_partition(s)[0]]
-        if command == "mumford":
-            calls += parts
         if command in ("affdim", "analyze"):
-            model = s
-            if parts:
-                model = apply_plan(s)
-                calls += parts + self.classification(model)
-            if affinisation_dimension(model).verdict is not AffDim.TWO:
+            model = apply_plan(s)
+            if (
+                model.boundary
+                and affinisation_dimension(model).verdict is not AffDim.TWO
+            ):
                 inner = _inner_nodes(model)
                 assert model.ambient.gram_on(inner).is_negative_definite()
                 calls += [
@@ -581,6 +794,37 @@ class TestOneClassificationPerComponent:
         code = cli_main([command, str(path)])
         capsys.readouterr()
         return code
+
+    @pytest.fixture
+    def contractions(self, monkeypatch):
+        """The parts of every contraction made while the test runs."""
+        calls = []
+        original = mumford.contract
+
+        def counting(config, parts, factors=None):
+            calls.append(config.names(frozenset().union(*parts)))
+            return original(config, parts, factors)
+
+        monkeypatch.setattr(saturation, "contract", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["mumford", "affdim", "analyze"])
+    def test_negative_definite_boundary_is_not_contracted_to_classify(
+        self, command, tmp_path, capsys, contractions
+    ):
+        # the saturation keeps no boundary, so it is proper: only mumford,
+        # which prints the contraction, carries it out
+        s = dict(self.documents())["negative"]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(document_to_json(Document(s))))
+        assert self.run(command, path, capsys) == 0
+        assert contractions == ([("E1", "E2", "F")] if command == "mumford" else [])
+
+    def test_hironaka_ten_points_is_not_contracted(self, capsys, contractions):
+        # the boundary cubic has self-intersection -1, so the plan contracts
+        # it and keeps nothing
+        assert self.run("hironaka", self.SAMPLES / "n10.json", capsys) == 0
+        assert contractions == []
 
     @pytest.mark.parametrize("points", [0, 2])
     def test_dropping_points_keeps_the_record(
