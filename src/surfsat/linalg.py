@@ -303,16 +303,20 @@ class SymmetricMatrix:
         position p is eliminated in order: on itself if its diagonal entry
         is nonzero, else after a neighbour with a nonzero one, else with its
         first neighbour as a hyperbolic 2x2 block [[0,t],[t,0]], which
-        contributes (1,1,0).  A zero row is a zero eigenvalue no later step
-        changes.  While every step is an in-order pivot or zero row, its
-        multipliers and pivot are recorded as L and D; a negative definite
-        block records them all (Sylvester's criterion).
+        contributes (1,1,0); with u, v its rows off the block, the update
+        (u v^T + v u^T)/t runs over supp(u) x supp(v) only.  A zero row is
+        a zero eigenvalue no later step changes.  While every step is an
+        in-order pivot or zero row, its multipliers and pivot are recorded
+        as L and D; a negative definite block records them all (Sylvester's
+        criterion).
         """
         idx = list(range(self.n)) if indices is None else list(indices)
         for i in idx:
             if not 0 <= i < self.n:
                 raise InputError(f"index {i} out of range for n={self.n}")
         position = {node: p for p, node in enumerate(idx)}
+        if len(position) < len(idx):
+            raise InputError("indices must be distinct")
         diag = {p: self._diag[node] for p, node in enumerate(idx)}
         off = {
             p: {position[j]: x for j, x in self._off[node].items() if j in position}
@@ -356,13 +360,12 @@ class SymmetricMatrix:
                 up = _detach(off, p0)
                 del up[q0]
                 uq = _detach(off, q0)
-                rest = list(up | uq)
-                for a, r in enumerate(rest):
-                    ur, vr = up.get(r, _ZERO), uq.get(r, _ZERO)
-                    diag[r] -= 2 * ur * vr / t
-                    for s in rest[a + 1:]:
-                        us, vs = up.get(s, _ZERO), uq.get(s, _ZERO)
-                        _sub_off(off, r, s, (ur * vs + vr * us) / t)
+                for r, ur in up.items():
+                    for s, vs in uq.items():
+                        if r == s:
+                            diag[r] -= 2 * ur * vs / t
+                        else:
+                            _sub_off(off, r, s, ur * vs / t)
         return LDL(
             tuple(idx), tuple(lower), tuple(pivots),
             (plus, minus, len(idx) - plus - minus),

@@ -2,7 +2,8 @@
 
 Rationals are encoded as integers or strings like ``"2/3"``; floats are
 rejected to keep all arithmetic exact.  Curves are referenced by name in the
-``boundary`` and claim subjects; intersection entries use curve indices.
+``boundary`` and claim subjects; intersection entries use curve indices
+or names.
 Unlisted intersection pairs default to zero.
 """
 
@@ -74,6 +75,33 @@ def _rational(value, path) -> Fraction:
         raise InputError(str(exc), path=path) from exc
 
 
+def _fields(entry, allowed, path):
+    """``entry`` as an object whose keys all lie in ``allowed``."""
+    _expect(entry, dict, path=path)
+    extra = set(entry) - allowed
+    if extra:
+        raise InputError(f"unknown keys {sorted(extra)}", path=path)
+    return entry
+
+
+def _count(value, least, what, path) -> int:
+    """``value`` as a non-boolean integer of at least ``least`` (0 or 1)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        sign = "positive" if least else "nonnegative"
+        raise InputError(
+            f"{what} must be a {sign} integer, got {value!r}".lstrip(), path=path
+        )
+    return value
+
+
+def _curve(name, index_of, path) -> int:
+    """The index of the curve called ``name``."""
+    _expect(name, str, path=path)
+    if name not in index_of:
+        raise InputError(f"unknown curve {name!r}", path=path)
+    return index_of[name]
+
+
 def parse_document(data) -> Document:
     """Validate and convert a parsed JSON object to domain values.
 
@@ -96,30 +124,21 @@ def parse_document(data) -> Document:
         )
 
     curves = _expect(data.get("curves", []), list, path="curves")
-    parsed = []
+    nodes, diagonal = [], []
     index_of: dict[str, int] = {}
     for i, entry in enumerate(curves):
         path = f"curves[{i}]"
-        _expect(entry, dict, path=path)
-        extra = set(entry) - {"name", "genus", "self", "proper"}
-        if extra:
-            raise InputError(f"unknown keys {sorted(extra)}", path=path)
+        _fields(entry, {"name", "genus", "self", "proper"}, path)
         name = _expect(entry.get("name"), str, path=f"{path}.name")
-        genus = entry.get("genus", 0)
-        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-            raise InputError(
-                f"genus must be a nonnegative integer, got {genus!r}",
-                path=f"{path}.genus",
-            )
+        genus = _count(entry.get("genus", 0), 0, "genus", f"{path}.genus")
         if "self" not in entry:
             raise InputError("missing self-intersection", path=f"{path}.self")
-        self_int = _rational(entry["self"], path=f"{path}.self")
-        proper = entry.get("proper", True)
-        _expect(proper, bool, path=f"{path}.proper")
+        diagonal.append(_rational(entry["self"], path=f"{path}.self"))
+        proper = _expect(entry.get("proper", True), bool, path=f"{path}.proper")
         if name in index_of:
             raise InputError(f"duplicate curve name {name!r}", path=f"{path}.name")
         index_of[name] = i
-        parsed.append((name, self_int, genus, proper))
+        nodes.append(CurveNode(i, name, genus=genus, proper=proper))
 
     inters = _expect(data.get("intersections", []), list, path="intersections")
     triples = []
@@ -130,23 +149,17 @@ def parse_document(data) -> Document:
         if len(entry) != 3:
             raise InputError("expected [i, j, value]", path=path)
         pair = []
-        for pos in (0, 1):
-            ref = entry[pos]
+        for pos, ref in enumerate(entry[:2]):
+            at = f"{path}[{pos}]"
             if isinstance(ref, str):
-                if ref not in index_of:
-                    raise InputError(f"unknown curve {ref!r}", path=f"{path}[{pos}]")
-                pair.append(index_of[ref])
-            elif isinstance(ref, int) and not isinstance(ref, bool):
-                if not 0 <= ref < len(parsed):
-                    raise InputError(
-                        f"curve index {ref} out of range", path=f"{path}[{pos}]"
-                    )
-                pair.append(ref)
-            else:
+                ref = _curve(ref, index_of, at)
+            elif not isinstance(ref, int) or isinstance(ref, bool):
                 raise InputError(
-                    f"curve reference must be an index or name, got {ref!r}",
-                    path=f"{path}[{pos}]",
+                    f"curve reference must be an index or name, got {ref!r}", path=at
                 )
+            elif not 0 <= ref < len(nodes):
+                raise InputError(f"curve index {ref} out of range", path=at)
+            pair.append(ref)
         value = _rational(entry[2], path=f"{path}[2]")
         if value < 0:
             raise InputError(
@@ -155,39 +168,28 @@ def parse_document(data) -> Document:
         key = (min(pair), max(pair))
         if key in seen_pairs:
             raise InputError(
-                f"pair ({parsed[key[0]][0]!r}, {parsed[key[1]][0]!r}) listed twice",
+                f"pair ({nodes[key[0]].name!r}, {nodes[key[1]].name!r}) listed twice",
                 path=path,
             )
         seen_pairs.add(key)
         triples.append((pair[0], pair[1], value))
 
-    nodes = [
-        CurveNode(idx, name, genus=genus, proper=proper)
-        for idx, (name, _, genus, proper) in enumerate(parsed)
-    ]
     if any(i == j for i, j, _ in triples):
         raise InputError(
             "self-intersections belong in the curve entry, not in "
             "'intersections'",
             path="intersections",
         )
-    gram = SymmetricMatrix.from_entries([entry[1] for entry in parsed], triples)
-    config = Configuration(nodes, gram)
+    config = Configuration(nodes, SymmetricMatrix.from_entries(diagonal, triples))
 
     boundary_names = _expect(data.get("boundary", []), list, path="boundary")
-    boundary = set()
-    for k, name in enumerate(boundary_names):
-        _expect(name, str, path=f"boundary[{k}]")
-        if name not in index_of:
-            raise InputError(f"unknown curve {name!r}", path=f"boundary[{k}]")
-        boundary.add(index_of[name])
-
-    points = data.get("isolated_boundary_points", 0)
-    if not isinstance(points, int) or isinstance(points, bool) or points < 0:
-        raise InputError(
-            f"must be a nonnegative integer, got {points!r}",
-            path="isolated_boundary_points",
-        )
+    boundary = {
+        _curve(name, index_of, f"boundary[{k}]")
+        for k, name in enumerate(boundary_names)
+    }
+    points = _count(
+        data.get("isolated_boundary_points", 0), 0, "", "isolated_boundary_points"
+    )
 
     claims = []
     raw_claims = _expect(
@@ -195,17 +197,12 @@ def parse_document(data) -> Document:
     )
     for k, entry in enumerate(raw_claims):
         path = f"false_fibre_claims[{k}]"
-        _expect(entry, dict, path=path)
-        extra = set(entry) - {"subject", "certificate"}
-        if extra:
-            raise InputError(f"unknown keys {sorted(extra)}", path=path)
+        _fields(entry, {"subject", "certificate"}, path)
         subject_names = _expect(entry.get("subject"), list, path=f"{path}.subject")
-        subject = set()
-        for m, name in enumerate(subject_names):
-            _expect(name, str, path=f"{path}.subject[{m}]")
-            if name not in index_of:
-                raise InputError(f"unknown curve {name!r}", path=f"{path}.subject[{m}]")
-            subject.add(index_of[name])
+        subject = frozenset(
+            _curve(name, index_of, f"{path}.subject[{m}]")
+            for m, name in enumerate(subject_names)
+        )
         if not subject:
             raise InputError("subject must be nonempty", path=f"{path}.subject")
         cert_data = entry.get("certificate", "user-asserted")
@@ -213,7 +210,7 @@ def parse_document(data) -> Document:
             cert_data = {"kind": cert_data}
         _expect(cert_data, dict, path=f"{path}.certificate")
         kind = cert_data.get("kind")
-        if kind not in _CERTIFICATE_KINDS:
+        if not isinstance(kind, str) or kind not in _CERTIFICATE_KINDS:
             raise InputError(
                 f"unknown certificate kind {kind!r}; expected one of "
                 f"{sorted(_CERTIFICATE_KINDS)}",
@@ -225,21 +222,17 @@ def parse_document(data) -> Document:
             certificate = GroupLawObstruction(reference=reference)
         else:
             certificate = _CERTIFICATE_KINDS[kind]()
-        claims.append(FalseFibreClaim(frozenset(subject), certificate))
+        claims.append(FalseFibreClaim(subject, certificate))
 
     fibration = data.get("fibration_asserted", False)
     _expect(fibration, bool, path="fibration_asserted")
 
     elliptic = None
     if "elliptic" in data and data["elliptic"] is not None:
-        section = _expect(data["elliptic"], dict, path="elliptic")
-        extra = set(section) - {"curve", "points"}
-        if extra:
-            raise InputError(f"unknown keys {sorted(extra)}", path="elliptic")
-        curve_data = _expect(section.get("curve"), dict, path="elliptic.curve")
-        extra = set(curve_data) - {"a1", "a2", "a3", "a4", "a6"}
-        if extra:
-            raise InputError(f"unknown keys {sorted(extra)}", path="elliptic.curve")
+        section = _fields(data["elliptic"], {"curve", "points"}, "elliptic")
+        curve_data = _fields(
+            section.get("curve"), {"a1", "a2", "a3", "a4", "a6"}, "elliptic.curve"
+        )
         coeffs = {
             key: _rational(curve_data.get(key, 0), path=f"elliptic.curve.{key}")
             for key in ("a1", "a2", "a3", "a4", "a6")
@@ -252,20 +245,12 @@ def parse_document(data) -> Document:
         ec_points = []
         for k, entry in enumerate(raw_points):
             path = f"elliptic.points[{k}]"
-            _expect(entry, dict, path=path)
-            extra = set(entry) - {"x", "y", "m"}
-            if extra:
-                raise InputError(f"unknown keys {sorted(extra)}", path=path)
+            _fields(entry, {"x", "y", "m"}, path)
             if "x" not in entry or "y" not in entry:
                 raise InputError("point needs x and y", path=path)
             x = _rational(entry["x"], path=f"{path}.x")
             y = _rational(entry["y"], path=f"{path}.y")
-            mult = entry.get("m", 1)
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise InputError(
-                    f"multiplicity must be a positive integer, got {mult!r}",
-                    path=f"{path}.m",
-                )
+            mult = _count(entry.get("m", 1), 1, "multiplicity", f"{path}.m")
             point = ECPoint.affine(x, y)
             if not curve.contains(point):
                 raise InputError(
@@ -337,10 +322,10 @@ def document_to_json(doc: Document) -> dict:
         for node in config.nodes
     ]
     intersections = [
-        [i, j, rational_to_json(config.gram.entry(i, j))]
+        [i, j, rational_to_json(x)]
         for i in range(config.n)
-        for j in range(i + 1, config.n)
-        if config.gram.entry(i, j) != 0
+        for j, x in sorted(config.gram.off_diagonal(i).items())
+        if j > i
     ]
     out = {
         "schema_version": SCHEMA_VERSION,

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,12 @@ import pytest
 import surfsat
 from surfsat.cli import main
 from surfsat.errors import InputError
-from surfsat.schema import document_to_json, load_document, parse_document
+from surfsat.schema import (
+    document_to_json,
+    load_document,
+    parse_document,
+    rational_to_json,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
@@ -84,6 +91,28 @@ class TestExitCodes:
         code, _, err = run(capsys, "affdim", bad)
         assert code == 1
         assert "curves[0].self" in err
+
+    @pytest.mark.parametrize("kind", [["user-asserted"], {"kind": "user-asserted"}])
+    def test_unhashable_certificate_kind_is_input_error(self, capsys, tmp_path, kind):
+        # a list or object kind is an unknown kind, not a crash
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "curves": [{"name": "A", "self": 0}],
+                    "false_fibre_claims": [
+                        {"subject": ["A"], "certificate": {"kind": kind}}
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, "validate", bad)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            "error: false_fibre_claims[0].certificate.kind: unknown certificate kind "
+        )
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestClosedPipe:
@@ -223,6 +252,16 @@ class TestGoldenOutput:
         assert "verdict: saturated" in out
         assert any("parsed" in rec.message for rec in caplog.records)
 
+    def test_verbose_flag_sets_the_level_on_every_call(self, capsys, caplog):
+        # the level comes from each call's flag, not from whichever call
+        # configured logging first
+        sample = SAMPLES / "serre_like.json"
+        for verbose in (False, True, False, True):
+            caplog.clear()
+            run(capsys, "saturate", sample, *(["--verbose"] if verbose else []))
+            logged = any("parsed" in rec.message for rec in caplog.records)
+            assert logged == verbose
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -242,6 +281,85 @@ class TestRoundTrip:
         again = parse_document(serialized)
         assert again == doc
         assert document_to_json(again) == serialized
+
+
+class TestIntersectionListing:
+    @staticmethod
+    def pairwise(config):
+        # every pair, as the listing was first written
+        return [
+            [i, j, rational_to_json(config.gram.entry(i, j))]
+            for i in range(config.n)
+            for j in range(i + 1, config.n)
+            if config.gram.entry(i, j) != 0
+        ]
+
+    def test_matches_pairwise_listing(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(0, 9)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            meets = rng.sample(pairs, rng.randint(0, len(pairs)))
+            rng.shuffle(meets)
+            doc = parse_document(
+                {
+                    "curves": [
+                        {"name": f"C{i}", "self": rng.randint(-3, 1)}
+                        for i in range(n)
+                    ],
+                    "intersections": [
+                        [j, i, f"{rng.randint(0, 3)}/{rng.randint(1, 2)}"]
+                        if rng.random() < 0.5 else [i, j, rng.randint(0, 2)]
+                        for i, j in meets
+                    ],
+                }
+            )
+            listed = document_to_json(doc)["intersections"]
+            assert listed == self.pairwise(doc.surface.ambient)
+
+    def test_budget_on_2000_curves(self):
+        # a 1000-link chain with a curve on each link; listing every pair
+        # took seconds
+        n = 1000
+        doc = parse_document(
+            {
+                "curves": [{"name": f"E{i}", "self": -2} for i in range(n)]
+                + [{"name": f"C{i}", "self": 1} for i in range(n)],
+                "intersections": [[i, i + 1, 1] for i in range(n - 1)]
+                + [[i, n + i, 1] for i in range(n)],
+            }
+        )
+        start = time.perf_counter()
+        listed = document_to_json(doc)["intersections"]
+        elapsed = time.perf_counter() - start
+        assert len(listed) == 2 * n - 1
+        assert elapsed < 0.1, f"document_to_json took {elapsed:.2f}s"
+
+
+class TestHyperbolicStepBudget:
+    @pytest.mark.parametrize("command", ["fibre", "affdim"])
+    def test_section_meeting_2000_fibres(self, command, tmp_path, capsys):
+        # the boundary S + F1 + ... + Fn of a product ruled surface: S pairs
+        # with F1 in a hyperbolic step whose update is empty; updating every
+        # pair of the coupled rows took seconds
+        n = 2000
+        doc = tmp_path / "ruled.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "curves": [{"name": "S", "self": 0}]
+                    + [{"name": f"F{i}", "self": 0} for i in range(1, n + 1)],
+                    "intersections": [[0, i, 1] for i in range(1, n + 1)],
+                    "boundary": ["S"] + [f"F{i}" for i in range(1, n + 1)],
+                }
+            )
+        )
+        start = time.perf_counter()
+        code, out, _ = run(capsys, command, doc, "--format", "json")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert "not-negative-semidefinite" in out
+        assert elapsed < 0.5, f"{command} took {elapsed:.2f}s"
 
 
 class TestSchemaValidation:

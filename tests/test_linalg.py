@@ -434,6 +434,31 @@ class TestOneElimination:
         with pytest.raises(InputError, match="out of range"):
             SymmetricMatrix([[1]]).ldl([1])
 
+    def test_repeated_index_refused(self):
+        # the block on [0, 0] is [[-2, -2], [-2, -2]], which is singular;
+        # keyed by index, the elimination would see one curve and call the
+        # block negative definite
+        m = SymmetricMatrix([[-2, 1], [1, -3]])
+        assert m.restrict([0, 0]).inertia() == (0, 1, 1)
+        with pytest.raises(InputError, match="distinct"):
+            m.ldl([0, 0])
+        with pytest.raises(InputError, match="distinct"):
+            m.negative_definite_ldl([1, 0, 1])
+
+    def test_hyperbolic_step_updates_only_the_coupled_rows(self):
+        # the first row has a zero diagonal and only zero-diagonal
+        # neighbours, so it pairs with its first neighbour; the update
+        # touches supp(u) x supp(v), including shared rows on the diagonal
+        triangle = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        assert SymmetricMatrix(triangle).inertia() == (1, 2, 0)
+        for n in range(1, 8):
+            # a 0-section meeting n disjoint 0-fibres: v is empty
+            rows = [[0] * (n + 1) for _ in range(n + 1)]
+            for i in range(1, n + 1):
+                rows[0][i] = rows[i][0] = 1
+            m = SymmetricMatrix(rows)
+            assert m.inertia() == dense_inertia(m) == (1, 1, n - 1)
+
 
 class TestRationals:
     @given(
