@@ -3,18 +3,38 @@ obstruction machinery.
 
 Curves are kept in long Weierstrass form y^2 + a1 xy + a3 y = x^3 + a2 x^2 +
 a4 x + a6 so that small rank-one curves such as y^2 + y = x^3 - x can be used
-directly.  Torsion is decided by two theorems.  Mazur's bound on rational
-torsion orders (1..10 or 12) limits the search to twelve multiples, and the
-generalised Nagell-Lutz theorem (Silverman, AEC VII.3.4 and VIII.7.1) ends
-it early: on an integral model every affine torsion point has 4x, 8y in Z,
-so the first multiple that breaks this integrality certifies non-torsion
-before the coordinates grow.
+directly.  With u the lcm of the coefficient denominators, (x, y) ->
+(u^2 x, u^3 y) maps the curve to an integral model; each curve keeps u, the
+integers u*a_i and that model's discriminant, so the on-curve test and the
+nonsingularity check are integer cross-multiplications.
+
+Whether a weighted point sum S = sum m_i P_i is torsion is decided in two
+stages, and only the second forms points over Q.
+
+1. Reduction filter.  At a prime p >= 3 of good reduction, E(Q)_tors
+   injects into the reduced curve's group (Silverman, AEC VII.3.1 with
+   IV.6.4), so a torsion S and its reduction have the same order, one of
+   Mazur's rational torsion orders 1..10 or 12.  For each prime of
+   ``FILTER_PRIMES`` that divides no coefficient denominator, not the
+   discriminant and no point denominator, the sum is formed in F_p by
+   double-and-add on each m_i.  A reduction whose order is not an
+   admissible torsion order, or two primes that disagree on the order,
+   certify NonTorsion.
+2. Exact candidates.  A sum the filter leaves open is formed over Q and
+   tested against Mazur's bound, with the generalised Nagell-Lutz exit
+   (Silverman, AEC VII.3.4 and VIII.7.1): on the integral model every
+   affine torsion point has 4x, 8y in Z, so the first multiple that breaks
+   this integrality certifies NonTorsion before the coordinates grow.
+   ``Torsion(n)`` only ever comes from this exact stage.  Every point it
+   forms must keep its coordinates within ``EXACT_BITS_BUDGET`` bits; past
+   the budget the status is ``Undecided(bits>B)``, which decides nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -43,6 +63,13 @@ from .saturation import (
 )
 
 RATIONAL_TORSION_ORDERS = frozenset(range(1, 11)) | {12}
+# primes p >= 5 below 2^15, so every product of two residues is one machine
+# digit; near p the reduced group has about p points, of which only a few
+# have an admissible torsion order, so a non-torsion sum rarely survives one
+FILTER_PRIMES = (32749, 32719, 32717)
+# largest numerator or denominator bit-length a point formed by the exact
+# stage may have; one doubling at the budget costs tens of milliseconds
+EXACT_BITS_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,31 +81,43 @@ class WeierstrassCurve:
     a6: Fraction = Fraction(0)
 
     def __post_init__(self):
+        coefficients = []
         for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if self.discriminant() == 0:
+            value = as_rational(getattr(self, name))
+            object.__setattr__(self, name, value)
+            coefficients.append(value)
+        u = lcm(*(c.denominator for c in coefficients))
+        scaled = tuple(c.numerator * (u // c.denominator) for c in coefficients)
+        # the integral model's coefficients a_i u^i, from the integers u a_i
+        c1, c2, c3, c4, c6 = (
+            s * u ** power for s, power in zip(scaled, (0, 1, 2, 3, 5))
+        )
+        b2 = c1 * c1 + 4 * c2
+        b4 = 2 * c4 + c1 * c3
+        b6 = c3 * c3 + 4 * c6
+        b8 = c1 * c1 * c6 + 4 * c2 * c6 - c1 * c3 * c4 + c2 * c3 * c3 - c4 * c4
+        delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if delta == 0:
             raise InputError("curve is singular (discriminant vanishes)")
-
-    def b_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_integral_discriminant", delta)
 
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return Fraction(self._integral_discriminant, self._u ** 12)
 
     def contains(self, point: "ECPoint") -> bool:
         if point.is_infinity:
             return True
-        x, y = point.x, point.y
-        return (
-            y * y + self.a1 * x * y + self.a3 * y
-            == x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
-        )
+        # the curve equation times u xd^3 yd^2, for x = xn/xd and y = yn/yd
+        u = self._u
+        s1, s2, s3, s4, s6 = self._scaled
+        xn, xd = point.x.numerator, point.x.denominator
+        yn, yd = point.y.numerator, point.y.denominator
+        xd2 = xd * xd
+        lhs = yn * (u * yn * xd + s1 * xn * yd + s3 * xd * yd) * xd2
+        rhs = yd * yd * (((u * xn + s2 * xd) * xn + s4 * xd2) * xn + s6 * xd2 * xd)
+        return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -163,48 +202,167 @@ def scalar_mul(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
     return _scalar_mul(curve, n, p)
 
 
-def _scalar_mul(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
-    """n p for n >= 0 and p known to lie on the curve."""
+class _OverBudget(Exception):
+    """The exact stage formed a point past ``EXACT_BITS_BUDGET``."""
+
+
+def _unbounded(point: ECPoint) -> ECPoint:
+    return point
+
+
+def _within_budget(point: ECPoint) -> ECPoint:
+    if not point.is_infinity and max(
+        point.x.numerator.bit_length(),
+        point.x.denominator.bit_length(),
+        point.y.numerator.bit_length(),
+        point.y.denominator.bit_length(),
+    ) > EXACT_BITS_BUDGET:
+        raise _OverBudget
+    return point
+
+
+def _scalar_mul(
+    curve: WeierstrassCurve, n: int, p: ECPoint, check=_unbounded
+) -> ECPoint:
+    """n p for n >= 0 and p known to lie on the curve; ``check`` sees every
+    point formed (``_within_budget`` in the exact stage)."""
     result = ECPoint.infinity()
     doubling = p
     while n:
         if n & 1:
-            result = _add(curve, result, doubling)
+            result = check(_add(curve, result, doubling))
         n >>= 1
         if n:
-            doubling = _add(curve, doubling, doubling)
+            doubling = check(_add(curve, doubling, doubling))
     return result
+
+
+def _exact_sum(
+    curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]], check=_unbounded
+) -> ECPoint:
+    """sum m P over (P, m) pairs known to lie on the curve, formed over Q."""
+    total = ECPoint.infinity()
+    for point, mult in points:
+        total = check(_add(curve, total, _scalar_mul(curve, mult, point, check)))
+    return total
 
 
 @dataclass(frozen=True)
 class TorsionStatus:
     torsion: bool
     order: Optional[int] = None
+    # the bit budget the exact stage ran past; set only when undecided
+    bound: Optional[int] = None
 
     def __str__(self) -> str:
+        if self.bound is not None:
+            return f"Undecided(bits>{self.bound})"
         return f"Torsion({self.order})" if self.torsion else "NonTorsion"
 
 
 def is_torsion(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
     """Torsion(n) for the least admissible rational torsion order n with
-    n*p = infinity, else NonTorsion.
-
-    Rational torsion orders are 1..10 and 12 (Mazur), so at most twelve
-    multiples are formed.  With u the lcm of the coefficient denominators,
-    (x, y) -> (u^2 x, u^3 y) maps the curve to an integral model, on which
-    every affine torsion point has 4x, 8y in Z (generalised Nagell-Lutz).
-    Every multiple of a torsion point is torsion, so the first multiple
-    that fails this integrality certifies NonTorsion.
-    """
+    n*p = infinity, NonTorsion, or Undecided(bits>B) when the exact stage
+    would have to form a point past its bit budget (see the module
+    docstring for the two stages)."""
     _require_on_curve(curve, p)
-    return _torsion_status(curve, p)
+    if p.is_infinity:
+        return TorsionStatus(True, 1)
+    return _weighted_torsion(curve, ((p, 1),))[0]
+
+
+def _weighted_torsion(
+    curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]]
+) -> tuple[TorsionStatus, Optional[ECPoint]]:
+    """The torsion status of sum m P over (P, m) pairs of affine points
+    known to lie on the curve, with the sum itself when the exact stage
+    formed it."""
+    if _reduction_certifies_non_torsion(curve, points):
+        return TorsionStatus(False), None
+    try:
+        total = _exact_sum(curve, points, _within_budget)
+        return _torsion_status(curve, total), total
+    except _OverBudget:
+        return TorsionStatus(False, bound=EXACT_BITS_BUDGET), None
+
+
+def _reduction_certifies_non_torsion(
+    curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]]
+) -> bool:
+    """True when the sum's reductions at the filter primes rule out every
+    rational torsion order."""
+    orders = set()
+    for p in FILTER_PRIMES:
+        if not (curve._u % p and curve._integral_discriminant % p):
+            continue  # p in a coefficient denominator, or bad reduction
+        if any(
+            point.x.denominator % p == 0 or point.y.denominator % p == 0
+            for point, _ in points
+        ):
+            continue
+        order = _reduced_order(curve, points, p)
+        if order not in RATIONAL_TORSION_ORDERS:
+            return True
+        orders.add(order)
+        if len(orders) > 1:
+            return True
+    return False
+
+
+def _reduced_order(
+    curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]], p: int
+) -> Optional[int]:
+    """The least k <= 12 with k S = O for the reduction S of sum m P at a
+    good prime p dividing no point denominator, else None.  Affine points
+    are (x, y) residue pairs and the identity is None."""
+    inverse_u = pow(curve._u, -1, p)
+    a1, a2, a3, a4, _ = (s * inverse_u % p for s in curve._scaled)
+
+    def add(first, second):
+        if first is None:
+            return second
+        if second is None:
+            return first
+        x1, y1 = first
+        x2, y2 = second
+        if x1 == x2:
+            # equal x: the points are inverse or equal, and when equal the
+            # tangent's denominator 2 y1 + a1 x1 + a3 is this same sum
+            den = (y1 + y2 + a1 * x1 + a3) % p
+            if not den:
+                return None
+            slope = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(den, -1, p) % p
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (slope * slope + a1 * slope - a2 - x1 - x2) % p
+        return x3, (slope * (x1 - x3) - y1 - a1 * x3 - a3) % p
+
+    total = None
+    for point, mult in points:
+        x, y = point.x, point.y
+        doubling = (
+            x.numerator * pow(x.denominator, -1, p) % p,
+            y.numerator * pow(y.denominator, -1, p) % p,
+        )
+        while mult:
+            if mult & 1:
+                total = add(total, doubling)
+            mult >>= 1
+            if mult:
+                doubling = add(doubling, doubling)
+    running = total
+    for k in range(1, 13):
+        if running is None:
+            return k
+        running = add(running, total)
+    return None
 
 
 def _torsion_status(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
-    """:func:`is_torsion` for a point known to lie on the curve."""
-    coefficients = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-    u = lcm(*(c.denominator for c in coefficients))
-    x_scale, y_scale = 4 * u * u, 8 * u * u * u
+    """The exact stage for a point known to lie on the curve: form at most
+    twelve multiples, each held to the budget once it passes the
+    Nagell-Lutz integrality test on the integral model."""
+    x_scale, y_scale = 4 * curve._u ** 2, 8 * curve._u ** 3
     running = ECPoint.infinity()
     for n in range(1, 13):
         running = _add(curve, running, p)
@@ -213,18 +371,27 @@ def _torsion_status(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
                 return TorsionStatus(True, n)
         elif x_scale % running.x.denominator or y_scale % running.y.denominator:
             return TorsionStatus(False)
+        else:
+            _within_budget(running)
     return TorsionStatus(False)
 
 
 @dataclass(frozen=True)
 class ObstructionReport:
     found: bool
-    total: ECPoint
     torsion: TorsionStatus
+    curve: WeierstrassCurve = field(repr=False, compare=False)
+    points: tuple[tuple[ECPoint, int], ...] = field(repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
         return "obstruction-found" if self.found else "inconclusive"
+
+    @cached_property
+    def total(self) -> ECPoint:
+        """The weighted sum, formed exactly on first read: no verdict needs
+        it, and a sum the filter decided may be far past the budget."""
+        return _exact_sum(self.curve, self.points)
 
 
 def sum_obstruction(
@@ -235,11 +402,11 @@ def sum_obstruction(
     A configuration of blown-up points on a cubic can only be cut out (at
     any uniform multiple of the given tangency weights) when the weighted
     sum vanishes in the group law.  A non-torsion sum therefore obstructs
-    every such divisor; a torsion sum decides nothing.
+    every such divisor; a torsion or undecided sum decides nothing.
     """
     if not points:
         raise PreconditionError("need at least one point")
-    seen = []
+    seen = set()
     for point, mult in points:
         if point.is_infinity:
             raise PreconditionError("blown-up points must be affine")
@@ -248,14 +415,23 @@ def sum_obstruction(
             raise PreconditionError(
                 f"multiplicity must be a positive integer, got {mult!r}"
             )
-        if point in seen:
+        # integer keys: hashing a Fraction costs a modular inverse
+        x, y = point.x, point.y
+        key = (x.numerator, x.denominator, y.numerator, y.denominator)
+        if key in seen:
             raise PreconditionError(f"repeated point {point!r}; points must be distinct")
-        seen.append(point)
-    total = ECPoint.infinity()
-    for point, mult in points:
-        total = _add(curve, total, _scalar_mul(curve, mult, point))
-    torsion = _torsion_status(curve, total)
-    return ObstructionReport(found=not torsion.torsion, total=total, torsion=torsion)
+        seen.add(key)
+    points = tuple(points)
+    torsion, total = _weighted_torsion(curve, points)
+    report = ObstructionReport(
+        found=not torsion.torsion and torsion.bound is None,
+        torsion=torsion,
+        curve=curve,
+        points=points,
+    )
+    if total is not None:
+        report.__dict__["total"] = total  # the cached_property's slot
+    return report
 
 
 @dataclass(frozen=True)

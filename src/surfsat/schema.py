@@ -216,6 +216,11 @@ def parse_document(data) -> Document:
                 f"{sorted(_CERTIFICATE_KINDS)}",
                 path=f"{path}.certificate.kind",
             )
+        _fields(
+            cert_data,
+            {"kind", "reference"} if kind == "group-law-obstruction" else {"kind"},
+            f"{path}.certificate",
+        )
         if kind == "group-law-obstruction":
             reference = cert_data.get("reference", "")
             _expect(reference, str, path=f"{path}.certificate.reference")

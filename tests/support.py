@@ -23,7 +23,11 @@ boundary component.  The affinisation-after-plan oracle carries out the
 whole saturation plan, contracting through the checked public
 ``contract`` and classifying the saturated boundary afresh, where the
 package reads the verdict off the boundary record when it can and
-contracts from the record's factorisations.
+contracts from the record's factorisations.  The point-sum oracle is the
+package's former obstruction test: the on-curve test evaluated in
+``Fraction`` arithmetic and the weighted sum always formed over Q, where
+the package reduces the sum modulo a few primes first and checks points
+by integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 from surfsat import (
     CompactifiedSurface,
@@ -40,9 +45,9 @@ from surfsat import (
     FalseFibreClaim,
     FibreTypeReport,
     FibreVerdict,
+    PreconditionError,
     SymmetricMatrix,
     TorsionStatus,
-    add,
     affinisation_dimension,
     classify_fibre_type,
     contract,
@@ -679,10 +684,92 @@ def oracle_is_torsion(curve, point) -> TorsionStatus:
     admissible = set(range(1, 11)) | {12}
     running = ECPoint.infinity()
     for n in range(1, 13):
-        running = add(curve, running, point)
+        running = _oracle_add(curve, running, point)
         if running.is_infinity and n in admissible:
             return TorsionStatus(True, n)
     return TorsionStatus(False)
+
+
+def oracle_contains(curve, point) -> bool:
+    """The curve equation evaluated as written, in ``Fraction`` arithmetic."""
+    if point.is_infinity:
+        return True
+    x, y = point.x, point.y
+    return (
+        y * y + curve.a1 * x * y + curve.a3 * y
+        == x ** 3 + curve.a2 * x * x + curve.a4 * x + curve.a6
+    )
+
+
+def _oracle_add(curve, p, q):
+    """Chord-tangent addition in ``Fraction`` arithmetic, points unchecked."""
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    if p.x == q.x and p.y + q.y + curve.a1 * q.x + curve.a3 == 0:
+        return ECPoint.infinity()
+    if p.x == q.x:
+        num = 3 * p.x * p.x + 2 * curve.a2 * p.x + curve.a4 - curve.a1 * p.y
+        slope = num / (2 * p.y + curve.a1 * p.x + curve.a3)
+    else:
+        slope = (q.y - p.y) / (q.x - p.x)
+    offset = p.y - slope * p.x
+    x3 = slope * slope + curve.a1 * slope - curve.a2 - p.x - q.x
+    return ECPoint.affine(x3, -(slope + curve.a1) * x3 - offset - curve.a3)
+
+
+def oracle_sum_obstruction(curve, points):
+    """``(found, total, torsion)`` for the weighted sum of ``points``: the
+    sum formed over Q by double-and-add, then at most twelve multiples of
+    it, stopping at an admissible torsion order (1..10, 12) or at the first
+    multiple that fails the Nagell-Lutz integrality 4x, 8y in Z on the
+    integral model."""
+    if not points:
+        raise PreconditionError("need at least one point")
+    seen = []
+    for point, mult in points:
+        if point.is_infinity:
+            raise PreconditionError("blown-up points must be affine")
+        if not oracle_contains(curve, point):
+            raise PreconditionError(
+                f"{point!r} does not satisfy the curve equation"
+            )
+        if not isinstance(mult, int) or mult < 1:
+            raise PreconditionError(
+                f"multiplicity must be a positive integer, got {mult!r}"
+            )
+        if point in seen:
+            raise PreconditionError(
+                f"repeated point {point!r}; points must be distinct"
+            )
+        seen.append(point)
+    total = ECPoint.infinity()
+    for point, mult in points:
+        multiple, doubling = ECPoint.infinity(), point
+        while mult:
+            if mult & 1:
+                multiple = _oracle_add(curve, multiple, doubling)
+            mult >>= 1
+            if mult:
+                doubling = _oracle_add(curve, doubling, doubling)
+        total = _oracle_add(curve, total, multiple)
+    coefficients = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    u = lcm(*(c.denominator for c in coefficients))
+    admissible = set(range(1, 11)) | {12}
+    torsion = TorsionStatus(False)
+    running = ECPoint.infinity()
+    for n in range(1, 13):
+        running = _oracle_add(curve, running, total)
+        if running.is_infinity:
+            if n in admissible:
+                torsion = TorsionStatus(True, n)
+                break
+        elif (4 * u * u) % running.x.denominator or (
+            8 * u ** 3
+        ) % running.y.denominator:
+            break
+    return not torsion.torsion, total, torsion
 
 
 # -- fibre shapes ----------------------------------------------------------

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import surfsat
-from surfsat.cli import main
+from surfsat.cli import COMMANDS, main
+from surfsat.elliptic import EXACT_BITS_BUDGET
 from surfsat.errors import InputError
 from surfsat.schema import (
     document_to_json,
@@ -227,6 +228,78 @@ class TestCommands:
             )
             assert code in (0, 2)
             assert "criterion" in out
+
+
+def _multiple_of_p(k):
+    """k P on y^2 + y = x^3 - x for P = (0, 0), as a JSON point."""
+    curve = surfsat.WeierstrassCurve(a3=1, a4=-1)
+    q = surfsat.scalar_mul(curve, k, surfsat.ECPoint.affine(0, 0))
+    return {"x": rational_to_json(q.x), "y": rational_to_json(q.y)}
+
+
+class TestHeavyMultiplicity:
+    """Schema-valid documents whose weights are 10^18."""
+
+    HEAVY = 10**18
+
+    def write(self, tmp_path, sample, weighted):
+        doc = json.loads((SAMPLES / sample).read_text())
+        doc["elliptic"]["points"] = [
+            dict(_multiple_of_p(k), m=m) for k, m in weighted
+        ]
+        path = tmp_path / f"heavy-{sample}"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def run_all(self, capsys, path):
+        outputs = {}
+        for command in sorted(COMMANDS):
+            for fmt in ("human", "json"):
+                start = time.perf_counter()
+                code, out, err = run(capsys, command, path, "--format", fmt)
+                elapsed = time.perf_counter() - start
+                assert elapsed < 1.0, f"{command} took {elapsed:.2f}s"
+                assert "Traceback" not in err
+                outputs[command, fmt] = code, out
+        return outputs
+
+    def test_non_torsion_sum(self, capsys, tmp_path):
+        weighted = [(k, self.HEAVY) for k in range(1, 11)]
+        outputs = self.run_all(capsys, self.write(tmp_path, "n10.json", weighted))
+        code, out = outputs["hironaka", "human"]
+        assert code == 0
+        assert "obstruction.torsion: NonTorsion" in out
+        assert "scheme_saturation.verdict: scheme-saturated" in out
+
+    def test_budget_at_ten_points_is_unknown(self, capsys, tmp_path):
+        # P and -P at weight 10^18 and +-2P .. +-5P: the sum is O at every
+        # filter prime, and forming 10^18 P runs past the bit budget
+        weighted = [(1, self.HEAVY), (-1, self.HEAVY)]
+        weighted += [(s * k, 1) for k in range(2, 6) for s in (1, -1)]
+        outputs = self.run_all(capsys, self.write(tmp_path, "n10.json", weighted))
+        code, out = outputs["hironaka", "human"]
+        assert code == 2
+        assert f"obstruction.torsion: Undecided(bits>{EXACT_BITS_BUDGET})" in out
+        assert "obstruction.verdict: inconclusive" in out
+        assert "verdict: unknown" in out.splitlines()[1]
+
+    def test_budget_at_nine_points(self, capsys, tmp_path):
+        weighted = [(1, self.HEAVY), (-1, self.HEAVY)]
+        weighted += [(k, 1) for k in (2, 3, -5, 4, -4, 6, -6)]
+        path = self.write(tmp_path, "hironaka9_nontorsion.json", weighted)
+        outputs = self.run_all(capsys, path)
+        code, out = outputs["hironaka", "human"]
+        assert code == 2
+        assert "verdict: one-or-zero" in out.splitlines()[1]
+        assert f"obstruction.torsion: Undecided(bits>{EXACT_BITS_BUDGET})" in out
+        # the sample's group-law claim on C cannot be reproduced
+        code, out = outputs["validate", "human"]
+        assert code == 1
+        assert "verdict: inconsistent" in out
+        assert (
+            "the supplied weighted point sum is "
+            f"Undecided(bits>{EXACT_BITS_BUDGET})"
+        ) in out
 
 
 class TestGoldenOutput:

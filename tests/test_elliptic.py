@@ -1,8 +1,12 @@
+import itertools
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from surfsat import (
     AffDim,
@@ -21,7 +25,9 @@ from surfsat import (
     sum_obstruction,
 )
 
-from support import oracle_is_torsion
+from surfsat.elliptic import EXACT_BITS_BUDGET, FILTER_PRIMES, _reduced_order
+
+from support import oracle_contains, oracle_is_torsion, oracle_sum_obstruction
 
 # rank-one curve with tiny generator, long form: y^2 + y = x^3 - x
 CURVE_37A = WeierstrassCurve(a3=1, a4=-1)
@@ -350,3 +356,284 @@ class TestHironakaBuild:
             hironaka_build(
                 CURVE_37A, self.points(range(1, 10)), fibration_asserted=True
             )
+
+
+class TestHeavyMultiplicity:
+    """Weights far past anything the exact stage could form."""
+
+    def test_non_torsion_sum_at_10_18(self):
+        points = [(scalar_mul(CURVE_37A, k, GEN), 10**18) for k in range(1, 13)]
+        for case in ([(GEN, 10**18)], points):
+            start = time.perf_counter()
+            report = sum_obstruction(CURVE_37A, case)
+            elapsed = time.perf_counter() - start
+            assert report.found and report.torsion == TorsionStatus(False)
+            assert elapsed < 0.05, f"sum_obstruction took {elapsed * 1000:.1f}ms"
+
+    def test_budget_names_its_bound(self):
+        # P and -P at weight 10^18 sum to O at every prime, so the sum is a
+        # candidate, and 10^18 P is far past the bit budget
+        start = time.perf_counter()
+        report = sum_obstruction(
+            CURVE_37A, [(GEN, 10**18), (negate(CURVE_37A, GEN), 10**18)]
+        )
+        elapsed = time.perf_counter() - start
+        assert report.torsion == TorsionStatus(False, bound=EXACT_BITS_BUDGET)
+        assert str(report.torsion) == f"Undecided(bits>{EXACT_BITS_BUDGET})"
+        assert not report.found
+        assert report.verdict == "inconclusive"
+        assert elapsed < 1.0, f"sum_obstruction took {elapsed:.2f}s"
+
+    def test_primes_that_disagree_on_the_order(self):
+        # k P reduces to O at the first two filter primes and to a point of
+        # order 2 at the third: a torsion sum has one order at every good
+        # prime, so this decides without the exact stage, which would have
+        # to form 2 * 10^12 P
+        k = 2178699501486
+        orders = [_reduced_order(CURVE_37A, [(GEN, k)], p) for p in FILTER_PRIMES]
+        assert orders == [1, 1, 2]
+        assert sum_obstruction(CURVE_37A, [(GEN, k)]).torsion == TorsionStatus(False)
+
+    def test_budget_holds_the_torsion_multiples(self):
+        # every filter prime divides a4's denominator, so the exact stage
+        # alone sees the point; it passes the integrality test, so only the
+        # budget stops the multiples
+        n = prod(FILTER_PRIMES)
+        x, y = 2 ** (EXACT_BITS_BUDGET + 1), 3
+        a4 = Fraction(1, n)
+        curve = WeierstrassCurve(a4=a4, a6=y * y - x**3 - a4 * x)
+        status = is_torsion(curve, ECPoint.affine(x, y))
+        assert status == TorsionStatus(False, bound=EXACT_BITS_BUDGET)
+
+    def test_exact_stage_alone_when_every_prime_is_disqualified(self):
+        # every filter prime divides the point's denominators
+        n = prod(FILTER_PRIMES)
+        curve = WeierstrassCurve(a4=-n * n, a6=1)
+        point = ECPoint.affine(Fraction(1, n * n), Fraction(1, n**3))
+        assert is_torsion(curve, point) == oracle_is_torsion(curve, point)
+
+
+def _rescale(curve, u):
+    """The model (x, y) -> (x / u^2, y / u^3) of ``curve`` and that map."""
+    scaled = WeierstrassCurve(
+        a1=curve.a1 / u,
+        a2=curve.a2 / u**2,
+        a3=curve.a3 / u**3,
+        a4=curve.a4 / u**4,
+        a6=curve.a6 / u**6,
+    )
+    return scaled, lambda p: ECPoint.affine(p.x / u**2, p.y / u**3)
+
+
+# y^2 = x^3 - N^2 x + 1 carries (1/N^2, 1/N^3): every prime of N is in the
+# denominators of that point and of all its multiples
+_DENOMINATOR_MODULI = FILTER_PRIMES + (prod(FILTER_PRIMES),)
+# rank 0, torsion Z/5: y^2 + y = x^3 - x^2 (11a3)
+CURVE_11A3 = WeierstrassCurve(a2=-1, a3=1)
+# rank 1 with 2-torsion: y^2 = x^3 - 25x, generator (-4, 6)
+CURVE_CONGRUENT = WeierstrassCurve(a4=-25)
+RATIONAL_TORSION = [
+    (CURVE_6TOR, [(-1, 0), (0, 1), (0, -1), (2, 3), (2, -3)]),
+    (CURVE_11A3, [(0, 0), (0, -1), (1, 0), (1, -1)]),
+    (WeierstrassCurve(a4=-1), [(-1, 0), (0, 0), (1, 0)]),
+]
+ORACLE_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
+MULTIPLES = {k: scalar_mul(CURVE_37A, k, GEN) for k in range(-30, 31) if k}
+
+
+@st.composite
+def weighted_multiples(draw, bound=30, size=4, weight=3):
+    """Distinct nonzero multiples k, |k| <= bound, each with a weight of at
+    most ``weight``.  The defaults keep every partial sum within 342 P on
+    y^2 + y = x^3 - x, about 13000 bits, inside the exact stage's budget."""
+    ks = draw(
+        st.lists(
+            st.integers(-bound, bound).filter(bool),
+            min_size=1,
+            max_size=size,
+            unique=True,
+        )
+    )
+    weights = draw(
+        st.lists(st.integers(1, weight), min_size=len(ks), max_size=len(ks))
+    )
+    return list(zip(ks, weights))
+
+
+def _closed(curve, points, target=None):
+    """``points`` plus one weight-1 point that brings the weighted sum to
+    ``target`` (the identity by default); None when that point is the
+    identity or repeats a listed one."""
+    total = target or ECPoint.infinity()
+    for point, mult in points:
+        total = add(curve, total, negate(curve, scalar_mul(curve, mult, point)))
+    if total.is_infinity or any(total == point for point, _ in points):
+        return None
+    return points + [(total, 1)]
+
+
+class TestObstructionAgainstOracle:
+    """The reduction filter and the budgeted exact stage against the sum
+    formed over Q: the same verdict, status and total on every input."""
+
+    def agree(self, curve, points):
+        report = sum_obstruction(curve, points)
+        found, total, torsion = oracle_sum_obstruction(curve, points)
+        assert (report.found, report.torsion) == (found, torsion)
+        assert report.total == total
+        return report
+
+    @ORACLE_SETTINGS
+    @given(weighted_multiples())
+    def test_multiples_of_generator(self, drawn):
+        points = [(MULTIPLES[k], m) for k, m in drawn]
+        report = self.agree(CURVE_37A, points)
+        assert report.found == (sum(k * m for k, m in drawn) != 0)
+
+    @ORACLE_SETTINGS
+    @given(weighted_multiples())
+    def test_sums_that_are_exactly_torsion(self, drawn):
+        points = _closed(CURVE_37A, [(MULTIPLES[k], m) for k, m in drawn])
+        assume(points is not None)
+        report = self.agree(CURVE_37A, points)
+        assert report.torsion == TorsionStatus(True, 1)
+
+    @ORACLE_SETTINGS
+    @given(
+        st.sampled_from(range(len(RATIONAL_TORSION))).flatmap(
+            lambda i: st.tuples(
+                st.just(i),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(RATIONAL_TORSION[i][1]),
+                        st.integers(1, 20),
+                    ),
+                    min_size=1,
+                    unique_by=lambda pair: pair[0],
+                ),
+            )
+        )
+    )
+    def test_curves_with_rational_torsion(self, drawn):
+        index, chosen = drawn
+        curve = RATIONAL_TORSION[index][0]
+        points = [(ECPoint.affine(x, y), m) for (x, y), m in chosen]
+        assert self.agree(curve, points).torsion.torsion
+
+    @ORACLE_SETTINGS
+    @given(
+        weighted_multiples(bound=4, size=3),
+        st.sampled_from([None, (0, 0), (5, 0), (-5, 0)]),
+    )
+    def test_rank_one_with_two_torsion(self, drawn, target):
+        # sums of multiples of the generator, closed to a point of order 2
+        gen = ECPoint.affine(-4, 6)
+        points = [(scalar_mul(CURVE_CONGRUENT, k, gen), m) for k, m in drawn]
+        if target is not None:
+            points = _closed(CURVE_CONGRUENT, points, ECPoint.affine(*target))
+            assume(points is not None)
+        report = self.agree(CURVE_CONGRUENT, points)
+        if target is not None:
+            assert report.torsion == TorsionStatus(True, 2)
+
+    @ORACLE_SETTINGS
+    @given(
+        st.sampled_from(_DENOMINATOR_MODULI),
+        # at N the product of the primes the base point's y has 135 bits,
+        # so sums stay within 5 times it to keep inside the budget
+        weighted_multiples(bound=2, size=3, weight=1),
+        st.booleans(),
+    )
+    def test_filter_prime_in_a_point_denominator(self, n, drawn, close):
+        curve = WeierstrassCurve(a4=-n * n, a6=1)
+        base = ECPoint.affine(Fraction(1, n * n), Fraction(1, n**3))
+        points = [(scalar_mul(curve, k, base), m) for k, m in drawn]
+        if close:
+            points = _closed(curve, points)
+            assume(points is not None)
+        self.agree(curve, points)
+
+    @ORACLE_SETTINGS
+    @given(
+        st.sampled_from((2, 3, 6, FILTER_PRIMES[0])),
+        weighted_multiples(bound=12, size=3),
+        st.booleans(),
+    )
+    def test_non_integral_coefficients(self, u, drawn, close):
+        # a filter prime as u puts that prime in the coefficient denominators
+        curve, scale = _rescale(CURVE_37A, u)
+        points = [(scale(MULTIPLES[k]), m) for k, m in drawn]
+        if close:
+            points = _closed(curve, points)
+            assume(points is not None)
+        self.agree(curve, points)
+
+    def test_non_integral_rational_torsion(self):
+        for u in (2, 3, FILTER_PRIMES[1]):
+            curve, scale = _rescale(CURVE_6TOR, u)
+            six = scale(ECPoint.affine(2, 3))
+            assert self.agree(curve, [(six, 1)]).torsion == TorsionStatus(True, 6)
+            two = scale(ECPoint.affine(-1, 0))
+            assert self.agree(curve, [(six, 1), (two, 1)]).torsion.torsion
+
+    def test_filter_prime_dividing_the_discriminant(self):
+        # y^2 = x (x - 1) (x - 1 - p) is singular mod p, where (1, 0) and
+        # (1 + p, 0) both reduce to the node; that prime must be skipped
+        p = FILTER_PRIMES[0]
+        curve = WeierstrassCurve(a2=-(2 + p), a4=1 + p)
+        assert curve.discriminant() % p == 0
+        two_torsion = [ECPoint.affine(x, 0) for x in (0, 1, 1 + p)]
+        for size in (1, 2, 3):
+            for chosen in itertools.combinations(two_torsion, size):
+                for weights in itertools.product((1, 2), repeat=size):
+                    self.agree(curve, list(zip(chosen, weights)))
+
+    def test_errors_match(self):
+        off = ECPoint.affine(1, 1)
+        cases = [
+            [],
+            [(ECPoint.infinity(), 1)],
+            [(GEN, 1), (off, 1)],
+            [(GEN, 0)],
+            [(GEN, "2")],
+            [(GEN, 1), (GEN, 2)],
+        ]
+        for points in cases:
+            with pytest.raises(PreconditionError) as new:
+                sum_obstruction(CURVE_37A, points)
+            with pytest.raises(PreconditionError) as old:
+                oracle_sum_obstruction(CURVE_37A, points)
+            assert str(new.value) == str(old.value)
+
+
+class TestContainsAgainstOracle:
+    CURVES = [
+        CURVE_37A,
+        CURVE_6TOR,
+        CURVE_11A3,
+        _rescale(CURVE_37A, 6)[0],
+        WeierstrassCurve(
+            a1=Fraction(1, 2), a2=Fraction(-3, 4), a3=5, a6=Fraction(7, 9)
+        ),
+    ]
+
+    @ORACLE_SETTINGS
+    @given(
+        st.sampled_from(range(5)),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+    )
+    def test_random_points(self, index, x, y):
+        curve = self.CURVES[index]
+        point = ECPoint.affine(x, y)
+        assert curve.contains(point) == oracle_contains(curve, point)
+
+    def test_points_on_the_curves(self):
+        for k, point in MULTIPLES.items():
+            assert CURVE_37A.contains(point) and oracle_contains(CURVE_37A, point)
+        curve, scale = _rescale(CURVE_37A, 6)
+        for point in MULTIPLES.values():
+            assert curve.contains(scale(point)) and oracle_contains(curve, scale(point))
+            moved = ECPoint.affine(scale(point).x, scale(point).y + Fraction(1, 7))
+            assert not curve.contains(moved) and not oracle_contains(curve, moved)
+        assert CURVE_37A.contains(ECPoint.infinity())

@@ -140,6 +140,23 @@ CASES = [
         claim(certificate={"kind": "group-law-obstruction", "reference": 7}),
         "false_fibre_claims[0].certificate.reference: expected str, got int",
     ),
+    (
+        claim(certificate={"kind": "user-asserted", "refrence": "x"}),
+        "false_fibre_claims[0].certificate: unknown keys ['refrence']",
+    ),
+    (
+        claim(certificate={"kind": "normal-bundle-nontorsion", "reference": "x"}),
+        "false_fibre_claims[0].certificate: unknown keys ['reference']",
+    ),
+    (
+        claim(certificate={"kind": "group-law-obstruction", "reference": "x", "note": 1}),
+        "false_fibre_claims[0].certificate: unknown keys ['note']",
+    ),
+    # the kind is checked before the keys
+    (
+        claim(certificate={"kind": "trust-me", "refrence": "x"}),
+        f"false_fibre_claims[0].certificate.kind: unknown certificate kind 'trust-me'; expected one of {KINDS}",
+    ),
     # fibration
     (doc(fibration_asserted="yes"), "fibration_asserted: expected bool, got str"),
     # elliptic section
