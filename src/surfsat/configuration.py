@@ -111,11 +111,6 @@ class Restriction:
     configuration: "Configuration"
     ambient_ids: tuple[int, ...]
 
-    def to_ambient(self, divisor: Divisor) -> Divisor:
-        return Divisor(
-            {self.ambient_ids[n]: c for n, c in divisor.coefficients.items()}
-        )
-
 
 class Configuration:
     """Dual graph: curve nodes plus their intersection matrix."""
@@ -190,12 +185,6 @@ class Configuration:
     def node_ids(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
-    def node_by_name(self, name: str) -> CurveNode:
-        for node in self._nodes:
-            if node.name == name:
-                return node
-        raise InputError(f"no curve named {name!r}")
-
     def names(self, subset: Iterable[int]) -> tuple[str, ...]:
         return tuple(self._nodes[i].name for i in sorted(subset))
 
@@ -205,10 +194,6 @@ class Configuration:
             if not 0 <= i < self.n:
                 raise PreconditionError(f"node {i} is not in the configuration")
         return ids
-
-    def adjacent(self, i: int, j: int) -> bool:
-        """Curves meet iff their intersection number is > 0."""
-        return j in self._neighbours[i]
 
     def neighbours(self, i: int) -> frozenset[int]:
         """The curves that meet curve ``i``."""

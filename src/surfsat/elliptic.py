@@ -9,17 +9,22 @@ integers u*a_i and that model's discriminant, so the on-curve test and the
 nonsingularity check are integer cross-multiplications.
 
 Whether a weighted point sum S = sum m_i P_i is torsion is decided in two
-stages, and only the second forms points over Q.
+stages, and only the second forms points over Q.  Both form S by one joint
+double-and-add (Straus, "Addition chains of vectors", 1964): walking the
+bits of the largest weight from the top, double the running point, then add
+each P_i whose m_i has that bit set.  After bit j the running point is
+sum floor(m_i / 2^j) P_i, so when the P_i are multiples k_i G of one point
+and S = O, every point formed is c G with |c| <= 2 sum |k_i|, whatever the
+weights: cancelling heavy weights never form a large point.
 
 1. Reduction filter.  At a prime p >= 3 of good reduction, E(Q)_tors
    injects into the reduced curve's group (Silverman, AEC VII.3.1 with
    IV.6.4), so a torsion S and its reduction have the same order, one of
    Mazur's rational torsion orders 1..10 or 12.  For each prime of
    ``FILTER_PRIMES`` that divides no coefficient denominator, not the
-   discriminant and no point denominator, the sum is formed in F_p by
-   double-and-add on each m_i.  A reduction whose order is not an
-   admissible torsion order, or two primes that disagree on the order,
-   certify NonTorsion.
+   discriminant and no point denominator, the sum is formed in F_p.  A
+   reduction whose order is not an admissible torsion order, or two
+   primes that disagree on the order, certify NonTorsion.
 2. Exact candidates.  A sum the filter leaves open is formed over Q and
    tested against Mazur's bound, with the generalised Nagell-Lutz exit
    (Silverman, AEC VII.3.4 and VIII.7.1): on the integral model every
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 from typing import Optional, Sequence
 
@@ -199,15 +204,23 @@ def scalar_mul(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
     if n < 0:
         return scalar_mul(curve, -n, negate(curve, p))
     _require_on_curve(curve, p)
-    return _scalar_mul(curve, n, p)
+    return _joint_sum(partial(_add, curve), ECPoint.infinity(), ((p, n),))
+
+
+def _joint_sum(add, identity, terms):
+    """sum m P over (P, m) pairs with m >= 0 in the group with law ``add``,
+    by one joint double-and-add over the bits of the largest weight."""
+    total = identity
+    for bit in reversed(range(max(m for _, m in terms).bit_length())):
+        total = add(total, total)
+        for point, mult in terms:
+            if mult >> bit & 1:
+                total = add(total, point)
+    return total
 
 
 class _OverBudget(Exception):
     """The exact stage formed a point past ``EXACT_BITS_BUDGET``."""
-
-
-def _unbounded(point: ECPoint) -> ECPoint:
-    return point
 
 
 def _within_budget(point: ECPoint) -> ECPoint:
@@ -219,32 +232,6 @@ def _within_budget(point: ECPoint) -> ECPoint:
     ) > EXACT_BITS_BUDGET:
         raise _OverBudget
     return point
-
-
-def _scalar_mul(
-    curve: WeierstrassCurve, n: int, p: ECPoint, check=_unbounded
-) -> ECPoint:
-    """n p for n >= 0 and p known to lie on the curve; ``check`` sees every
-    point formed (``_within_budget`` in the exact stage)."""
-    result = ECPoint.infinity()
-    doubling = p
-    while n:
-        if n & 1:
-            result = check(_add(curve, result, doubling))
-        n >>= 1
-        if n:
-            doubling = check(_add(curve, doubling, doubling))
-    return result
-
-
-def _exact_sum(
-    curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]], check=_unbounded
-) -> ECPoint:
-    """sum m P over (P, m) pairs known to lie on the curve, formed over Q."""
-    total = ECPoint.infinity()
-    for point, mult in points:
-        total = check(_add(curve, total, _scalar_mul(curve, mult, point, check)))
-    return total
 
 
 @dataclass(frozen=True)
@@ -268,22 +255,25 @@ def is_torsion(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
     _require_on_curve(curve, p)
     if p.is_infinity:
         return TorsionStatus(True, 1)
-    return _weighted_torsion(curve, ((p, 1),))[0]
+    return _weighted_torsion(curve, ((p, 1),))
 
 
 def _weighted_torsion(
     curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]]
-) -> tuple[TorsionStatus, Optional[ECPoint]]:
+) -> TorsionStatus:
     """The torsion status of sum m P over (P, m) pairs of affine points
-    known to lie on the curve, with the sum itself when the exact stage
-    formed it."""
+    known to lie on the curve."""
     if _reduction_certifies_non_torsion(curve, points):
-        return TorsionStatus(False), None
+        return TorsionStatus(False)
     try:
-        total = _exact_sum(curve, points, _within_budget)
-        return _torsion_status(curve, total), total
+        total = _joint_sum(
+            lambda p, q: _within_budget(_add(curve, p, q)),
+            ECPoint.infinity(),
+            points,
+        )
     except _OverBudget:
-        return TorsionStatus(False, bound=EXACT_BITS_BUDGET), None
+        return TorsionStatus(False, bound=EXACT_BITS_BUDGET)
+    return _torsion_status(curve, total)
 
 
 def _reduction_certifies_non_torsion(
@@ -337,20 +327,12 @@ def _reduced_order(
         x3 = (slope * slope + a1 * slope - a2 - x1 - x2) % p
         return x3, (slope * (x1 - x3) - y1 - a1 * x3 - a3) % p
 
-    total = None
-    for point, mult in points:
-        x, y = point.x, point.y
-        doubling = (
-            x.numerator * pow(x.denominator, -1, p) % p,
-            y.numerator * pow(y.denominator, -1, p) % p,
-        )
-        while mult:
-            if mult & 1:
-                total = add(total, doubling)
-            mult >>= 1
-            if mult:
-                doubling = add(doubling, doubling)
-    running = total
+    def residue(r: Fraction) -> int:
+        return r.numerator * pow(r.denominator, -1, p) % p
+
+    total = running = _joint_sum(
+        add, None, [((residue(q.x), residue(q.y)), m) for q, m in points]
+    )
     for k in range(1, 13):
         if running is None:
             return k
@@ -391,7 +373,8 @@ class ObstructionReport:
     def total(self) -> ECPoint:
         """The weighted sum, formed exactly on first read: no verdict needs
         it, and a sum the filter decided may be far past the budget."""
-        return _exact_sum(self.curve, self.points)
+        add = partial(_add, self.curve)
+        return _joint_sum(add, ECPoint.infinity(), self.points)
 
 
 def sum_obstruction(
@@ -422,16 +405,13 @@ def sum_obstruction(
             raise PreconditionError(f"repeated point {point!r}; points must be distinct")
         seen.add(key)
     points = tuple(points)
-    torsion, total = _weighted_torsion(curve, points)
-    report = ObstructionReport(
+    torsion = _weighted_torsion(curve, points)
+    return ObstructionReport(
         found=not torsion.torsion and torsion.bound is None,
         torsion=torsion,
         curve=curve,
         points=points,
     )
-    if total is not None:
-        report.__dict__["total"] = total  # the cached_property's slot
-    return report
 
 
 @dataclass(frozen=True)
@@ -455,7 +435,6 @@ class HironakaReport:
 def hironaka_build(
     curve: WeierstrassCurve,
     points: Sequence[tuple[ECPoint, int]],
-    n: Optional[int] = None,
     fibration_asserted: bool = False,
 ) -> HironakaReport:
     """Blow up the plane along distinct points of a smooth cubic and analyse
@@ -468,12 +447,7 @@ def hironaka_build(
     surface is unsaturated; the same obstruction then feeds the
     scheme-contractibility oracle.
     """
-    if n is None:
-        n = len(points)
-    if n != len(points):
-        raise PreconditionError(
-            f"n = {n} but {len(points)} points were supplied"
-        )
+    n = len(points)
     if n == 0:
         raise PreconditionError("need at least one blown-up point")
 

@@ -236,12 +236,11 @@ class AffDimReport:
         return tuple(tag for tag, _ in self.reasons)
 
 
-def _split_claims(surface: CompactifiedSurface):
-    """Separate claims on boundary components from claims inside the surface,
-    rejecting subjects that straddle the boundary."""
+def _boundary_claims(surface: CompactifiedSurface):
+    """The first claim on each boundary component, by component; a subject
+    that straddles or meets the boundary is rejected."""
     components = set(surface.boundary_components())
     boundary_claims: dict[frozenset[int], FalseFibreClaim] = {}
-    interior_claims = []
     for claim in surface.false_fibre_claims:
         if claim.subject in components:
             boundary_claims.setdefault(claim.subject, claim)
@@ -259,8 +258,7 @@ def _split_claims(surface: CompactifiedSurface):
                         "meets the boundary, so it is not a divisor inside "
                         "the surface"
                     )
-            interior_claims.append(claim)
-    return boundary_claims, interior_claims
+    return boundary_claims
 
 
 def _inner_nodes(surface: CompactifiedSurface) -> list[int]:
@@ -374,7 +372,7 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
             )
             + "; at most two disjoint false fibres can exist"
         )
-    boundary_claims, _ = _split_claims(surface)
+    boundary_claims = _boundary_claims(surface)
     uncovered = [comp for comp in components if comp not in boundary_claims]
 
     one_reasons: list[tuple[str, str]] = []

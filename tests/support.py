@@ -719,6 +719,53 @@ def _oracle_add(curve, p, q):
     return ECPoint.affine(x3, -(slope + curve.a1) * x3 - offset - curve.a3)
 
 
+def oracle_reduced_order(curve, points, p):
+    """The least k <= 12 with k S = O for the reduction S of sum m P at p,
+    else None: each m P formed in F_p by its own double-and-add, with the
+    coefficients reduced as written.  The identity is None."""
+    a1, a2, a3, a4 = (
+        c.numerator * pow(c.denominator, -1, p) % p
+        for c in (curve.a1, curve.a2, curve.a3, curve.a4)
+    )
+
+    def add(first, second):
+        if first is None:
+            return second
+        if second is None:
+            return first
+        x1, y1 = first
+        x2, y2 = second
+        if x1 == x2:
+            den = (y1 + y2 + a1 * x1 + a3) % p
+            if not den:
+                return None
+            slope = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(den, -1, p) % p
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (slope * slope + a1 * slope - a2 - x1 - x2) % p
+        return x3, (slope * (x1 - x3) - y1 - a1 * x3 - a3) % p
+
+    total = None
+    for point, mult in points:
+        x, y = point.x, point.y
+        doubling = (
+            x.numerator * pow(x.denominator, -1, p) % p,
+            y.numerator * pow(y.denominator, -1, p) % p,
+        )
+        while mult:
+            if mult & 1:
+                total = add(total, doubling)
+            mult >>= 1
+            if mult:
+                doubling = add(doubling, doubling)
+    running = total
+    for k in range(1, 13):
+        if running is None:
+            return k
+        running = add(running, total)
+    return None
+
+
 def oracle_sum_obstruction(curve, points):
     """``(found, total, torsion)`` for the weighted sum of ``points``: the
     sum formed over Q by double-and-add, then at most twelve multiples of

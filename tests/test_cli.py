@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,9 @@ class TestHeavyMultiplicity:
     """Schema-valid documents whose weights are 10^18."""
 
     HEAVY = 10**18
+    # the lcm of P's orders at the filter primes: 2K P - K P reduces to the
+    # identity at each of them, and the joint sum forms about K P over Q
+    K = lcm(16238, 32511, 16508)
 
     def write(self, tmp_path, sample, weighted):
         doc = json.loads((SAMPLES / sample).read_text())
@@ -271,10 +275,20 @@ class TestHeavyMultiplicity:
         assert "obstruction.torsion: NonTorsion" in out
         assert "scheme_saturation.verdict: scheme-saturated" in out
 
-    def test_budget_at_ten_points_is_unknown(self, capsys, tmp_path):
-        # P and -P at weight 10^18 and +-2P .. +-5P: the sum is O at every
-        # filter prime, and forming 10^18 P runs past the bit budget
+    def test_cancelling_heavy_pair_is_torsion(self, capsys, tmp_path):
+        # P and -P at weight 10^18 and +-2P .. +-5P: the sum is exactly O,
+        # and the joint sum forms no large multiple of P on the way
         weighted = [(1, self.HEAVY), (-1, self.HEAVY)]
+        weighted += [(s * k, 1) for k in range(2, 6) for s in (1, -1)]
+        outputs = self.run_all(capsys, self.write(tmp_path, "n10.json", weighted))
+        code, out = outputs["hironaka", "human"]
+        assert code == 2
+        assert "obstruction.torsion: Torsion(1)" in out
+
+    def test_budget_at_ten_points_is_unknown(self, capsys, tmp_path):
+        # P at weight 2K, -P at weight K and +-2P .. +-5P: the sum K P is O at
+        # every filter prime, and forming it runs past the bit budget
+        weighted = [(1, 2 * self.K), (-1, self.K)]
         weighted += [(s * k, 1) for k in range(2, 6) for s in (1, -1)]
         outputs = self.run_all(capsys, self.write(tmp_path, "n10.json", weighted))
         code, out = outputs["hironaka", "human"]
@@ -284,7 +298,7 @@ class TestHeavyMultiplicity:
         assert "verdict: unknown" in out.splitlines()[1]
 
     def test_budget_at_nine_points(self, capsys, tmp_path):
-        weighted = [(1, self.HEAVY), (-1, self.HEAVY)]
+        weighted = [(1, 2 * self.K), (-1, self.K)]
         weighted += [(k, 1) for k in (2, 3, -5, 4, -4, 6, -6)]
         path = self.write(tmp_path, "hironaka9_nontorsion.json", weighted)
         outputs = self.run_all(capsys, path)

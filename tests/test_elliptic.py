@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,11 +27,19 @@ from surfsat import (
 
 from surfsat.elliptic import EXACT_BITS_BUDGET, FILTER_PRIMES, _reduced_order
 
-from support import oracle_contains, oracle_is_torsion, oracle_sum_obstruction
+from support import (
+    oracle_contains,
+    oracle_is_torsion,
+    oracle_reduced_order,
+    oracle_sum_obstruction,
+)
 
 # rank-one curve with tiny generator, long form: y^2 + y = x^3 - x
 CURVE_37A = WeierstrassCurve(a3=1, a4=-1)
 GEN = ECPoint.affine(0, 0)
+# the lcm of GEN's orders at the filter primes: FILTER_LCM * GEN reduces to
+# the identity at each of them
+FILTER_LCM = lcm(16238, 32511, 16508)
 
 # y^2 = x^3 + 1 carries a 6-torsion point
 CURVE_6TOR = WeierstrassCurve(a6=1)
@@ -84,6 +92,15 @@ class TestGroupLaw:
                 scalar_mul(CURVE_37A, m, GEN),
                 scalar_mul(CURVE_37A, n, GEN),
             )
+
+    def test_scalar_mul_against_repeated_addition(self):
+        for curve, point in [(CURVE_37A, GEN), (CURVE_6TOR, ECPoint.affine(2, 3))]:
+            for sign in (1, -1):
+                base = point if sign > 0 else negate(curve, point)
+                running = ECPoint.infinity()
+                for n in range(41):
+                    assert scalar_mul(curve, sign * n, point) == running
+                    running = add(curve, running, base)
 
     def test_off_curve_rejected(self):
         with pytest.raises(PreconditionError):
@@ -347,10 +364,6 @@ class TestHironakaBuild:
         with pytest.raises(PreconditionError):
             hironaka_build(CURVE_37A, [])
 
-    def test_point_count_mismatch_rejected(self):
-        with pytest.raises(PreconditionError):
-            hironaka_build(CURVE_37A, self.points([1]), n=2)
-
     def test_obstruction_against_fibration_assertion(self):
         with pytest.raises(DataInconsistencyError):
             hironaka_build(
@@ -371,18 +384,28 @@ class TestHeavyMultiplicity:
             assert elapsed < 0.05, f"sum_obstruction took {elapsed * 1000:.1f}ms"
 
     def test_budget_names_its_bound(self):
-        # P and -P at weight 10^18 sum to O at every prime, so the sum is a
-        # candidate, and 10^18 P is far past the bit budget
+        # P reduces to points of order 16238, 32511 and 16508 at the filter
+        # primes, so their lcm k P is O at every prime and a candidate, and
+        # forming k P runs far past the bit budget
         start = time.perf_counter()
-        report = sum_obstruction(
-            CURVE_37A, [(GEN, 10**18), (negate(CURVE_37A, GEN), 10**18)]
-        )
+        report = sum_obstruction(CURVE_37A, [(GEN, FILTER_LCM)])
         elapsed = time.perf_counter() - start
         assert report.torsion == TorsionStatus(False, bound=EXACT_BITS_BUDGET)
         assert str(report.torsion) == f"Undecided(bits>{EXACT_BITS_BUDGET})"
         assert not report.found
         assert report.verdict == "inconclusive"
         assert elapsed < 1.0, f"sum_obstruction took {elapsed:.2f}s"
+
+    def test_cancelling_heavy_weights_are_decided(self):
+        # the joint sum forms only small multiples of P on the way to O
+        for ks in ([1, -1], [1, 2, -3]):
+            points = [(MULTIPLES[k], 10**18) for k in ks]
+            start = time.perf_counter()
+            report = sum_obstruction(CURVE_37A, points)
+            elapsed = time.perf_counter() - start
+            assert report.torsion == TorsionStatus(True, 1)
+            assert report.total.is_infinity
+            assert elapsed < 0.05, f"sum_obstruction took {elapsed * 1000:.1f}ms"
 
     def test_primes_that_disagree_on_the_order(self):
         # k P reduces to O at the first two filter primes and to a point of
@@ -604,6 +627,56 @@ class TestObstructionAgainstOracle:
             with pytest.raises(PreconditionError) as old:
                 oracle_sum_obstruction(CURVE_37A, points)
             assert str(new.value) == str(old.value)
+
+
+class TestReducedOrderAgainstOracle:
+    """The joint sum in F_p against forming each m P on its own."""
+
+    def agree(self, curve, points):
+        for p in FILTER_PRIMES:
+            if any(
+                point.x.denominator % p == 0 or point.y.denominator % p == 0
+                for point, _ in points
+            ):
+                continue
+            order = _reduced_order(curve, points, p)
+            assert order == oracle_reduced_order(curve, points, p)
+
+    @ORACLE_SETTINGS
+    @given(
+        weighted_multiples(weight=10**18),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_multiples_of_generator(self, drawn, scaled):
+        # a weight times FILTER_LCM takes its point out of every reduction,
+        # so sums with such weights often reduce to small orders
+        points = [
+            (MULTIPLES[k], m * FILTER_LCM if s else m)
+            for (k, m), s in zip(drawn, scaled)
+        ]
+        self.agree(CURVE_37A, points)
+
+    @ORACLE_SETTINGS
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(RATIONAL_TORSION[0][1]), st.integers(1, 10**18)
+            ),
+            min_size=1,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    def test_rational_torsion(self, chosen):
+        self.agree(CURVE_6TOR, [(ECPoint.affine(*xy), m) for xy, m in chosen])
+
+    def test_sums_that_reduce_to_the_identity(self):
+        for points in (
+            [(GEN, FILTER_LCM)],
+            [(GEN, 10**18), (MULTIPLES[-1], 10**18)],
+            [(MULTIPLES[k], 10**18) for k in (1, 2, -3)],
+        ):
+            self.agree(CURVE_37A, points)
+            assert _reduced_order(CURVE_37A, points, FILTER_PRIMES[0]) == 1
 
 
 class TestContainsAgainstOracle:

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -426,3 +427,22 @@ class TestOneFactorisation:
             assert sorted(factorised) == sorted(
                 tuple(sorted(p)) for p in ctx.components()
             )
+
+
+class TestContextBudget:
+    def test_long_chain_with_a_curve_on_each_link(self):
+        # the context factorises the chain alone and the pullback is one
+        # sparse solve; a context built by contract would also form the dense
+        # Schur complement on the k curves that meet the chain
+        k = 2000
+        config = Configuration.build(
+            [(f"E{i}", -2) for i in range(k)] + [(f"C{i}", 1) for i in range(k)],
+            [(i, i + 1, 1) for i in range(k - 1)] + [(i, k + i, 1) for i in range(k)],
+        )
+        start = time.perf_counter()
+        ctx = ContractionContext(config, frozenset(range(k)))
+        pulled = pullback(ctx, Divisor({k + i: 1 for i in range(k)}))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"context and pullback took {elapsed:.2f}s"
+        for i in (0, k // 2, k - 1):
+            assert config.intersection_number(pulled, Divisor.of(i)) == 0

@@ -47,7 +47,8 @@ from support import (
 
 def surface(curves, inters=(), boundary=(), points=0, claims=(), fibration=False):
     config = Configuration.build(curves, inters)
-    boundary_ids = {config.node_by_name(name).id for name in boundary}
+    ids = {node.name: node.id for node in config.nodes}
+    boundary_ids = {ids[name] for name in boundary}
     return CompactifiedSurface(
         ambient=config,
         boundary=frozenset(boundary_ids),
