@@ -3,13 +3,14 @@
 Every command reads the same JSON document (see :mod:`surfsat.schema`) and
 emits either a stable line-oriented human report or JSON with stable keys.
 Exit codes: 0 for a definite verdict, 2 for honest indefinite verdicts
-(one-or-zero, unknown, inconclusive), 1 for input errors or inconsistent
-data.
+(one-or-zero, unknown, inconclusive), 1 for usage errors, input errors or
+inconsistent data.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -294,19 +295,30 @@ COMMANDS = {
 
 
 def _flatten(prefix: str, value, lines: list[str]) -> None:
+    """Append the lines of ``value``, a dict or a list holding a dict or a
+    list, under ``prefix``: a dict key by key in sorted order, a list item
+    by item.  Each item is sorted out where it is met: a scalar, an empty
+    list (``[]``) and a list of scalars take one line each, and only the
+    other dicts and lists recurse."""
     if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten(f"{prefix}.{key}" if prefix else key, value[key], lines)
-    elif isinstance(value, list):
-        if not value:
-            lines.append(f"{prefix}: []")
-        elif all(not isinstance(v, (dict, list)) for v in value):
-            lines.append(f"{prefix}: {', '.join(str(v) for v in value)}")
-        else:
-            for idx, item in enumerate(value):
-                _flatten(f"{prefix}[{idx}]", item, lines)
+        items = [
+            (f"{prefix}.{key}" if prefix else key, value[key])
+            for key in sorted(value)
+        ]
     else:
-        lines.append(f"{prefix}: {value}")
+        items = [(f"{prefix}[{idx}]", item) for idx, item in enumerate(value)]
+    for path, item in items:
+        if isinstance(item, dict):
+            _flatten(path, item, lines)
+        elif isinstance(item, list):
+            for entry in item:
+                if isinstance(entry, (dict, list)):
+                    _flatten(path, item, lines)
+                    break
+            else:
+                lines.append(f"{path}: {', '.join(map(str, item)) if item else '[]'}")
+        else:
+            lines.append(f"{path}: {item}")
 
 
 def render_human(report: dict) -> str:
@@ -319,7 +331,10 @@ def render_human(report: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every
+    later :func:`main` call in the process; it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="surfsat",
         description=(
@@ -344,7 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (status 0) or the usage error; a
+        # usage error is an input error, not an indefinite verdict
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:

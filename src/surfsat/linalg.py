@@ -297,7 +297,24 @@ class SymmetricMatrix:
 
     def ldl(self, indices: Optional[Sequence[int]] = None) -> "LDL":
         """Eliminate the principal block on ``indices`` (default: all, in
-        order), updating only nonzero entries, so a chain has no fill.
+        order).  A one-curve block [d] is its own pivot, read off with no
+        set-up; a larger block goes to :meth:`_eliminate`.
+        """
+        idx = list(range(self.n)) if indices is None else list(indices)
+        for i in idx:
+            if not 0 <= i < self.n:
+                raise InputError(f"index {i} out of range for n={self.n}")
+        if len(idx) == 1:
+            d = self._diag[idx[0]]
+            sign = d.numerator
+            return LDL(
+                tuple(idx), ((),), (d,), (int(sign > 0), int(sign < 0), int(not sign))
+            )
+        return self._eliminate(idx)
+
+    def _eliminate(self, idx: list[int]) -> "LDL":
+        """:meth:`ldl` on the in-range indices ``idx``, of any length,
+        updating only nonzero entries, so a chain has no fill.
 
         The inertia does not depend on the pivot order (Sylvester's law), so
         position p is eliminated in order: on itself if its diagonal entry
@@ -310,10 +327,6 @@ class SymmetricMatrix:
         as L and D; a negative definite block records them all (Sylvester's
         criterion).
         """
-        idx = list(range(self.n)) if indices is None else list(indices)
-        for i in idx:
-            if not 0 <= i < self.n:
-                raise InputError(f"index {i} out of range for n={self.n}")
         position = {node: p for p, node in enumerate(idx)}
         if len(position) < len(idx):
             raise InputError("indices must be distinct")

@@ -59,6 +59,16 @@ class Document:
     elliptic: Optional[EllipticSection] = None
 
 
+_CURVE_KEYS = frozenset({"name", "genus", "self", "proper"})
+_CLAIM_KEYS = frozenset({"subject", "certificate"})
+_POINT_KEYS = frozenset({"x", "y", "m"})
+
+# The helpers below report a violation.  ``parse_document`` checks the
+# fields of each list entry inline and calls them only when a check fails,
+# or, for ``_rational`` and ``_reference``, for a value that is not an int,
+# so no path is formatted for a valid document.
+
+
 def _expect(data, type_, path):
     if not isinstance(data, type_) or isinstance(data, bool) and type_ is not bool:
         wanted = type_.__name__ if isinstance(type_, type) else str(type_)
@@ -68,11 +78,12 @@ def _expect(data, type_, path):
     return data
 
 
-def _rational(value, path) -> Fraction:
+def _rational(value, path, *args) -> Fraction:
+    """``value`` as an exact rational; an error's path is ``path % args``."""
     try:
         return as_rational(value)
     except InputError as exc:
-        raise InputError(str(exc), path=path) from exc
+        raise InputError(str(exc), path=path % args if args else path) from exc
 
 
 def _fields(entry, allowed, path):
@@ -102,6 +113,23 @@ def _curve(name, index_of, path) -> int:
     return index_of[name]
 
 
+def _reference(ref, index_of, n, k, pos) -> int:
+    """The curve that position ``pos`` of intersection entry ``k`` names,
+    when ``ref`` is not an in-range index: a curve name, or an error."""
+    if isinstance(ref, str) and ref in index_of:
+        return index_of[ref]
+    at = f"intersections[{k}][{pos}]"
+    if isinstance(ref, str):
+        return _curve(ref, index_of, at)
+    if not isinstance(ref, int) or isinstance(ref, bool):
+        raise InputError(
+            f"curve reference must be an index or name, got {ref!r}", path=at
+        )
+    if not 0 <= ref < n:
+        raise InputError(f"curve index {ref} out of range", path=at)
+    return ref
+
+
 def parse_document(data) -> Document:
     """Validate and convert a parsed JSON object to domain values.
 
@@ -127,54 +155,66 @@ def parse_document(data) -> Document:
     nodes, diagonal = [], []
     index_of: dict[str, int] = {}
     for i, entry in enumerate(curves):
-        path = f"curves[{i}]"
-        _fields(entry, {"name", "genus", "self", "proper"}, path)
-        name = _expect(entry.get("name"), str, path=f"{path}.name")
-        genus = _count(entry.get("genus", 0), 0, "genus", f"{path}.genus")
+        if not isinstance(entry, dict) or not entry.keys() <= _CURVE_KEYS:
+            _fields(entry, _CURVE_KEYS, f"curves[{i}]")
+        name = entry.get("name")
+        if type(name) is not str:
+            name = _expect(name, str, f"curves[{i}].name")
+        genus = entry.get("genus", 0)
+        if type(genus) is not int or genus < 0:
+            genus = _count(genus, 0, "genus", f"curves[{i}].genus")
         if "self" not in entry:
-            raise InputError("missing self-intersection", path=f"{path}.self")
-        diagonal.append(_rational(entry["self"], path=f"{path}.self"))
-        proper = _expect(entry.get("proper", True), bool, path=f"{path}.proper")
+            raise InputError("missing self-intersection", path=f"curves[{i}].self")
+        value = entry["self"]
+        diagonal.append(
+            Fraction(value) if type(value) is int
+            else _rational(value, "curves[%d].self", i)
+        )
+        proper = entry.get("proper", True)
+        if type(proper) is not bool:
+            _expect(proper, bool, f"curves[{i}].proper")
         if name in index_of:
-            raise InputError(f"duplicate curve name {name!r}", path=f"{path}.name")
+            raise InputError(
+                f"duplicate curve name {name!r}", path=f"curves[{i}].name"
+            )
         index_of[name] = i
         nodes.append(CurveNode(i, name, genus=genus, proper=proper))
 
     inters = _expect(data.get("intersections", []), list, path="intersections")
+    n = len(nodes)
     triples = []
     seen_pairs = set()
+    on_diagonal = False
     for k, entry in enumerate(inters):
-        path = f"intersections[{k}]"
-        _expect(entry, list, path=path)
+        if not isinstance(entry, list):
+            _expect(entry, list, f"intersections[{k}]")
         if len(entry) != 3:
-            raise InputError("expected [i, j, value]", path=path)
-        pair = []
-        for pos, ref in enumerate(entry[:2]):
-            at = f"{path}[{pos}]"
-            if isinstance(ref, str):
-                ref = _curve(ref, index_of, at)
-            elif not isinstance(ref, int) or isinstance(ref, bool):
-                raise InputError(
-                    f"curve reference must be an index or name, got {ref!r}", path=at
-                )
-            elif not 0 <= ref < len(nodes):
-                raise InputError(f"curve index {ref} out of range", path=at)
-            pair.append(ref)
-        value = _rational(entry[2], path=f"{path}[2]")
-        if value < 0:
+            raise InputError("expected [i, j, value]", path=f"intersections[{k}]")
+        i, j, value = entry
+        if type(i) is not int or not 0 <= i < n:
+            i = _reference(i, index_of, n, k, 0)
+        if type(j) is not int or not 0 <= j < n:
+            j = _reference(j, index_of, n, k, 1)
+        if type(value) is int:
+            value = Fraction(value)
+        else:
+            value = _rational(value, "intersections[%d][2]", k)
+        if value.numerator < 0:
             raise InputError(
-                "distinct curves cannot meet negatively", path=f"{path}[2]"
+                "distinct curves cannot meet negatively",
+                path=f"intersections[{k}][2]",
             )
-        key = (min(pair), max(pair))
+        key = (i, j) if i < j else (j, i)
         if key in seen_pairs:
             raise InputError(
                 f"pair ({nodes[key[0]].name!r}, {nodes[key[1]].name!r}) listed twice",
-                path=path,
+                path=f"intersections[{k}]",
             )
         seen_pairs.add(key)
-        triples.append((pair[0], pair[1], value))
+        on_diagonal = on_diagonal or i == j
+        triples.append((i, j, value))
 
-    if any(i == j for i, j, _ in triples):
+    if on_diagonal:
         raise InputError(
             "self-intersections belong in the curve entry, not in "
             "'intersections'",
@@ -183,10 +223,12 @@ def parse_document(data) -> Document:
     config = Configuration(nodes, SymmetricMatrix.from_entries(diagonal, triples))
 
     boundary_names = _expect(data.get("boundary", []), list, path="boundary")
-    boundary = {
-        _curve(name, index_of, f"boundary[{k}]")
-        for k, name in enumerate(boundary_names)
-    }
+    boundary = []
+    for k, name in enumerate(boundary_names):
+        index = index_of.get(name) if type(name) is str else None
+        if index is None:
+            index = _curve(name, index_of, f"boundary[{k}]")
+        boundary.append(index)
     points = _count(
         data.get("isolated_boundary_points", 0), 0, "", "isolated_boundary_points"
     )
@@ -196,38 +238,49 @@ def parse_document(data) -> Document:
         data.get("false_fibre_claims", []), list, path="false_fibre_claims"
     )
     for k, entry in enumerate(raw_claims):
-        path = f"false_fibre_claims[{k}]"
-        _fields(entry, {"subject", "certificate"}, path)
-        subject_names = _expect(entry.get("subject"), list, path=f"{path}.subject")
-        subject = frozenset(
-            _curve(name, index_of, f"{path}.subject[{m}]")
-            for m, name in enumerate(subject_names)
-        )
+        if not isinstance(entry, dict) or not entry.keys() <= _CLAIM_KEYS:
+            _fields(entry, _CLAIM_KEYS, f"false_fibre_claims[{k}]")
+        subject_names = entry.get("subject")
+        if not isinstance(subject_names, list):
+            _expect(subject_names, list, f"false_fibre_claims[{k}].subject")
+        subject = []
+        for m, name in enumerate(subject_names):
+            index = index_of.get(name) if type(name) is str else None
+            if index is None:
+                index = _curve(
+                    name, index_of, f"false_fibre_claims[{k}].subject[{m}]"
+                )
+            subject.append(index)
         if not subject:
-            raise InputError("subject must be nonempty", path=f"{path}.subject")
+            raise InputError(
+                "subject must be nonempty", path=f"false_fibre_claims[{k}].subject"
+            )
         cert_data = entry.get("certificate", "user-asserted")
         if isinstance(cert_data, str):
             cert_data = {"kind": cert_data}
-        _expect(cert_data, dict, path=f"{path}.certificate")
+        if not isinstance(cert_data, dict):
+            _expect(cert_data, dict, f"false_fibre_claims[{k}].certificate")
         kind = cert_data.get("kind")
         if not isinstance(kind, str) or kind not in _CERTIFICATE_KINDS:
             raise InputError(
                 f"unknown certificate kind {kind!r}; expected one of "
                 f"{sorted(_CERTIFICATE_KINDS)}",
-                path=f"{path}.certificate.kind",
+                path=f"false_fibre_claims[{k}].certificate.kind",
             )
-        _fields(
-            cert_data,
-            {"kind", "reference"} if kind == "group-law-obstruction" else {"kind"},
-            f"{path}.certificate",
-        )
-        if kind == "group-law-obstruction":
+        group_law = kind == "group-law-obstruction"
+        allowed = {"kind", "reference"} if group_law else {"kind"}
+        if not cert_data.keys() <= allowed:
+            _fields(cert_data, allowed, f"false_fibre_claims[{k}].certificate")
+        if group_law:
             reference = cert_data.get("reference", "")
-            _expect(reference, str, path=f"{path}.certificate.reference")
+            if not isinstance(reference, str):
+                _expect(
+                    reference, str, f"false_fibre_claims[{k}].certificate.reference"
+                )
             certificate = GroupLawObstruction(reference=reference)
         else:
             certificate = _CERTIFICATE_KINDS[kind]()
-        claims.append(FalseFibreClaim(subject, certificate))
+        claims.append(FalseFibreClaim(frozenset(subject), certificate))
 
     fibration = data.get("fibration_asserted", False)
     _expect(fibration, bool, path="fibration_asserted")
@@ -239,7 +292,7 @@ def parse_document(data) -> Document:
             section.get("curve"), {"a1", "a2", "a3", "a4", "a6"}, "elliptic.curve"
         )
         coeffs = {
-            key: _rational(curve_data.get(key, 0), path=f"elliptic.curve.{key}")
+            key: _rational(curve_data.get(key, 0), "elliptic.curve.%s", key)
             for key in ("a1", "a2", "a3", "a4", "a6")
         }
         try:
@@ -249,17 +302,24 @@ def parse_document(data) -> Document:
         raw_points = _expect(section.get("points", []), list, path="elliptic.points")
         ec_points = []
         for k, entry in enumerate(raw_points):
-            path = f"elliptic.points[{k}]"
-            _fields(entry, {"x", "y", "m"}, path)
+            if not isinstance(entry, dict) or not entry.keys() <= _POINT_KEYS:
+                _fields(entry, _POINT_KEYS, f"elliptic.points[{k}]")
             if "x" not in entry or "y" not in entry:
-                raise InputError("point needs x and y", path=path)
-            x = _rational(entry["x"], path=f"{path}.x")
-            y = _rational(entry["y"], path=f"{path}.y")
-            mult = _count(entry.get("m", 1), 1, "multiplicity", f"{path}.m")
+                raise InputError("point needs x and y", path=f"elliptic.points[{k}]")
+            x, y = entry["x"], entry["y"]
+            if type(x) is int and type(y) is int:
+                x, y = Fraction(x), Fraction(y)
+            else:
+                x = _rational(x, "elliptic.points[%d].x", k)
+                y = _rational(y, "elliptic.points[%d].y", k)
+            mult = entry.get("m", 1)
+            if type(mult) is not int or mult < 1:
+                mult = _count(mult, 1, "multiplicity", f"elliptic.points[{k}].m")
             point = ECPoint.affine(x, y)
             if not curve.contains(point):
                 raise InputError(
-                    f"point ({x}, {y}) is not on the curve", path=path
+                    f"point ({x}, {y}) is not on the curve",
+                    path=f"elliptic.points[{k}]",
                 )
             ec_points.append((point, mult))
         elliptic = EllipticSection(curve=curve, points=tuple(ec_points))

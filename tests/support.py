@@ -27,7 +27,10 @@ contracts from the record's factorisations.  The point-sum oracle is the
 package's former obstruction test: the on-curve test evaluated in
 ``Fraction`` arithmetic and the weighted sum always formed over Q, where
 the package reduces the sum modulo a few primes first and checks points
-by integer cross-multiplication.
+by integer cross-multiplication.  The schema oracle is the former
+``parse_document``, which formatted every field's path and called one
+helper per field on the success path, and the rendering oracle is the
+former recursive ``render_human``.
 """
 
 from __future__ import annotations
@@ -53,8 +56,22 @@ from surfsat import (
     contract,
     saturation_plan,
 )
-from surfsat.fibres import ZariskiReport, ZariskiViolation
-from surfsat.linalg import _primitive_integral
+from surfsat.configuration import CurveNode
+from surfsat.elliptic import WeierstrassCurve
+from surfsat.errors import InputError
+from surfsat.fibres import (
+    GroupLawObstruction,
+    ZariskiReport,
+    ZariskiViolation,
+)
+from surfsat.linalg import _primitive_integral, as_rational
+from surfsat.schema import (
+    _CERTIFICATE_KINDS,
+    _TOP_LEVEL_KEYS,
+    SCHEMA_VERSION,
+    Document,
+    EllipticSection,
+)
 
 
 # -- determinants and principal minors (cofactor expansion) ------------
@@ -817,6 +834,257 @@ def oracle_sum_obstruction(curve, points):
         ) % running.y.denominator:
             break
     return not torsion.torsion, total, torsion
+
+
+# -- schema and rendering oracles ----------------------------------------
+
+
+def _oracle_expect(data, type_, path):
+    if not isinstance(data, type_) or isinstance(data, bool) and type_ is not bool:
+        wanted = type_.__name__ if isinstance(type_, type) else str(type_)
+        raise InputError(
+            f"expected {wanted}, got {type(data).__name__}", path=path
+        )
+    return data
+
+
+def _oracle_rational(value, path) -> Fraction:
+    try:
+        return as_rational(value)
+    except InputError as exc:
+        raise InputError(str(exc), path=path) from exc
+
+
+def _oracle_fields(entry, allowed, path):
+    _oracle_expect(entry, dict, path=path)
+    extra = set(entry) - allowed
+    if extra:
+        raise InputError(f"unknown keys {sorted(extra)}", path=path)
+    return entry
+
+
+def _oracle_count(value, least, what, path) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        sign = "positive" if least else "nonnegative"
+        raise InputError(
+            f"{what} must be a {sign} integer, got {value!r}".lstrip(), path=path
+        )
+    return value
+
+
+def _oracle_curve(name, index_of, path) -> int:
+    _oracle_expect(name, str, path=path)
+    if name not in index_of:
+        raise InputError(f"unknown curve {name!r}", path=path)
+    return index_of[name]
+
+
+def oracle_parse_document(data) -> Document:
+    """The package's former ``parse_document``: one helper call and one
+    formatted path string per field, whether or not the field is valid."""
+    _oracle_expect(data, dict, path="$")
+    unknown = set(data) - _TOP_LEVEL_KEYS
+    if unknown:
+        raise InputError(
+            f"unknown keys {sorted(unknown)}; expected a subset of "
+            f"{sorted(_TOP_LEVEL_KEYS)}",
+            path="$",
+        )
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise InputError(
+            f"unsupported schema_version {version!r} (this build reads "
+            f"{SCHEMA_VERSION})",
+            path="schema_version",
+        )
+
+    curves = _oracle_expect(data.get("curves", []), list, path="curves")
+    nodes, diagonal = [], []
+    index_of: dict[str, int] = {}
+    for i, entry in enumerate(curves):
+        path = f"curves[{i}]"
+        _oracle_fields(entry, {"name", "genus", "self", "proper"}, path)
+        name = _oracle_expect(entry.get("name"), str, path=f"{path}.name")
+        genus = _oracle_count(entry.get("genus", 0), 0, "genus", f"{path}.genus")
+        if "self" not in entry:
+            raise InputError("missing self-intersection", path=f"{path}.self")
+        diagonal.append(_oracle_rational(entry["self"], path=f"{path}.self"))
+        proper = _oracle_expect(
+            entry.get("proper", True), bool, path=f"{path}.proper"
+        )
+        if name in index_of:
+            raise InputError(f"duplicate curve name {name!r}", path=f"{path}.name")
+        index_of[name] = i
+        nodes.append(CurveNode(i, name, genus=genus, proper=proper))
+
+    inters = _oracle_expect(
+        data.get("intersections", []), list, path="intersections"
+    )
+    triples = []
+    seen_pairs = set()
+    for k, entry in enumerate(inters):
+        path = f"intersections[{k}]"
+        _oracle_expect(entry, list, path=path)
+        if len(entry) != 3:
+            raise InputError("expected [i, j, value]", path=path)
+        pair = []
+        for pos, ref in enumerate(entry[:2]):
+            at = f"{path}[{pos}]"
+            if isinstance(ref, str):
+                ref = _oracle_curve(ref, index_of, at)
+            elif not isinstance(ref, int) or isinstance(ref, bool):
+                raise InputError(
+                    f"curve reference must be an index or name, got {ref!r}", path=at
+                )
+            elif not 0 <= ref < len(nodes):
+                raise InputError(f"curve index {ref} out of range", path=at)
+            pair.append(ref)
+        value = _oracle_rational(entry[2], path=f"{path}[2]")
+        if value < 0:
+            raise InputError(
+                "distinct curves cannot meet negatively", path=f"{path}[2]"
+            )
+        key = (min(pair), max(pair))
+        if key in seen_pairs:
+            raise InputError(
+                f"pair ({nodes[key[0]].name!r}, {nodes[key[1]].name!r}) listed twice",
+                path=path,
+            )
+        seen_pairs.add(key)
+        triples.append((pair[0], pair[1], value))
+
+    if any(i == j for i, j, _ in triples):
+        raise InputError(
+            "self-intersections belong in the curve entry, not in "
+            "'intersections'",
+            path="intersections",
+        )
+    config = Configuration(nodes, SymmetricMatrix.from_entries(diagonal, triples))
+
+    boundary_names = _oracle_expect(data.get("boundary", []), list, path="boundary")
+    boundary = {
+        _oracle_curve(name, index_of, f"boundary[{k}]")
+        for k, name in enumerate(boundary_names)
+    }
+    points = _oracle_count(
+        data.get("isolated_boundary_points", 0), 0, "", "isolated_boundary_points"
+    )
+
+    claims = []
+    raw_claims = _oracle_expect(
+        data.get("false_fibre_claims", []), list, path="false_fibre_claims"
+    )
+    for k, entry in enumerate(raw_claims):
+        path = f"false_fibre_claims[{k}]"
+        _oracle_fields(entry, {"subject", "certificate"}, path)
+        subject_names = _oracle_expect(
+            entry.get("subject"), list, path=f"{path}.subject"
+        )
+        subject = frozenset(
+            _oracle_curve(name, index_of, f"{path}.subject[{m}]")
+            for m, name in enumerate(subject_names)
+        )
+        if not subject:
+            raise InputError("subject must be nonempty", path=f"{path}.subject")
+        cert_data = entry.get("certificate", "user-asserted")
+        if isinstance(cert_data, str):
+            cert_data = {"kind": cert_data}
+        _oracle_expect(cert_data, dict, path=f"{path}.certificate")
+        kind = cert_data.get("kind")
+        if not isinstance(kind, str) or kind not in _CERTIFICATE_KINDS:
+            raise InputError(
+                f"unknown certificate kind {kind!r}; expected one of "
+                f"{sorted(_CERTIFICATE_KINDS)}",
+                path=f"{path}.certificate.kind",
+            )
+        _oracle_fields(
+            cert_data,
+            {"kind", "reference"} if kind == "group-law-obstruction" else {"kind"},
+            f"{path}.certificate",
+        )
+        if kind == "group-law-obstruction":
+            reference = cert_data.get("reference", "")
+            _oracle_expect(reference, str, path=f"{path}.certificate.reference")
+            certificate = GroupLawObstruction(reference=reference)
+        else:
+            certificate = _CERTIFICATE_KINDS[kind]()
+        claims.append(FalseFibreClaim(subject, certificate))
+
+    fibration = data.get("fibration_asserted", False)
+    _oracle_expect(fibration, bool, path="fibration_asserted")
+
+    elliptic = None
+    if "elliptic" in data and data["elliptic"] is not None:
+        section = _oracle_fields(data["elliptic"], {"curve", "points"}, "elliptic")
+        curve_data = _oracle_fields(
+            section.get("curve"), {"a1", "a2", "a3", "a4", "a6"}, "elliptic.curve"
+        )
+        coeffs = {
+            key: _oracle_rational(
+                curve_data.get(key, 0), path=f"elliptic.curve.{key}"
+            )
+            for key in ("a1", "a2", "a3", "a4", "a6")
+        }
+        try:
+            curve = WeierstrassCurve(**coeffs)
+        except InputError as exc:
+            raise InputError(str(exc), path="elliptic.curve") from exc
+        raw_points = _oracle_expect(
+            section.get("points", []), list, path="elliptic.points"
+        )
+        ec_points = []
+        for k, entry in enumerate(raw_points):
+            path = f"elliptic.points[{k}]"
+            _oracle_fields(entry, {"x", "y", "m"}, path)
+            if "x" not in entry or "y" not in entry:
+                raise InputError("point needs x and y", path=path)
+            x = _oracle_rational(entry["x"], path=f"{path}.x")
+            y = _oracle_rational(entry["y"], path=f"{path}.y")
+            mult = _oracle_count(entry.get("m", 1), 1, "multiplicity", f"{path}.m")
+            point = ECPoint.affine(x, y)
+            if not curve.contains(point):
+                raise InputError(
+                    f"point ({x}, {y}) is not on the curve", path=path
+                )
+            ec_points.append((point, mult))
+        elliptic = EllipticSection(curve=curve, points=tuple(ec_points))
+
+    surface = CompactifiedSurface(
+        ambient=config,
+        boundary=frozenset(boundary),
+        isolated_boundary_points=points,
+        false_fibre_claims=tuple(claims),
+        fibration_asserted=fibration,
+    )
+    return Document(surface=surface, elliptic=elliptic)
+
+
+def _oracle_flatten(prefix: str, value, lines: list[str]) -> None:
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _oracle_flatten(f"{prefix}.{key}" if prefix else key, value[key], lines)
+    elif isinstance(value, list):
+        if not value:
+            lines.append(f"{prefix}: []")
+        elif all(not isinstance(v, (dict, list)) for v in value):
+            lines.append(f"{prefix}: {', '.join(str(v) for v in value)}")
+        else:
+            for idx, item in enumerate(value):
+                _oracle_flatten(f"{prefix}[{idx}]", item, lines)
+    else:
+        lines.append(f"{prefix}: {value}")
+
+
+def oracle_render_human(report: dict) -> str:
+    """The package's former human renderer: one recursive call, and one
+    generator per scalar list, for every leaf of the report."""
+    lines: list[str] = []
+    for key in ("command", "verdict"):
+        if key in report:
+            lines.append(f"{key}: {report[key]}")
+    rest = {k: v for k, v in report.items() if k not in ("command", "verdict")}
+    _oracle_flatten("", rest, lines)
+    return "\n".join(lines)
 
 
 # -- fibre shapes ----------------------------------------------------------

@@ -117,6 +117,107 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestUsageErrors:
+    # a usage error is an input error (1), never the indefinite-verdict
+    # code 2 that argparse exits with by default
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["bogus", SAMPLES / "n10.json"],
+                "argument command: invalid choice: 'bogus'",
+            ),
+            (["analyze"], "the following arguments are required: input"),
+            (
+                ["analyze", SAMPLES / "n10.json", "--format", "xml"],
+                "argument --format: invalid choice: 'xml'",
+            ),
+            (["analyze", SAMPLES / "n10.json", "--colour"], "unrecognized arguments"),
+        ],
+    )
+    def test_usage_error_is_exit_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: surfsat ")
+        assert f"surfsat: error: {message}" in err
+
+    def test_help_is_exit_zero(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: surfsat ") and "analysis to run" in out
+        assert err == ""
+
+
+# Runs each argv list in turn with ``main`` in one interpreter, ending each
+# call's stdout and stderr with a marker, so the logging handler that the
+# first call installs writes to the real stderr as in a fresh interpreter.
+_IN_ONE_PROCESS = """
+import json, sys
+from surfsat.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    sys.stdout.write(f"@@exit {code}@@\\n")
+    sys.stdout.flush()
+    sys.stderr.write("@@end@@\\n")
+    sys.stderr.flush()
+"""
+
+
+class TestParserReuse:
+    def cli_env(self):
+        src = str(Path(surfsat.__file__).resolve().parent.parent)
+        # a fixed width, so help and usage wrap the same in every process
+        return {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+
+    def test_calls_in_one_process_match_fresh_interpreters(self):
+        n10 = str(SAMPLES / "n10.json")
+        serre = str(SAMPLES / "serre_like.json")
+        calls = [
+            ["bogus", n10], ["analyze", n10],
+            ["saturate", serre, "--verbose"], ["saturate", serre],
+            ["analyze", n10, "--format", "json"], ["analyze", n10],
+            ["--help"], ["--help"],
+        ]
+        env = self.cli_env()
+        proc = subprocess.run(
+            [sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(calls)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs = proc.stdout.split("@@\n")[:-1]
+        errs = proc.stderr.split("@@end@@\n")[:-1]
+        assert len(outs) == len(errs) == len(calls)
+        fresh = {}
+        for argv, out, err in zip(calls, outs, errs):
+            key = tuple(argv)
+            if key not in fresh:
+                fresh[key] = subprocess.run(
+                    [sys.executable, "-m", "surfsat.cli", *argv],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+            alone = fresh[key]
+            out, code = out.rsplit("@@exit ", 1)
+            assert (out, err, int(code)) == (
+                alone.stdout, alone.stderr, alone.returncode
+            ), argv
+        assert "DEBUG surfsat: parsed" in errs[2] and errs[3] == ""
+        assert [fresh[tuple(c)].returncode for c in calls[::2]] == [1, 0, 0, 0]
+
+    def test_parser_is_built_on_first_call_not_at_import(self):
+        script = (
+            "import surfsat.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize); "
+            "cli.build_parser(); cli.build_parser(); "
+            "print(cli.build_parser.cache_info().misses)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=self.cli_env(), timeout=120,
+        )
+        assert proc.stdout.split() == ["0", "1"], proc.stderr
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("fmt", ["human", "json"])
     def test_closed_stdout_is_exit_one_without_traceback(self, fmt):

@@ -460,6 +460,60 @@ class TestOneElimination:
             assert m.inertia() == dense_inertia(m) == (1, 1, n - 1)
 
 
+class TestOneCurveBlock:
+    """``ldl`` reads a one-curve block off its diagonal entry; the general
+    elimination ``_eliminate`` must agree with it on every such block."""
+
+    # a (-1)-curve E0 meeting curves of every sign of self-intersection,
+    # so each one-curve block sits in a row with off-diagonal entries
+    DIAGONAL = [-1, -3, 0, 2, Fraction(-1, 2), Fraction(5, 3), Fraction(-7, 4)]
+
+    def matrix(self):
+        return SymmetricMatrix.from_entries(
+            self.DIAGONAL, [(0, j, 1) for j in range(1, len(self.DIAGONAL))]
+        )
+
+    def test_each_sign_and_fractional_entry(self):
+        m = self.matrix()
+        for i, d in enumerate(self.DIAGONAL):
+            factor = m.ldl([i])
+            assert factor == m._eliminate([i])
+            assert factor.order == (i,)
+            assert factor.lower == ((),)
+            assert factor.diag == (d,) and type(factor.diag[0]) is Fraction
+            assert factor.inertia == (int(d > 0), int(d < 0), int(d == 0))
+            expect = factor if d < 0 else None
+            assert m.negative_definite_ldl([i]) == expect
+
+    def test_whole_one_by_one_matrix(self):
+        for d in self.DIAGONAL:
+            m = SymmetricMatrix([[d]])
+            assert m.ldl() == m.ldl([0]) == m._eliminate([0])
+            assert m.inertia() == dense_inertia(m)
+            assert m.is_negative_definite() == (d < 0)
+
+    def test_random_rows_against_the_general_elimination(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            m = random_symmetric_rational(rng, rng.randint(1, 6))
+            for i in range(m.n):
+                assert m.ldl([i]) == m._eliminate([i])
+
+    @pytest.mark.parametrize("index", [7, -1])
+    def test_out_of_range_message(self, index):
+        with pytest.raises(InputError) as info:
+            self.matrix().ldl([index])
+        assert str(info.value) == f"index {index} out of range for n=7"
+
+    def test_repeated_index_message(self):
+        # a repeated index is a block of two or more, never the one-curve path
+        m = self.matrix()
+        for indices in ([3, 3], [0, 1, 0]):
+            with pytest.raises(InputError) as info:
+                m.ldl(indices)
+            assert str(info.value) == "indices must be distinct"
+
+
 class TestRationals:
     @given(
         st.fractions(max_denominator=10**6),

@@ -429,6 +429,42 @@ class TestOneFactorisation:
             )
 
 
+class TestOneCurveFactors:
+    def test_record_factor_of_one_curve_gives_the_same_pullbacks(self):
+        # disjoint one-curve parts of every negative self-intersection,
+        # each met by curves of the rest; the record factor from the
+        # one-curve path, the general elimination and no factor at all
+        # must contract alike, and as the Gauss-Jordan oracle does
+        rng = random.Random(29)
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            m = rng.randint(1, 4)
+            diag = [rng.choice((-1, -2, -3, Fraction(-1, 2), Fraction(-7, 3)))
+                    for _ in range(k)]
+            diag += [rng.choice((-2, -1, 0, 1, Fraction(1, 2))) for _ in range(m)]
+            inters = [
+                (e, k + r, rng.choice((1, 2, Fraction(1, 2))))
+                for e in range(k) for r in range(m) if rng.random() < 0.5
+            ]
+            config = Configuration.build(
+                [(f"N{i}", d) for i, d in enumerate(diag)], inters
+            )
+            parts = [[e] for e in range(k)]
+            one_curve = [config.gram.ldl(part) for part in parts]
+            general = [config.gram._eliminate(part) for part in parts]
+            assert one_curve == general
+            results = [
+                contract(config, parts, factors)
+                for factors in (one_curve, general, None)
+            ]
+            remaining, rows, pullbacks = oracle_contract(config, frozenset(range(k)))
+            for result in results:
+                assert result.ambient_ids == tuple(remaining)
+                assert result.pullbacks == tuple(pullbacks)
+                assert result.configuration.gram.rows == tuple(map(tuple, rows))
+            assert results[0] == results[1] == results[2]
+
+
 class TestContextBudget:
     def test_long_chain_with_a_curve_on_each_link(self):
         # the context factorises the chain alone and the pullback is one
