@@ -46,14 +46,7 @@ from typing import Optional, Sequence
 from .errors import InputError, PreconditionError
 from .fibres import FalseFibreClaim, GroupLawObstruction
 from .linalg import as_rational
-from .nslattice import (
-    BlowupResult,
-    ClassRecord,
-    NSLattice,
-    blowup,
-    configuration_from_classes,
-    projective_plane,
-)
+from .nslattice import ClassRecord, NSLattice, cubic_blowup
 from .saturation import (
     AffDimReport,
     CompactifiedSurface,
@@ -453,19 +446,8 @@ def hironaka_build(
 
     obstruction = sum_obstruction(curve, points)
 
-    lattice = projective_plane()
-    cubic = ClassRecord("C", (3,), genus=1)
-    exceptionals: list[ClassRecord] = []
-    for i in range(n):
-        listed = [(cubic, 1)] + [(e, 0) for e in exceptionals]
-        result: BlowupResult = blowup(lattice, listed, name=f"E{i + 1}")
-        lattice = result.lattice
-        cubic = result.classes[0]
-        exceptionals = list(result.classes[1:]) + [result.exceptional]
-
-    config = configuration_from_classes(lattice, [cubic] + exceptionals)
+    lattice, cubic, exceptionals, config = cubic_blowup(n)
     boundary = frozenset({0})
-    self_int = lattice.self_intersection(cubic)
 
     claim: Optional[FalseFibreClaim] = None
     if n == 9 and obstruction.found:
@@ -502,8 +484,8 @@ def hironaka_build(
         n=n,
         lattice=lattice,
         cubic_class=cubic,
-        exceptional_classes=tuple(exceptionals),
-        boundary_self_intersection=self_int,
+        exceptional_classes=exceptionals,
+        boundary_self_intersection=Fraction(9 - n),
         surface=surface,
         obstruction=obstruction,
         saturation=saturation,

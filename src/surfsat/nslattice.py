@@ -5,6 +5,12 @@ a degree generator of square +1 and canonical class -3, extended by point
 blowups.  Each blowup appends an exceptional generator of square -1,
 orthogonal to everything before it, and shifts the canonical class by it.
 Tracked curve classes are carried along as strict transforms.
+
+:func:`blowup` is the general tower.  The plane blown up at n distinct
+points of a smooth cubic has a closed form (Hartshorne, Algebraic Geometry,
+V.3.2 and V.3.3), which :func:`cubic_blowup` writes down in one step: the
+lattice I_{1,n} with basis L, E1..En, K = -3L + sum Ei, the cubic's strict
+transform C = 3L - sum Ei with C^2 = 9 - n and C.Ei = 1, and Ei.Ej = 0.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ from .linalg import SymmetricMatrix, as_rational
 def _integral_vector(values: Sequence, what: str) -> tuple[int, ...]:
     """Exact integer coordinates: floats are refused by :func:`as_rational`
     and a non-integral rational raises, so nothing is truncated."""
-    # exact ints, the common case, skip the rational coercion
-    coords = [v if type(v) is int else as_rational(v) for v in values]
+    values = tuple(values)
+    if all([type(v) is int for v in values]):  # exact ints, the common case
+        return values
+    coords = [as_rational(v) for v in values]
     for x in coords:
         if x.denominator != 1:
             raise InputError(f"{what} has non-integral coordinate {x}")
@@ -164,16 +172,64 @@ def blowup(
         [old.entry(i, i) for i in range(rank)] + [-1],
         [(i, j, x) for i in range(rank) for j, x in old.off_diagonal(i).items()],
     )
-    new_lattice = object.__new__(NSLattice)
-    object.__setattr__(new_lattice, "basis_names", lattice.basis_names + (exc_name,))
-    object.__setattr__(new_lattice, "gram", gram)
-    object.__setattr__(new_lattice, "canonical", lattice.canonical + (1,))
+    new_lattice = _unchecked_lattice(
+        lattice.basis_names + (exc_name,), gram, lattice.canonical + (1,)
+    )
     updated = tuple(
         ClassRecord(record.name, record.vector + (-mult,), record.genus)
         for record, mult in passing
     )
     exceptional = ClassRecord(exc_name, (0,) * rank + (1,), genus=0)
     return BlowupResult(new_lattice, updated, exceptional)
+
+
+def _unchecked_lattice(
+    basis_names: tuple[str, ...], gram: SymmetricMatrix, canonical: tuple[int, ...]
+) -> NSLattice:
+    """A lattice whose Gram is integral of signature (1, r - 1) by
+    construction, built without the checks of NSLattice.__post_init__."""
+    lattice = object.__new__(NSLattice)
+    object.__setattr__(lattice, "basis_names", basis_names)
+    object.__setattr__(lattice, "gram", gram)
+    object.__setattr__(lattice, "canonical", canonical)
+    return lattice
+
+
+def cubic_blowup(
+    n: int,
+) -> tuple[NSLattice, ClassRecord, tuple[ClassRecord, ...], Configuration]:
+    """The plane blown up at n >= 1 distinct points of a smooth cubic, in
+    closed form: the lattice, the cubic's strict transform C (genus 1), the
+    exceptional classes E1..En and the dual graph of C, E1, ..., En.
+
+    Equal to n :func:`blowup` calls that each pass the cubic once, followed
+    by :func:`configuration_from_classes`, without replaying the tower or
+    pairing any two classes.
+    """
+    names = tuple([f"E{i}" for i in range(1, n + 1)])
+    # Fraction entries pass as_rational unchanged
+    one, minus_ones = Fraction(1), [Fraction(-1)] * n
+    lattice = _unchecked_lattice(
+        ("L",) + names,
+        SymmetricMatrix.from_entries([one] + minus_ones),
+        (-3,) + (1,) * n,
+    )
+    cubic = ClassRecord("C", (3,) + (-1,) * n, genus=1)
+    zeros = (0,) * n
+    exceptionals = tuple([
+        ClassRecord(name, zeros[:i] + (1,) + zeros[i:])
+        for i, name in enumerate(names, 1)
+    ])
+    nodes = [CurveNode(0, "C", genus=1)] + [
+        CurveNode(i, name) for i, name in enumerate(names, 1)
+    ]
+    config = Configuration(
+        nodes,
+        SymmetricMatrix.from_entries(
+            [Fraction(9 - n)] + minus_ones, [(0, i, one) for i in range(1, n + 1)]
+        ),
+    )
+    return lattice, cubic, exceptionals, config
 
 
 def adjunction_genus(lattice: NSLattice, c) -> Fraction:

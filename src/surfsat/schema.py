@@ -144,7 +144,8 @@ def parse_document(data) -> Document:
             path="$",
         )
     version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # only the integer itself: True and 1.0 compare equal to 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise InputError(
             f"unsupported schema_version {version!r} (this build reads "
             f"{SCHEMA_VERSION})",

@@ -27,7 +27,10 @@ contracts from the record's factorisations.  The point-sum oracle is the
 package's former obstruction test: the on-curve test evaluated in
 ``Fraction`` arithmetic and the weighted sum always formed over Q, where
 the package reduces the sum modulo a few primes first and checks points
-by integer cross-multiplication.  The schema oracle is the former
+by integer cross-multiplication.  The blown-up-cubic oracle is the
+package's former ``hironaka`` surface: a tower of blowups and the pairing
+of every pair of classes, where the package writes the lattice, the classes
+and the dual graph down in closed form.  The schema oracle is the former
 ``parse_document``, which formatted every field's path and called one
 helper per field on the success path, and the rendering oracle is the
 former recursive ``render_human``.
@@ -41,6 +44,7 @@ from fractions import Fraction
 from math import lcm
 
 from surfsat import (
+    ClassRecord,
     CompactifiedSurface,
     Configuration,
     Divisor,
@@ -52,8 +56,11 @@ from surfsat import (
     SymmetricMatrix,
     TorsionStatus,
     affinisation_dimension,
+    blowup,
     classify_fibre_type,
+    configuration_from_classes,
     contract,
+    projective_plane,
     saturation_plan,
 )
 from surfsat.configuration import CurveNode
@@ -836,6 +843,30 @@ def oracle_sum_obstruction(curve, points):
     return not torsion.torsion, total, torsion
 
 
+def oracle_hironaka_surface(n):
+    """``(lattice, cubic, exceptionals, configuration, C^2)`` for the plane
+    blown up at n points of a cubic, by the package's former construction:
+    n ``blowup`` calls that each pass the cubic once, the dual graph from
+    all pairings of the classes, and C^2 from one more pairing."""
+    lattice = projective_plane()
+    cubic = ClassRecord("C", (3,), genus=1)
+    exceptionals = []
+    for i in range(n):
+        listed = [(cubic, 1)] + [(e, 0) for e in exceptionals]
+        result = blowup(lattice, listed, name=f"E{i + 1}")
+        lattice = result.lattice
+        cubic = result.classes[0]
+        exceptionals = list(result.classes[1:]) + [result.exceptional]
+    config = configuration_from_classes(lattice, [cubic] + exceptionals)
+    return (
+        lattice,
+        cubic,
+        tuple(exceptionals),
+        config,
+        lattice.self_intersection(cubic),
+    )
+
+
 # -- schema and rendering oracles ----------------------------------------
 
 
@@ -891,7 +922,8 @@ def oracle_parse_document(data) -> Document:
             path="$",
         )
     version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # only the integer itself: True and 1.0 compare equal to 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise InputError(
             f"unsupported schema_version {version!r} (this build reads "
             f"{SCHEMA_VERSION})",

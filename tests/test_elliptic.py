@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -25,10 +26,13 @@ from surfsat import (
     sum_obstruction,
 )
 
+from surfsat import elliptic
+from surfsat.cli import main
 from surfsat.elliptic import EXACT_BITS_BUDGET, FILTER_PRIMES, _reduced_order
 
 from support import (
     oracle_contains,
+    oracle_hironaka_surface,
     oracle_is_torsion,
     oracle_reduced_order,
     oracle_sum_obstruction,
@@ -369,6 +373,89 @@ class TestHironakaBuild:
             hironaka_build(
                 CURVE_37A, self.points(range(1, 10)), fibration_asserted=True
             )
+
+
+class TestHironakaClosedForm:
+    """The closed-form surface against the blowup tower it replaced, and
+    the cost of building it for many points."""
+
+    @staticmethod
+    def tower(n):
+        return oracle_hironaka_surface(n)[:4]
+
+    def test_reports_match_the_tower(self, monkeypatch):
+        rng = random.Random(1414)
+        ks = [k for k in range(-15, 16) if k]
+        multiples = {k: scalar_mul(CURVE_37A, k, GEN) for k in ks}
+        cases = []
+        for n in range(1, 15):
+            for _ in range(6):
+                chosen = rng.sample(ks, n)
+                points = [(multiples[k], rng.choice((1, 1, 2, 3))) for k in chosen]
+                cases.append((points, rng.random() < 0.5))
+        # the n = 9 torsion and non-torsion sums of TestHironakaBuild
+        for ks9 in (range(1, 10), [1, 2, 3, 4, 5, -1, -2, -3, -9]):
+            for asserted in (False, True):
+                cases.append(([(multiples[k], 1) for k in ks9], asserted))
+
+        def build(points, asserted):
+            try:
+                return hironaka_build(CURVE_37A, points, fibration_asserted=asserted)
+            except DataInconsistencyError as exc:
+                return str(exc)
+
+        closed = [build(points, asserted) for points, asserted in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(elliptic, "cubic_blowup", self.tower)
+            towers = [build(points, asserted) for points, asserted in cases]
+        verdicts = set()
+        for (points, _), report, expected in zip(cases, closed, towers):
+            assert report == expected
+            if isinstance(report, str):
+                verdicts.add("inconsistent")
+                continue
+            assert report.boundary_self_intersection == oracle_hironaka_surface(
+                len(points)
+            )[4]
+            verdicts.add(report.affinisation.verdict)
+        assert verdicts >= {
+            AffDim.TWO, AffDim.ONE, AffDim.ONE_OR_ZERO, AffDim.ZERO, "inconsistent"
+        }
+
+    def test_120_points_build_within_budget(self):
+        points, running = [], GEN
+        for _ in range(120):
+            points.append((running, 1))
+            running = add(CURVE_37A, running, GEN)
+        start = time.perf_counter()
+        report = hironaka_build(CURVE_37A, points)
+        elapsed = time.perf_counter() - start
+        assert report.boundary_self_intersection == -111
+        assert report.lattice.rank == 121
+        assert elapsed < 0.05, f"hironaka_build took {elapsed * 1000:.1f}ms"
+
+    def test_cli_on_many_points(self, capsys, tmp_path):
+        points, running = [], GEN
+        for _ in range(120):
+            points.append({"x": str(running.x), "y": str(running.y)})
+            running = add(CURVE_37A, running, GEN)
+        path = tmp_path / "n120.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "curves": [{"name": "C", "genus": 1, "self": -111}],
+                    "boundary": ["C"],
+                    "elliptic": {"curve": {"a3": 1, "a4": -1}, "points": points},
+                }
+            )
+        )
+        start = time.perf_counter()
+        code = main(["hironaka", str(path)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "boundary_self_intersection: -111" in out
+        assert elapsed < 0.5, f"surfsat hironaka took {elapsed:.2f}s"
 
 
 class TestHeavyMultiplicity:

@@ -19,7 +19,10 @@ from surfsat import (
     projective_plane,
 )
 
-from support import random_hyperbolic_gram
+from surfsat import elliptic, nslattice
+from surfsat.nslattice import cubic_blowup
+
+from support import oracle_hironaka_surface, random_hyperbolic_gram
 
 
 def blown_up_plane(n, cubic_mult=1):
@@ -128,7 +131,9 @@ class TestBlowupWithoutRecheck:
         assert lat.gram == SymmetricMatrix.diagonal([1] + [-1] * 12)
         assert lat.canonical == (-3,) + (1,) * 12
 
-    def test_hironaka_build_checks_the_plane_only(self, monkeypatch):
+    def test_hironaka_build_writes_the_closed_form(self, monkeypatch):
+        # the surface is I_{1,n} by construction: no lattice is checked and
+        # no blowup tower or pairwise dual graph is built
         curve = WeierstrassCurve(a3=1, a4=-1)  # y^2 + y = x^3 - x
         p = ECPoint.affine(0, 0)
         points, running = [], p
@@ -136,8 +141,16 @@ class TestBlowupWithoutRecheck:
             points.append((running, 1))
             running = add(curve, running, p)
         calls = self.count_lattice_inertia(monkeypatch)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("hironaka_build left the closed form")
+
+        # patched where they are defined and where elliptic would import them
+        for module in (nslattice, elliptic):
+            for name in ("blowup", "configuration_from_classes", "projective_plane"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         report = hironaka_build(curve, points)
-        assert calls == [1]
+        assert calls == []
         assert report.lattice.gram == SymmetricMatrix.diagonal([1] + [-1] * 10)
 
     def test_direct_lattice_is_still_checked(self, monkeypatch):
@@ -152,6 +165,26 @@ class TestBlowupWithoutRecheck:
             )
         NSLattice(("L", "E"), SymmetricMatrix.diagonal([1, -1]), (-3, 1))
         assert calls == [2]
+
+
+class TestCubicBlowup:
+    """The closed form of the plane blown up at n points of a cubic against
+    the blowup tower it replaced."""
+
+    def test_matches_the_tower(self):
+        for n in range(1, 41):
+            lat, cubic, excs, config = cubic_blowup(n)
+            o_lat, o_cubic, o_excs, o_config, o_square = oracle_hironaka_surface(n)
+            assert lat.basis_names == o_lat.basis_names
+            assert lat.gram == o_lat.gram
+            assert lat.canonical == o_lat.canonical
+            assert cubic == o_cubic
+            assert excs == o_excs
+            assert config.nodes == o_config.nodes
+            assert config.gram == o_config.gram
+            assert lat.self_intersection(cubic) == o_square == 9 - n
+            assert adjunction_genus(lat, cubic) == 1
+            assert lat.gram.inertia() == (1, n, 0)
 
 
 class TestIntegerPairing:

@@ -45,6 +45,10 @@ CASES = [
     ({"boundry": []}, f"$: unknown keys ['boundry']; expected a subset of {TOP_LEVEL}"),
     ({"schema_version": 2}, "schema_version: unsupported schema_version 2 (this build reads 1)"),
     ({"schema_version": "1"}, "schema_version: unsupported schema_version '1' (this build reads 1)"),
+    ({"schema_version": True}, "schema_version: unsupported schema_version True (this build reads 1)"),
+    ({"schema_version": False}, "schema_version: unsupported schema_version False (this build reads 1)"),
+    ({"schema_version": 1.0}, "schema_version: unsupported schema_version 1.0 (this build reads 1)"),
+    ({"schema_version": 0}, "schema_version: unsupported schema_version 0 (this build reads 1)"),
     # curves
     ({"curves": {}}, "curves: expected list, got dict"),
     ({"curves": ["A"]}, "curves[0]: expected dict, got str"),
