@@ -375,15 +375,26 @@ def main(argv: Optional[list[str]] = None) -> int:
             len(doc.surface.boundary),
         )
         report = COMMANDS[args.command](doc, args)
+        if args.format == "json":
+            text = json.dumps(report, indent=2, sort_keys=True)
+        else:
+            text = render_human(report)
     except (InputError, PreconditionError, DataInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            "error: a number in the result has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+            "for converting integers to text",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
 
     try:
-        if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(render_human(report))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (``| head``).  Point stdout at the null

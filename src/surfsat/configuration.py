@@ -35,6 +35,13 @@ class CurveNode:
         if self.genus < 0:
             raise InputError(f"curve {self.name!r} has negative genus {self.genus}")
 
+    @classmethod
+    def _unchecked(cls, id: int, name: str, genus: int, proper: bool) -> "CurveNode":
+        """The node, for a genus the caller has checked."""
+        node = cls.__new__(cls)
+        node.__dict__.update(id=id, name=name, genus=genus, proper=proper)
+        return node
+
 
 class Divisor:
     """Formal rational combination of configuration curves.
@@ -146,6 +153,20 @@ class Configuration:
         self._nodes = nodes
         self._gram = gram
         self._neighbours = tuple(neighbours)
+
+    @classmethod
+    def _unchecked(
+        cls, nodes: Sequence[CurveNode], gram: SymmetricMatrix
+    ) -> "Configuration":
+        """The configuration, for nodes and a Gram the caller has checked:
+        ids 0..n-1, unique names and no negative off-diagonal entry."""
+        config = cls.__new__(cls)
+        config._nodes = tuple(nodes)
+        config._gram = gram
+        config._neighbours = tuple([
+            frozenset(gram.off_diagonal(i)) for i in range(len(config._nodes))
+        ])
+        return config
 
     @classmethod
     def build(cls, curves, intersections=()) -> "Configuration":

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configuration import Configuration, Divisor
 from .errors import PreconditionError
-from .linalg import LDL, _primitive_integral
+from .linalg import LDL
 
 
 class FibreVerdict(Enum):
@@ -112,7 +112,7 @@ def _classify_connected(config: Configuration, nodes: list[int]) -> FibreTypeRep
     # off-diagonal entries are >= 0) the kernel is a line spanned by a
     # positive vector, and every proper sub-support is negative definite
     # (Zariski's lemma, see validate_zariski): only the last pivot is zero.
-    kernel = Divisor(dict(zip(nodes, _primitive_integral(factor.null_vector()))))
+    kernel = Divisor(dict(zip(nodes, factor.null_vector())))
     return FibreTypeReport(subject, FibreVerdict.FIBRE_TYPE, kernel, positive=0)
 
 

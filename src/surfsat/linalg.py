@@ -2,22 +2,28 @@
 
 Everything here is exact: scalars are :class:`fractions.Fraction`, there is
 no floating point anywhere, and all decisions (solvability, inertia,
-definiteness) are made by symmetric elimination over Q.
+definiteness) are made by symmetric elimination.
 
 Intersection matrices of curve configurations are sparse, so a matrix keeps
 its diagonal and, per row, only the nonzero off-diagonal entries.  Building
 one from entries, taking a principal block and the one elimination,
-:meth:`SymmetricMatrix.ldl`, walk those entries; its inertia, L D L^T factor
-and kernel vector answer every definiteness question.  The dense ``rows``
-view is built only when asked for (by ``repr``, by the Gauss-Jordan
-``solve`` and ``kernel_basis``, which no verdict uses, and by callers).
+:meth:`SymmetricMatrix.ldl`, walk those entries.  The elimination runs in
+integers: it scales the block to an integer matrix A and keeps every Schur
+complement entry as an integer minor of A over the minor of the pivots
+taken so far (Sylvester's identity, as in Bareiss's fraction-free
+elimination), so no update pays a gcd.  Its inertia, kernel vector,
+solves and inverse diagonal answer every definiteness question, and they
+form a ``Fraction`` only for an output entry.  The dense ``rows`` view is
+built only when asked for (by ``repr``, by the Gauss-Jordan ``solve`` and
+``kernel_basis``, which no verdict uses, and by callers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -54,19 +60,17 @@ def as_rational(value) -> Fraction:
 def _primitive_integral(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to integer entries with content 1 and
     positive leading nonzero entry."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    den = lcm(*[x.denominator for x in vec])
+    return _primitive([x.numerator * (den // x.denominator) for x in vec])
+
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """An integer vector divided by its content, with positive leading
+    nonzero entry."""
+    g = gcd(*ints)
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return tuple([v // g for v in ints]) if g else tuple(ints)
 
 
 class SymmetricMatrix:
@@ -78,7 +82,7 @@ class SymmetricMatrix:
     ``rows`` view is built on first use.
     """
 
-    __slots__ = ("_diag", "_off", "_rows")
+    __slots__ = ("_diag", "_off", "_rows", "_integral")
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
         n = len(rows)
@@ -100,6 +104,7 @@ class SymmetricMatrix:
             for i, row in enumerate(coerced)
         ])
         self._rows = tuple(coerced)
+        self._integral = None
 
     @classmethod
     def _from_sparse(
@@ -110,6 +115,7 @@ class SymmetricMatrix:
         matrix._diag = diag
         matrix._off = off
         matrix._rows = None
+        matrix._integral = None
         return matrix
 
     @classmethod
@@ -161,6 +167,14 @@ class SymmetricMatrix:
                 dense.append(tuple(r))
             self._rows = tuple(dense)
         return self._rows
+
+    def _is_integral(self) -> bool:
+        """Whether every entry is an integer, found on first use."""
+        if self._integral is None:
+            self._integral = all(x.denominator == 1 for x in self._diag) and all(
+                x.denominator == 1 for row in self._off for x in row.values()
+            )
+        return self._integral
 
     def entry(self, i: int, j: int) -> Fraction:
         if i == j:
@@ -300,88 +314,133 @@ class SymmetricMatrix:
         order).  A one-curve block [d] is its own pivot, read off with no
         set-up; a larger block goes to :meth:`_eliminate`.
         """
-        idx = list(range(self.n)) if indices is None else list(indices)
+        n = len(self._diag)
+        idx = list(range(n)) if indices is None else list(indices)
         for i in idx:
-            if not 0 <= i < self.n:
-                raise InputError(f"index {i} out of range for n={self.n}")
+            if not 0 <= i < n:
+                raise InputError(f"index {i} out of range for n={n}")
         if len(idx) == 1:
             d = self._diag[idx[0]]
-            sign = d.numerator
+            top, s = d.numerator, d.denominator
+            content = 1 if s == 1 else abs(top) * s or 1  # as _eliminate has it
             return LDL(
-                tuple(idx), ((),), (d,), (int(sign > 0), int(sign < 0), int(not sign))
+                tuple(idx), (int(top > 0), int(top < 0), int(not top)),
+                (s,), content, (1,), (top * s // content,), ((),),
             )
         return self._eliminate(idx)
 
     def _eliminate(self, idx: list[int]) -> "LDL":
-        """:meth:`ldl` on the in-range indices ``idx``, of any length,
-        updating only nonzero entries, so a chain has no fill.
+        """:meth:`ldl` on the in-range indices ``idx``, of any length, in
+        integers, updating only nonzero entries, so a chain has no fill.
+
+        With s_p the lcm of the denominators in row p of the block M, and g
+        the content of S M S (1 when every s_p is), A = S M S / g is an
+        integer matrix congruent to a positive multiple of M, so it has M's
+        inertia (Sylvester's law).  Scaling row by row keeps A's minors
+        about as long as M's, where one lcm for the whole block would
+        lengthen every row by the denominators of all the others.
+
+        Once a nonsingular principal set K is eliminated, the Schur
+        complement's entry (i, j) is det A[K+i, K+j] / det A[K] (Sylvester's
+        identity; Bareiss), so each entry is kept as that integer numerator
+        with the minor det A[K] it is over.  A step updates only the entries
+        it changes, and every other one is lifted to the current minor when
+        read: both are exact divisions, as the results are minors of A.
 
         The inertia does not depend on the pivot order (Sylvester's law), so
         position p is eliminated in order: on itself if its diagonal entry
         is nonzero, else after a neighbour with a nonzero one, else with its
-        first neighbour as a hyperbolic 2x2 block [[0,t],[t,0]], which
-        contributes (1,1,0); with u, v its rows off the block, the update
-        (u v^T + v u^T)/t runs over supp(u) x supp(v) only.  A zero row is
-        a zero eigenvalue no later step changes.  While every step is an
-        in-order pivot or zero row, its multipliers and pivot are recorded
-        as L and D; a negative definite block records them all (Sylvester's
-        criterion).
+        first neighbour q as a hyperbolic 2x2 block [[0,t],[t,0]], which
+        contributes (1,1,0); the update then runs over supp(u) x supp(v)
+        only, u and v the rows of p and q off the block.  A zero row is a
+        zero eigenvalue no later step changes.  While every step is an
+        in-order pivot or zero row, the record of :class:`LDL` is kept; a
+        negative definite block keeps it all (Sylvester's criterion).
         """
         position = {node: p for p, node in enumerate(idx)}
         if len(position) < len(idx):
             raise InputError("indices must be distinct")
-        diag = {p: self._diag[node] for p, node in enumerate(idx)}
-        off = {
-            p: {position[j]: x for j, x in self._off[node].items() if j in position}
-            for p, node in enumerate(idx)
-        }
-        lower: list[tuple[tuple[int, Fraction], ...]] = []
-        pivots: list[Fraction] = []
+        # entry numerators, each kept with the minor it is over; None marks
+        # an eliminated diagonal entry
+        if self._is_integral():
+            num: list[Optional[int]] = [self._diag[node].numerator for node in idx]
+            off = [
+                {
+                    position[j]: (x.numerator, 1)
+                    for j, x in self._off[node].items()
+                    if j in position
+                }
+                for node in idx
+            ]
+            scales, content = [1] * len(idx), 1
+        else:
+            num, off, scales, content = _scaled_block(self, idx, position)
+        over = [1] * len(idx)
+        minor = 1  # det A[K]
+        columns: list[tuple[tuple[int, int], ...]] = []
+        pivots: list[int] = []
+        minors: list[int] = []
         in_order = True
         plus = minus = 0
         for p0 in range(len(idx)):
-            while p0 in diag:
-                pivot = p0 if diag[p0] else next((q for q in off[p0] if diag[q]), None)
+            while num[p0] is not None:
+                pivot = p0 if num[p0] else next((q for q in off[p0] if num[q]), None)
                 if pivot is not None:
-                    d = diag.pop(pivot)
-                    if d > 0:
+                    top = _lift(num[pivot], over[pivot], minor)
+                    num[pivot] = None
+                    if (top > 0) == (minor > 0):
                         plus += 1
                     else:
                         minus += 1
-                    col = sorted(_detach(off, pivot).items())
-                    multipliers = [(q, u / d) for q, u in col]
-                    for a, (q, l) in enumerate(multipliers):
-                        diag[q] -= l * col[a][1]
-                        for r, w in col[a + 1:]:
-                            _sub_off(off, q, r, l * w)
+                    col = sorted(_take(off, pivot, minor).items())
+                    for a, (q, nq) in enumerate(col):
+                        x = _lift(num[q], over[q], minor)
+                        num[q] = (top * x - nq * nq) // minor
+                        over[q] = top
+                        row = off[q]
+                        for r, nr in col[a + 1:]:
+                            x = _lift(*row.get(r, (0, minor)), minor)
+                            _put(off, q, r, (top * x - nq * nr) // minor, top)
                     in_order = in_order and pivot == p0
                     if in_order:
-                        lower.append(tuple(multipliers))
-                        pivots.append(d)
+                        columns.append(tuple(col))
+                        pivots.append(top)
+                        minors.append(minor)
+                    minor = top
                     continue
-                del diag[p0]
+                num[p0] = None
                 if not off[p0]:
                     if in_order:
-                        lower.append(())
-                        pivots.append(_ZERO)
+                        columns.append(())
+                        pivots.append(0)
+                        minors.append(minor)
                     break
                 in_order = False
-                q0, t = next(iter(off[p0].items()))
-                del diag[q0]
+                up = _take(off, p0, minor)
+                q0 = next(iter(up))
+                t = up.pop(q0)
+                num[q0] = None
                 plus += 1
                 minus += 1
-                up = _detach(off, p0)
-                del up[q0]
-                uq = _detach(off, q0)
+                uq = _take(off, q0, minor)
+                # det A[K+p+q] = -t^2 / det A[K]; entry (r, s) becomes
+                # t (u_r v_s + v_r u_s - t N_rs) / det A[K]^2
+                square = minor * minor
+                step = -(t * t) // minor
                 for r, ur in up.items():
                     for s, vs in uq.items():
                         if r == s:
-                            diag[r] -= 2 * ur * vs / t
-                        else:
-                            _sub_off(off, r, s, ur * vs / t)
+                            x = _lift(num[r], over[r], minor)
+                            num[r] = t * (2 * ur * vs - t * x) // square
+                            over[r] = step
+                        elif not (s < r and s in up and r in uq):  # once a pair
+                            x = _lift(*off[r].get(s, (0, minor)), minor)
+                            cross = ur * vs + uq.get(r, 0) * up.get(s, 0)
+                            _put(off, r, s, t * (cross - t * x) // square, step)
+                minor = step
         return LDL(
-            tuple(idx), tuple(lower), tuple(pivots),
-            (plus, minus, len(idx) - plus - minus),
+            tuple(idx), (plus, minus, len(idx) - plus - minus), tuple(scales),
+            content, tuple(minors), tuple(pivots), tuple(columns),
         )
 
     def negative_definite_ldl(
@@ -402,25 +461,57 @@ class SymmetricMatrix:
         return self.negative_definite_ldl() is not None
 
 
-def _detach(off: dict[int, dict[int, Fraction]], i: int) -> dict[int, Fraction]:
+def _scaled_block(matrix: SymmetricMatrix, idx: list[int], position: dict):
+    """The integer block A = S M S / g of :meth:`SymmetricMatrix._eliminate`:
+    its diagonal, its rows of (numerator, 1), S and g (1 when S is)."""
+    diag = [matrix._diag[node] for node in idx]
+    off = [
+        {position[j]: x for j, x in matrix._off[node].items() if j in position}
+        for node in idx
+    ]
+    scales = [
+        lcm(d.denominator, *[x.denominator for x in row.values()])
+        for d, row in zip(diag, off)
+    ]
+    num = [d.numerator * (s * s // d.denominator) for d, s in zip(diag, scales)]
+    off = [
+        {q: x.numerator * (s * scales[q] // x.denominator) for q, x in row.items()}
+        for s, row in zip(scales, off)
+    ]
+    content = 1
+    if max(scales, default=1) > 1:
+        content = gcd(*num, *[v for row in off for v in row.values()]) or 1
+    num = [v // content for v in num]
+    off = [{q: (v // content, 1) for q, v in row.items()} for row in off]
+    return num, off, scales, content
+
+
+def _take(
+    off: list[dict[int, tuple[int, int]]], i: int, minor: int
+) -> dict[int, int]:
     """Remove row and column ``i`` from sparse symmetric storage and return
-    the row."""
-    row = off.pop(i)
+    the row's numerators over ``minor``."""
+    row = off[i]
+    off[i] = {}
     for j in row:
         del off[j][i]
-    return row
+    return {j: _lift(n, s, minor) for j, (n, s) in row.items()}
 
 
-def _sub_off(off: dict[int, dict[int, Fraction]], i: int, j: int, value) -> None:
-    """Subtract ``value`` from the off-diagonal entry (i, j) and its mirror,
-    dropping the entry when it becomes zero."""
-    if not value:
-        return
-    total = off[i].get(j, _ZERO) - value
-    if total:
-        off[i][j] = off[j][i] = total
+def _lift(n: int, over: int, minor: int) -> int:
+    """The numerator ``n`` over the minor ``over``, read over ``minor``:
+    an exact division, as the result is a minor of A too."""
+    return n if over == minor else n * minor // over
+
+
+def _put(off, i: int, j: int, value: int, minor: int) -> None:
+    """Set the entry (i, j) and its mirror to ``value`` over ``minor``,
+    dropping it when it is zero."""
+    if value:
+        off[i][j] = off[j][i] = (value, minor)
     else:
-        del off[i][j], off[j][i]
+        off[i].pop(j, None)
+        off[j].pop(i, None)
 
 
 @dataclass(frozen=True)
@@ -429,41 +520,136 @@ class LDL:
 
     ``order`` lists the block's indices; right-hand sides and solutions are
     indexed by position in it.  ``inertia`` counts the block's (positive,
-    negative, zero) eigenvalues.  ``lower[p]`` holds the nonzero multipliers
-    (q, L[q][p]) below pivot p and ``diag`` the pivots, for the steps taken
-    in order; when they cover every position, M = L D L^T.
+    negative, zero) eigenvalues.  The rest is an integer record of the steps
+    taken in order, which is the whole block M when every step was an
+    in-order pivot or a zero row.  A = S M S / g is the integer block
+    eliminated, with S the diagonal of ``scales`` and g the ``content``;
+    with K the positions eliminated before p, ``minors[p]`` is det A[K],
+    ``pivots[p]`` is det A[K+p] (0 for a zero row) and ``columns[p]`` holds
+    the nonzero (q, det A[K+q, K+p]) below it.  The views ``lower`` (the
+    nonzero multipliers (q, L[q][p]) below pivot p) and ``diag`` (the
+    pivots) are the rational L and D of M = L D L^T, formed on first read.
     """
 
     order: tuple[int, ...]
-    lower: tuple[tuple[tuple[int, Fraction], ...], ...]
-    diag: tuple[Fraction, ...]
     inertia: tuple[int, int, int]
+    scales: tuple[int, ...]
+    content: int
+    minors: tuple[int, ...]
+    pivots: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
-    def solve(self, rhs: Sequence[Fraction]) -> list[Fraction]:
-        """The unique x with M x = rhs, by forward and back substitution."""
-        x = list(rhs)
-        for p, column in enumerate(self.lower):
-            xp = x[p]
-            if xp:
-                for q, l in column:
-                    x[q] -= l * xp
-        for p, d in enumerate(self.diag):
-            if x[p]:
-                x[p] /= d
-        for p in range(len(x) - 1, -1, -1):
-            total = x[p]
-            for q, l in self.lower[p]:
-                if x[q]:
-                    total -= l * x[q]
-            x[p] = total
-        return x
+    # M = g S^-1 A S^-1, so L = S^-1 L_A S and D = g S^-2 D_A
 
-    def null_vector(self) -> list[Fraction]:
-        """The x with L^T x = e_last, by back substitution.  When the factor
-        is complete and its last pivot is its only zero one, M x = L D e_last
-        = 0, so x spans the kernel."""
-        x = [_ZERO] * len(self.order)
-        x[-1] = Fraction(1)
-        for p in range(len(x) - 2, -1, -1):
-            x[p] = -sum((l * x[q] for q, l in self.lower[p]), _ZERO)
-        return x
+    @cached_property
+    def lower(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        s = self.scales
+        return tuple([
+            tuple([(q, Fraction(n * s[p], top * s[q])) for q, n in column])
+            for p, (column, top) in enumerate(zip(self.columns, self.pivots))
+        ])
+
+    @cached_property
+    def diag(self) -> tuple[Fraction, ...]:
+        return tuple([
+            Fraction(self.content * top, minor * s * s)
+            for top, minor, s in zip(self.pivots, self.minors, self.scales)
+        ])
+
+    def solve(self, rhs: Sequence) -> list[Fraction]:
+        """The unique x with M x = rhs, for a complete record with nonzero
+        pivots, by fraction-free forward and back substitution.
+
+        M x = rhs is A S^-1 x = S rhs / g.  With b = beta S rhs integral,
+        the forward pass carries b through the elimination as the minors
+        det A[K+q, K+b] of [A | b]; the back pass gives the Cramer
+        numerators Z = det A * A^-1 b; and x = S Z / (beta g det A), one
+        ``Fraction`` per nonzero entry.
+        """
+        beta = lcm(*[v.denominator for v in rhs])
+        w = [
+            v.numerator * (beta // v.denominator) * s
+            for v, s in zip(rhs, self.scales)
+        ]
+        over = [1] * len(w)
+        pivots, minors, columns = self.pivots, self.minors, self.columns
+        for p, column in enumerate(columns):
+            if w[p]:
+                minor = minors[p]
+                wp = w[p] = _lift(w[p], over[p], minor)
+                top = pivots[p]
+                for q, nq in column:
+                    w[q] = (top * _lift(w[q], over[q], minor) - nq * wp) // minor
+                    over[q] = top
+        det = pivots[-1] if pivots else 1
+        for p in range(len(w) - 1, -1, -1):  # w[q] becomes Z[q], q > p
+            total = det * w[p]
+            for q, nq in columns[p]:
+                if w[q]:
+                    total -= nq * w[q]
+            w[p] = total // pivots[p]
+        denominator = beta * self.content * det
+        return [
+            Fraction(s * v, denominator) if v else _ZERO
+            for s, v in zip(self.scales, w)
+        ]
+
+    def null_vector(self) -> list[int]:
+        """The primitive integral x with positive leading entry and L^T x a
+        multiple of e_last.  When the record is complete and its last pivot
+        is its only zero one, M x = L D L^T x = 0, so x spans the kernel.
+
+        Back substitution in integers for the kernel y of A from y_last =
+        minors[-1] = det A_RR, R the other positions: then y_R = -adj(A_RR)
+        a_Rl is integral (Cramer), so every division is exact; x = S y.
+        """
+        y = [0] * len(self.order)
+        y[-1] = self.minors[-1]
+        for p in range(len(y) - 2, -1, -1):
+            y[p] = -sum([n * y[q] for q, n in self.columns[p]]) // self.pivots[p]
+        return list(_primitive([s * v for s, v in zip(self.scales, y)]))
+
+    def inverse_diagonal(self) -> tuple[Fraction, ...]:
+        """The diagonal of M^-1 = S A^-1 S / g, for a complete record with
+        nonzero pivots.
+
+        W = det A * A^-1 is integral (the adjugate), and L^T A^-1 = D^-1
+        L^-1 is lower triangular with diagonal D^-1 (Takahashi), so for
+        p <= j, W[p][j] = ([p = j] det A minors[p] - sum_q N_qp W[q][j]) /
+        pivots[p], summed over column p: an exact division.  Running p down
+        from the end needs W only on the filled pattern, column p widened
+        by what the columns below it pass up the elimination tree; that
+        keeps every pattern a clique even where an update cancelled to zero.
+        """
+        k = len(self.order)
+        pattern = [dict(column) for column in self.columns]
+        for p in range(k):
+            if pattern[p]:
+                parent = min(pattern[p])
+                for q in pattern[p]:
+                    if q != parent:
+                        pattern[parent].setdefault(q, 0)
+        det = self.pivots[-1] if k else 1
+        upper: list[Optional[dict[int, int]]] = [None] * k  # W[p][j], j > p
+        inverse = [0] * k  # W[p][p]
+        for p in range(k - 1, -1, -1):
+            entries = pattern[p]
+            top = self.pivots[p]
+            row = {}
+            for j in entries:
+                total = 0
+                for q, n in entries.items():
+                    if n:
+                        total -= n * (
+                            inverse[j] if q == j else upper[min(q, j)][max(q, j)]
+                        )
+                row[j] = total // top
+            upper[p] = row
+            total = det * self.minors[p]
+            for q, n in entries.items():
+                total -= n * row[q]
+            inverse[p] = total // top
+        denominator = self.content * det
+        return tuple([
+            Fraction(s * s * w, denominator) for s, w in zip(self.scales, inverse)
+        ])

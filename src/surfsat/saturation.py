@@ -282,33 +282,45 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     dropping i leaves a block that is not negative definite iff another
     component is not negative definite, or i's own component C is not
     semidefinite and C - {i} is not negative definite.  One elimination per
-    component decides all but the last test: dropping a curve of a negative
-    definite or fibre-type C leaves it negative definite (Zariski's lemma),
-    and when C has two or more eigenvalues >= 0, dropping any curve leaves
-    one (Cauchy interlacing).
+    component decides it: dropping a curve of a negative definite or
+    fibre-type C leaves it negative definite (Zariski's lemma), and when C
+    has two or more eigenvalues >= 0, dropping any curve leaves one (Cauchy
+    interlacing).  Otherwise C has inertia (1, m-1, 0), and C - {i} has at
+    most one eigenvalue >= 0; it is negative definite iff det M_-i = det M
+    (M^-1)_ii has the sign of det M, that is iff (M^-1)_ii > 0, which C's
+    factor gives for every i when it is complete.
     """
     inner = _inner_nodes(surface)
     gram = surface.ambient.gram
     loose = []  # the components that are not negative definite
     for comp in surface.ambient.connected_components(inner):
-        plus, minus, zero = gram.ldl(sorted(comp)).inertia
-        if minus < len(comp):
-            loose.append((comp, plus, zero))
+        factor = gram.ldl(sorted(comp))
+        if factor.inertia[1] < len(comp):
+            loose.append((comp, factor))
     if not loose:
         return None
-    comp, plus, zero = loose[0]
-    for drop in inner:
-        if (
-            len(loose) > 1 or drop not in comp or plus + zero > 1
-            or (plus and gram.negative_definite_ldl(sorted(comp - {drop})) is None)
-        ):
-            names = surface.ambient.names([i for i in inner if i != drop])
-            return (
-                f"supplied interior curves contain two different divisors "
-                f"that are not negative definite (e.g. {names} and all inner "
-                "curves); a trivial-affinisation surface allows at most one"
-            )
-    return None
+    comp, factor = loose[0]
+    plus, _, zero = factor.inertia
+    if len(loose) > 1 or plus + zero > 1:
+        drop = inner[0]
+    else:
+        if not plus:
+            keeps = comp.__contains__
+        elif len(factor.pivots) == len(comp):
+            positive = factor.inverse_diagonal()
+            keeps = {i for i, v in zip(factor.order, positive) if v > 0}.__contains__
+        else:  # a leading minor vanished, so the record stops short
+            def keeps(i):
+                return gram.negative_definite_ldl(sorted(comp - {i})) is not None
+        drop = next((i for i in inner if i not in comp or not keeps(i)), None)
+        if drop is None:
+            return None
+    names = surface.ambient.names([i for i in inner if i != drop])
+    return (
+        f"supplied interior curves contain two different divisors "
+        f"that are not negative definite (e.g. {names} and all inner "
+        "curves); a trivial-affinisation surface allows at most one"
+    )
 
 
 def _decided_by_boundary(reports: Sequence[FibreTypeReport]) -> Optional[AffDimReport]:

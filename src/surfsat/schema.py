@@ -10,6 +10,7 @@ Unlisted intersection pairs default to zero.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -179,7 +180,7 @@ def parse_document(data) -> Document:
                 f"duplicate curve name {name!r}", path=f"curves[{i}].name"
             )
         index_of[name] = i
-        nodes.append(CurveNode(i, name, genus=genus, proper=proper))
+        nodes.append(CurveNode._unchecked(i, name, genus, proper))
 
     inters = _expect(data.get("intersections", []), list, path="intersections")
     n = len(nodes)
@@ -221,7 +222,10 @@ def parse_document(data) -> Document:
             "'intersections'",
             path="intersections",
         )
-    config = Configuration(nodes, SymmetricMatrix.from_entries(diagonal, triples))
+    # ids, names, genera and signs are checked above
+    config = Configuration._unchecked(
+        nodes, SymmetricMatrix.from_entries(diagonal, triples)
+    )
 
     boundary_names = _expect(data.get("boundary", []), list, path="boundary")
     boundary = []
@@ -344,6 +348,14 @@ def load_document(path) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"invalid JSON in {path}: nested too deeply") from exc
+    except ValueError as exc:  # the only other failure: an over-long integer
+        raise InputError(
+            f"cannot read {path}: an integer in it has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+            "for converting text to integers"
+        ) from exc
     return parse_document(data)
 
 

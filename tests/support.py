@@ -13,7 +13,10 @@ certificate.  The fibre-type oracles are the dense inertia and
 Gauss-Jordan kernel and, after it, the L D L^T of all but the last node
 with one Schur scalar; one elimination of the whole subject replaced
 both.  ``oracle_negative_definite_ldl`` is the stand-alone factorisation
-the package folded into that elimination, and the contraction oracle is
+the package folded into that elimination, and ``oracle_ldl`` is that
+elimination as it was in ``Fraction`` arithmetic, before it ran on integer
+minors; ``oracle_null_vector`` and ``oracle_ldl_solve`` read its factor
+over Q.  The contraction oracle is
 the per-pullback Gauss-Jordan solve the package replaced by one L D L^T
 factorisation per component.  ``dense_inertia``, ``oracle_solve`` and
 ``oracle_kernel_basis`` are the package's former eliminations on the
@@ -583,7 +586,98 @@ def oracle_negative_definite_ldl(matrix: SymmetricMatrix, indices=None):
     return tuple(idx), tuple(lower), tuple(diag)
 
 
-def _oracle_ldl_solve(lower, diag, rhs):
+def oracle_ldl(matrix: SymmetricMatrix, indices=None):
+    """The package's former ``ldl``: the same pivot order (in order, a
+    neighbour's pivot, the hyperbolic 2x2 step, zero rows) on dict storage
+    of ``Fraction`` entries, each update paying a gcd.  Returns (order,
+    lower, diag, inertia) in the layout of ``LDL``'s views."""
+    idx = list(range(matrix.n)) if indices is None else list(indices)
+    position = {node: p for p, node in enumerate(idx)}
+    if len(position) < len(idx):
+        raise InputError("indices must be distinct")
+    diag = {p: matrix.entry(node, node) for p, node in enumerate(idx)}
+    off = {
+        p: {
+            position[j]: x
+            for j, x in matrix.off_diagonal(node).items()
+            if j in position
+        }
+        for p, node in enumerate(idx)
+    }
+
+    def detach(i):
+        row = off.pop(i)
+        for j in row:
+            del off[j][i]
+        return row
+
+    def sub_off(i, j, value):
+        if not value:
+            return
+        total = off[i].get(j, Fraction(0)) - value
+        if total:
+            off[i][j] = off[j][i] = total
+        else:
+            del off[i][j], off[j][i]
+
+    lower, pivots = [], []
+    in_order = True
+    plus = minus = 0
+    for p0 in range(len(idx)):
+        while p0 in diag:
+            pivot = p0 if diag[p0] else next((q for q in off[p0] if diag[q]), None)
+            if pivot is not None:
+                d = diag.pop(pivot)
+                if d > 0:
+                    plus += 1
+                else:
+                    minus += 1
+                col = sorted(detach(pivot).items())
+                multipliers = [(q, u / d) for q, u in col]
+                for a, (q, l) in enumerate(multipliers):
+                    diag[q] -= l * col[a][1]
+                    for r, w in col[a + 1:]:
+                        sub_off(q, r, l * w)
+                in_order = in_order and pivot == p0
+                if in_order:
+                    lower.append(tuple(multipliers))
+                    pivots.append(d)
+                continue
+            del diag[p0]
+            if not off[p0]:
+                if in_order:
+                    lower.append(())
+                    pivots.append(Fraction(0))
+                break
+            in_order = False
+            q0, t = next(iter(off[p0].items()))
+            del diag[q0]
+            plus += 1
+            minus += 1
+            up = detach(p0)
+            del up[q0]
+            uq = detach(q0)
+            for r, ur in up.items():
+                for s, vs in uq.items():
+                    if r == s:
+                        diag[r] -= 2 * ur * vs / t
+                    else:
+                        sub_off(r, s, ur * vs / t)
+    inertia = (plus, minus, len(idx) - plus - minus)
+    return tuple(idx), tuple(lower), tuple(pivots), inertia
+
+
+def oracle_null_vector(lower):
+    """The former ``LDL.null_vector``: x with L^T x = e_last, by back
+    substitution over Q."""
+    x = [Fraction(0)] * len(lower)
+    x[-1] = Fraction(1)
+    for p in range(len(x) - 2, -1, -1):
+        x[p] = -sum((l * x[q] for q, l in lower[p]), Fraction(0))
+    return x
+
+
+def oracle_ldl_solve(lower, diag, rhs):
     """Forward substitution, the pivots, back substitution."""
     x = list(rhs)
     for p, column in enumerate(lower):
@@ -608,7 +702,7 @@ def oracle_classify_connected(config: Configuration, nodes) -> FibreTypeReport:
         return FibreTypeReport(subject, FibreVerdict.NOT_SEMIDEFINITE)
     _, lower, diag = factor
     column = [config.gram.entry(i, last) for i in rest]
-    x = _oracle_ldl_solve(lower, diag, [-m for m in column])
+    x = oracle_ldl_solve(lower, diag, [-m for m in column])
     schur = config.gram.entry(last, last) + sum(m * v for m, v in zip(column, x))
     if schur < 0:
         return FibreTypeReport(subject, FibreVerdict.NEGATIVE_DEFINITE)

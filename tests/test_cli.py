@@ -53,6 +53,14 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        # the JSON decoder recurses once per level of nesting
+        path = tmp_path / "deep.json"
+        path.write_text('{"curves": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid JSON in {path}: nested too deeply\n"
+
     def test_inconsistent_claims_are_exit_one(self, capsys):
         code, out, _ = run(
             capsys, "validate", SAMPLES / "three_disjoint_claims.json"
@@ -115,6 +123,64 @@ class TestExitCodes:
             "error: false_fibre_claims[0].certificate.kind: unknown certificate kind "
         )
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="the interpreter has no limit on integer-string conversion",
+)
+class TestOverLongIntegers:
+    """An integer past the interpreter's integer-string conversion limit,
+    read or printed, ends in an input error that names the limit, never
+    in a traceback; the process-wide limit is left alone."""
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_long_literal_in_the_document(self, capsys, tmp_path, command, fmt):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"curves": [{"name": "E", "self": -' + "9" * 5000 + '}], '
+            '"boundary": ["E"]}'
+        )
+        code, out, err = run(capsys, command, path, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: cannot read {path}: an integer in it has more than "
+            f"{limit} digits, the interpreter's limit for converting text to "
+            "integers\n"
+        )
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_long_number_in_the_result(self, capsys, tmp_path, fmt):
+        # contracting E pulls C back with coefficient 10^4000 / 2, and C's
+        # induced self-intersection has about 8000 digits
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "meeting.json"
+        doc = {
+            "curves": [{"name": "E", "self": -2}, {"name": "C", "self": -1}],
+            "intersections": [[0, 1, "1" + "0" * 4000]],
+            "boundary": ["E"],
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "mumford", path, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: a number in the result has more than {limit} digits, the "
+            "interpreter's limit for converting integers to text\n"
+        )
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_other_value_errors_still_raise(self, monkeypatch, tmp_path):
+        # only the conversion limit is an input error; a ValueError from a
+        # fault in a command is not hidden behind an error message
+        def broken(doc, args):
+            raise ValueError("a fault")
+
+        monkeypatch.setitem(COMMANDS, "fibre", broken)
+        with pytest.raises(ValueError, match="a fault"):
+            main(["fibre", str(SAMPLES / "n10.json")])
 
 
 class TestUsageErrors:

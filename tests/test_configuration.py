@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfsat import (
     Configuration,
@@ -395,6 +397,77 @@ class TestNeighbourQueries:
             0, 2, (0, 1, False), (0, 1, True), (1, 2, True), (2, 2, True),
             (1, 1, True), (1, 1, False),
         } <= set(cases), cases
+
+
+def positive_direction_surface(rng):
+    """Inner components with a positive direction, mostly of inertia
+    (1, m-1, 0), beside a boundary curve that meets none of them: cycles
+    with raised self-intersections, a 0-curve on a chain (a vanishing
+    leading minor when it sorts first) and random trees, sometimes two
+    components.  Node ids are shuffled."""
+    curves, inters = [("B", 0)], []
+    for _ in range(rng.choice((1, 1, 1, 2))):
+        m = rng.randint(2, 8)
+        kind = rng.randrange(3)
+        if kind == 0:
+            diag = [Fraction(-2)] * m
+            raise_by = (Fraction(1, m * m), Fraction(1, 4), Fraction(1, 2), 1)
+            for i in rng.sample(range(m), rng.randint(1, 2)):
+                diag[i] += rng.choice(raise_by)
+            edges = {(i, (i + 1) % m) for i in range(m)} if m > 2 else {(0, 1)}
+        elif kind == 1:
+            diag = [Fraction(0)] + [Fraction(rng.choice((-3, -2, -1))) for _ in range(m - 1)]
+            edges = {(i, i + 1) for i in range(m - 1)}
+        else:
+            diag = [Fraction(rng.randint(-4, 1), rng.randint(1, 2)) for _ in range(m)]
+            edges = {(rng.randrange(i), i) for i in range(1, m)}
+        base = len(curves)
+        curves += [(f"N{base + i}", d) for i, d in enumerate(diag)]
+        inters += [(base + i, base + j, 1) for i, j in sorted(edges)]
+    order = list(range(len(curves)))
+    rng.shuffle(order)
+    new_id = {old: new for new, old in enumerate(order)}
+    config = Configuration.build(
+        [curves[old] for old in order],
+        [(new_id[i], new_id[j], x) for i, j, x in inters],
+    )
+    return CompactifiedSurface(ambient=config, boundary={new_id[0]})
+
+
+class TestWitnessFromTheFactor:
+    """A component of inertia (1, m-1, 0) loses its positive direction by
+    dropping curve i iff (M^-1)_ii > 0, read off the component's one
+    factor; the drop-one loop is the oracle."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_drop_one_loop(self, rng):
+        surface = positive_direction_surface(rng)
+        assert _second_fibre_witness(surface) == oracle_second_fibre_witness(surface)
+
+    def test_every_path_is_exercised(self):
+        # one component of inertia (1, m-1, 0), with a complete factor,
+        # with and without a witness, or one that stops at a vanishing
+        # leading minor; then dropping a curve after that singular leading
+        # block leaves a block that is not negative definite (interlacing),
+        # so there is always a witness
+        rng = random.Random(149)
+        cases = Counter()
+        for _ in range(400):
+            surface = positive_direction_surface(rng)
+            got = _second_fibre_witness(surface)
+            assert got == oracle_second_fibre_witness(surface)
+            config = surface.ambient
+            inner = sorted(set(range(config.n)) - surface.boundary)
+            comps = oracle_components(config, inner)
+            if len(comps) != 1:
+                continue
+            nodes = sorted(comps[0])
+            block = SymmetricMatrix(dense_restrict(config.gram, nodes))
+            if dense_inertia(block) == (1, len(nodes) - 1, 0):
+                complete = len(config.gram.ldl(nodes).pivots) == len(nodes)
+                cases[complete, got is not None] += 1
+        assert set(cases) == {(True, True), (True, False), (False, True)}, cases
 
 
 class TestValidationMessages:

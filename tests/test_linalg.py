@@ -3,10 +3,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfsat import InputError, SymmetricMatrix, as_rational
+
+from surfsat.linalg import _primitive_integral
 
 from support import (
     dense_inertia,
@@ -15,7 +17,10 @@ from support import (
     oracle_inertia_leading_minors,
     oracle_negative_definite_fast,
     oracle_kernel_basis,
+    oracle_ldl,
+    oracle_ldl_solve,
     oracle_negative_definite_ldl,
+    oracle_null_vector,
     oracle_negative_semidefinite,
     oracle_solve,
     random_negative_definite_configuration,
@@ -512,6 +517,182 @@ class TestOneCurveBlock:
             with pytest.raises(InputError) as info:
                 m.ldl(indices)
             assert str(info.value) == "indices must be distinct"
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def principal_blocks(draw):
+    """A rational symmetric matrix and the indices of a block of it: zero
+    diagonals (so neighbour pivots and hyperbolic steps), zero rows, a
+    negative definite kind (complete records), and indices in order, as a
+    permutation, a subset, one curve, or with a repeat."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["zeros", "rational", "definite"]))
+    entries = [
+        (i, j, draw(_SMALL))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.integers(0, 2)) == 0
+    ]
+    if kind == "zeros":
+        diag = [draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(-1, 2), 1]))
+                for _ in range(n)]
+    elif kind == "rational":
+        diag = [draw(_SMALL) for _ in range(n)]
+    else:
+        weight = [Fraction(0)] * n
+        for i, j, x in entries:
+            weight[i] += abs(x)
+            weight[j] += abs(x)
+        diag = [-w - draw(st.fractions(1, 3, max_denominator=3)) for w in weight]
+    matrix = SymmetricMatrix.from_entries(diag, entries)
+    indices = draw(st.one_of(
+        st.none(),
+        st.permutations(range(n)),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
+    ))
+    return matrix, indices
+
+
+class TestIntegerElimination:
+    """The integer ``ldl`` against ``oracle_ldl``, the former elimination
+    in ``Fraction`` arithmetic, on random rational blocks."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(principal_blocks(), st.data())
+    def test_matches_the_fraction_elimination(self, block, data):
+        m, idx = block
+        if idx is not None and len(set(idx)) < len(idx):
+            with pytest.raises(InputError, match="distinct"):
+                m.ldl(idx)
+            return
+        factor = m.ldl(idx)
+        order, lower, diag, inertia = oracle_ldl(m, idx)
+        assert (factor.order, factor.inertia) == (order, inertia)
+        assert (factor.lower, factor.diag) == (lower, diag)
+        assert all(type(d) is Fraction for d in factor.diag)
+        assert all(type(l) is Fraction for col in factor.lower for _, l in col)
+        record = [factor.content, *factor.scales, *factor.minors, *factor.pivots]
+        record += [v for column in factor.columns for _, v in column]
+        assert all(type(v) is int for v in record)
+        if len(diag) < len(order):
+            return
+        block = SymmetricMatrix(dense_restrict(m, order))
+        if all(diag):
+            rhs = data.draw(st.lists(_SMALL, min_size=len(order), max_size=len(order)))
+            x = factor.solve(rhs)
+            assert x == oracle_ldl_solve(lower, diag, rhs)
+            assert block.apply(x) == tuple(rhs)
+            assert all(type(v) is Fraction for v in x)
+            inverse = factor.inverse_diagonal()
+            assert all(type(v) is Fraction for v in inverse)
+            for p, v in enumerate(inverse):
+                e = [int(p == q) for q in range(len(order))]
+                assert v == oracle_solve(block, e)[p]
+        elif all(diag[:-1]):
+            # only the last pivot is zero: the kernel is a line
+            x = factor.null_vector()
+            assert x == list(_primitive_integral(oracle_null_vector(lower)))
+            assert all(type(v) is int for v in x)
+            assert block.apply(x) == (0,) * len(order)
+
+    def test_each_kind_of_step_is_drawn(self):
+        # the strategy reaches every branch of the elimination: hyperbolic
+        # steps, neighbour pivots, zero rows and complete records
+        seen = set()
+
+        @settings(derandomize=True, max_examples=250, deadline=None)
+        @given(principal_blocks())
+        def classify(block):
+            m, idx = block
+            if idx is not None and len(set(idx)) < len(idx):
+                seen.add("repeat")
+                return
+            order, lower, diag, (plus, minus, zero) = oracle_ldl(m, idx)
+            if len(order) == 1:
+                seen.add("one curve")
+            if len(diag) < len(order):
+                seen.add("out of order")
+            elif all(diag):
+                seen.add("complete")
+            elif all(diag[:-1]):
+                seen.add("kernel")
+            if zero and len(diag) == len(order):
+                seen.add("zero row")
+
+        classify()
+        assert seen == {
+            "repeat", "one curve", "out of order", "complete", "kernel",
+            "zero row",
+        }, seen
+
+    def test_rows_are_scaled_by_their_own_denominators(self):
+        # s_p is the lcm of the denominators in row p of the block, and the
+        # content of S M S is divided out unless the block is integral
+        m = SymmetricMatrix.from_entries(
+            [Fraction(-1, 2), Fraction(-5, 3), 7], [(0, 1, Fraction(1, 4))]
+        )
+        factor = m.ldl()
+        assert (factor.scales, factor.content) == ((4, 12, 1), 1)
+        assert m.ldl([1, 2]).scales == (3, 1)
+        assert (m.ldl([2]).scales, m.ldl([2]).content) == ((1,), 1)
+        assert m.ldl([2]) == m._eliminate([2])
+        assert (m.ldl([1]).content, m.ldl([1]).pivots) == (15, (-1,))
+        assert m.ldl([1]) == m._eliminate([1])
+        # a uniform denominator: S M S / g is the block times m^2
+        m = SymmetricMatrix.from_entries(
+            [Fraction(-2 * 25 + 1, 25)] * 3, [(0, 1, 1), (1, 2, 1)]
+        )
+        factor = m.ldl()
+        assert (factor.scales, factor.content) == ((25, 25, 25), 25)
+        assert factor.minors[1] == -49
+
+    def test_distinct_denominators_stay_short(self):
+        # a chain whose rows have distinct prime denominators: one lcm for
+        # the whole block made every entry as long as all of them together,
+        # and the minors grew quadratically in the length
+        primes = [p for p in range(2, 2000) if all(p % q for q in range(2, p))][:150]
+        m = SymmetricMatrix.from_entries(
+            [Fraction(-2 * p + 1, p) for p in primes],
+            [(i, i + 1, 1) for i in range(len(primes) - 1)],
+        )
+        start = time.perf_counter()
+        factor = m.ldl()
+        elapsed = time.perf_counter() - start
+        assert factor.inertia == oracle_ldl(m)[3]
+        # A = S M S has row p scaled by p, so every leading minor is within
+        # the product of A's absolute row sums (Hadamard)
+        bound = 1
+        for i, p in enumerate(primes):
+            near = [primes[j] for j in (i - 1, i + 1) if 0 <= j < len(primes)]
+            bound *= p * (2 * p - 1) + sum(p * q for q in near)
+        assert max(abs(v) for v in factor.pivots) <= bound
+        assert elapsed < 0.2, f"ldl took {elapsed:.2f}s"
+
+    def test_chain_keeps_its_minors(self):
+        # the leading minors of a (-2)-chain are (-1)^k (k + 1); the column
+        # below each pivot is its one neighbour, whose Schur entry 1 no
+        # earlier step changed, so it is read lifted to the minor: 1 * minor
+        n = 12
+        m = SymmetricMatrix.from_entries([-2] * n, [(i, i + 1, 1) for i in range(n - 1)])
+        factor = m.ldl()
+        assert factor.minors == tuple((-1) ** k * (k + 1) for k in range(n))
+        assert factor.pivots == tuple((-1) ** k * (k + 1) for k in range(1, n + 1))
+        assert factor.columns == tuple(
+            ((p + 1, (-1) ** p * (p + 1)),) for p in range(n - 1)
+        ) + ((),)
+
+    def test_hyperbolic_step_with_shared_neighbours(self):
+        # p and q, both with zero diagonal, share the neighbours r and s:
+        # each pair of supp(u) x supp(v) must be updated once
+        m = SymmetricMatrix.from_entries(
+            [0, 0, 1, -2, 3],
+            [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 3), (1, 3, -1), (2, 3, 1),
+             (1, 4, 1)],
+        )
+        assert m.inertia() == dense_inertia(m) == oracle_ldl(m)[3]
 
 
 class TestRationals:

@@ -31,7 +31,11 @@ from surfsat import SaturationPlan, classify_fibre_type
 from surfsat import mumford, saturation
 from surfsat.cli import cmd_mumford
 from surfsat.cli import main as cli_main
-from surfsat.saturation import _affinisation_after_plan, _inner_nodes
+from surfsat.saturation import (
+    _affinisation_after_plan,
+    _inner_nodes,
+    _second_fibre_witness,
+)
 from surfsat.schema import Document, document_to_json, parse_document
 
 from support import (
@@ -861,6 +865,22 @@ class TestInnerFibreBudget:
         elapsed = time.perf_counter() - start
         assert elapsed < 0.2, f"affinisation_dimension took {elapsed:.2f}s"
         assert report.verdict is AffDim.ONE_OR_ZERO
+
+    def test_inner_cycle_with_a_positive_direction_under_budget(self):
+        # self-intersections -2 + 1/m^2 give the inner A~ cycle inertia
+        # (1, m-1, 0), and dropping any curve leaves a negative definite
+        # chain, so the drop-one loop ran m eliminations to its end
+        m = 200
+        self_int = Fraction(-2) + Fraction(1, m * m)
+        curves = [("B", 0, 1)] + [(f"A{i}", self_int) for i in range(m)]
+        inters = [(1 + i, 1 + (i + 1) % m, 1) for i in range(m)]
+        s = surface(curves, inters, ["B"])
+        assert s.ambient.gram.ldl(list(range(1, m + 1))).inertia == (1, m - 1, 0)
+        start = time.perf_counter()
+        witness = _second_fibre_witness(s)
+        elapsed = time.perf_counter() - start
+        assert witness is None
+        assert elapsed < 0.1, f"_second_fibre_witness took {elapsed:.2f}s"
 
     def test_inner_cycle_of_400_and_a_disjoint_curve_under_budget(self):
         # a disconnected inner set ran the O(m^2) drop-one loop: every drop
