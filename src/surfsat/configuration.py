@@ -136,7 +136,6 @@ class Configuration:
         names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise InputError("curve names must be unique")
-        neighbours = []
         for i in range(len(nodes)):
             row = gram.off_diagonal(i)
             negative = [j for j, x in row.items() if x.numerator < 0]
@@ -149,10 +148,7 @@ class Configuration:
                     f"distinct curves {names[i]!r} and {names[j]!r} have "
                     f"negative intersection {row[j]}"
                 )
-            neighbours.append(frozenset(row))
-        self._nodes = nodes
-        self._gram = gram
-        self._neighbours = tuple(neighbours)
+        self._adopt(nodes, gram)
 
     @classmethod
     def _unchecked(
@@ -161,12 +157,15 @@ class Configuration:
         """The configuration, for nodes and a Gram the caller has checked:
         ids 0..n-1, unique names and no negative off-diagonal entry."""
         config = cls.__new__(cls)
-        config._nodes = tuple(nodes)
-        config._gram = gram
-        config._neighbours = tuple([
-            frozenset(gram.off_diagonal(i)) for i in range(len(config._nodes))
-        ])
+        config._adopt(tuple(nodes), gram)
         return config
+
+    def _adopt(self, nodes: tuple[CurveNode, ...], gram: SymmetricMatrix) -> None:
+        self._nodes = nodes
+        self._gram = gram
+        self._neighbours = tuple([
+            frozenset(gram.off_diagonal(i)) for i in range(len(nodes))
+        ])
 
     @classmethod
     def build(cls, curves, intersections=()) -> "Configuration":

@@ -321,11 +321,12 @@ class SymmetricMatrix:
                 raise InputError(f"index {i} out of range for n={n}")
         if len(idx) == 1:
             d = self._diag[idx[0]]
-            top, s = d.numerator, d.denominator
-            content = 1 if s == 1 else abs(top) * s or 1  # as _eliminate has it
+            s = d.denominator
+            top = d.numerator * s
+            content = _content((s,), (top,))
             return LDL(
                 tuple(idx), (int(top > 0), int(top < 0), int(not top)),
-                (s,), content, (1,), (top * s // content,), ((),),
+                (s,), content, (1,), (top // content,), ((),),
             )
         return self._eliminate(idx)
 
@@ -362,19 +363,7 @@ class SymmetricMatrix:
             raise InputError("indices must be distinct")
         # entry numerators, each kept with the minor it is over; None marks
         # an eliminated diagonal entry
-        if self._is_integral():
-            num: list[Optional[int]] = [self._diag[node].numerator for node in idx]
-            off = [
-                {
-                    position[j]: (x.numerator, 1)
-                    for j, x in self._off[node].items()
-                    if j in position
-                }
-                for node in idx
-            ]
-            scales, content = [1] * len(idx), 1
-        else:
-            num, off, scales, content = _scaled_block(self, idx, position)
+        num, off, scales, content = _scaled_block(self, idx, position)
         over = [1] * len(idx)
         minor = 1  # det A[K]
         columns: list[tuple[tuple[int, int], ...]] = []
@@ -463,7 +452,20 @@ class SymmetricMatrix:
 
 def _scaled_block(matrix: SymmetricMatrix, idx: list[int], position: dict):
     """The integer block A = S M S / g of :meth:`SymmetricMatrix._eliminate`:
-    its diagonal, its rows of (numerator, 1), S and g (1 when S is)."""
+    its diagonal, its rows of (numerator, 1), S and g (1 when S is).  When
+    the whole matrix is integral (it finds that once), A is the block
+    itself and no denominator is read."""
+    if matrix._is_integral():
+        num = [matrix._diag[node].numerator for node in idx]
+        off = [
+            {
+                position[j]: (x.numerator, 1)
+                for j, x in matrix._off[node].items()
+                if j in position
+            }
+            for node in idx
+        ]
+        return num, off, [1] * len(idx), 1
     diag = [matrix._diag[node] for node in idx]
     off = [
         {position[j]: x for j, x in matrix._off[node].items() if j in position}
@@ -478,12 +480,16 @@ def _scaled_block(matrix: SymmetricMatrix, idx: list[int], position: dict):
         {q: x.numerator * (s * scales[q] // x.denominator) for q, x in row.items()}
         for s, row in zip(scales, off)
     ]
-    content = 1
-    if max(scales, default=1) > 1:
-        content = gcd(*num, *[v for row in off for v in row.values()]) or 1
+    content = _content(scales, [*num, *[v for row in off for v in row.values()]])
     num = [v // content for v in num]
     off = [{q: (v // content, 1) for q, v in row.items()} for row in off]
     return num, off, scales, content
+
+
+def _content(scales: Sequence[int], entries: Sequence[int]) -> int:
+    """The g of A = S M S / g, given S and the entries of S M S: their
+    content, or 1 when S is (an integral block is kept as it is)."""
+    return gcd(*entries) if max(scales, default=1) > 1 else 1
 
 
 def _take(
