@@ -24,9 +24,9 @@ from .fibres import (
     GroupLawObstruction,
     validate_false_fibre_claims,
 )
+from .mumford import contract
 from .saturation import (
     _affinisation_after_plan,
-    _contract_components,
     is_saturated,
     saturation_plan,
 )
@@ -145,7 +145,7 @@ def cmd_mumford(doc: Document, args) -> dict:
     if not parts:
         out["verdict"] = "nothing-to-contract"
         return out
-    result, _ = _contract_components(surface, parts)
+    result = contract(config, parts)
     pullbacks = {
         config.nodes[old].name: divisor_to_json(config, pb)
         for old, pb in zip(result.ambient_ids, result.pullbacks)

@@ -302,10 +302,9 @@ def _reduced_order(
     a1, a2, a3, a4, _ = (s * inverse_u % p for s in curve._scaled)
 
     def add(first, second):
+        # second is None only in total + total, so only when first is
         if first is None:
             return second
-        if second is None:
-            return first
         x1, y1 = first
         x2, y2 = second
         if x1 == x2:
@@ -434,10 +433,11 @@ def hironaka_build(
     the complement of the cubic's strict transform.
 
     The strict transform has self-intersection 9 - n.  For n = 9 it is a
-    fibre-type boundary: a non-torsion point sum certifies it as a false
-    fibre (trivial affinisation), a torsion sum leaves the verdict to a
-    fibration assertion.  For n >= 10 it is negative definite, so the
-    surface is unsaturated; the same obstruction then feeds the
+    fibre-type boundary with normal bundle O_C(9O - sum p_i), as each point
+    is blown up once whatever its weight: a non-torsion plain sum certifies
+    it as a false fibre (trivial affinisation), a torsion sum leaves the
+    verdict to a fibration assertion.  For n >= 10 it is negative definite,
+    so the surface is unsaturated; the weighted obstruction then feeds the
     scheme-contractibility oracle.
     """
     n = len(points)
@@ -450,7 +450,10 @@ def hironaka_build(
     boundary = frozenset({0})
 
     claim: Optional[FalseFibreClaim] = None
-    if n == 9 and obstruction.found:
+    if n == 9 and (
+        obstruction if all(m == 1 for _, m in points)
+        else sum_obstruction(curve, [(p, 1) for p, _ in points])
+    ).found:
         claim = FalseFibreClaim(
             boundary,
             GroupLawObstruction(

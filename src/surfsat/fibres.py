@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configuration import Configuration, Divisor
 from .errors import PreconditionError
-from .linalg import LDL
 
 
 class FibreVerdict(Enum):
@@ -36,8 +35,6 @@ class FibreTypeReport:
     kernel: Optional[Divisor] = None
     # positive eigenvalues of the Gram; None for a disconnected subject
     positive: Optional[int] = field(default=None, compare=False)
-    # the L D L^T of a negative definite subject, which contraction reuses
-    factor: Optional[LDL] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,9 +102,7 @@ def _classify_connected(config: Configuration, nodes: list[int]) -> FibreTypeRep
     if plus:
         return FibreTypeReport(subject, FibreVerdict.NOT_SEMIDEFINITE, positive=plus)
     if not zero:
-        return FibreTypeReport(
-            subject, FibreVerdict.NEGATIVE_DEFINITE, positive=0, factor=factor
-        )
+        return FibreTypeReport(subject, FibreVerdict.NEGATIVE_DEFINITE, positive=0)
     # Negative semidefinite and singular, so by Perron-Frobenius (the
     # off-diagonal entries are >= 0) the kernel is a line spanned by a
     # positive vector, and every proper sub-support is negative definite

@@ -7,11 +7,13 @@ definiteness) are made by symmetric elimination.
 Intersection matrices of curve configurations are sparse, so a matrix keeps
 its diagonal and, per row, only the nonzero off-diagonal entries.  Building
 one from entries, taking a principal block and the one elimination,
-:meth:`SymmetricMatrix.ldl`, walk those entries.  The elimination runs in
-integers: it scales the block to an integer matrix A and keeps every Schur
-complement entry as an integer minor of A over the minor of the pivots
-taken so far (Sylvester's identity, as in Bareiss's fraction-free
-elimination), so no update pays a gcd.  Its inertia, kernel vector,
+:meth:`SymmetricMatrix.ldl`, walk those entries.  A matrix is immutable,
+so it keeps the factor of each block it eliminates, and every later query
+on that block reads it back.  The elimination runs in integers: it
+scales the block to an integer matrix A and keeps every Schur complement
+entry as an integer minor of A over the minor of the pivots taken so far
+(Sylvester's identity, as in Bareiss's fraction-free elimination), so no
+update pays a gcd.  Its inertia, kernel vector,
 solves and inverse diagonal answer every definiteness question, and they
 form a ``Fraction`` only for an output entry.  The dense ``rows`` view is
 built only when asked for (by ``repr``, by the Gauss-Jordan ``solve`` and
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -82,7 +83,7 @@ class SymmetricMatrix:
     ``rows`` view is built on first use.
     """
 
-    __slots__ = ("_diag", "_off", "_rows", "_integral")
+    __slots__ = ("_diag", "_off", "_rows", "_integral", "_factors")
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
         n = len(rows)
@@ -105,6 +106,7 @@ class SymmetricMatrix:
         ])
         self._rows = tuple(coerced)
         self._integral = None
+        self._factors = {}
 
     @classmethod
     def _from_sparse(
@@ -116,6 +118,7 @@ class SymmetricMatrix:
         matrix._off = off
         matrix._rows = None
         matrix._integral = None
+        matrix._factors = {}
         return matrix
 
     @classmethod
@@ -310,29 +313,20 @@ class SymmetricMatrix:
         return self.apply(y)
 
     def ldl(self, indices: Optional[Sequence[int]] = None) -> "LDL":
-        """Eliminate the principal block on ``indices`` (default: all, in
-        order).  A one-curve block [d] is its own pivot, read off with no
-        set-up; a larger block goes to :meth:`_eliminate`.
-        """
-        n = len(self._diag)
-        idx = list(range(n)) if indices is None else list(indices)
-        for i in idx:
-            if not 0 <= i < n:
-                raise InputError(f"index {i} out of range for n={n}")
-        if len(idx) == 1:
-            d = self._diag[idx[0]]
-            s = d.denominator
-            top = d.numerator * s
-            content = _content((s,), (top,))
-            return LDL(
-                tuple(idx), (int(top > 0), int(top < 0), int(not top)),
-                (s,), content, (1,), (top // content,), ((),),
-            )
-        return self._eliminate(idx)
+        """The elimination of the principal block on ``indices`` (default:
+        all, in order).  The matrix is immutable, so it keeps the factor of
+        every block it eliminates, keyed by the index tuple: a block asked
+        for again is read back, not eliminated again."""
+        key = tuple(range(len(self._diag)) if indices is None else indices)
+        factor = self._factors.get(key)
+        if factor is None:
+            factor = self._factors[key] = self._eliminate(key)
+        return factor
 
-    def _eliminate(self, idx: list[int]) -> "LDL":
-        """:meth:`ldl` on the in-range indices ``idx``, of any length, in
-        integers, updating only nonzero entries, so a chain has no fill.
+    def _eliminate(self, idx: Sequence[int]) -> "LDL":
+        """:meth:`ldl` of the block on ``idx`` without the memo, in
+        integers, updating only nonzero entries, so a chain has no fill.  A
+        one-curve block [d] is its own pivot, read off with no set-up.
 
         With s_p the lcm of the denominators in row p of the block M, and g
         the content of S M S (1 when every s_p is), A = S M S / g is an
@@ -358,6 +352,19 @@ class SymmetricMatrix:
         in-order pivot or zero row, the record of :class:`LDL` is kept; a
         negative definite block keeps it all (Sylvester's criterion).
         """
+        n = len(self._diag)
+        for i in idx:
+            if not 0 <= i < n:
+                raise InputError(f"index {i} out of range for n={n}")
+        if len(idx) == 1:
+            d = self._diag[idx[0]]
+            s = d.denominator
+            top = d.numerator * s
+            content = _content((s,), (top,))
+            return LDL(
+                tuple(idx), (int(top > 0), int(top < 0), int(not top)),
+                (s,), content, (1,), (top // content,), ((),),
+            )
         position = {node: p for p, node in enumerate(idx)}
         if len(position) < len(idx):
             raise InputError("indices must be distinct")
@@ -532,9 +539,7 @@ class LDL:
     eliminated, with S the diagonal of ``scales`` and g the ``content``;
     with K the positions eliminated before p, ``minors[p]`` is det A[K],
     ``pivots[p]`` is det A[K+p] (0 for a zero row) and ``columns[p]`` holds
-    the nonzero (q, det A[K+q, K+p]) below it.  The views ``lower`` (the
-    nonzero multipliers (q, L[q][p]) below pivot p) and ``diag`` (the
-    pivots) are the rational L and D of M = L D L^T, formed on first read.
+    the nonzero (q, det A[K+q, K+p]) below it.
     """
 
     order: tuple[int, ...]
@@ -544,23 +549,6 @@ class LDL:
     minors: tuple[int, ...]
     pivots: tuple[int, ...]
     columns: tuple[tuple[tuple[int, int], ...], ...]
-
-    # M = g S^-1 A S^-1, so L = S^-1 L_A S and D = g S^-2 D_A
-
-    @cached_property
-    def lower(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        s = self.scales
-        return tuple([
-            tuple([(q, Fraction(n * s[p], top * s[q])) for q, n in column])
-            for p, (column, top) in enumerate(zip(self.columns, self.pivots))
-        ])
-
-    @cached_property
-    def diag(self) -> tuple[Fraction, ...]:
-        return tuple([
-            Fraction(self.content * top, minor * s * s)
-            for top, minor, s in zip(self.pivots, self.minors, self.scales)
-        ])
 
     def solve(self, rhs: Sequence) -> list[Fraction]:
         """The unique x with M x = rhs, for a complete record with nonzero

@@ -9,19 +9,20 @@ product of two divisors downstairs is the product of their pullbacks.
 Each connected component of E is factorised once as L D L^T, which also
 decides its negative definiteness; every pullback is then a forward and
 back substitution against Gram rows, and the contracted Gram is the Schur
-complement M_RR - M_RE M_EE^-1 M_ER.  A boundary record that already holds
-the factorisation of a part passes it to :func:`contract`.
+complement M_RR - M_RE M_EE^-1 M_ER.  The Gram keeps the factor of every
+block it eliminates, so a part the boundary record has classified is not
+eliminated again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .configuration import Configuration, CurveNode, Divisor
 from .errors import PreconditionError
-from .linalg import LDL, SymmetricMatrix
+from .linalg import SymmetricMatrix
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,7 @@ class ContractedConfiguration:
 
 
 def contract(
-    config: Configuration,
-    parts: Sequence[Iterable[int]],
-    factors: Optional[Sequence[Optional[LDL]]] = None,
+    config: Configuration, parts: Sequence[Iterable[int]]
 ) -> ContractedConfiguration:
     """Contract disjoint negative definite connected node sets.
 
@@ -125,13 +124,11 @@ def contract(
     product, with one singular-point marker per contracted part and the
     pullback of every remaining curve.  Each part is factorised once: the
     factorisation is its negative definiteness check, and it yields the
-    pullbacks and the induced Gram as a Schur complement.  ``factors[k]``,
-    if given, is the negative definite L D L^T of ``sorted(parts[k])``, as
-    a boundary record keeps it, and stands in for that factorisation.
+    pullbacks and the induced Gram as a Schur complement.
     """
     normalized = [frozenset(part) for part in parts]
     owner: dict[int, int] = {}
-    factors = list(factors or [None] * len(normalized))
+    factors = []
     for k, part in enumerate(normalized):
         if not part:
             raise PreconditionError("cannot contract an empty part")
@@ -142,13 +139,14 @@ def contract(
             raise PreconditionError(
                 f"part {config.names(part)} is not connected"
             )
-        factors[k] = factors[k] or config.gram.negative_definite_ldl(sorted(part))
-        if factors[k] is None:
+        factor = config.gram.negative_definite_ldl(sorted(part))
+        if factor is None:
             raise PreconditionError(
                 f"part {config.names(part)} is not negative definite, hence "
                 "not contractible: connected components that are not negative "
                 "definite are exactly the ones a saturated boundary keeps"
             )
+        factors.append(factor)
     for a, part in enumerate(normalized):
         # the first meeting pair (a, b) in the order a < b
         met = [
@@ -189,15 +187,14 @@ def contract(
             x = factor.solve(rhs)
             pullback_coeffs[a].update(zip(factor.order, x))
             # Schur complement: pullback(a) . b = M_ab + x . M_Eb, summed
-            # over the exceptional neighbours of b
+            # over the exceptional neighbours of b.  -M_EE is an irreducible
+            # nonsingular M-matrix, so x = (-M_EE)^-1 M_Ea > 0 and the entry
+            # only grows: it is never zero.
             diag[a] += sum(x[p] * v for p, v in entries)
             for b, entries_b in touching_sorted[t + 1:]:
-                value = off[a].get(b, 0) + sum(x[p] * v for p, v in entries_b)
-                if value:
-                    off[a][b] = off[b][a] = value
-                else:
-                    off[a].pop(b, None)
-                    off[b].pop(a, None)
+                off[a][b] = off[b][a] = off[a].get(b, 0) + sum(
+                    x[p] * v for p, v in entries_b
+                )
     induced = SymmetricMatrix.from_entries(
         diag, [(a, b, v) for a, row in enumerate(off) for b, v in row.items()]
     )

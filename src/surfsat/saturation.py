@@ -5,8 +5,9 @@ saturated exactly when the boundary has no isolated points and no negative
 definite connected component.  When it is not, the saturation plan contracts
 the negative definite components and drops the isolated points; the
 classification of the affinisation dimension is invariant under this, so the
-classifier insists on a saturated input.  The plan contracts with the
-factorisations the surface's boundary record keeps.
+classifier insists on a saturated input.  The plan contracts the
+components the boundary record classified, and the Gram hands their
+factorisations back from its memo.
 
 The affinisation dimension is 2, 1 or 0.  The boundary numbers decide 2
 outright, and 0 for an empty boundary, read off the kept components before
@@ -32,7 +33,7 @@ from .fibres import (
     _check_claims,
     _classify_connected,
 )
-from .mumford import ContractedConfiguration, contract
+from .mumford import contract
 
 
 @dataclass(frozen=True)
@@ -156,17 +157,6 @@ def saturation_plan(surface: CompactifiedSurface) -> SaturationPlan:
     )
 
 
-def _contract_components(
-    surface: CompactifiedSurface, parts: Sequence[frozenset[int]]
-) -> tuple[ContractedConfiguration, bool]:
-    """Contract ``parts`` with the factorisations the boundary record keeps
-    for its negative definite components; the flag says whether every part
-    is one."""
-    factor_of = {r.subject: r.factor for r in surface.component_reports}
-    factors = [factor_of.get(frozenset(part)) for part in parts]
-    return contract(surface.ambient, parts, factors), None not in factors
-
-
 def apply_plan(
     surface: CompactifiedSurface, plan: Optional[SaturationPlan] = None
 ) -> CompactifiedSurface:
@@ -182,7 +172,7 @@ def apply_plan(
         saturated.__dict__["component_reports"] = surface.component_reports
         return saturated
     _reject_contracted_claims(surface, plan.d_minus)
-    contracted, from_record = _contract_components(surface, plan.d_minus)
+    contracted = contract(surface.ambient, plan.d_minus)
     removed = frozenset().union(*plan.d_minus)
     new_id = {old: new for new, old in enumerate(contracted.ambient_ids)}
     claims = tuple([
@@ -200,18 +190,16 @@ def apply_plan(
         false_fibre_claims=claims,
         fibration_asserted=surface.fibration_asserted,
     )
-    if from_record:
+    components = set(surface.boundary_components())
+    if all(frozenset(part) in components for part in plan.d_minus):
         # the kept components meet no contracted one, so only their ids
-        # change, increasingly (an LDL's lower and diag are positional)
+        # change, increasingly
         saturated.__dict__["component_reports"] = tuple(
             replace(
                 r,
                 subject=frozenset(new_id[i] for i in r.subject),
                 kernel=r.kernel and Divisor(
                     {new_id[i]: c for i, c in r.kernel.coefficients.items()}
-                ),
-                factor=r.factor and replace(
-                    r.factor, order=tuple(new_id[i] for i in r.factor.order)
                 ),
             )
             for r in surface.component_reports
@@ -311,7 +299,9 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
             keeps = {i for i, v in zip(factor.order, positive) if v > 0}.__contains__
         else:  # a leading minor vanished, so the record stops short
             def keeps(i):
-                return gram.negative_definite_ldl(sorted(comp - {i})) is not None
+                # each block is asked for once, so the memo is passed by
+                rest = sorted(comp - {i})
+                return gram._eliminate(rest).inertia[1] == len(rest)
         drop = next((i for i in inner if i not in comp or not keeps(i)), None)
         if drop is None:
             return None

@@ -25,8 +25,9 @@ definiteness loop the package replaced by one classification per
 boundary component.  The affinisation-after-plan oracle carries out the
 whole saturation plan, contracting through the checked public
 ``contract`` and classifying the saturated boundary afresh, where the
-package reads the verdict off the boundary record when it can and
-contracts from the record's factorisations.  The point-sum oracle is the
+package reads the verdict off the boundary record when it can.
+``ldl_lower`` and ``ldl_diag`` read the rational L and D of M = L D L^T
+off an ``LDL`` record, for the tests that compare it with ``oracle_ldl``.  The point-sum oracle is the
 package's former obstruction test: the on-curve test evaluated in
 ``Fraction`` arithmetic and the weighted sum always formed over Q, where
 the package reduces the sum modulo a few primes first and checks points
@@ -667,6 +668,26 @@ def oracle_ldl(matrix: SymmetricMatrix, indices=None):
     return tuple(idx), tuple(lower), tuple(pivots), inertia
 
 
+def ldl_lower(factor):
+    """The rational L of M = L D L^T read off an ``LDL`` record: for each
+    pivot p, the nonzero multipliers (q, L[q][p]) below it.  With M = g
+    S^-1 A S^-1, L = S^-1 L_A S."""
+    s = factor.scales
+    return tuple([
+        tuple([(q, Fraction(n * s[p], top * s[q])) for q, n in column])
+        for p, (column, top) in enumerate(zip(factor.columns, factor.pivots))
+    ])
+
+
+def ldl_diag(factor):
+    """The rational D of M = L D L^T read off an ``LDL`` record, D = g
+    S^-2 D_A: the pivots of M."""
+    return tuple([
+        Fraction(factor.content * top, minor * s * s)
+        for top, minor, s in zip(factor.pivots, factor.minors, factor.scales)
+    ])
+
+
 def oracle_null_vector(lower):
     """The former ``LDL.null_vector``: x with L^T x = e_last, by back
     substitution over Q."""
@@ -729,9 +750,8 @@ def oracle_saturation_partition(surface):
 
 
 def oracle_apply_plan(surface, plan):
-    """The saturation plan carried out in full: the checked ``contract``,
-    which factorises every part again, and a new surface whose boundary
-    record is built afresh."""
+    """The saturation plan carried out in full: the checked ``contract``
+    and a new surface whose boundary record is built afresh."""
     if not plan.d_minus:
         return replace(surface, isolated_boundary_points=0)
     contracted = contract(surface.ambient, plan.d_minus)

@@ -320,6 +320,24 @@ class TestCommands:
         assert "verdict: one" in out
         assert "obstruction.verdict: inconclusive" in out
 
+    def test_hironaka_pencil_with_a_heavy_point_is_not_certified(
+        self, capsys, tmp_path
+    ):
+        # each point is blown up once, so the normal bundle of C carries the
+        # plain sum, which is O on the pencil's base points; weighting the
+        # first point by 2 makes the weighted sum P, non-torsion, and no
+        # certificate of it
+        doc = json.loads((SAMPLES / "hironaka9_pencil.json").read_text())
+        doc["fibration_asserted"] = False
+        doc["elliptic"]["points"][0]["m"] = 2
+        path = tmp_path / "pencil_heavy.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "hironaka", path)
+        assert code == 2
+        assert "obstruction.verdict: obstruction-found" in out
+        assert "verdict: one-or-zero" in out
+        assert "GroupLawObstruction" not in out
+
     def test_hironaka_n10(self, capsys):
         code, out, _ = run(capsys, "hironaka", SAMPLES / "n10.json")
         assert code == 0

@@ -469,6 +469,32 @@ class TestWitnessFromTheFactor:
                 cases[complete, got is not None] += 1
         assert set(cases) == {(True, True), (True, False), (False, True)}, cases
 
+    def test_the_fallback_keeps_no_factor(self):
+        # when the record stops short, the drop-one loop eliminates each
+        # C - {i} once, past the memo: the Gram keeps only the inner
+        # components' blocks, and a second run adds nothing
+        rng = random.Random(151)
+        fallbacks = 0
+        for _ in range(400):
+            surface = positive_direction_surface(rng)
+            gram = surface.ambient.gram
+            inner = sorted(set(range(surface.ambient.n)) - surface.boundary)
+            blocks = {
+                tuple(sorted(c))
+                for c in surface.ambient.connected_components(inner)
+            }
+            got = _second_fibre_witness(surface)
+            assert set(gram._factors) == blocks
+            assert _second_fibre_witness(surface) == got
+            assert set(gram._factors) == blocks
+            if len(blocks) == 1:
+                (nodes,) = blocks
+                factor = gram.ldl(nodes)
+                fallbacks += factor.inertia == (1, len(nodes) - 1, 0) and (
+                    len(factor.pivots) < len(nodes)
+                )
+        assert fallbacks > 20
+
 
 class TestValidationMessages:
     def test_first_negative_pair_in_row_major_order(self):

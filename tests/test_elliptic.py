@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surfsat import (
@@ -332,6 +332,47 @@ class TestHironakaBuild:
             CURVE_37A, self.points([1, 2, 3, 4, 5, -1, -2, -3, -9])
         )
         assert report.affinisation.verdict is AffDim.ONE_OR_ZERO
+
+    def test_nine_points_certified_from_the_plain_sum(self):
+        # the pencil's base points with P weighted by 2: the weighted sum
+        # is P, yet C's normal bundle carries the plain sum, which is O
+        points = self.points([1, 2, 3, 4, 5, -1, -2, -3, -9])
+        points[0] = (points[0][0], 2)
+        report = hironaka_build(CURVE_37A, points)
+        assert report.obstruction.found
+        assert report.claim is None
+        assert report.affinisation.verdict is AffDim.ONE_OR_ZERO
+        # and the other way: a torsion weighted sum over a non-torsion
+        # plain sum certifies C
+        points = self.points([1, 2, 3, 4, 5, -1, -2, -3, -10])
+        points[0] = (points[0][0], 2)
+        report = hironaka_build(CURVE_37A, points)
+        assert not report.obstruction.found
+        assert report.claim is not None
+        assert report.affinisation.verdict is AffDim.ZERO
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.integers(-30, 30).filter(bool), min_size=9, max_size=9, unique=True
+        ),
+        st.lists(st.integers(1, 3), min_size=9, max_size=9),
+        st.booleans(),
+    )
+    # a pencil with a heavy point, and a torsion weighted sum
+    @example([1, 2, 3, 4, 5, -1, -2, -3, -9], [2] + [1] * 8, False)
+    @example([1, 2, 3, 4, 5, -1, -2, -3, -10], [2] + [1] * 8, False)
+    def test_nine_point_claim_follows_the_plain_sum(self, ks, weights, close):
+        if close:  # make the plain sum O: the base points of a pencil
+            ks[-1] = -sum(ks[:-1])
+            assume(ks[-1] and abs(ks[-1]) <= 30 and ks[-1] not in ks[:-1])
+        points = [(MULTIPLES[k], m) for k, m in zip(ks, weights)]
+        report = hironaka_build(CURVE_37A, points)
+        plain, _, _ = oracle_sum_obstruction(CURVE_37A, [(p, 1) for p, _ in points])
+        assert plain == bool(sum(ks))
+        assert (report.claim is not None) == plain
+        verdict = AffDim.ZERO if plain else AffDim.ONE_OR_ZERO
+        assert report.affinisation.verdict is verdict
 
     def test_ten_points_non_torsion(self):
         report = hironaka_build(CURVE_37A, self.points(range(1, 11)))

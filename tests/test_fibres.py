@@ -537,18 +537,19 @@ class TestClassifyAgainstOracle:
 class TestClassifyCost:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Calls of the elimination, the solves and the dense view."""
+        """Eliminations (the blocks not in the Gram's memo), the solves and
+        the dense view."""
         calls = {
-            "ldl": 0, "inertia": 0, "kernel_basis": 0, "solve": 0, "rows": 0,
-            "ldl_solve": 0,
+            "eliminate": 0, "inertia": 0, "kernel_basis": 0, "solve": 0,
+            "rows": 0, "ldl_solve": 0,
         }
-        ldl = SymmetricMatrix.ldl
+        eliminate = SymmetricMatrix._eliminate
         ldl_solve = LDL.solve
         rows = SymmetricMatrix.rows
 
-        def counting_ldl(matrix, indices=None):
-            calls["ldl"] += 1
-            return ldl(matrix, indices)
+        def counting_eliminate(matrix, indices):
+            calls["eliminate"] += 1
+            return eliminate(matrix, indices)
 
         def counting_ldl_solve(factor, rhs):
             calls["ldl_solve"] += 1
@@ -567,7 +568,7 @@ class TestClassifyCost:
             calls["rows"] += 1
             return rows.fget(matrix)
 
-        monkeypatch.setattr(SymmetricMatrix, "ldl", counting_ldl)
+        monkeypatch.setattr(SymmetricMatrix, "_eliminate", counting_eliminate)
         monkeypatch.setattr(LDL, "solve", counting_ldl_solve)
         for name in ("inertia", "kernel_basis", "solve"):
             monkeypatch.setattr(SymmetricMatrix, name, counting(name))
@@ -585,8 +586,8 @@ class TestClassifyCost:
                     counts[key] = 0
                 classify_fibre_type(config, comp)
                 assert counts == {
-                    "ldl": 1, "inertia": 0, "kernel_basis": 0, "solve": 0, "rows": 0,
-                    "ldl_solve": 0,
+                    "eliminate": 1, "inertia": 0, "kernel_basis": 0, "solve": 0,
+                    "rows": 0, "ldl_solve": 0,
                 }
 
     def test_long_cycle_under_budget(self):

@@ -13,6 +13,8 @@ from surfsat.linalg import _primitive_integral
 from support import (
     dense_inertia,
     dense_restrict,
+    ldl_diag,
+    ldl_lower,
     oracle_inertia_charpoly,
     oracle_inertia_leading_minors,
     oracle_negative_definite_fast,
@@ -287,7 +289,7 @@ class TestNegativeDefiniteLDL:
             factor = m.negative_definite_ldl()
             assert (factor is not None) == oracle_negative_definite_fast(m)
             if factor is not None:
-                assert all(d < 0 for d in factor.diag)
+                assert all(d < 0 for d in ldl_diag(factor))
 
     def test_solve_matches_gauss_jordan_for_many_rhs(self):
         rng = random.Random(29)
@@ -310,8 +312,8 @@ class TestNegativeDefiniteLDL:
             if i + 1 < n:
                 rows[i][i + 1] = rows[i + 1][i] = 1
         factor = SymmetricMatrix(rows).negative_definite_ldl()
-        assert [len(column) for column in factor.lower] == [1] * (n - 1) + [0]
-        assert factor.diag == tuple(Fraction(-(k + 2), k + 1) for k in range(n))
+        assert [len(column) for column in ldl_lower(factor)] == [1] * (n - 1) + [0]
+        assert ldl_diag(factor) == tuple(Fraction(-(k + 2), k + 1) for k in range(n))
 
     def test_stops_at_first_nonnegative_pivot(self):
         # pivots -2, -3/2, 0: a semidefinite cycle is not negative definite
@@ -324,7 +326,7 @@ class TestNegativeDefiniteLDL:
         factor = m.negative_definite_ldl([2, 0])
         assert factor.order == (2, 0)
         expected = m.restrict([2, 0]).negative_definite_ldl()
-        assert (factor.lower, factor.diag) == (expected.lower, expected.diag)
+        assert (ldl_lower(factor), ldl_diag(factor)) == (ldl_lower(expected), ldl_diag(expected))
         assert m.negative_definite_ldl() is None
 
 
@@ -378,19 +380,19 @@ class TestOneElimination:
             assert (former is not None) == (factor.inertia[1] == len(order))
             if former is not None:
                 definite += 1
-                assert (factor.order, factor.lower, factor.diag) == former
+                assert (factor.order, ldl_lower(factor), ldl_diag(factor)) == former
                 assert m.negative_definite_ldl(idx) == factor
             else:
                 assert m.negative_definite_ldl(idx) is None
-            if len(factor.diag) == len(order):
+            if len(ldl_diag(factor)) == len(order):
                 # a complete record is a factorisation of the block
                 complete_indefinite += former is None
                 k = len(order)
                 lower = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-                for p, column in enumerate(factor.lower):
+                for p, column in enumerate(ldl_lower(factor)):
                     for q, l in column:
                         lower[q][p] = l
-                diag = factor.diag
+                diag = ldl_diag(factor)
                 product = tuple(
                     tuple(
                         sum(lower[i][p] * diag[p] * lower[j][p] for p in range(k))
@@ -405,7 +407,7 @@ class TestOneElimination:
         m = SymmetricMatrix([[-2, 1, 0], [1, 0, 1], [0, 1, 3]])
         factor = m.ldl()
         assert m.inertia() == factor.inertia == (2, 1, 0)
-        assert len(factor.diag) == 3
+        assert len(ldl_diag(factor)) == 3
         assert m.negative_definite_ldl() is None
         assert m.ldl([0]).inertia == (0, 1, 0)
         assert m.negative_definite_ldl([0]) == m.ldl([0])
@@ -415,13 +417,13 @@ class TestOneElimination:
         m = SymmetricMatrix([[0, 1, 0], [1, -1, 0], [0, 0, -2]])
         factor = m.ldl()
         assert factor.inertia == (1, 2, 0)
-        assert factor.lower == () and factor.diag == ()
+        assert ldl_lower(factor) == () and ldl_diag(factor) == ()
         # a zero row in order is a zero pivot with no multipliers
         m = SymmetricMatrix([[-1, 0, 0], [0, 0, 0], [0, 0, 4]])
         factor = m.ldl()
         assert factor.inertia == (1, 1, 1)
-        assert factor.diag == (-1, 0, 4)
-        assert factor.lower == ((), (), ())
+        assert ldl_diag(factor) == (-1, 0, 4)
+        assert ldl_lower(factor) == ((), (), ())
 
     def test_null_vector_spans_the_kernel_of_a_fibre_block(self):
         # an extended D4 with the centre first: kernel (2, 1, 1, 1, 1)
@@ -433,11 +435,12 @@ class TestOneElimination:
         x = factor.null_vector()
         assert x == [2, 1, 1, 1, 1]
         assert m.apply(x) == (0,) * 5
-        assert factor.diag[-1] == 0 and all(d < 0 for d in factor.diag[:-1])
+        assert ldl_diag(factor)[-1] == 0 and all(d < 0 for d in ldl_diag(factor)[:-1])
 
     def test_index_out_of_range(self):
         with pytest.raises(InputError, match="out of range"):
             SymmetricMatrix([[1]]).ldl([1])
+
 
     def test_repeated_index_refused(self):
         # the block on [0, 0] is [[-2, -2], [-2, -2]], which is singular;
@@ -465,6 +468,54 @@ class TestOneElimination:
             assert m.inertia() == dense_inertia(m) == (1, 1, n - 1)
 
 
+class TestRememberedFactors:
+    """The matrix keeps the factor of each block it eliminates, keyed by
+    the index tuple, and hands it back on a repeat."""
+
+    def test_a_repeat_returns_the_same_object(self):
+        m = SymmetricMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, 0]])
+        for indices in (None, [0, 1], (1, 0), [2], [0]):
+            first = m.ldl(indices)
+            assert m.ldl(indices) is first
+        # the whole matrix is the block on every index in order
+        assert m.ldl([0, 1, 2]) is m.ldl() is m.ldl(range(3))
+        assert m.negative_definite_ldl([0, 1]) is m.ldl((0, 1))
+        assert m.inertia() == m.ldl().inertia
+        # a block in another order is another elimination
+        assert m.ldl([1, 0]) is not m.ldl([0, 1])
+        assert m.ldl([1, 0]) == m._eliminate([1, 0])
+
+    def test_each_block_is_eliminated_once(self, monkeypatch):
+        calls = []
+        original = SymmetricMatrix._eliminate
+
+        def counting(matrix, indices):
+            calls.append(tuple(indices))
+            return original(matrix, indices)
+
+        monkeypatch.setattr(SymmetricMatrix, "_eliminate", counting)
+        m = SymmetricMatrix.from_entries([-2] * 4, [(0, 1, 1), (1, 2, 1)])
+        for _ in range(3):
+            m.ldl([0, 1, 2])
+            m.negative_definite_ldl([3])
+            m.is_negative_definite()
+        assert calls == [(0, 1, 2), (3,), (0, 1, 2, 3)]
+
+    def test_a_refused_block_is_not_kept(self):
+        m = SymmetricMatrix([[-2, 1], [1, -2]])
+        for bad, message in (([0, 0], "distinct"), ([2], "out of range")):
+            with pytest.raises(InputError, match=message):
+                m.ldl(bad)
+        assert m._factors == {}
+
+    def test_the_memo_takes_no_part_in_equality(self):
+        a = SymmetricMatrix([[-2, 1], [1, -2]])
+        b = SymmetricMatrix.from_entries([-2, -2], [(0, 1, 1)])
+        a.ldl([0])
+        assert a == b and hash(a) == hash(b)
+        assert a.ldl() == b.ldl() and a.ldl() is not b.ldl()
+
+
 class TestOneCurveBlock:
     """``ldl`` reads a one-curve block off its diagonal entry; the general
     elimination ``_eliminate`` must agree with it on every such block."""
@@ -484,8 +535,8 @@ class TestOneCurveBlock:
             factor = m.ldl([i])
             assert factor == m._eliminate([i])
             assert factor.order == (i,)
-            assert factor.lower == ((),)
-            assert factor.diag == (d,) and type(factor.diag[0]) is Fraction
+            assert ldl_lower(factor) == ((),)
+            assert ldl_diag(factor) == (d,) and type(ldl_diag(factor)[0]) is Fraction
             assert factor.inertia == (int(d > 0), int(d < 0), int(d == 0))
             expect = factor if d < 0 else None
             assert m.negative_definite_ldl([i]) == expect
@@ -571,9 +622,9 @@ class TestIntegerElimination:
         factor = m.ldl(idx)
         order, lower, diag, inertia = oracle_ldl(m, idx)
         assert (factor.order, factor.inertia) == (order, inertia)
-        assert (factor.lower, factor.diag) == (lower, diag)
-        assert all(type(d) is Fraction for d in factor.diag)
-        assert all(type(l) is Fraction for col in factor.lower for _, l in col)
+        assert (ldl_lower(factor), ldl_diag(factor)) == (lower, diag)
+        assert all(type(d) is Fraction for d in ldl_diag(factor))
+        assert all(type(l) is Fraction for col in ldl_lower(factor) for _, l in col)
         record = [factor.content, *factor.scales, *factor.minors, *factor.pivots]
         record += [v for column in factor.columns for _, v in column]
         assert all(type(v) is int for v in record)

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfsat import (
     Configuration,
@@ -361,15 +363,16 @@ class TestAgainstOracle:
 class TestOneFactorisation:
     @pytest.fixture
     def factorised(self, monkeypatch):
-        """Indices of every L D L^T factorisation made while the test runs."""
+        """Indices of every L D L^T elimination made while the test runs:
+        the blocks the Gram did not have in its memo."""
         calls = []
-        original = SymmetricMatrix.ldl
+        original = SymmetricMatrix._eliminate
 
-        def counting(matrix, indices=None):
-            calls.append(tuple(indices) if indices is not None else None)
+        def counting(matrix, indices):
+            calls.append(tuple(indices))
             return original(matrix, indices)
 
-        monkeypatch.setattr(SymmetricMatrix, "ldl", counting)
+        monkeypatch.setattr(SymmetricMatrix, "_eliminate", counting)
         return calls
 
     def test_each_component_once_per_contract(self, factorised):
@@ -381,38 +384,39 @@ class TestOneFactorisation:
             contract(config, parts)
             assert sorted(factorised) == sorted(tuple(sorted(p)) for p in parts)
 
-    def test_given_factors_stand_in_for_the_factorisation(self, factorised):
-        # a factor passed for a part replaces its elimination, and a None
-        # leaves that part to contract; the result is the same either way
+    def test_remembered_factors_stand_in_for_the_factorisation(self, factorised):
+        # a part whose block the Gram has eliminated is read back, and the
+        # others are eliminated by contract; the result is the same either way
         rng = random.Random(89)
         for _ in range(40):
             config, exceptional, _ = random_contraction_setup(rng)
             parts = config.connected_components(exceptional)
-            given = [
-                config.gram.negative_definite_ldl(sorted(p))
-                if rng.random() < 0.7 else None
-                for p in parts
-            ]
+            fresh = Configuration(config.nodes, SymmetricMatrix(config.gram.rows))
+            known = [rng.random() < 0.7 for _ in parts]
+            for part, done in zip(parts, known):
+                if done:
+                    config.gram.negative_definite_ldl(sorted(part))
             factorised.clear()
-            result = contract(config, parts, given)
+            result = contract(config, parts)
             assert sorted(factorised) == sorted(
-                tuple(sorted(p)) for p, f in zip(parts, given) if f is None
+                tuple(sorted(p)) for p, done in zip(parts, known) if not done
             )
-            assert result == contract(config, parts)
+            assert result == contract(fresh, parts)
 
-    def test_given_factors_keep_the_checks(self):
-        # the checks on the parts run, in their order, whatever is given
+    def test_remembered_factors_keep_the_checks(self):
+        # the checks on the parts run, in their order, whatever the Gram
+        # has eliminated
         config = Configuration.build(
             [("A", -2), ("B", -2), ("C", -2)], [(0, 1, 1)]
         )
-        ab = config.gram.negative_definite_ldl([0, 1])
-        c = config.gram.negative_definite_ldl([2])
+        for block in ([0, 1], [0, 2], [2], [0], [1]):
+            config.gram.ldl(block)
         with pytest.raises(PreconditionError, match="pairwise disjoint"):
-            contract(config, [{0, 1}, {0, 1}], [ab, ab])
+            contract(config, [{0, 1}, {0, 1}])
         with pytest.raises(PreconditionError, match="not connected"):
-            contract(config, [{0, 2}], [c])
+            contract(config, [{0, 2}])
         with pytest.raises(PreconditionError, match="meet"):
-            contract(config, [{0}, {1}], [c, c])
+            contract(config, [{0}, {1}])
 
     def test_each_component_once_per_context(self, factorised):
         rng = random.Random(83)
@@ -428,13 +432,22 @@ class TestOneFactorisation:
                 tuple(sorted(p)) for p in ctx.components()
             )
 
+    def test_a_context_after_contract_eliminates_nothing(self, factorised):
+        rng = random.Random(97)
+        for _ in range(20):
+            config, exceptional, _ = random_contraction_setup(rng)
+            contract(config, config.connected_components(exceptional))
+            factorised.clear()
+            ContractionContext(config, exceptional)
+            assert factorised == []
+
 
 class TestOneCurveFactors:
-    def test_record_factor_of_one_curve_gives_the_same_pullbacks(self):
+    def test_one_curve_parts_give_the_oracle_pullbacks(self):
         # disjoint one-curve parts of every negative self-intersection,
-        # each met by curves of the rest; the record factor from the
-        # one-curve path, the general elimination and no factor at all
-        # must contract alike, and as the Gauss-Jordan oracle does
+        # each met by curves of the rest: the one-curve factor is the
+        # general elimination's, and contract gives what the Gauss-Jordan
+        # oracle gives
         rng = random.Random(29)
         for _ in range(40):
             k = rng.randint(1, 4)
@@ -451,18 +464,40 @@ class TestOneCurveFactors:
             )
             parts = [[e] for e in range(k)]
             one_curve = [config.gram.ldl(part) for part in parts]
-            general = [config.gram._eliminate(part) for part in parts]
-            assert one_curve == general
-            results = [
-                contract(config, parts, factors)
-                for factors in (one_curve, general, None)
-            ]
+            assert one_curve == [config.gram._eliminate(part) for part in parts]
+            result = contract(config, parts)
             remaining, rows, pullbacks = oracle_contract(config, frozenset(range(k)))
-            for result in results:
-                assert result.ambient_ids == tuple(remaining)
-                assert result.pullbacks == tuple(pullbacks)
-                assert result.configuration.gram.rows == tuple(map(tuple, rows))
-            assert results[0] == results[1] == results[2]
+            assert result.ambient_ids == tuple(remaining)
+            assert result.pullbacks == tuple(pullbacks)
+            assert result.configuration.gram.rows == tuple(map(tuple, rows))
+
+
+class TestInducedEntries:
+    """-M_EE is an irreducible nonsingular M-matrix, so the pullback of a
+    curve meeting a part has positive coefficients on all of it, and two
+    curves that meet one part meet on the contracted surface."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_curves_meeting_one_part_meet_after_contraction(self, rng):
+        config, exceptional, _ = random_contraction_setup(rng)
+        parts = config.connected_components(exceptional)
+        result = contract(config, parts)
+        remaining, rows, pullbacks = oracle_contract(config, exceptional)
+        gram = result.configuration.gram
+        for a, i in enumerate(remaining):
+            for b in range(a + 1, len(remaining)):
+                j = remaining[b]
+                if any(
+                    config.neighbours(i) & part and config.neighbours(j) & part
+                    for part in parts
+                ):
+                    assert rows[a][b] > 0
+                    assert gram.entry(a, b) == rows[a][b]
+        for i, pulled in zip(remaining, pullbacks):
+            for part in parts:
+                if config.neighbours(i) & part:
+                    assert all(pulled.coefficients.get(e, 0) > 0 for e in part)
 
 
 class TestContextBudget:

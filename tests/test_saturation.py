@@ -27,8 +27,8 @@ from surfsat import (
     saturation_plan,
     scheme_saturation_check,
 )
-from surfsat import SaturationPlan, classify_fibre_type
-from surfsat import mumford, saturation
+from surfsat import FibreVerdict, SaturationPlan, classify_fibre_type
+from surfsat import cli, mumford, saturation
 from surfsat.cli import cmd_mumford
 from surfsat.cli import main as cli_main
 from surfsat.saturation import (
@@ -606,18 +606,18 @@ class TestAffinisationAfterPlan:
             carried += "component_reports" in vars(saturated) and bool(plan.d_minus)
             fresh = dataclasses.replace(saturated).component_reports
             assert [
-                (r.subject, r.verdict, r.kernel, r.positive, r.factor)
+                (r.subject, r.verdict, r.kernel, r.positive)
                 for r in saturated.component_reports
             ] == [
-                (r.subject, r.verdict, r.kernel, r.positive, r.factor)
+                (r.subject, r.verdict, r.kernel, r.positive)
                 for r in fresh
             ]
         assert carried > 100
 
-    def test_partial_plan_carries_the_factors_it_keeps(self):
+    def test_partial_plan_carries_the_record_it_keeps(self):
         # contract the first negative definite component only: the others
-        # stay in the carried record with their factorisations, re-indexed,
-        # and a second plan contracts with those
+        # stay in the carried record, re-indexed, and a second plan
+        # contracts them
         partial = 0
         for s in self.surfaces():
             d_minus = oracle_saturation_partition(s)[0]
@@ -631,13 +631,16 @@ class TestAffinisationAfterPlan:
             assert once == oracle_apply_plan(s, plan)
             again = dataclasses.replace(once)  # classified afresh
             assert [
-                (r.subject, r.verdict, r.kernel, r.positive, r.factor)
+                (r.subject, r.verdict, r.kernel, r.positive)
                 for r in once.component_reports
             ] == [
-                (r.subject, r.verdict, r.kernel, r.positive, r.factor)
+                (r.subject, r.verdict, r.kernel, r.positive)
                 for r in again.component_reports
             ]
-            assert any(r.factor is not None for r in once.component_reports)
+            assert any(
+                r.verdict is FibreVerdict.NEGATIVE_DEFINITE
+                for r in once.component_reports
+            )
             assert self.outcome(
                 lambda s: _affinisation_after_plan(s, saturation_plan(s)), once
             ) == self.outcome(oracle_affinisation_after_plan, again)
@@ -652,9 +655,9 @@ class TestAffinisationAfterPlan:
         assert partial > 20
 
     def test_plan_not_read_off_the_record_is_checked(self):
-        # contracting E1 alone, a part of the component E1 + E2 + P: the
-        # record holds no factor for it, so contract checks and factorises
-        # it, and the saturated surface classifies its boundary afresh
+        # contracting E1 alone, a part of the component E1 + E2 + P: it is
+        # no boundary component, so contract checks and factorises it, and
+        # the saturated surface classifies its boundary afresh
         s = surface(
             [("E1", -2), ("E2", -2), ("P", 1), ("C", 1)],
             [(0, 1, 1), (1, 2, 1), (0, 3, 1)],
@@ -709,14 +712,16 @@ class TestOneClassificationPerComponent:
 
     @pytest.fixture
     def factorised(self, monkeypatch):
+        """Every block eliminated: the ones the Gram did not have in its
+        memo."""
         calls = []
-        original = SymmetricMatrix.ldl
+        original = SymmetricMatrix._eliminate
 
-        def counting(matrix, indices=None):
-            calls.append(tuple(indices) if indices is not None else None)
+        def counting(matrix, indices):
+            calls.append(tuple(indices))
             return original(matrix, indices)
 
-        monkeypatch.setattr(SymmetricMatrix, "ldl", counting)
+        monkeypatch.setattr(SymmetricMatrix, "_eliminate", counting)
         return calls
 
     @staticmethod
@@ -761,12 +766,11 @@ class TestOneClassificationPerComponent:
         ]
 
     def expected(self, s, command):
-        # every elimination goes through ldl (inertia reads it too), so the
-        # not-semidefinite pair P, Q of the plus documents shows up once:
-        # affdim and analyze read its positive count off the record.  The
-        # contraction reads each part's factor off the record too, and the
-        # saturated model takes the kept components' reports, so neither
-        # eliminates a boundary component again.
+        # the not-semidefinite pair P, Q of the plus documents is eliminated
+        # once: affdim and analyze read its positive count off the record.
+        # The contraction reads each part's factor back from the Gram's
+        # memo, and the saturated model takes the kept components' reports,
+        # so neither eliminates a boundary component again.
         calls = self.classification(s)
         if command in ("affdim", "analyze"):
             model = apply_plan(s)
@@ -795,6 +799,26 @@ class TestOneClassificationPerComponent:
             capsys.readouterr()
             assert Counter(factorised) == expected, name
 
+    def test_contract_after_the_record_eliminates_nothing(self, factorised):
+        # every part of the plan is a boundary component the record has
+        # classified, so its factor is read back from the Gram's memo
+        rng = random.Random(101)
+        documents = [s for _, s in self.documents()]
+        for _ in range(40):
+            config, exceptional, _ = random_contraction_setup(rng)
+            documents.append(CompactifiedSurface(config, exceptional))
+        contracted = 0
+        for s in documents:
+            parts = is_saturated(s).offending_components
+            if not parts:
+                continue
+            factorised.clear()
+            mumford.contract(s.ambient, parts)
+            apply_plan(s)
+            assert factorised == []
+            contracted += 1
+        assert contracted > 40
+
     def run(self, command, path, capsys):
         code = cli_main([command, str(path)])
         capsys.readouterr()
@@ -806,11 +830,12 @@ class TestOneClassificationPerComponent:
         calls = []
         original = mumford.contract
 
-        def counting(config, parts, factors=None):
+        def counting(config, parts):
             calls.append(config.names(frozenset().union(*parts)))
-            return original(config, parts, factors)
+            return original(config, parts)
 
         monkeypatch.setattr(saturation, "contract", counting)
+        monkeypatch.setattr(cli, "contract", counting)
         return calls
 
     @pytest.mark.parametrize("command", ["mumford", "affdim", "analyze"])
