@@ -13,10 +13,10 @@ on that block reads it back.  The elimination runs in integers: it
 scales the block to an integer matrix A and keeps every Schur complement
 entry as an integer minor of A over the minor of the pivots taken so far
 (Sylvester's identity, as in Bareiss's fraction-free elimination), so no
-update pays a gcd.  Its inertia, kernel vector,
-solves and inverse diagonal answer every definiteness question, and they
-form a ``Fraction`` only for an output entry.  The dense ``rows`` view is
-built only when asked for (by ``repr``, by the Gauss-Jordan ``solve`` and
+update pays a gcd.  Its inertia, kernel vector, solves and inverse
+diagonal answer every definiteness question, and they form a ``Fraction``
+only for an output entry.  The dense ``rows`` view is built only when
+asked for (by ``repr``, by the Gauss-Jordan ``solve`` and
 ``kernel_basis``, which no verdict uses, and by callers).
 """
 

@@ -36,16 +36,16 @@ class ContractionContext:
         components = self.ambient.connected_components(exceptional)
         # E is block diagonal over its components, so it is negative
         # definite iff every component's factorisation succeeds
+        blocks = tuple([tuple(sorted(c)) for c in components])
         gram = self.ambient.gram
-        factors = tuple([gram.negative_definite_ldl(sorted(c)) for c in components])
-        if None in factors:
+        if any(gram.negative_definite_ldl(block) is None for block in blocks):
             raise PreconditionError(
                 "exceptional set "
                 f"{self.ambient.names(exceptional)} is not negative definite; "
                 "only negative definite curve sets are contractible"
             )
         object.__setattr__(self, "_components", components)
-        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_blocks", blocks)
 
     def components(self) -> tuple[frozenset[int], ...]:
         return self._components
@@ -70,7 +70,8 @@ def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
             raise PreconditionError(f"divisor references unknown node {i}")
     gram = ctx.ambient.gram
     total = dict(coeffs)
-    for factor in ctx._factors:
+    for block in ctx._blocks:
+        factor = gram.ldl(block)  # read back from the Gram's memo
         position = {node: p for p, node in enumerate(factor.order)}
         rhs = [0] * len(position)
         for i, c in coeffs.items():
