@@ -4,9 +4,14 @@ obstruction machinery.
 Curves are kept in long Weierstrass form y^2 + a1 xy + a3 y = x^3 + a2 x^2 +
 a4 x + a6 so that small rank-one curves such as y^2 + y = x^3 - x can be used
 directly.  With u the lcm of the coefficient denominators, (x, y) ->
-(u^2 x, u^3 y) maps the curve to an integral model; each curve keeps u, the
-integers u*a_i and that model's discriminant, so the on-curve test and the
-nonsingularity check are integer cross-multiplications.
+(u^2 x, u^3 y) maps the curve to an integral model with coefficients
+a_i u^i.  On an integral model a rational point has coordinates X / Z^2,
+Y / Z^3 in lowest terms with one Z >= 1 (Silverman, AEC VII.2), so each
+affine point lifts to an integer triple (X, Y, Z) with gcd(X, Z) =
+gcd(Y, Z) = 1.  The lift is the on-curve check, and the curve keeps the
+triple of every point it accepts.  The group law runs on triples in
+integers; an ``ECPoint`` is formed only where a public function returns
+one.
 
 Whether a weighted point sum S = sum m_i P_i is torsion is decided in two
 stages, and only the second forms points over Q.  Both form S by one joint
@@ -21,17 +26,20 @@ weights: cancelling heavy weights never form a large point.
    injects into the reduced curve's group (Silverman, AEC VII.3.1 with
    IV.6.4), so a torsion S and its reduction have the same order, one of
    Mazur's rational torsion orders 1..10 or 12.  For each prime of
-   ``FILTER_PRIMES`` that divides no coefficient denominator, not the
-   discriminant and no point denominator, the sum is formed in F_p.  A
-   reduction whose order is not an admissible torsion order, or two
-   primes that disagree on the order, certify NonTorsion.
-2. Exact candidates.  A sum the filter leaves open is formed over Q and
-   tested against Mazur's bound, with the generalised Nagell-Lutz exit
+   ``FILTER_PRIMES`` that divides neither u, nor the integral model's
+   discriminant, nor any point's Z, the sum is formed in F_p on the
+   integral model from the residues X / Z^2, Y / Z^3.  A reduction whose
+   order is not an admissible torsion order, or two primes that disagree
+   on the order, certify NonTorsion.
+2. Exact candidates.  A sum the filter leaves open is formed on triples
+   and tested against Mazur's bound, with the generalised Nagell-Lutz exit
    (Silverman, AEC VII.3.4 and VIII.7.1): on the integral model every
-   affine torsion point has 4x, 8y in Z, so the first multiple that breaks
-   this integrality certifies NonTorsion before the coordinates grow.
-   ``Torsion(n)`` only ever comes from this exact stage.  Every point it
-   forms must keep its coordinates within ``EXACT_BITS_BUDGET`` bits; past
+   affine torsion point has 4x, 8y in Z, which for X / Z^2, Y / Z^3 in
+   lowest terms reads Z | 2, so the first multiple with Z > 2 certifies
+   NonTorsion before the coordinates grow.  ``Torsion(n)`` only ever comes
+   from this exact stage.  Every point it forms must keep the numerators
+   and denominators of its coordinates on the given model, X / u^2 Z^2 and
+   Y / u^3 Z^3 in lowest terms, within ``EXACT_BITS_BUDGET`` bits; past
    the budget the status is ``Undecided(bits>B)``, which decides nothing.
 """
 
@@ -40,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -69,6 +77,10 @@ FILTER_PRIMES = (32749, 32719, 32717)
 # stage may have; one doubling at the budget costs tens of milliseconds
 EXACT_BITS_BUDGET = 1 << 14
 
+# an affine point on the integral model, (X, Y, Z) for (X / Z^2, Y / Z^3) in
+# lowest terms with Z >= 1; the identity is None
+Triple = tuple[int, int, int]
+
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
@@ -85,10 +97,10 @@ class WeierstrassCurve:
             object.__setattr__(self, name, value)
             coefficients.append(value)
         u = lcm(*(c.denominator for c in coefficients))
-        scaled = tuple(c.numerator * (u // c.denominator) for c in coefficients)
-        # the integral model's coefficients a_i u^i, from the integers u a_i
+        # the integral model's coefficients a_i u^i
         c1, c2, c3, c4, c6 = (
-            s * u ** power for s, power in zip(scaled, (0, 1, 2, 3, 5))
+            c.numerator * (u // c.denominator) * u ** (power - 1)
+            for c, power in zip(coefficients, (1, 2, 3, 4, 6))
         )
         b2 = c1 * c1 + 4 * c2
         b4 = 2 * c4 + c1 * c3
@@ -98,24 +110,57 @@ class WeierstrassCurve:
         if delta == 0:
             raise InputError("curve is singular (discriminant vanishes)")
         object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_integral", (c1, c2, c3, c4, c6))
         object.__setattr__(self, "_integral_discriminant", delta)
+        # the triple of every point found on the curve, keyed by its
+        # coordinates' numerators and denominators; not a field, so equality
+        # and hashing ignore it
+        object.__setattr__(self, "_lifts", {})
 
     def discriminant(self) -> Fraction:
         return Fraction(self._integral_discriminant, self._u ** 12)
 
     def contains(self, point: "ECPoint") -> bool:
-        if point.is_infinity:
-            return True
-        # the curve equation times u xd^3 yd^2, for x = xn/xd and y = yn/yd
+        return point.is_infinity or self._lift(point) is not None
+
+    def _lift(self, point: "ECPoint") -> Optional[Triple]:
+        """The triple of an affine point on the curve, None for a point off
+        it.  The curve is immutable, so a point it accepts is checked once
+        and its triple read back afterwards."""
+        x, y = point.x, point.y
+        key = (x.numerator, x.denominator, y.numerator, y.denominator)
+        lifted = self._lifts.get(key)
+        if lifted is None:
+            lifted = self._integral_point(*key)
+            if lifted is not None:
+                self._lifts[key] = lifted
+        return lifted
+
+    def _integral_point(self, xn: int, xd: int, yn: int, yd: int) -> Optional[Triple]:
+        """:meth:`_lift` of (xn / xd, yn / yd) without the memo."""
         u = self._u
-        s1, s2, s3, s4, s6 = self._scaled
-        xn, xd = point.x.numerator, point.x.denominator
-        yn, yd = point.y.numerator, point.y.denominator
-        xd2 = xd * xd
-        lhs = yn * (u * yn * xd + s1 * xn * yd + s3 * xd * yd) * xd2
-        rhs = yd * yd * (((u * xn + s2 * xd) * xn + s4 * xd2) * xn + s6 * xd2 * xd)
-        return lhs == rhs
+        if u != 1:
+            # u^2 x and u^3 y in lowest terms: only u's powers can cancel
+            g = gcd(xd, u * u)
+            xn, xd = xn * (u * u // g), xd // g
+            g = gcd(yd, u ** 3)
+            yn, yd = yn * (u ** 3 // g), yd // g
+        z = isqrt(xd)
+        if z * z != xd or z * xd != yd:
+            return None  # not the denominators of a point on the model
+        # the integral model's equation times Z^6
+        c1, c2, c3, c4, c6 = self._integral
+        lhs = yn * (yn + c1 * xn * z + c3 * yd)
+        rhs = ((xn + c2 * xd) * xn + c4 * xd * xd) * xn + c6 * yd * yd
+        return (xn, yn, z) if lhs == rhs else None
+
+    def _point(self, lifted: Optional[Triple]) -> "ECPoint":
+        """The point on this model with the triple ``lifted``."""
+        if lifted is None:
+            return ECPoint.infinity()
+        x, y, z = lifted
+        scale = self._u * z
+        return ECPoint(Fraction(x, scale * scale), Fraction(y, scale ** 3))
 
 
 @dataclass(frozen=True)
@@ -148,56 +193,89 @@ class ECPoint:
         return f"ECPoint({self.x}, {self.y})"
 
 
-def _require_on_curve(curve: WeierstrassCurve, point: ECPoint) -> None:
-    if not curve.contains(point):
+def _lifted(curve: WeierstrassCurve, point: ECPoint) -> Optional[Triple]:
+    """The triple of a point handed to a public function, None for the
+    identity; a point off the curve is refused."""
+    if point.is_infinity:
+        return None
+    lifted = curve._lift(point)
+    if lifted is None:
         raise PreconditionError(f"{point!r} does not satisfy the curve equation")
+    return lifted
 
 
 def negate(curve: WeierstrassCurve, p: ECPoint) -> ECPoint:
-    _require_on_curve(curve, p)
-    if p.is_infinity:
+    return curve._point(_negate(curve, _lifted(curve, p)))
+
+
+def _negate(curve: WeierstrassCurve, p: Optional[Triple]) -> Optional[Triple]:
+    """-(x, y) = (x, -y - a1 x - a3), times Z^3 on the integral model."""
+    if p is None:
         return p
-    return ECPoint.affine(p.x, -p.y - curve.a1 * p.x - curve.a3)
+    x, y, z = p
+    c1, _, c3, _, _ = curve._integral
+    return x, -y - (c1 * x + c3 * z * z) * z, z
 
 
 def add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
     """Chord-tangent addition with the point at infinity as identity."""
-    _require_on_curve(curve, p)
-    _require_on_curve(curve, q)
-    return _add(curve, p, q)
+    return curve._point(_add(curve, _lifted(curve, p), _lifted(curve, q)))
 
 
-def _add(curve: WeierstrassCurve, p: ECPoint, q: ECPoint) -> ECPoint:
-    """:func:`add` for points already known to lie on the curve: the group
-    law keeps them there, so sums and multiples of checked points are never
-    re-checked."""
-    if p.is_infinity:
+def _add(
+    curve: WeierstrassCurve, p: Optional[Triple], q: Optional[Triple]
+) -> Optional[Triple]:
+    """:func:`add` on triples, in integers.  The slope is L / W with W a
+    multiple of Z1 Z2, so the sum is (N / W^2, M / W^3); on the integral
+    model gcd(N, W^2) is a square g^2, and dividing it out leaves the
+    sum's triple in lowest terms."""
+    if p is None:
         return q
-    if q.is_infinity:
+    if q is None:
         return p
-    if p.x == q.x and p.y + q.y + curve.a1 * q.x + curve.a3 == 0:
-        return ECPoint.infinity()
-    if p.x == q.x:
-        # p == q here: a vertical coincidence with distinct y is the
-        # inverse case handled above
-        num = 3 * p.x * p.x + 2 * curve.a2 * p.x + curve.a4 - curve.a1 * p.y
-        den = 2 * p.y + curve.a1 * p.x + curve.a3
-        slope = num / den
+    c1, c2, c3, c4, _ = curve._integral
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    if x1 == x2 and z1 == z2:
+        # equal x: the points are inverse or equal, and when equal the
+        # tangent's denominator 2 y + a1 x + a3, times Z^3, is this same sum
+        zz = z1 * z1
+        den = y1 + y2 + (c1 * x1 + c3 * zz) * z1
+        if not den:
+            return None
+        slope = 3 * x1 * x1 + (2 * c2 * x1 + c4 * zz) * zz - c1 * y1 * z1
+        w = den * z1
+        # w / z1 and w / z2, and x1 (w / z1)^2 + x2 (w / z2)^2
+        a = den
+        a2 = a * a
+        xs = 2 * x1 * a2
     else:
-        slope = (q.y - p.y) / (q.x - p.x)
-    offset = p.y - slope * p.x
-    x3 = slope * slope + curve.a1 * slope - curve.a2 - p.x - q.x
-    y3 = -(slope + curve.a1) * x3 - offset - curve.a3
-    return ECPoint.affine(x3, y3)
+        z1z1, z2z2 = z1 * z1, z2 * z2
+        d = x2 * z1z1 - x1 * z2z2
+        slope = y2 * z1z1 * z1 - y1 * z2z2 * z2
+        a, b = z2 * d, z1 * d
+        w = z1 * a
+        a2 = a * a
+        xs = x1 * a2 + x2 * b * b
+    ww = w * w
+    n = slope * (slope + c1 * w) - c2 * ww - xs
+    m = slope * (x1 * a2 - n) - y1 * a2 * a - (c1 * n + c3 * ww) * w
+    if w < 0:
+        w, m = -w, -m
+    g = gcd(n, ww)
+    if g == 1:
+        return n, m, w
+    g = isqrt(g)
+    return n // (g * g), m // (g * g * g), w // g
 
 
 def scalar_mul(curve: WeierstrassCurve, n: int, p: ECPoint) -> ECPoint:
     if not isinstance(n, int):
         raise PreconditionError(f"scalar must be an integer, got {n!r}")
+    lifted = _lifted(curve, p)
     if n < 0:
-        return scalar_mul(curve, -n, negate(curve, p))
-    _require_on_curve(curve, p)
-    return _joint_sum(partial(_add, curve), ECPoint.infinity(), ((p, n),))
+        n, lifted = -n, _negate(curve, lifted)
+    return curve._point(_joint_sum(partial(_add, curve), None, ((lifted, n),)))
 
 
 def _joint_sum(add, identity, terms):
@@ -216,12 +294,23 @@ class _OverBudget(Exception):
     """The exact stage formed a point past ``EXACT_BITS_BUDGET``."""
 
 
-def _within_budget(point: ECPoint) -> ECPoint:
-    if not point.is_infinity and max(
-        point.x.numerator.bit_length(),
-        point.x.denominator.bit_length(),
-        point.y.numerator.bit_length(),
-        point.y.denominator.bit_length(),
+def _within_budget(curve: WeierstrassCurve, point: Optional[Triple]) -> Optional[Triple]:
+    """``point``, unless a numerator or denominator of its coordinates on
+    the given model, X / u^2 Z^2 and Y / u^3 Z^3, is past the budget."""
+    if point is None:
+        return point
+    x, y, z = point
+    u = curve._u
+    # the coordinates before cancelling: no longer than the cancelled ones
+    if max(x.bit_length(), y.bit_length(), 3 * (u * z).bit_length()) <= EXACT_BITS_BUDGET:
+        return point
+    # gcd(X, Z) = gcd(Y, Z) = 1, so only gcd(X, u^2) and gcd(Y, u^3) cancel
+    gx, gy = gcd(x, u * u), gcd(y, u ** 3)
+    if max(
+        (x // gx).bit_length(),
+        (u * u // gx * z * z).bit_length(),
+        (y // gy).bit_length(),
+        (u ** 3 // gy * z ** 3).bit_length(),
     ) > EXACT_BITS_BUDGET:
         raise _OverBudget
     return point
@@ -245,32 +334,48 @@ def is_torsion(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
     n*p = infinity, NonTorsion, or Undecided(bits>B) when the exact stage
     would have to form a point past its bit budget (see the module
     docstring for the two stages)."""
-    _require_on_curve(curve, p)
-    if p.is_infinity:
+    lifted = _lifted(curve, p)
+    if lifted is None:
         return TorsionStatus(True, 1)
-    return _weighted_torsion(curve, ((p, 1),))
+    return _weighted_torsion(curve, ((lifted, 1),))
 
 
 def _weighted_torsion(
-    curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]]
+    curve: WeierstrassCurve, terms: Sequence[tuple[Triple, int]]
 ) -> TorsionStatus:
-    """The torsion status of sum m P over (P, m) pairs of affine points
-    known to lie on the curve."""
-    if _reduction_certifies_non_torsion(curve, points):
+    """The torsion status of sum m P over (P, m) pairs of triples."""
+    if _reduction_certifies_non_torsion(curve, terms):
         return TorsionStatus(False)
+    return _exact_torsion(curve, terms)
+
+
+def _exact_torsion(
+    curve: WeierstrassCurve, terms: Sequence[tuple[Triple, int]]
+) -> TorsionStatus:
+    """The exact stage: the sum formed on triples, then at most twelve
+    multiples of it, each held to the budget once it passes the
+    Nagell-Lutz test Z | 2."""
     try:
         total = _joint_sum(
-            lambda p, q: _within_budget(_add(curve, p, q)),
-            ECPoint.infinity(),
-            points,
+            lambda p, q: _within_budget(curve, _add(curve, p, q)), None, terms
         )
+        running = None
+        for n in range(1, 13):
+            running = _add(curve, running, total)
+            if running is None:
+                if n in RATIONAL_TORSION_ORDERS:
+                    return TorsionStatus(True, n)
+            elif running[2] > 2:
+                break
+            else:
+                _within_budget(curve, running)
     except _OverBudget:
         return TorsionStatus(False, bound=EXACT_BITS_BUDGET)
-    return _torsion_status(curve, total)
+    return TorsionStatus(False)
 
 
 def _reduction_certifies_non_torsion(
-    curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]]
+    curve: WeierstrassCurve, terms: Sequence[tuple[Triple, int]]
 ) -> bool:
     """True when the sum's reductions at the filter primes rule out every
     rational torsion order."""
@@ -278,12 +383,9 @@ def _reduction_certifies_non_torsion(
     for p in FILTER_PRIMES:
         if not (curve._u % p and curve._integral_discriminant % p):
             continue  # p in a coefficient denominator, or bad reduction
-        if any(
-            point.x.denominator % p == 0 or point.y.denominator % p == 0
-            for point, _ in points
-        ):
-            continue
-        order = _reduced_order(curve, points, p)
+        if any(z % p == 0 for (_, _, z), _ in terms):
+            continue  # p in a point denominator
+        order = _reduced_order(curve, terms, p)
         if order not in RATIONAL_TORSION_ORDERS:
             return True
         orders.add(order)
@@ -293,13 +395,14 @@ def _reduction_certifies_non_torsion(
 
 
 def _reduced_order(
-    curve: WeierstrassCurve, points: Sequence[tuple[ECPoint, int]], p: int
+    curve: WeierstrassCurve, terms: Sequence[tuple[Triple, int]], p: int
 ) -> Optional[int]:
     """The least k <= 12 with k S = O for the reduction S of sum m P at a
-    good prime p dividing no point denominator, else None.  Affine points
-    are (x, y) residue pairs and the identity is None."""
-    inverse_u = pow(curve._u, -1, p)
-    a1, a2, a3, a4, _ = (s * inverse_u % p for s in curve._scaled)
+    good prime p dividing no Z, else None.  The sum is formed on the
+    integral model, whose reduction is isomorphic to the given model's as
+    p does not divide u.  Affine points are (x, y) residue pairs and the
+    identity is None."""
+    a1, a2, a3, a4, _ = (c % p for c in curve._integral)
 
     def add(first, second):
         # second is None only in total + total, so only when first is
@@ -319,35 +422,20 @@ def _reduced_order(
         x3 = (slope * slope + a1 * slope - a2 - x1 - x2) % p
         return x3, (slope * (x1 - x3) - y1 - a1 * x3 - a3) % p
 
-    def residue(r: Fraction) -> int:
-        return r.numerator * pow(r.denominator, -1, p) % p
+    def residue(point: Triple) -> tuple[int, int]:
+        x, y, z = point
+        if z == 1:
+            return x % p, y % p
+        inverse = pow(z, -1, p)
+        square = inverse * inverse % p
+        return x * square % p, y * square * inverse % p
 
-    total = running = _joint_sum(
-        add, None, [((residue(q.x), residue(q.y)), m) for q, m in points]
-    )
+    total = running = _joint_sum(add, None, [(residue(q), m) for q, m in terms])
     for k in range(1, 13):
         if running is None:
             return k
         running = add(running, total)
     return None
-
-
-def _torsion_status(curve: WeierstrassCurve, p: ECPoint) -> TorsionStatus:
-    """The exact stage for a point known to lie on the curve: form at most
-    twelve multiples, each held to the budget once it passes the
-    Nagell-Lutz integrality test on the integral model."""
-    x_scale, y_scale = 4 * curve._u ** 2, 8 * curve._u ** 3
-    running = ECPoint.infinity()
-    for n in range(1, 13):
-        running = _add(curve, running, p)
-        if running.is_infinity:
-            if n in RATIONAL_TORSION_ORDERS:
-                return TorsionStatus(True, n)
-        elif x_scale % running.x.denominator or y_scale % running.y.denominator:
-            return TorsionStatus(False)
-        else:
-            _within_budget(running)
-    return TorsionStatus(False)
 
 
 @dataclass(frozen=True)
@@ -365,8 +453,9 @@ class ObstructionReport:
     def total(self) -> ECPoint:
         """The weighted sum, formed exactly on first read: no verdict needs
         it, and a sum the filter decided may be far past the budget."""
-        add = partial(_add, self.curve)
-        return _joint_sum(add, ECPoint.infinity(), self.points)
+        curve = self.curve
+        terms = [(curve._lift(p), m) for p, m in self.points]
+        return curve._point(_joint_sum(partial(_add, curve), None, terms))
 
 
 def sum_obstruction(
@@ -381,28 +470,25 @@ def sum_obstruction(
     """
     if not points:
         raise PreconditionError("need at least one point")
-    seen = set()
+    terms = {}
     for point, mult in points:
         if point.is_infinity:
             raise PreconditionError("blown-up points must be affine")
-        _require_on_curve(curve, point)
+        lifted = _lifted(curve, point)
         if not isinstance(mult, int) or mult < 1:
             raise PreconditionError(
                 f"multiplicity must be a positive integer, got {mult!r}"
             )
-        # integer keys: hashing a Fraction costs a modular inverse
-        x, y = point.x, point.y
-        key = (x.numerator, x.denominator, y.numerator, y.denominator)
-        if key in seen:
+        # distinct points have distinct triples
+        if lifted in terms:
             raise PreconditionError(f"repeated point {point!r}; points must be distinct")
-        seen.add(key)
-    points = tuple(points)
-    torsion = _weighted_torsion(curve, points)
+        terms[lifted] = mult
+    torsion = _weighted_torsion(curve, tuple(terms.items()))
     return ObstructionReport(
         found=not torsion.torsion and torsion.bound is None,
         torsion=torsion,
         curve=curve,
-        points=points,
+        points=tuple(points),
     )
 
 
@@ -450,16 +536,18 @@ def hironaka_build(
     boundary = frozenset({0})
 
     claim: Optional[FalseFibreClaim] = None
+    uniform = all(m == 1 for _, m in points)
     if n == 9 and (
-        obstruction if all(m == 1 for _, m in points)
+        obstruction if uniform
         else sum_obstruction(curve, [(p, 1) for p, _ in points])
     ).found:
+        # with every weight 1 the weighted sum is the plain sum
         claim = FalseFibreClaim(
             boundary,
             GroupLawObstruction(
                 reference=(
-                    "weighted sum of the blown-up points is non-torsion "
-                    "in the cubic's group law"
+                    f"{'weighted' if uniform else 'plain'} sum of the "
+                    "blown-up points is non-torsion in the cubic's group law"
                 )
             ),
         )

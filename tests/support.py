@@ -857,6 +857,56 @@ def _oracle_add(curve, p, q):
     return ECPoint.affine(x3, -(slope + curve.a1) * x3 - offset - curve.a3)
 
 
+class _OracleOverBudget(Exception):
+    pass
+
+
+def oracle_exact_torsion(curve, points, budget) -> TorsionStatus:
+    """The exact stage in ``Fraction`` arithmetic, the budget read off the
+    reduced coordinates: the weighted sum of ``points`` by one joint
+    double-and-add (the same points formed in the same order), then at
+    most twelve multiples with the Nagell-Lutz exit 4x, 8y in Z on the
+    integral model.  ``Undecided(bits>budget)`` as soon as a point formed
+    (a multiple only once it passes the integrality test) has a numerator
+    or denominator past ``budget`` bits."""
+    coefficients = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    u = lcm(*(c.denominator for c in coefficients))
+    admissible = set(range(1, 11)) | {12}
+
+    def formed(point):
+        if not point.is_infinity and max(
+            point.x.numerator.bit_length(),
+            point.x.denominator.bit_length(),
+            point.y.numerator.bit_length(),
+            point.y.denominator.bit_length(),
+        ) > budget:
+            raise _OracleOverBudget
+        return point
+
+    try:
+        total = ECPoint.infinity()
+        for bit in reversed(range(max(m for _, m in points).bit_length())):
+            total = formed(_oracle_add(curve, total, total))
+            for point, mult in points:
+                if mult >> bit & 1:
+                    total = formed(_oracle_add(curve, total, point))
+        running = ECPoint.infinity()
+        for n in range(1, 13):
+            running = _oracle_add(curve, running, total)
+            if running.is_infinity:
+                if n in admissible:
+                    return TorsionStatus(True, n)
+            elif (4 * u * u) % running.x.denominator or (
+                8 * u ** 3
+            ) % running.y.denominator:
+                break
+            else:
+                formed(running)
+    except _OracleOverBudget:
+        return TorsionStatus(False, bound=budget)
+    return TorsionStatus(False)
+
+
 def oracle_reduced_order(curve, points, p):
     """The least k <= 12 with k S = O for the reduction S of sum m P at p,
     else None: each m P formed in F_p by its own double-and-add, with the

@@ -338,6 +338,38 @@ class TestCommands:
         assert "verdict: one-or-zero" in out
         assert "GroupLawObstruction" not in out
 
+    def test_hironaka_names_the_sum_it_certifies_from(self, capsys, tmp_path):
+        # P, 2P, 3P, 4P, 5P, -P, -2P, -3P, -10P with the first weight 2:
+        # the weighted sum is O, and C is certified from the plain sum -P
+        doc = json.loads((SAMPLES / "hironaka9_pencil.json").read_text())
+        doc["fibration_asserted"] = False
+        doc["elliptic"]["points"][0]["m"] = 2
+        minus_ten = surfsat.scalar_mul(
+            surfsat.WeierstrassCurve(a3=1, a4=-1), -10, surfsat.ECPoint.affine(0, 0)
+        )
+        doc["elliptic"]["points"][-1] = {
+            "x": str(minus_ten.x), "y": str(minus_ten.y), "m": 1
+        }
+        path = tmp_path / "pencil_moved.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "hironaka", path)
+        assert code == 0
+        assert "verdict: zero" in out
+        assert "obstruction.torsion: Torsion(1)" in out
+        assert "obstruction.verdict: inconclusive" in out
+        reference = "false_fibre_claim.certificate.reference: "
+        assert (
+            f"{reference}plain sum of the blown-up points is non-torsion "
+            "in the cubic's group law"
+        ) in out
+        # with every weight 1 the weighted sum is the plain sum
+        code, out, _ = run(capsys, "hironaka", SAMPLES / "hironaka9_nontorsion.json")
+        assert code == 0
+        assert (
+            f"{reference}weighted sum of the blown-up points is non-torsion "
+            "in the cubic's group law"
+        ) in out
+
     def test_hironaka_n10(self, capsys):
         code, out, _ = run(capsys, "hironaka", SAMPLES / "n10.json")
         assert code == 0

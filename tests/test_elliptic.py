@@ -3,7 +3,9 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,14 +31,19 @@ from surfsat import (
 from surfsat import elliptic
 from surfsat.cli import main
 from surfsat.elliptic import EXACT_BITS_BUDGET, FILTER_PRIMES, _reduced_order
+from surfsat.schema import parse_document
 
 from support import (
+    _oracle_add,
     oracle_contains,
+    oracle_exact_torsion,
     oracle_hironaka_surface,
     oracle_is_torsion,
     oracle_reduced_order,
     oracle_sum_obstruction,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 # rank-one curve with tiny generator, long form: y^2 + y = x^3 - x
 CURVE_37A = WeierstrassCurve(a3=1, a4=-1)
@@ -350,6 +357,10 @@ class TestHironakaBuild:
         assert not report.obstruction.found
         assert report.claim is not None
         assert report.affinisation.verdict is AffDim.ZERO
+        # the certificate names the sum it comes from
+        assert report.claim.certificate.reference.startswith("plain sum ")
+        report = hironaka_build(CURVE_37A, self.points(range(1, 10)))
+        assert report.claim.certificate.reference.startswith("weighted sum ")
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -541,7 +552,8 @@ class TestHeavyMultiplicity:
         # prime, so this decides without the exact stage, which would have
         # to form 2 * 10^12 P
         k = 2178699501486
-        orders = [_reduced_order(CURVE_37A, [(GEN, k)], p) for p in FILTER_PRIMES]
+        terms = _lifted(CURVE_37A, [(GEN, k)])
+        orders = [_reduced_order(CURVE_37A, terms, p) for p in FILTER_PRIMES]
         assert orders == [1, 1, 2]
         assert sum_obstruction(CURVE_37A, [(GEN, k)]).torsion == TorsionStatus(False)
 
@@ -562,6 +574,11 @@ class TestHeavyMultiplicity:
         curve = WeierstrassCurve(a4=-n * n, a6=1)
         point = ECPoint.affine(Fraction(1, n * n), Fraction(1, n**3))
         assert is_torsion(curve, point) == oracle_is_torsion(curve, point)
+
+
+def _lifted(curve, points):
+    """(triple, m) pairs for (point, m) pairs on ``curve``."""
+    return [(curve._lift(point), m) for point, m in points]
 
 
 def _rescale(curve, u):
@@ -767,7 +784,7 @@ class TestReducedOrderAgainstOracle:
                 for point, _ in points
             ):
                 continue
-            order = _reduced_order(curve, points, p)
+            order = _reduced_order(curve, _lifted(curve, points), p)
             assert order == oracle_reduced_order(curve, points, p)
 
     @ORACLE_SETTINGS
@@ -804,7 +821,8 @@ class TestReducedOrderAgainstOracle:
             [(MULTIPLES[k], 10**18) for k in (1, 2, -3)],
         ):
             self.agree(CURVE_37A, points)
-            assert _reduced_order(CURVE_37A, points, FILTER_PRIMES[0]) == 1
+            terms = _lifted(CURVE_37A, points)
+            assert _reduced_order(CURVE_37A, terms, FILTER_PRIMES[0]) == 1
 
 
 class TestContainsAgainstOracle:
@@ -838,3 +856,299 @@ class TestContainsAgainstOracle:
             moved = ECPoint.affine(scale(point).x, scale(point).y + Fraction(1, 7))
             assert not curve.contains(moved) and not oracle_contains(curve, moved)
         assert CURVE_37A.contains(ECPoint.infinity())
+
+
+# -- the group law on the integral model ----------------------------------
+
+# Tate normal form y^2 + (1 - c) xy - by = x^3 - bx^2, where (0, 0) has the
+# order listed; a1 and a3 are nonzero, and a fractional b or c puts
+# denominators in the coefficients
+TATE_NORMAL_FORMS = [
+    (1, 0, 4),
+    (Fraction(-1, 4), 0, 4),
+    (1, 1, 5),
+    (Fraction(1, 2), Fraction(1, 2), 5),
+    (2, 1, 6),
+    (Fraction(3, 4), Fraction(1, 2), 6),
+    (4, 2, 7),
+    (3, Fraction(3, 2), 8),
+    (12, 4, 9),
+]
+
+
+def _tate(b, c):
+    return WeierstrassCurve(a1=1 - c, a2=-b, a3=-b)
+
+
+def _lift_or_identity(curve, point):
+    return None if point.is_infinity else curve._lift(point)
+
+
+def _assert_lowest_terms(lifted):
+    if lifted is not None:
+        x, y, z = lifted
+        assert z >= 1 and gcd(x, z) == 1 and gcd(y, z) == 1
+
+
+def _oracle_multiples(curve, point, bound):
+    """{k: k P} for |k| <= bound, by repeated ``Fraction`` addition."""
+    minus = ECPoint.affine(point.x, -point.y - curve.a1 * point.x - curve.a3)
+    multiples = {0: ECPoint.infinity()}
+    for k in range(1, bound + 1):
+        multiples[k] = _oracle_add(curve, multiples[k - 1], point)
+        multiples[-k] = _oracle_add(curve, multiples[1 - k], minus)
+    return multiples
+
+
+@st.composite
+def curves_through_a_point(draw):
+    """A curve with small drawn a1, a2, a3, a4 and a6 chosen to put a
+    drawn integer point on it, rescaled by a drawn u so that the
+    coefficients have denominators, and that point on the rescaled curve."""
+    a1, a2, a3, a4, x, y = (draw(st.integers(-3, 3)) for _ in range(6))
+    a6 = y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x
+    try:
+        curve = WeierstrassCurve(a1, a2, a3, a4, a6)
+    except InputError:
+        assume(False)
+    curve, scale = _rescale(curve, draw(st.sampled_from((1, 2, 3, 6))))
+    return curve, scale(ECPoint.affine(x, y))
+
+
+class TestIntegerLawAgainstOracle:
+    """The group law on triples against chord-tangent addition in
+    ``Fraction`` arithmetic: the same sums, every triple in lowest terms."""
+
+    @ORACLE_SETTINGS
+    @given(curves_through_a_point())
+    def test_sums_match_the_fraction_law(self, drawn):
+        # every pair of multiples, so doublings, P + (-P) and the identity
+        curve, point = drawn
+        multiples = _oracle_multiples(curve, point, 3)
+        for p, q in itertools.product(multiples.values(), repeat=2):
+            lifted = elliptic._add(
+                curve, _lift_or_identity(curve, p), _lift_or_identity(curve, q)
+            )
+            _assert_lowest_terms(lifted)
+            assert curve._point(lifted) == _oracle_add(curve, p, q)
+            assert add(curve, p, q) == _oracle_add(curve, p, q)
+
+    @ORACLE_SETTINGS
+    @given(
+        curves_through_a_point(),
+        st.integers(-8, 8),
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda pair: pair[0],
+        ),
+    )
+    def test_public_functions_match_the_oracles(self, drawn, n, chosen):
+        curve, point = drawn
+        multiples = _oracle_multiples(curve, point, 8)
+        assert scalar_mul(curve, n, point) == multiples[n]
+        assert negate(curve, point) == multiples[-1]
+        assert is_torsion(curve, point) == oracle_is_torsion(curve, point)
+        # a torsion point repeats among its multiples
+        points, seen = [], set()
+        for k, m in chosen:
+            if not multiples[k].is_infinity and multiples[k] not in seen:
+                seen.add(multiples[k])
+                points.append((multiples[k], m))
+        assume(points)
+        report = sum_obstruction(curve, points)
+        found, total, torsion = oracle_sum_obstruction(curve, points)
+        assert (report.found, report.torsion, report.total) == (found, torsion, total)
+
+    def test_torsion_points_have_z_dividing_two(self):
+        # Nagell-Lutz on the integral model, and the orders against the
+        # oracle, on curves with a1, a3 nonzero and with denominators
+        catalogue = [
+            (_tate(b, c), ECPoint.affine(0, 0), order)
+            for b, c, order in TATE_NORMAL_FORMS
+        ] + [
+            (curve, ECPoint.affine(*xy), None)
+            for curve, chosen in RATIONAL_TORSION
+            for xy in chosen
+        ]
+        for curve, point, order in catalogue:
+            status = is_torsion(curve, point)
+            assert status == oracle_is_torsion(curve, point) and status.torsion
+            assert order in (None, status.order)
+            for k in range(1, status.order):
+                lifted = curve._lift(scalar_mul(curve, k, point))
+                _assert_lowest_terms(lifted)
+                assert lifted[2] in (1, 2)
+            assert elliptic._add(curve, curve._lift(point), None) == curve._lift(point)
+
+    def test_two_torsion_doubles_to_the_identity(self):
+        for curve in (WeierstrassCurve(a4=-1), CURVE_CONGRUENT):
+            for x in (-5, -1, 0, 1, 5):
+                point = ECPoint.affine(x, 0)
+                if curve.contains(point):
+                    lifted = curve._lift(point)
+                    assert elliptic._negate(curve, lifted) == lifted
+                    assert elliptic._add(curve, lifted, lifted) is None
+        # with a1, a3 nonzero: 2 (0, 0) on a 4-torsion Tate curve is
+        # 2-torsion, and 2 of it is O
+        curve = _tate(1, 0)
+        two = elliptic._add(curve, curve._lift(ECPoint.affine(0, 0)), curve._lift(ECPoint.affine(0, 0)))
+        assert two is not None and elliptic._add(curve, two, two) is None
+
+    def test_lift_scales_to_the_integral_model(self):
+        # (1/4, -5/8) = 5P on y^2 + y = x^3 - x, and on the model rescaled
+        # by 6, whose coefficients have denominators up to u = 6^4
+        assert CURVE_37A._lift(MULTIPLES[5]) == (1, -5, 2)
+        curve, scale = _rescale(CURVE_37A, 6)
+        assert curve._u == 6**4
+        x, y, z = curve._lift(scale(MULTIPLES[5]))
+        assert Fraction(x, z * z) == curve._u**2 * scale(MULTIPLES[5]).x
+        assert Fraction(y, z**3) == curve._u**3 * scale(MULTIPLES[5]).y
+        _assert_lowest_terms((x, y, z))
+
+
+class TestBudgetAgainstOracle:
+    """``Undecided(bits>B)`` fires on the same inputs as the exact stage
+    in ``Fraction`` arithmetic that reads the reduced coordinates."""
+
+    @staticmethod
+    def exact(curve, points, budget):
+        with patch.object(elliptic, "EXACT_BITS_BUDGET", budget):
+            return elliptic._exact_torsion(curve, _lifted(curve, points))
+
+    def agree(self, curve, points, budget):
+        status = self.exact(curve, points, budget)
+        assert status == oracle_exact_torsion(curve, points, budget)
+        return status
+
+    @ORACLE_SETTINGS
+    @given(
+        st.sampled_from((1, 2, 6)),
+        weighted_multiples(bound=8, size=3),
+        st.booleans(),
+        st.integers(0, 200),
+    )
+    def test_budgets_fire_on_the_same_sums(self, u, drawn, close, budget):
+        curve, scale = _rescale(CURVE_37A, u)
+        points = [(scale(MULTIPLES[k]), m) for k, m in drawn]
+        if close:
+            points = _closed(curve, points)
+            assume(points is not None)
+        self.agree(curve, points, budget)
+
+    def test_a_bound_hit_only_by_a_denominator(self):
+        # 5P = (1/4, -5/8): numerators of at most 3 bits, y's denominator 4
+        five = MULTIPLES[5]
+        assert max(five.x.numerator.bit_length(), abs(five.y.numerator).bit_length()) == 3
+        assert five.y.denominator.bit_length() == 4
+        assert self.agree(CURVE_37A, [(five, 1)], 3) == TorsionStatus(False, bound=3)
+        # at 4 bits 5P passes, and 10P fails the integrality test
+        assert self.agree(CURVE_37A, [(five, 1)], 4) == TorsionStatus(False)
+
+    def test_powers_of_u_cancel_before_the_bound_is_read(self):
+        # on y^2 + y = x^3 - x rescaled by 2, u = 16, and 2P = (1/4, 0)
+        # lifts to X = 64, Z = 1: gcd(X, u^2) = 64, and x = 1/4 has 3 bits
+        curve, scale = _rescale(CURVE_37A, 2)
+        two = scale(MULTIPLES[2])
+        lifted = curve._lift(two)
+        assert curve._u == 16 and lifted == (64, 0, 1)
+        assert gcd(lifted[0], curve._u**2) == 64
+        with patch.object(elliptic, "EXACT_BITS_BUDGET", 3):
+            assert elliptic._within_budget(curve, lifted) == lifted
+        with patch.object(elliptic, "EXACT_BITS_BUDGET", 2):
+            with pytest.raises(elliptic._OverBudget):
+                elliptic._within_budget(curve, lifted)
+        for budget in range(12):
+            self.agree(curve, [(two, 1)], budget)
+            self.agree(curve, [(two, 1), (scale(MULTIPLES[-3]), 2)], budget)
+
+    def test_a_multiple_past_the_budget_is_undecided(self):
+        # y^2 + y = x^3 - x^2 (11a3, with (0, 0) of order 5) rescaled by k:
+        # (0, 0) is tiny, its multiples (k^2, 0), (k^2, -k^3), ... pass the
+        # integrality test and run past the budget
+        k = 2 ** (EXACT_BITS_BUDGET // 3 + 2)
+        curve = WeierstrassCurve(a2=-k * k, a3=k**3)
+        point = ECPoint.affine(0, 0)
+        undecided = TorsionStatus(False, bound=EXACT_BITS_BUDGET)
+        assert is_torsion(curve, point) == undecided
+        assert sum_obstruction(curve, [(point, 1)]).torsion == undecided
+        assert (
+            oracle_exact_torsion(curve, [(point, 1)], EXACT_BITS_BUDGET) == undecided
+        )
+        # with room for the multiples, the order is 5
+        assert self.agree(curve, [(point, 1)], 4 * EXACT_BITS_BUDGET) == TorsionStatus(True, 5)
+
+
+class TestRememberedLifts:
+    """The curve keeps the triple of each point it accepts, keyed by the
+    coordinates, and reads it back on a repeat."""
+
+    def test_a_repeat_returns_the_same_triple(self):
+        curve = WeierstrassCurve(a3=1, a4=-1)
+        first = curve._lift(MULTIPLES[7])
+        assert curve._lift(ECPoint.affine(Fraction(-5, 9), Fraction(8, 27))) is first
+        assert list(curve._lifts.values()) == [first]
+
+    def test_an_off_curve_point_is_never_kept(self):
+        curve = WeierstrassCurve(a3=1, a4=-1)
+        off = [ECPoint.affine(1, 1), ECPoint.affine(Fraction(1, 2), 0),
+               ECPoint.affine(Fraction(1, 4), Fraction(5, 8))]
+        for point in off:
+            assert not curve.contains(point)
+            with pytest.raises(PreconditionError):
+                add(curve, point, GEN)
+            with pytest.raises(PreconditionError):
+                sum_obstruction(curve, [(GEN, 1), (point, 1)])
+        assert set(curve._lifts.values()) == {curve._lift(GEN)}
+
+    @ORACLE_SETTINGS
+    @given(
+        st.sampled_from(range(5)),
+        st.lists(
+            st.one_of(
+                st.integers(-12, 12).filter(bool),
+                st.tuples(st.fractions(max_denominator=50), st.fractions(max_denominator=50)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_contains_agrees_cold_and_warm(self, index, drawn):
+        base = TestContainsAgainstOracle.CURVES[index]
+        curve = WeierstrassCurve(base.a1, base.a2, base.a3, base.a4, base.a6)
+        scale = _rescale(CURVE_37A, 6)[1] if index == 3 else (lambda p: p)
+        points = [
+            scale(MULTIPLES[d]) if isinstance(d, int) else ECPoint.affine(*d)
+            for d in drawn
+        ]
+        for _ in range(2):  # a cold memo, then a warm one
+            for point in points:
+                assert curve.contains(point) == oracle_contains(curve, point)
+
+    def test_the_memo_takes_no_part_in_equality(self):
+        warm, cold = WeierstrassCurve(a3=1, a4=-1), WeierstrassCurve(a3=1, a4=-1)
+        sum_obstruction(warm, [(MULTIPLES[k], 1) for k in (1, 2, 3)])
+        assert warm._lifts and not cold._lifts
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+
+    def test_each_point_is_checked_once(self, monkeypatch):
+        calls = []
+        original = WeierstrassCurve._integral_point
+
+        def counting(curve, *key):
+            calls.append(key)
+            return original(curve, *key)
+
+        monkeypatch.setattr(WeierstrassCurve, "_integral_point", counting)
+        data = json.loads((SAMPLES / "hironaka9_pencil.json").read_text())
+        data["elliptic"]["points"][0]["m"] = 2  # a second n = 9 sum
+        doc = parse_document(data)
+        curve, points = doc.elliptic.curve, doc.elliptic.points
+        assert len(calls) == 9
+        sum_obstruction(curve, points)
+        report = hironaka_build(curve, points)
+        assert is_torsion(curve, points[0][0]) == TorsionStatus(False)
+        assert report.obstruction.total == points[0][0]
+        assert len(calls) == len(set(calls)) == 9
