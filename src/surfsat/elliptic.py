@@ -136,7 +136,9 @@ class WeierstrassCurve:
                 self._lifts[key] = lifted
         return lifted
 
-    def _integral_point(self, xn: int, xd: int, yn: int, yd: int) -> Optional[Triple]:
+    def _integral_point(
+        self, xn: int, xd: int, yn: int, yd: int
+    ) -> Optional[Triple]:
         """:meth:`_lift` of (xn / xd, yn / yd) without the memo."""
         u = self._u
         if u != 1:
@@ -244,16 +246,15 @@ def _add(
         if not den:
             return None
         slope = 3 * x1 * x1 + (2 * c2 * x1 + c4 * zz) * zz - c1 * y1 * z1
-        w = den * z1
-        # w / z1 and w / z2, and x1 (w / z1)^2 + x2 (w / z2)^2
-        a = den
+        a = den  # W / Z1, which is also W / Z2
+        w = a * z1
         a2 = a * a
-        xs = 2 * x1 * a2
+        xs = 2 * x1 * a2  # X1 (W / Z1)^2 + X2 (W / Z2)^2
     else:
         z1z1, z2z2 = z1 * z1, z2 * z2
         d = x2 * z1z1 - x1 * z2z2
         slope = y2 * z1z1 * z1 - y1 * z2z2 * z2
-        a, b = z2 * d, z1 * d
+        a, b = z2 * d, z1 * d  # W / Z1 and W / Z2
         w = z1 * a
         a2 = a * a
         xs = x1 * a2 + x2 * b * b
@@ -294,7 +295,9 @@ class _OverBudget(Exception):
     """The exact stage formed a point past ``EXACT_BITS_BUDGET``."""
 
 
-def _within_budget(curve: WeierstrassCurve, point: Optional[Triple]) -> Optional[Triple]:
+def _within_budget(
+    curve: WeierstrassCurve, point: Optional[Triple]
+) -> Optional[Triple]:
     """``point``, unless a numerator or denominator of its coordinates on
     the given model, X / u^2 Z^2 and Y / u^3 Z^3, is past the budget."""
     if point is None:
@@ -302,7 +305,8 @@ def _within_budget(curve: WeierstrassCurve, point: Optional[Triple]) -> Optional
     x, y, z = point
     u = curve._u
     # the coordinates before cancelling: no longer than the cancelled ones
-    if max(x.bit_length(), y.bit_length(), 3 * (u * z).bit_length()) <= EXACT_BITS_BUDGET:
+    bits = max(x.bit_length(), y.bit_length(), 3 * (u * z).bit_length())
+    if bits <= EXACT_BITS_BUDGET:
         return point
     # gcd(X, Z) = gcd(Y, Z) = 1, so only gcd(X, u^2) and gcd(Y, u^3) cancel
     gx, gy = gcd(x, u * u), gcd(y, u ** 3)

@@ -982,6 +982,15 @@ class TestIntegerLawAgainstOracle:
                 assert lifted[2] in (1, 2)
             assert elliptic._add(curve, curve._lift(point), None) == curve._lift(point)
 
+    def test_nagell_lutz_lets_z_two_through(self):
+        # on the integral y^2 + xy = x^3 + 4x^2 + x, (-1/4, 1/8) has Z = 2
+        # and order 2: 4x and 8y are integers
+        curve = WeierstrassCurve(a1=1, a2=4, a4=1)
+        point = ECPoint.affine(Fraction(-1, 4), Fraction(1, 8))
+        assert curve._lift(point) == (-1, 1, 2)
+        assert is_torsion(curve, point) == oracle_is_torsion(curve, point)
+        assert is_torsion(curve, point) == TorsionStatus(True, 2)
+
     def test_two_torsion_doubles_to_the_identity(self):
         for curve in (WeierstrassCurve(a4=-1), CURVE_CONGRUENT):
             for x in (-5, -1, 0, 1, 5):
@@ -993,7 +1002,8 @@ class TestIntegerLawAgainstOracle:
         # with a1, a3 nonzero: 2 (0, 0) on a 4-torsion Tate curve is
         # 2-torsion, and 2 of it is O
         curve = _tate(1, 0)
-        two = elliptic._add(curve, curve._lift(ECPoint.affine(0, 0)), curve._lift(ECPoint.affine(0, 0)))
+        four = curve._lift(ECPoint.affine(0, 0))
+        two = elliptic._add(curve, four, four)
         assert two is not None and elliptic._add(curve, two, two) is None
 
     def test_lift_scales_to_the_integral_model(self):
@@ -1040,11 +1050,16 @@ class TestBudgetAgainstOracle:
     def test_a_bound_hit_only_by_a_denominator(self):
         # 5P = (1/4, -5/8): numerators of at most 3 bits, y's denominator 4
         five = MULTIPLES[5]
-        assert max(five.x.numerator.bit_length(), abs(five.y.numerator).bit_length()) == 3
+        assert max(five.x.numerator.bit_length(), five.y.numerator.bit_length()) == 3
         assert five.y.denominator.bit_length() == 4
         assert self.agree(CURVE_37A, [(five, 1)], 3) == TorsionStatus(False, bound=3)
         # at 4 bits 5P passes, and 10P fails the integrality test
         assert self.agree(CURVE_37A, [(five, 1)], 4) == TorsionStatus(False)
+        # 7P = (-5/9, 8/27): Z = 3, whose cube has 5 bits, and nothing else
+        # has more than 4
+        seven = MULTIPLES[7]
+        assert self.agree(CURVE_37A, [(seven, 1)], 4) == TorsionStatus(False, bound=4)
+        assert self.agree(CURVE_37A, [(seven, 1)], 5) == TorsionStatus(False)
 
     def test_powers_of_u_cancel_before_the_bound_is_read(self):
         # on y^2 + y = x^3 - x rescaled by 2, u = 16, and 2P = (1/4, 0)
@@ -1077,7 +1092,8 @@ class TestBudgetAgainstOracle:
             oracle_exact_torsion(curve, [(point, 1)], EXACT_BITS_BUDGET) == undecided
         )
         # with room for the multiples, the order is 5
-        assert self.agree(curve, [(point, 1)], 4 * EXACT_BITS_BUDGET) == TorsionStatus(True, 5)
+        roomy = self.agree(curve, [(point, 1)], 4 * EXACT_BITS_BUDGET)
+        assert roomy == TorsionStatus(True, 5)
 
 
 class TestRememberedLifts:
@@ -1108,7 +1124,9 @@ class TestRememberedLifts:
         st.lists(
             st.one_of(
                 st.integers(-12, 12).filter(bool),
-                st.tuples(st.fractions(max_denominator=50), st.fractions(max_denominator=50)),
+                st.tuples(
+                    st.fractions(max_denominator=50), st.fractions(max_denominator=50)
+                ),
             ),
             min_size=1,
             max_size=6,
