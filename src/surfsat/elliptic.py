@@ -140,13 +140,12 @@ class WeierstrassCurve:
         self, xn: int, xd: int, yn: int, yd: int
     ) -> Optional[Triple]:
         """:meth:`_lift` of (xn / xd, yn / yd) without the memo."""
+        # u^2 x and u^3 y in lowest terms: only u's powers can cancel
         u = self._u
-        if u != 1:
-            # u^2 x and u^3 y in lowest terms: only u's powers can cancel
-            g = gcd(xd, u * u)
-            xn, xd = xn * (u * u // g), xd // g
-            g = gcd(yd, u ** 3)
-            yn, yd = yn * (u ** 3 // g), yd // g
+        g = gcd(xd, u * u)
+        xn, xd = xn * (u * u // g), xd // g
+        g = gcd(yd, u ** 3)
+        yn, yd = yn * (u ** 3 // g), yd // g
         z = isqrt(xd)
         if z * z != xd or z * xd != yd:
             return None  # not the denominators of a point on the model
