@@ -6,7 +6,7 @@ a4 x + a6 so that small rank-one curves such as y^2 + y = x^3 - x can be used
 directly.  With u the lcm of the coefficient denominators, (x, y) ->
 (u^2 x, u^3 y) maps the curve to an integral model with coefficients
 a_i u^i.  On an integral model a rational point has coordinates X / Z^2,
-Y / Z^3 in lowest terms with one Z >= 1 (Silverman, AEC VII.2), so each
+Y / Z^3 in lowest terms with one Z >= 1 (Silverman, AEC VII), so each
 affine point lifts to an integer triple (X, Y, Z) with gcd(X, Z) =
 gcd(Y, Z) = 1.  The lift is the on-curve check, and the curve keeps the
 triple of every point it accepts.  The group law runs on triples in
