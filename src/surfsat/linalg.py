@@ -15,9 +15,10 @@ entry as an integer minor of A over the minor of the pivots taken so far
 (Sylvester's identity, as in Bareiss's fraction-free elimination), so no
 update pays a gcd.  Its inertia, kernel vector, solves and inverse
 diagonal answer every definiteness question, and they form a ``Fraction``
-only for an output entry.  The dense ``rows`` view is built only when
-asked for (by ``repr``, by the Gauss-Jordan ``solve`` and
-``kernel_basis``, which no verdict uses, and by callers).
+only for an output entry.  ``solve`` and ``kernel_basis``, which no
+verdict uses, read the factor of M^2, which is semidefinite with M's
+kernel.  The dense ``rows`` view is built only when asked for (by
+``repr``, by M^2 and by callers).
 """
 
 from __future__ import annotations
@@ -246,71 +247,57 @@ class SymmetricMatrix:
 
     # -- elimination-based queries -------------------------------------
 
-    def _rref(self, rhs: Optional[Sequence[Fraction]] = None):
-        """Reduced row echelon form of [M | rhs]; returns (rows, pivots)."""
-        n = self.n
-        rows = [list(row) for row in self.rows]
-        if rhs is not None:
-            for i in range(n):
-                rows[i].append(rhs[i])
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for c in range(n):
-            pr = next((i for i in range(r, n) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append((r, c))
-            r += 1
-        return rows, pivots
+    def _square_factor(self) -> tuple["SymmetricMatrix", list[int], "LDL"]:
+        """G = M^2, the positions P of the nonzero pivots of its :meth:`ldl`,
+        and the factor of G on P.  G is semidefinite with M's kernel, and
+        in a semidefinite Schur complement a zero diagonal entry has a zero
+        row, so G's elimination is in order.  Its zero pivots are the free
+        columns of M's reduced row echelon form (those that depend on the
+        columns before them), and G is positive definite on P."""
+        square = SymmetricMatrix([self.apply(row) for row in self.rows])
+        kept = [p for p, top in enumerate(square.ldl().pivots) if top]
+        return square, kept, square.ldl(kept)
 
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Basis of the null space, by Gauss-Jordan elimination.
+        """Basis of the null space, read off the factor of M^2: for each
+        free column f, the kernel vector that is 1 at f and 0 at the other
+        free columns, as the reduced row echelon form gives it.
 
         Each basis vector is primitive integral with positive leading entry,
-        ordered by the free column it parametrises; the result is empty
-        exactly when the matrix is nonsingular.
+        ordered by its free column; the result is empty exactly when the
+        matrix is nonsingular.
         """
-        rows, pivots = self._rref()
-        pivot_cols = {c for _, c in pivots}
+        square, kept, factor = self._square_factor()
         basis = []
-        for f in range(self.n):
-            if f in pivot_cols:
-                continue
-            v = [Fraction(0)] * self.n
-            v[f] = Fraction(1)
-            for pr, pc in pivots:
-                v[pc] = -rows[pr][f]
-            basis.append(_primitive_integral(v))
+        for f, top in enumerate(square.ldl().pivots):
+            if not top:
+                v = [_ZERO] * self.n
+                v[f] = Fraction(1)
+                rhs = [-square.entry(p, f) for p in kept]
+                for p, x in zip(kept, factor.solve(rhs)):
+                    v[p] = x
+                basis.append(_primitive_integral(v))
         return tuple(basis)
 
     def solve(self, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-        """Solve Mx = b exactly, by Gauss-Jordan elimination.
+        """Solve Mx = b exactly, reading the factor of M^2.
 
         Returns ``None`` when ``b`` is outside the column space.  When the
         system is underdetermined, returns the unique solution orthogonal to
         the kernel (the minimum-norm one), so the output is deterministic.
         As M is symmetric, that is the solution in the column space: M y
         for any y with M^2 y = b, which exists exactly when Mx = b is
-        solvable.
+        solvable.  The y taken is 0 at M's free columns.
         """
         if len(b) != self.n:
             raise InputError(f"rhs has length {len(b)}, expected {self.n}")
-        square = SymmetricMatrix([self.apply(row) for row in self.rows])
-        rows, pivots = square._rref([as_rational(x) for x in b])
-        for i in range(len(pivots), self.n):
-            if rows[i][self.n] != 0:
-                return None
-        y = [Fraction(0)] * self.n
-        for pr, pc in pivots:
-            y[pc] = rows[pr][self.n]
-        return self.apply(y)
+        rhs = tuple([as_rational(x) for x in b])
+        _, kept, factor = self._square_factor()
+        y = [_ZERO] * self.n
+        for p, x in zip(kept, factor.solve([rhs[p] for p in kept])):
+            y[p] = x
+        x = self.apply(y)
+        return x if self.apply(x) == rhs else None
 
     def ldl(self, indices: Optional[Sequence[int]] = None) -> "LDL":
         """The elimination of the principal block on ``indices`` (default:

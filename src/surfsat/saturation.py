@@ -280,9 +280,12 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     """
     inner = _inner_nodes(surface)
     gram = surface.ambient.gram
+    meets = surface.ambient.neighbours
     loose = []  # the components that are not negative definite
     for comp in surface.ambient.connected_components(inner):
-        factor = gram.ldl(sorted(comp))
+        # the curves meeting the most go last: a hub taken first fills in
+        # the whole block, and the inertia does not depend on the order
+        factor = gram.ldl(sorted(comp, key=lambda i: (len(meets(i)), i)))
         if factor.inertia[1] < len(comp):
             loose.append((comp, factor))
     if not loose:
@@ -300,7 +303,7 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
         else:  # a leading minor vanished, so the record stops short
             def keeps(i):
                 # each block is asked for once, so the memo is passed by
-                rest = sorted(comp - {i})
+                rest = [j for j in factor.order if j != i]
                 return gram._eliminate(rest).inertia[1] == len(rest)
         drop = next((i for i in inner if i not in comp or not keeps(i)), None)
         if drop is None:

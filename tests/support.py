@@ -7,7 +7,8 @@ characteristic-polynomial sign-variation method as the general fallback),
 connectivity from a fresh union-find, and torsion from plain repeated
 addition.  Dense-row oracles read adjacency, disjointness, principal
 blocks and the second-fibre witness off the dense Gram view, which the
-package's sparse storage only builds on request.  The Zariski oracle is
+package's sparse storage only builds on request; the claims oracle tries
+every triple of claims with the dense disjointness test.  The Zariski oracle is
 the exhaustive sub-support enumeration the package replaced by the kernel
 certificate.  The fibre-type oracles are the dense inertia and
 Gauss-Jordan kernel and, after it, the L D L^T of all but the last node
@@ -20,7 +21,8 @@ over Q.  The contraction oracle is
 the per-pullback Gauss-Jordan solve the package replaced by one L D L^T
 factorisation per component.  ``dense_inertia``, ``oracle_solve`` and
 ``oracle_kernel_basis`` are the package's former eliminations on the
-dense rows, and the saturation oracle is the per-reader negative
+dense rows, ``oracle_square_solve`` is its former ``solve`` (Gauss-Jordan
+on [M^2 | b], then M y), and the saturation oracle is the per-reader negative
 definiteness loop the package replaced by one classification per
 boundary component.  The affinisation-after-plan oracle carries out the
 whole saturation plan, contracting through the checked public
@@ -420,6 +422,20 @@ def oracle_solve(matrix: SymmetricMatrix, b):
     return tuple(x)
 
 
+def oracle_square_solve(matrix: SymmetricMatrix, b):
+    """The package's former ``solve``: Gauss-Jordan on [M^2 | b], y 0 on
+    the free columns, and M y; ``None`` when the system is unsolvable."""
+    n = matrix.n
+    square = SymmetricMatrix([matrix.apply(row) for row in matrix.rows])
+    rows, pivots = _gauss_jordan(square, [Fraction(x) for x in b])
+    if any(rows[i][n] != 0 for i in range(len(pivots), n)):
+        return None
+    y = [Fraction(0)] * n
+    for pr, pc in pivots:
+        y[pc] = rows[pr][n]
+    return matrix.apply(y)
+
+
 def is_negative_semidefinite(matrix: SymmetricMatrix) -> bool:
     """No positive eigenvalue, by the dense elimination."""
     return dense_inertia(matrix)[0] == 0
@@ -464,6 +480,23 @@ def dense_disjoint(config: Configuration, a, b) -> bool:
     if set(a) & set(b):
         return False
     return all(rows[i][j] <= 0 for i in a for j in b)
+
+
+def oracle_disjoint_triple(claims, config: Configuration):
+    """The package's former claims check: the first pairwise disjoint
+    triple of ``itertools.combinations`` over the distinct claims, sorted
+    by subject, tested on the dense Gram; ``None`` when there is none."""
+    unique = {}
+    for claim in claims:
+        unique.setdefault(claim.subject, claim)
+    distinct = sorted(unique.values(), key=lambda c: sorted(c.subject))
+    for triple in itertools.combinations(distinct, 3):
+        if all(
+            dense_disjoint(config, a.subject, b.subject)
+            for a, b in itertools.combinations(triple, 2)
+        ):
+            return triple
+    return None
 
 
 def dense_restrict(matrix: SymmetricMatrix, indices):
@@ -1284,6 +1317,32 @@ def oracle_render_human(report: dict) -> str:
 
 
 # -- fibre shapes ----------------------------------------------------------
+
+
+def windmill_claims_document(claims: int, hubs: int) -> dict:
+    """A document with a genus-1 0-curve as boundary and ``claims``
+    false-fibre claims on (-2)-triangles, claim k on the triangle of curves
+    A_k and B_k through the hub curve H_(k mod hubs).  Claims through one
+    hub meet, so there is a pairwise disjoint triple iff hubs >= 3."""
+    curves = [{"name": "D", "genus": 1, "self": 0}]
+    curves += [{"name": f"H{h}", "self": -2} for h in range(hubs)]
+    meets = []
+    for k in range(claims):
+        a = len(curves)
+        curves += [{"name": f"A{k}", "self": -2}, {"name": f"B{k}", "self": -2}]
+        meets += [[1 + k % hubs, a, 1], [1 + k % hubs, a + 1, 1], [a, a + 1, 1]]
+    return {
+        "curves": curves,
+        "intersections": meets,
+        "boundary": ["D"],
+        "false_fibre_claims": [
+            {
+                "subject": [f"H{k % hubs}", f"A{k}", f"B{k}"],
+                "certificate": "user-asserted",
+            }
+            for k in range(claims)
+        ],
+    }
 
 
 def cycle(k):

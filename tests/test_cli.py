@@ -20,6 +20,8 @@ from surfsat.schema import (
     rational_to_json,
 )
 
+from support import windmill_claims_document
+
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
@@ -638,6 +640,21 @@ class TestIntersectionListing:
         elapsed = time.perf_counter() - start
         assert len(listed) == 2 * n - 1
         assert elapsed < 0.1, f"document_to_json took {elapsed:.2f}s"
+
+
+class TestClaimsBudget:
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_400_claims_through_two_hubs(self, command, tmp_path, capsys):
+        # no three of the claims are pairwise disjoint; trying every triple
+        # took 24 s, and eliminating a hub first filled in its component
+        doc = tmp_path / "claims.json"
+        doc.write_text(json.dumps(windmill_claims_document(400, 2)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, command, doc)
+        elapsed = time.perf_counter() - start
+        verdict = {"validate": "consistent", "analyze": "one"}[command]
+        assert (code, out.splitlines()[1]) == (0, f"verdict: {verdict}")
+        assert elapsed < 1.0, f"{command} took {elapsed:.2f}s"
 
 
 class TestHyperbolicStepBudget:

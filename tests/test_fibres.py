@@ -27,6 +27,7 @@ from surfsat import (
     validate_zariski,
 )
 from surfsat.linalg import LDL
+from surfsat.schema import parse_document
 
 from support import (
     cycle,
@@ -35,9 +36,11 @@ from support import (
     extended_dynkin,
     oracle_classify_connected,
     oracle_classify_fibre_type,
+    oracle_disjoint_triple,
     oracle_validate_zariski,
     random_configuration,
     tree,
+    windmill_claims_document,
 )
 
 
@@ -326,6 +329,72 @@ class TestClaims:
             FalseFibreClaim(frozenset({1}), UserAsserted()),
         ]
         assert validate_false_fibre_claims(claims, config).ok
+
+
+def claims_setup(rng):
+    """Fibre-type subjects with random meetings between them: 0-curves,
+    cycles of (-2)-curves and (-2)-triangles sharing a hub curve of an
+    earlier subject, each claimed once or twice, in a shuffled order."""
+    curves, meets, subjects = [], {}, []
+
+    def curve(self_int):
+        curves.append((f"C{len(curves)}", self_int))
+        return len(curves) - 1
+
+    for _ in range(rng.randint(3, 12)):
+        kind = rng.choice(("zero", "cycle", "triangle"))
+        hubs = [s[0] for s in subjects if len(s) > 1]
+        if kind == "zero":
+            subjects.append([curve(0)])
+            continue
+        if kind == "triangle" and hubs:
+            ids = [rng.choice(hubs), curve(-2), curve(-2)]
+        else:
+            ids = [curve(-2) for _ in range(rng.randint(3, 5))]
+        for a, b in zip(ids, ids[1:] + ids[:1]):
+            meets[min(a, b), max(a, b)] = 1
+        subjects.append(ids)
+    for _ in range(rng.randint(0, 3 * len(subjects))):
+        s, t = rng.sample(subjects, 2)
+        a, b = rng.choice(s), rng.choice(t)
+        # a new meeting inside a subject would end its fibre type
+        if not any({a, b} <= set(u) for u in subjects):
+            meets[min(a, b), max(a, b)] = rng.randint(1, 2)
+    config = Configuration.build(
+        curves, [(a, b, x) for (a, b), x in meets.items()]
+    )
+    claims = [
+        FalseFibreClaim(frozenset(ids), UserAsserted())
+        for ids in subjects
+        for _ in range(rng.choice((1, 1, 2)))
+    ]
+    rng.shuffle(claims)
+    return config, claims
+
+
+class TestClaimsAgainstOracle:
+    """The claims check against the enumeration of every triple it
+    replaced, kept as an oracle."""
+
+    def test_first_disjoint_triple(self):
+        rng = random.Random(163)
+        found = 0
+        for _ in range(300):
+            config, claims = claims_setup(rng)
+            report = validate_false_fibre_claims(claims, config)
+            expected = oracle_disjoint_triple(claims, config)
+            assert report.disjoint_triple == expected
+            assert report.ok == (expected is None)
+            found += expected is not None
+        assert 50 < found < 250
+
+    @pytest.mark.parametrize("hubs", [1, 2, 3, 4])
+    def test_triangles_through_hubs(self, hubs):
+        surface = parse_document(windmill_claims_document(40, hubs)).surface
+        claims, config = surface.false_fibre_claims, surface.ambient
+        report = validate_false_fibre_claims(claims, config)
+        assert report.disjoint_triple == oracle_disjoint_triple(claims, config)
+        assert report.ok == (hubs < 3)
 
 
 class TestNormalBundleCertificate:

@@ -25,6 +25,7 @@ from support import (
     oracle_null_vector,
     oracle_negative_semidefinite,
     oracle_solve,
+    oracle_square_solve,
     random_negative_definite_configuration,
     random_symmetric_int,
     random_symmetric_rational,
@@ -228,6 +229,43 @@ class TestOracleAgreement:
         assert solved > 50  # the sweep actually exercised the solver
 
 
+def curve_gram(rng) -> SymmetricMatrix:
+    """The Gram of 8-16 curves on a chain, a cycle, a D-tilde or a star,
+    with self-intersections drawn from -2, 0, +1 and a rational (or all
+    -2, which makes the cycles and D-tildes singular), an occasional
+    rational meeting, some curves cut loose to zero rows, then [[0,1],[1,0]]
+    blocks on the last curves and the order shuffled."""
+    n = rng.randint(8, 16)
+    shape = rng.choice(("chain", "cycle", "d-tilde", "star"))
+    if shape == "star":
+        edges = [(0, i) for i in range(1, n)]
+    elif shape == "d-tilde":  # a chain 2..n-3 with two leaves at each end
+        edges = [(i, i + 1) for i in range(2, n - 3)]
+        edges += [(0, 2), (1, 2), (n - 3, n - 2), (n - 3, n - 1)]
+    else:
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [(n - 1, 0)] if shape == "cycle" else []
+    if rng.random() < 0.4:
+        diag = [-2] * n
+    else:
+        diag = [rng.choice((-2, -2, 0, 1, Fraction(-5, 3))) for _ in range(n)]
+    value = {e: rng.choice((1, 1, 1, Fraction(1, 2))) for e in edges}
+    loose = rng.sample(range(n), rng.choice((0, 0, 1, 2)))
+    hyperbolic = rng.choice((0, 0, 1, 2))
+    pairs = [(n - 2 * k - 2, n - 2 * k - 1) for k in range(hyperbolic)]
+    for i in [*loose, *[i for pair in pairs for i in pair]]:
+        diag[i] = 0
+        value = {e: x for e, x in value.items() if i not in e}
+    value.update((pair, 1) for pair in pairs)
+    order = list(range(n))
+    rng.shuffle(order)  # curve order[k] becomes curve k
+    where = {old: new for new, old in enumerate(order)}
+    return SymmetricMatrix.from_entries(
+        [diag[old] for old in order],
+        [(where[i], where[j], x) for (i, j), x in value.items()],
+    )
+
+
 class TestGaussJordanAgainstOracle:
     """solve (the column-space solution, via M^2) and kernel_basis against
     the former Gauss-Jordan code, kept as oracles."""
@@ -251,6 +289,9 @@ class TestGaussJordanAgainstOracle:
                     for i in range(n)
                 ]
             )
+        yield SymmetricMatrix([])
+        for _ in range(60):
+            yield curve_gram(rng)
 
     def test_kernel_basis(self):
         rng = random.Random(31)
@@ -269,6 +310,8 @@ class TestGaussJordanAgainstOracle:
             for b in (m.apply(z), [rng.randint(-2, 2) for _ in range(m.n)]):
                 x = m.solve(b)
                 assert x == oracle_solve(m, b)
+                assert x == oracle_square_solve(m, b)
+                assert x is None or all(type(v) is Fraction for v in x)
                 if x is None:
                     refused += 1
                 elif m.kernel_basis():
