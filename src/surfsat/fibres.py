@@ -78,7 +78,7 @@ def classify_fibre_type(
     positive eigenvalue means not negative semidefinite, no zero one means
     negative definite, and otherwise the subject is of fibre type.
     """
-    nodes = sorted(set(subject))
+    nodes = frozenset(subject)
     if not nodes:
         raise PreconditionError("subject must be a nonempty set of curves")
     improper = [i for i in nodes if not config.nodes[i].proper]
@@ -88,15 +88,14 @@ def classify_fibre_type(
             "defined for proper curves only"
         )
     if not config.is_connected(nodes):
-        return FibreTypeReport(frozenset(nodes), FibreVerdict.DISCONNECTED)
+        return FibreTypeReport(nodes, FibreVerdict.DISCONNECTED)
     return _classify_connected(config, nodes)
 
 
-def _classify_connected(config: Configuration, nodes: list[int]) -> FibreTypeReport:
-    """:func:`classify_fibre_type` on a sorted, nonempty, connected list of
-    proper curves, such as a boundary component."""
-    subject = frozenset(nodes)
-    factor = config.gram.ldl(nodes)
+def _classify_connected(config: Configuration, subject: frozenset) -> FibreTypeReport:
+    """:func:`classify_fibre_type` on a nonempty, connected set of proper
+    curves, such as a boundary component."""
+    factor = config.gram.ldl(subject)
     plus, _, zero = factor.inertia
     if plus:
         return FibreTypeReport(subject, FibreVerdict.NOT_SEMIDEFINITE, positive=plus)
@@ -106,7 +105,7 @@ def _classify_connected(config: Configuration, nodes: list[int]) -> FibreTypeRep
     # off-diagonal entries are >= 0) the kernel is a line spanned by a
     # positive vector, and every proper sub-support is negative definite
     # (Zariski's lemma, see validate_zariski): only the last pivot is zero.
-    kernel = Divisor(dict(zip(nodes, factor.null_vector())))
+    kernel = Divisor(dict(zip(factor.order, factor.null_vector())))
     return FibreTypeReport(subject, FibreVerdict.FIBRE_TYPE, kernel, positive=0)
 
 
@@ -251,8 +250,7 @@ def check_disjoint_pair(
             "check_disjoint_pair needs the complete-surface assertion: the "
             "conclusion uses the global signature of a proper surface"
         )
-    s1 = sorted(set(d1))
-    s2 = sorted(set(d2))
+    s1, s2 = frozenset(d1), frozenset(d2)
     r1 = classify_fibre_type(config, s1)
     if r1.verdict is not FibreVerdict.FIBRE_TYPE:
         raise PreconditionError(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -248,15 +248,16 @@ class SymmetricMatrix:
     # -- elimination-based queries -------------------------------------
 
     def _square_factor(self) -> tuple["SymmetricMatrix", list[int], "LDL"]:
-        """G = M^2, the positions P of the nonzero pivots of its :meth:`ldl`,
-        and the factor of G on P.  G is semidefinite with M's kernel, and
-        in a semidefinite Schur complement a zero diagonal entry has a zero
-        row, so G's elimination is in order.  Its zero pivots are the free
-        columns of M's reduced row echelon form (those that depend on the
-        columns before them), and G is positive definite on P."""
+        """G = M^2, the positions P of the nonzero pivots of its elimination
+        in index order, and the factor of G on P.  G is semidefinite with
+        M's kernel, and in a semidefinite Schur complement a zero diagonal
+        entry has a zero row, so G's elimination is in order.  Its zero
+        pivots are the free columns of M's reduced row echelon form (those
+        that depend on the columns before them), and G is positive definite on P."""
         square = SymmetricMatrix([self.apply(row) for row in self.rows])
-        kept = [p for p, top in enumerate(square.ldl().pivots) if top]
-        return square, kept, square.ldl(kept)
+        pivots = square._eliminate(range(self.n)).pivots
+        kept = [p for p, top in enumerate(pivots) if top]
+        return square, kept, square._eliminate(kept)
 
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
         """Basis of the null space, read off the factor of M^2: for each
@@ -269,14 +270,12 @@ class SymmetricMatrix:
         """
         square, kept, factor = self._square_factor()
         basis = []
-        for f, top in enumerate(square.ldl().pivots):
-            if not top:
-                v = [_ZERO] * self.n
-                v[f] = Fraction(1)
-                rhs = [-square.entry(p, f) for p in kept]
-                for p, x in zip(kept, factor.solve(rhs)):
-                    v[p] = x
-                basis.append(_primitive_integral(v))
+        for f in sorted(set(range(self.n)).difference(kept)):
+            v = [_ZERO] * self.n
+            v[f] = Fraction(1)
+            for p, x in zip(kept, factor.solve([-square.entry(q, f) for q in kept])):
+                v[p] = x
+            basis.append(_primitive_integral(v))
         return tuple(basis)
 
     def solve(self, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -299,21 +298,30 @@ class SymmetricMatrix:
         x = self.apply(y)
         return x if self.apply(x) == rhs else None
 
-    def ldl(self, indices: Optional[Sequence[int]] = None) -> "LDL":
-        """The elimination of the principal block on ``indices`` (default:
-        all, in order).  The matrix is immutable, so it keeps the factor of
-        every block it eliminates, keyed by the index tuple: a block asked
-        for again is read back, not eliminated again."""
-        key = tuple(range(len(self._diag)) if indices is None else indices)
+    def ldl(self, indices: Optional[Collection[int]] = None) -> "LDL":
+        """The elimination of the principal block on the distinct
+        ``indices`` (default: all) in one order, ``LDL.order``: those meeting
+        the fewest others in the block first, ties by index, so a hub goes
+        last and fills nothing in.  The matrix is immutable, so it keeps
+        each factor, keyed by the block's set: any order reads it back."""
+        block = range(len(self._diag)) if indices is None else indices
+        key = frozenset(block)
+        if len(key) < len(block):
+            raise InputError("indices must be distinct")
         factor = self._factors.get(key)
         if factor is None:
-            factor = self._factors[key] = self._eliminate(key)
+            # two curves meet equally often; _eliminate refuses a bad index
+            order = sorted(key)
+            if len(order) > 2 and 0 <= order[0] and order[-1] < len(self._diag):
+                order.sort(key=lambda i: len(key.intersection(self._off[i])))
+            factor = self._factors[key] = self._eliminate(order)
         return factor
 
     def _eliminate(self, idx: Sequence[int]) -> "LDL":
-        """:meth:`ldl` of the block on ``idx`` without the memo, in
-        integers, updating only nonzero entries, so a chain has no fill.  A
-        one-curve block [d] is its own pivot, read off with no set-up.
+        """The elimination of the block on ``idx`` in the given order,
+        without the memo of :meth:`ldl`, in integers, updating only nonzero
+        entries.  A one-curve block [d] is its own pivot, read off with no
+        set-up.
 
         With s_p the lcm of the denominators in row p of the block M, and g
         the content of S M S (1 when every s_p is), A = S M S / g is an
@@ -427,7 +435,7 @@ class SymmetricMatrix:
         )
 
     def negative_definite_ldl(
-        self, indices: Optional[Sequence[int]] = None
+        self, indices: Optional[Collection[int]] = None
     ) -> Optional["LDL"]:
         """The :meth:`ldl` factor of the principal block on ``indices``, or
         ``None`` when the block is not negative definite."""
@@ -518,15 +526,15 @@ def _put(off, i: int, j: int, value: int, minor: int) -> None:
 class LDL:
     """The elimination of a principal block, from :meth:`SymmetricMatrix.ldl`.
 
-    ``order`` lists the block's indices; right-hand sides and solutions are
-    indexed by position in it.  ``inertia`` counts the block's (positive,
-    negative, zero) eigenvalues.  The rest is an integer record of the steps
-    taken in order, which is the whole block M when every step was an
-    in-order pivot or a zero row.  A = S M S / g is the integer block
-    eliminated, with S the diagonal of ``scales`` and g the ``content``;
-    with K the positions eliminated before p, ``minors[p]`` is det A[K],
-    ``pivots[p]`` is det A[K+p] (0 for a zero row) and ``columns[p]`` holds
-    the nonzero (q, det A[K+q, K+p]) below it.
+    ``order`` lists the block's indices in the order eliminated; right-hand
+    sides and solutions are indexed by position in it.  ``inertia`` counts
+    the block's (positive, negative, zero) eigenvalues.  The rest is an
+    integer record of the steps taken in order, which is the whole block M
+    when every step was an in-order pivot or a zero row.  A = S M S / g is
+    the integer block eliminated, with S the diagonal of ``scales`` and g
+    the ``content``; with K the positions eliminated before p, ``minors[p]``
+    is det A[K], ``pivots[p]`` is det A[K+p] (0 for a zero row) and
+    ``columns[p]`` holds the nonzero (q, det A[K+q, K+p]) below it.
     """
 
     order: tuple[int, ...]

@@ -36,16 +36,13 @@ class ContractionContext:
         components = self.ambient.connected_components(exceptional)
         # E is block diagonal over its components, so it is negative
         # definite iff every component's factorisation succeeds
-        blocks = tuple([tuple(sorted(c)) for c in components])
-        gram = self.ambient.gram
-        if any(gram.negative_definite_ldl(block) is None for block in blocks):
+        if any(self.ambient.gram.negative_definite_ldl(c) is None for c in components):
             raise PreconditionError(
                 "exceptional set "
                 f"{self.ambient.names(exceptional)} is not negative definite; "
                 "only negative definite curve sets are contractible"
             )
         object.__setattr__(self, "_components", components)
-        object.__setattr__(self, "_blocks", blocks)
 
     def components(self) -> tuple[frozenset[int], ...]:
         return self._components
@@ -70,8 +67,8 @@ def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
             raise PreconditionError(f"divisor references unknown node {i}")
     gram = ctx.ambient.gram
     total = dict(coeffs)
-    for block in ctx._blocks:
-        factor = gram.ldl(block)  # read back from the Gram's memo
+    for comp in ctx._components:
+        factor = gram.ldl(comp)  # read back from the Gram's memo
         position = {node: p for p, node in enumerate(factor.order)}
         rhs = [0] * len(position)
         for i, c in coeffs.items():
@@ -140,7 +137,7 @@ def contract(
             raise PreconditionError(
                 f"part {config.names(part)} is not connected"
             )
-        factor = config.gram.negative_definite_ldl(sorted(part))
+        factor = config.gram.negative_definite_ldl(part)
         if factor is None:
             raise PreconditionError(
                 f"part {config.names(part)} is not negative definite, hence "

@@ -78,7 +78,7 @@ class CompactifiedSurface:
         """One classification per boundary component, in
         ``connected_components`` order: the record every verdict reads."""
         return tuple(
-            _classify_connected(self.ambient, sorted(comp))
+            _classify_connected(self.ambient, comp)
             for comp in self.ambient.connected_components(self.boundary)
         )
 
@@ -269,23 +269,20 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     The inner Gram is block diagonal over its connected components, so
     dropping i leaves a block that is not negative definite iff another
     component is not negative definite, or i's own component C is not
-    semidefinite and C - {i} is not negative definite.  One elimination per
-    component decides it: dropping a curve of a negative definite or
-    fibre-type C leaves it negative definite (Zariski's lemma), and when C
-    has two or more eigenvalues >= 0, dropping any curve leaves one (Cauchy
-    interlacing).  Otherwise C has inertia (1, m-1, 0), and C - {i} has at
-    most one eigenvalue >= 0; it is negative definite iff det M_-i = det M
-    (M^-1)_ii has the sign of det M, that is iff (M^-1)_ii > 0, which C's
-    factor gives for every i when it is complete.
+    semidefinite and C - {i} is not negative definite.  The Gram's one
+    factor of each component decides it: dropping a curve of a negative
+    definite or fibre-type C leaves it negative definite (Zariski's lemma),
+    and when C has two or more eigenvalues >= 0, dropping any curve leaves
+    one (Cauchy interlacing).  Otherwise C has inertia (1, m-1, 0), and
+    C - {i} has at most one eigenvalue >= 0; it is negative definite iff
+    det M_-i = det M (M^-1)_ii has the sign of det M, that is iff
+    (M^-1)_ii > 0, which C's factor gives for every i when it is complete.
     """
     inner = _inner_nodes(surface)
     gram = surface.ambient.gram
-    meets = surface.ambient.neighbours
     loose = []  # the components that are not negative definite
     for comp in surface.ambient.connected_components(inner):
-        # the curves meeting the most go last: a hub taken first fills in
-        # the whole block, and the inertia does not depend on the order
-        factor = gram.ldl(sorted(comp, key=lambda i: (len(meets(i)), i)))
+        factor = gram.ldl(comp)
         if factor.inertia[1] < len(comp):
             loose.append((comp, factor))
     if not loose:

@@ -657,6 +657,27 @@ class TestClaimsBudget:
         assert elapsed < 1.0, f"{command} took {elapsed:.2f}s"
 
 
+class TestHubFirstStarBudget:
+    def test_analyze_on_a_star_of_2000_arms(self, tmp_path, capsys):
+        # a hub of self-intersection -(n + 1) listed first, then n (-2)-arms,
+        # all in the boundary; eliminating the hub first filled in every
+        # pair of arms: 10 s at n = 400
+        n = 2000
+        doc = tmp_path / "star.json"
+        doc.write_text(json.dumps({
+            "curves": [{"name": "H", "self": -(n + 1)}]
+            + [{"name": f"A{i}", "self": -2} for i in range(1, n + 1)],
+            "intersections": [[0, i, 1] for i in range(1, n + 1)],
+            "boundary": ["H"] + [f"A{i}" for i in range(1, n + 1)],
+        }))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", doc)
+        elapsed = time.perf_counter() - start
+        assert (code, out.splitlines()[1]) == (0, "verdict: zero")
+        assert "components[0].verdict: negative-definite" in out
+        assert elapsed < 1.0, f"analyze took {elapsed:.2f}s"
+
+
 class TestHyperbolicStepBudget:
     @pytest.mark.parametrize("command", ["fibre", "affdim"])
     def test_section_meeting_2000_fibres(self, command, tmp_path, capsys):

@@ -434,12 +434,6 @@ def positive_direction_surface(rng):
     return CompactifiedSurface(ambient=config, boundary={new_id[0]})
 
 
-def witness_order(config, comp):
-    """The order ``_second_fibre_witness`` eliminates an inner component
-    in: by the number of curves each meets, then by index."""
-    return tuple(sorted(comp, key=lambda i: (len(config.neighbours(i)), i)))
-
-
 class TestWitnessFromTheFactor:
     """A component of inertia (1, m-1, 0) loses its positive direction by
     dropping curve i iff (M^-1)_ii > 0, read off the component's one
@@ -468,7 +462,7 @@ class TestWitnessFromTheFactor:
             comps = oracle_components(config, inner)
             if len(comps) != 1:
                 continue
-            nodes = witness_order(config, comps[0])
+            nodes = config.gram.ldl(comps[0]).order
             block = SymmetricMatrix(dense_restrict(config.gram, nodes))
             if dense_inertia(block) == (1, len(nodes) - 1, 0):
                 complete = len(config.gram.ldl(nodes).pivots) == len(nodes)
@@ -485,10 +479,7 @@ class TestWitnessFromTheFactor:
             surface = positive_direction_surface(rng)
             gram = surface.ambient.gram
             inner = sorted(set(range(surface.ambient.n)) - surface.boundary)
-            blocks = {
-                witness_order(surface.ambient, c)
-                for c in surface.ambient.connected_components(inner)
-            }
+            blocks = set(surface.ambient.connected_components(inner))
             got = _second_fibre_witness(surface)
             assert set(gram._factors) == blocks
             assert _second_fibre_witness(surface) == got

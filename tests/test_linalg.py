@@ -343,7 +343,11 @@ class TestNegativeDefiniteLDL:
             assert factor is not None
             for _ in range(3):
                 b = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
-                x = factor.solve(b)
+                # the factor's right-hand side and solution follow its order
+                x = [None] * k
+                solved = factor.solve([b[i] for i in factor.order])
+                for i, v in zip(factor.order, solved):
+                    x[i] = v
                 assert tuple(x) == m.solve(b)
                 assert m.apply(x) == tuple(b)
 
@@ -354,9 +358,15 @@ class TestNegativeDefiniteLDL:
             rows[i][i] = -2
             if i + 1 < n:
                 rows[i][i + 1] = rows[i + 1][i] = 1
-        factor = SymmetricMatrix(rows).negative_definite_ldl()
+        m = SymmetricMatrix(rows)
+        factor = m._eliminate(range(n))
+        assert factor.inertia == (0, n, 0)
         assert [len(column) for column in ldl_lower(factor)] == [1] * (n - 1) + [0]
         assert ldl_diag(factor) == tuple(Fraction(-(k + 2), k + 1) for k in range(n))
+        # ldl takes the two ends first, then the chain from 1 on: no fill
+        factor = m.negative_definite_ldl()
+        assert factor.order == (0, n - 1, *range(1, n - 1))
+        assert [len(column) for column in ldl_lower(factor)] == [1] * (n - 1) + [0]
 
     def test_stops_at_first_nonnegative_pivot(self):
         # pivots -2, -3/2, 0: a semidefinite cycle is not negative definite
@@ -367,8 +377,9 @@ class TestNegativeDefiniteLDL:
     def test_principal_block_on_indices(self):
         m = SymmetricMatrix([[-3, 1, 0], [1, 5, 1], [0, 1, -2]])
         factor = m.negative_definite_ldl([2, 0])
-        assert factor.order == (2, 0)
-        expected = m.restrict([2, 0]).negative_definite_ldl()
+        assert factor.order == (0, 2)
+        assert m.negative_definite_ldl([0, 2]) is factor
+        expected = m.restrict([0, 2]).negative_definite_ldl()
         assert (ldl_lower(factor), ldl_diag(factor)) == (ldl_lower(expected), ldl_diag(expected))
         assert m.negative_definite_ldl() is None
 
@@ -414,12 +425,12 @@ class TestOneElimination:
         definite = complete_indefinite = 0
         for _ in range(900):
             m, idx = random_block(rng)
-            order = tuple(range(m.n)) if idx is None else tuple(idx)
-            block = dense_restrict(m, order)
             factor = m.ldl(idx)
-            assert factor.order == order
+            order = factor.order
+            assert sorted(order) == sorted(range(m.n) if idx is None else idx)
+            block = dense_restrict(m, order)
             assert factor.inertia == dense_inertia(SymmetricMatrix(block))
-            former = oracle_negative_definite_ldl(m, idx)
+            former = oracle_negative_definite_ldl(m, order)
             assert (former is not None) == (factor.inertia[1] == len(order))
             if former is not None:
                 definite += 1
@@ -458,12 +469,16 @@ class TestOneElimination:
     def test_record_stops_at_first_step_out_of_order(self):
         # row 0 pivots after its neighbour 1: nothing is recorded
         m = SymmetricMatrix([[0, 1, 0], [1, -1, 0], [0, 0, -2]])
-        factor = m.ldl()
+        factor = m._eliminate(range(3))
         assert factor.inertia == (1, 2, 0)
         assert ldl_lower(factor) == () and ldl_diag(factor) == ()
+        # ldl takes the lone curve 2 first, and its record stops after it
+        factor = m.ldl()
+        assert factor.order == (2, 0, 1) and factor.inertia == (1, 2, 0)
+        assert ldl_lower(factor) == ((),) and ldl_diag(factor) == (-2,)
         # a zero row in order is a zero pivot with no multipliers
         m = SymmetricMatrix([[-1, 0, 0], [0, 0, 0], [0, 0, 4]])
-        factor = m.ldl()
+        factor = m._eliminate(range(3))
         assert factor.inertia == (1, 1, 1)
         assert ldl_diag(factor) == (-1, 0, 4)
         assert ldl_lower(factor) == ((), (), ())
@@ -473,11 +488,15 @@ class TestOneElimination:
         m = SymmetricMatrix.from_entries(
             [-2] * 5, [(0, j, 1) for j in range(1, 5)]
         )
-        factor = m.ldl()
+        factor = m._eliminate(range(5))
         assert factor.inertia == (0, 4, 1)
         x = factor.null_vector()
         assert x == [2, 1, 1, 1, 1]
         assert m.apply(x) == (0,) * 5
+        # ldl takes the centre last, and its kernel follows that order
+        factor = m.ldl()
+        assert factor.order == (1, 2, 3, 4, 0) and factor.inertia == (0, 4, 1)
+        assert factor.null_vector() == [1, 1, 1, 1, 2]
         assert ldl_diag(factor)[-1] == 0 and all(d < 0 for d in ldl_diag(factor)[:-1])
 
     def test_index_out_of_range(self):
@@ -513,7 +532,7 @@ class TestOneElimination:
 
 class TestRememberedFactors:
     """The matrix keeps the factor of each block it eliminates, keyed by
-    the index tuple, and hands it back on a repeat."""
+    the set of its indices, and hands it back on a repeat in any order."""
 
     def test_a_repeat_returns_the_same_object(self):
         m = SymmetricMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, 0]])
@@ -524,9 +543,11 @@ class TestRememberedFactors:
         assert m.ldl([0, 1, 2]) is m.ldl() is m.ldl(range(3))
         assert m.negative_definite_ldl([0, 1]) is m.ldl((0, 1))
         assert m.inertia() == m.ldl().inertia
-        # a block in another order is another elimination
-        assert m.ldl([1, 0]) is not m.ldl([0, 1])
-        assert m.ldl([1, 0]) == m._eliminate([1, 0])
+        # a block in another order is the same block, in the matrix's order
+        assert m.ldl([1, 0]) is m.ldl([0, 1])
+        assert m.ldl([1, 0]) == m._eliminate([0, 1])
+        assert m.ldl([2, 1, 0]) is m.ldl()
+        assert m.ldl() == m._eliminate([0, 2, 1])
 
     def test_each_block_is_eliminated_once(self, monkeypatch):
         calls = []
@@ -540,9 +561,11 @@ class TestRememberedFactors:
         m = SymmetricMatrix.from_entries([-2] * 4, [(0, 1, 1), (1, 2, 1)])
         for _ in range(3):
             m.ldl([0, 1, 2])
+            m.ldl([2, 0, 1])
             m.negative_definite_ldl([3])
             m.is_negative_definite()
-        assert calls == [(0, 1, 2), (3,), (0, 1, 2, 3)]
+        # the ends of the chain 0-1-2 go first, and the lone curve 3 first
+        assert calls == [(0, 2, 1), (3,), (3, 0, 2, 1)]
 
     def test_a_refused_block_is_not_kept(self):
         m = SymmetricMatrix([[-2, 1], [1, -2]])
@@ -663,7 +686,8 @@ class TestIntegerElimination:
                 m.ldl(idx)
             return
         factor = m.ldl(idx)
-        order, lower, diag, inertia = oracle_ldl(m, idx)
+        assert sorted(factor.order) == sorted(range(m.n) if idx is None else idx)
+        order, lower, diag, inertia = oracle_ldl(m, factor.order)
         assert (factor.order, factor.inertia) == (order, inertia)
         assert (ldl_lower(factor), ldl_diag(factor)) == (lower, diag)
         assert all(type(d) is Fraction for d in ldl_diag(factor))
@@ -704,7 +728,7 @@ class TestIntegerElimination:
             if idx is not None and len(set(idx)) < len(idx):
                 seen.add("repeat")
                 return
-            order, lower, diag, (plus, minus, zero) = oracle_ldl(m, idx)
+            order, lower, diag, (plus, minus, zero) = oracle_ldl(m, m.ldl(idx).order)
             if len(order) == 1:
                 seen.add("one curve")
             if len(diag) < len(order):
@@ -728,9 +752,11 @@ class TestIntegerElimination:
         m = SymmetricMatrix.from_entries(
             [Fraction(-1, 2), Fraction(-5, 3), 7], [(0, 1, Fraction(1, 4))]
         )
-        factor = m.ldl()
+        factor = m._eliminate(range(3))
         assert (factor.scales, factor.content) == ((4, 12, 1), 1)
-        assert m.ldl([1, 2]).scales == (3, 1)
+        assert m._eliminate([1, 2]).scales == (3, 1)
+        # ldl takes the lone curve 2 first, and the scales follow its order
+        assert (m.ldl().order, m.ldl().scales) == ((2, 0, 1), (1, 4, 12))
         assert (m.ldl([2]).scales, m.ldl([2]).content) == ((1,), 1)
         assert m.ldl([2]) == m._eliminate([2])
         assert (m.ldl([1]).content, m.ldl([1]).pivots) == (15, (-1,))
@@ -771,7 +797,7 @@ class TestIntegerElimination:
         # earlier step changed, so it is read lifted to the minor: 1 * minor
         n = 12
         m = SymmetricMatrix.from_entries([-2] * n, [(i, i + 1, 1) for i in range(n - 1)])
-        factor = m.ldl()
+        factor = m._eliminate(range(n))
         assert factor.minors == tuple((-1) ** k * (k + 1) for k in range(n))
         assert factor.pivots == tuple((-1) ** k * (k + 1) for k in range(1, n + 1))
         assert factor.columns == tuple(
@@ -787,6 +813,61 @@ class TestIntegerElimination:
              (1, 4, 1)],
         )
         assert m.inertia() == dense_inertia(m) == oracle_ldl(m)[3]
+
+
+class TestOneOrder:
+    """``ldl`` chooses the order of a block: the indices meeting the fewest
+    others in the block first, ties by index.  Every order of a block names
+    the same factor, and its record is the former elimination's in that
+    order."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(principal_blocks(), st.data())
+    def test_any_order_reads_the_one_factor(self, block, data):
+        m, idx = block
+        block = sorted(set(range(m.n) if idx is None else idx))
+        factor = m.ldl(data.draw(st.permutations(block)))
+        degree = {i: sum(j in block for j in m.off_diagonal(i)) for i in block}
+        assert factor.order == tuple(sorted(block, key=lambda i: (degree[i], i)))
+        assert m.ldl(data.draw(st.permutations(block))) is factor
+        assert m.ldl(frozenset(block)) is factor
+        assert list(m._factors) == [frozenset(block)]
+        order, lower, diag, inertia = oracle_ldl(m, factor.order)
+        assert (factor.order, factor.inertia) == (order, inertia)
+        assert (ldl_lower(factor), ldl_diag(factor)) == (lower, diag)
+
+
+def shuffled_random_tree(rng, n):
+    """The Gram of a random tree of n curves with shuffled indices: the
+    parent of curve i is drawn below i, and the diagonal is -(deg + 1), so
+    the Gram is negative definite (diagonal dominance)."""
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    diag = [-1] * n
+    for a, b in edges:
+        diag[label[a]] -= 1
+        diag[label[b]] -= 1
+    return SymmetricMatrix.from_entries(
+        diag, [(label[a], label[b], 1) for a, b in edges]
+    )
+
+
+class TestOrderBudget:
+    def test_shuffled_random_tree_of_2000_curves(self):
+        # eliminating the curves in index order filled in the tree: 12 s
+        # for ldl at n = 2000
+        n = 2000
+        m = shuffled_random_tree(random.Random(167), n)
+        start = time.perf_counter()
+        factor = m.ldl()
+        inverse = factor.inverse_diagonal()
+        elapsed = time.perf_counter() - start
+        assert factor.inertia == (0, n, 0) and len(factor.pivots) == n
+        for p in (0, n // 2, n - 1):
+            e = [int(p == q) for q in range(n)]
+            assert inverse[p] == factor.solve(e)[p] < 0
+        assert elapsed < 1.0, f"ldl and inverse_diagonal took {elapsed:.2f}s"
 
 
 class TestRationals:

@@ -799,6 +799,29 @@ class TestOneClassificationPerComponent:
             capsys.readouterr()
             assert Counter(factorised) == expected, name
 
+    def test_a_claimed_inner_star_is_eliminated_once(
+        self, tmp_path, capsys, factorised
+    ):
+        # an inner extended D4 (X0 meeting X1..X4) claimed as a false fibre
+        # of a genus-1 0-curve boundary: the claim check and the second-fibre
+        # witness ask for the same block, in different orders of its curves
+        curves = [{"name": "B", "genus": 1, "self": 0}]
+        curves += [{"name": f"X{i}", "self": -2} for i in range(5)]
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({
+            "curves": curves,
+            "intersections": [[1, i, 1] for i in range(2, 6)],
+            "boundary": ["B"],
+            "false_fibre_claims": [{
+                "subject": [f"X{i}" for i in range(5)],
+                "certificate": {"kind": "user-asserted"},
+            }],
+        }))
+        assert self.run("analyze", path, capsys) in (0, 2)
+        star = frozenset(range(1, 6))
+        assert [frozenset(c) for c in factorised].count(star) == 1
+        assert (2, 3, 4, 5, 1) in factorised  # the centre goes last
+
     def test_contract_after_the_record_eliminates_nothing(self, factorised):
         # every part of the plan is a boundary component the record has
         # classified, so its factor is read back from the Gram's memo
