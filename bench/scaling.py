@@ -1,0 +1,275 @@
+"""Scaling families for surfsat: how the cost of one elimination, or of one
+CLI command, grows as the input doubles.
+
+Run from the repository root (standard library only, not part of tier-1):
+
+    python3 bench/scaling.py              # rewrites BENCH_20.json
+    python3 bench/scaling.py --out FILE   # writes FILE instead
+
+Each case runs in its own interpreter, capped at CAP_S seconds of wall time;
+a case that hits the cap is recorded as "timeout", and the larger sizes of
+its family are recorded as not run.  A case reports the best of three wall
+times, the ``tracemalloc`` peak of one more run, and the bit length of the
+largest pivot that any elimination made in that run.  Only the operation is
+timed: building the matrix, or writing the document to a file, is not.  The
+CLI cases call ``surfsat.cli.main`` in process, so they leave out the
+interpreter's start-up.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CAP_S = 30
+REPEATS = 3
+
+
+# -- inputs ---------------------------------------------------------------
+
+
+def star(n):
+    """A hub of self-intersection -(n + 1) listed first, then n (-2)-arms."""
+    return [-(n + 1)] + [-2] * n, [(0, i, 1) for i in range(1, n + 1)]
+
+
+def shuffled(n, edges, seed):
+    """The tree on ``edges`` with shuffled indices and diagonal -(deg + 1),
+    negative definite by diagonal dominance."""
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    diag = [-1] * n
+    for a, b in edges:
+        diag[label[a]] -= 1
+        diag[label[b]] -= 1
+    return diag, [(label[a], label[b], 1) for a, b in edges]
+
+
+def random_tree(n):
+    """A random tree (the parent of i drawn below i), indices shuffled."""
+    rng = random.Random(n)
+    return shuffled(n, [(rng.randrange(i), i) for i in range(1, n)], n + 1)
+
+
+def binary_tree(n):
+    """The complete binary tree on n = 2^k - 1 curves, indices shuffled."""
+    return shuffled(n, [((i - 1) // 2, i) for i in range(1, n)], n)
+
+
+def two_sections(n):
+    """K_{2,n}: two sections of self-intersection -(n + 1), listed first,
+    and n (-3)-curves that each meet both."""
+    return [-(n + 1)] * 2 + [-3] * n, [(s, 2 + i, 1) for s in (0, 1) for i in range(n)]
+
+
+def chain(n):
+    """A (-2)-chain in index order."""
+    return [-2] * n, [(i, i + 1, 1) for i in range(n - 1)]
+
+
+def star_document(n):
+    """The hub-first star, all of it boundary."""
+    diag, entries = star(n)
+    names = ["H"] + [f"A{i}" for i in range(1, n + 1)]
+    return {
+        "curves": [{"name": a, "self": d} for a, d in zip(names, diag)],
+        "intersections": [list(e) for e in entries],
+        "boundary": names,
+    }
+
+
+def inner_cycle_document(m):
+    """A boundary genus-1 0-curve B, and an inner A~ cycle of m curves with
+    self-intersection -2 + 1/m^2, so the cycle has inertia (1, m - 1, 0)."""
+    self_int = str(Fraction(-2) + Fraction(1, m * m))
+    return {
+        "curves": [{"name": "B", "genus": 1, "self": 0}]
+        + [{"name": f"A{i}", "self": self_int} for i in range(m)],
+        "intersections": [[1 + i, 1 + (i + 1) % m, 1] for i in range(m)],
+        "boundary": ["B"],
+    }
+
+
+MATRICES = {
+    "star": star,
+    "random-tree": random_tree,
+    "binary-tree": binary_tree,
+    "two-sections": two_sections,
+    "chain": chain,
+}
+DOCUMENTS = {"star": star_document, "inner-cycle": inner_cycle_document}
+
+# name: (input, operation, sizes, what it shows)
+FAMILIES = {
+    "star/ldl": (
+        "star", "ldl", [500, 1000, 2000],
+        "hub of self-intersection -(n+1) listed first, n (-2)-arms",
+    ),
+    "random-tree/ldl": (
+        "random-tree", "ldl", [500, 1000, 2000],
+        "random tree, shuffled indices, diagonal -(deg+1)",
+    ),
+    "random-tree/ldl+inverse_diagonal": (
+        "random-tree", "ldl+inverse_diagonal", [500, 1000, 2000],
+        "the same trees, with the diagonal of the inverse",
+    ),
+    "binary-tree/ldl": (
+        "binary-tree", "ldl", [511, 1023, 2047],
+        "complete binary tree, shuffled indices, diagonal -(deg+1)",
+    ),
+    "two-sections/ldl": (
+        "two-sections", "ldl", [100, 200, 400],
+        "K_{2,n}: two -(n+1) sections listed first, n (-3)-fibres meeting both",
+    ),
+    "chain/ldl+inverse_diagonal": (
+        "chain", "ldl+inverse_diagonal", [2000, 4000, 8000],
+        "(-2)-chain in index order",
+    ),
+    "inner-cycle/cli-affdim": (
+        "inner-cycle", "cli affdim", [100, 200, 400],
+        "boundary genus-1 0-curve, inner A~ cycle of m curves with C^2 = -2 + 1/m^2",
+    ),
+    "star/cli-analyze": (
+        "star", "cli analyze", [500, 1000, 2000],
+        "the hub-first star as a boundary",
+    ),
+}
+
+
+# -- one case, in its own interpreter --------------------------------------
+
+
+def prepare(kind, op, n, tmp):
+    """A callable that runs the operation once on fresh input: a new matrix
+    per run, as a matrix keeps the factors it has made."""
+    from surfsat import SymmetricMatrix, cli
+
+    if op.startswith("cli "):
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(DOCUMENTS[kind](n)))
+        argv = [op.split()[1], str(path)]
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+        return lambda: run
+    diag, entries = MATRICES[kind](n)
+
+    def setup():
+        m = SymmetricMatrix.from_entries(diag, entries)
+        if op == "ldl":
+            return m.ldl
+        return lambda: m.ldl().inverse_diagonal()
+    return setup
+
+
+def measure(kind, op, n):
+    from surfsat.linalg import SymmetricMatrix
+
+    with tempfile.TemporaryDirectory() as tmp:
+        setup = prepare(kind, op, n, tmp)
+        runs = []
+        for _ in range(REPEATS):
+            run = setup()
+            start = time.perf_counter()
+            run()
+            runs.append(time.perf_counter() - start)
+        bits = 0
+        eliminate = SymmetricMatrix._eliminate
+
+        def recording(self, idx):
+            nonlocal bits
+            factor = eliminate(self, idx)
+            bits = max([bits, *[abs(p).bit_length() for p in factor.pivots]])
+            return factor
+
+        SymmetricMatrix._eliminate = recording
+        run = setup()
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return {
+        "best_s": round(min(runs), 6),
+        "runs_s": [round(t, 6) for t in runs],
+        "tracemalloc_peak_kib": round(peak / 1024, 1),
+        "max_pivot_bits": bits,
+    }
+
+
+# -- the driver ------------------------------------------------------------
+
+
+def run_case(kind, op, n):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    try:
+        done = subprocess.run(
+            [sys.executable, __file__, "--case", kind, op, str(n)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, timeout=CAP_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if done.returncode:
+        return {"error": done.stderr.strip().splitlines()[-1:]}
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_20.json")
+    parser.add_argument("--case", nargs=3, metavar=("INPUT", "OP", "N"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.case:
+        kind, op, n = args.case
+        print(json.dumps(measure(kind, op, int(n))))
+        return 0
+    start = time.perf_counter()
+    families = {}
+    for name, (kind, op, sizes, what) in FAMILIES.items():
+        cases = []
+        for n in sizes:
+            if cases and "best_s" not in cases[-1]["result"]:
+                result = "not run: a smaller size did not finish"
+            else:
+                result = run_case(kind, op, n)
+            cases.append({"n": n, "result": result})
+            print(f"{name} n={n}: {result}", file=sys.stderr)
+        families[name] = {"input": what, "operation": op, "cases": cases}
+    report = {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "cap_s": CAP_S,
+        "repeats": REPEATS,
+        "units": {
+            "best_s": "s, best of the repeats",
+            "tracemalloc_peak_kib": "KiB, one further run under tracemalloc",
+            "max_pivot_bits": "bits of the largest |pivot| of any elimination in that run",
+        },
+        "total_s": round(time.perf_counter() - start, 1),
+        "families": families,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

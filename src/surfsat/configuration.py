@@ -8,17 +8,17 @@ Distinct prime divisors meet non-negatively, so off-diagonal entries must be
 fractional on singular surfaces.
 
 Boundary graphs are sparse, so the sign check reads only the nonzero
-off-diagonal entries of the Gram, and every configuration keeps each
-curve's neighbour set: adjacency is a membership test, components are a
-breadth-first search and disjointness a neighbour intersection, all in
-O(n + meetings).
+off-diagonal entries of the Gram, and the graph is read off the Gram's
+sparse rows with no second copy: adjacency is a membership test,
+components are a breadth-first search and disjointness a row
+intersection, all in O(n + meetings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, KeysView, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .linalg import SymmetricMatrix, as_rational
@@ -122,7 +122,7 @@ class Restriction:
 class Configuration:
     """Dual graph: curve nodes plus their intersection matrix."""
 
-    __slots__ = ("_nodes", "_gram", "_neighbours")
+    __slots__ = ("_nodes", "_gram")
 
     def __init__(self, nodes: Sequence[CurveNode], gram: SymmetricMatrix):
         nodes = tuple(nodes)
@@ -148,7 +148,7 @@ class Configuration:
                     f"distinct curves {names[i]!r} and {names[j]!r} have "
                     f"negative intersection {row[j]}"
                 )
-        self._adopt(nodes, gram)
+        self._nodes, self._gram = nodes, gram
 
     @classmethod
     def _unchecked(
@@ -157,15 +157,8 @@ class Configuration:
         """The configuration, for nodes and a Gram the caller has checked:
         ids 0..n-1, unique names and no negative off-diagonal entry."""
         config = cls.__new__(cls)
-        config._adopt(tuple(nodes), gram)
+        config._nodes, config._gram = tuple(nodes), gram
         return config
-
-    def _adopt(self, nodes: tuple[CurveNode, ...], gram: SymmetricMatrix) -> None:
-        self._nodes = nodes
-        self._gram = gram
-        self._neighbours = tuple([
-            frozenset(gram.off_diagonal(i)) for i in range(len(nodes))
-        ])
 
     @classmethod
     def build(cls, curves, intersections=()) -> "Configuration":
@@ -215,9 +208,10 @@ class Configuration:
                 raise PreconditionError(f"node {i} is not in the configuration")
         return ids
 
-    def neighbours(self, i: int) -> frozenset[int]:
-        """The curves that meet curve ``i``."""
-        return self._neighbours[i]
+    def neighbours(self, i: int) -> KeysView[int]:
+        """The curves that meet curve ``i``: a read-only set-like view of
+        the Gram's row ``i``."""
+        return self._gram.support(i)
 
     def connected_components(
         self, subset: Optional[Iterable[int]] = None
@@ -228,6 +222,7 @@ class Configuration:
         """
         ids = self._check_subset(subset if subset is not None else range(self.n))
         remaining = set(ids)
+        support = self._gram.support
         components = []
         for start in ids:
             if start not in remaining:
@@ -235,17 +230,14 @@ class Configuration:
             remaining.discard(start)
             comp = [start]
             for i in comp:  # breadth first: comp grows while it is walked
-                found = self._neighbours[i] & remaining
+                found = support(i) & remaining
                 remaining -= found
                 comp.extend(found)
             components.append(frozenset(comp))
         return tuple(components)
 
     def is_connected(self, subset: Iterable[int]) -> bool:
-        ids = self._check_subset(subset)
-        if not ids:
-            return False
-        return len(self.connected_components(ids)) == 1
+        return len(self.connected_components(subset)) == 1
 
     def intersection_number(self, d1: Divisor, d2: Divisor) -> Fraction:
         """Bilinear extension of the Gram pairing to divisors."""
@@ -282,7 +274,7 @@ class Configuration:
         set_b = set(sb)
         if not set_b.isdisjoint(sa):
             return False
-        return all(self._neighbours[i].isdisjoint(set_b) for i in sa)
+        return all(self._gram.support(i).isdisjoint(set_b) for i in sa)
 
     def __eq__(self, other) -> bool:
         return (

@@ -78,7 +78,7 @@ def classify_fibre_type(
     positive eigenvalue means not negative semidefinite, no zero one means
     negative definite, and otherwise the subject is of fibre type.
     """
-    nodes = frozenset(subject)
+    nodes = frozenset(config._check_subset(subject))
     if not nodes:
         raise PreconditionError("subject must be a nonempty set of curves")
     improper = [i for i in nodes if not config.nodes[i].proper]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, KeysView, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -181,16 +181,21 @@ class SymmetricMatrix:
         return self._integral
 
     def entry(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return self._diag[i]
-        if not 0 <= j < len(self._diag):
-            raise IndexError(f"column {j} out of range for n={self.n}")
-        return self._off[i].get(j, _ZERO)
+        n = len(self._diag)
+        if not 0 <= i < n:
+            raise IndexError(f"row {i} out of range for n={n}")
+        if not 0 <= j < n:
+            raise IndexError(f"column {j} out of range for n={n}")
+        return self._diag[i] if i == j else self._off[i].get(j, _ZERO)
 
     def off_diagonal(self, i: int) -> Mapping[int, Fraction]:
         """Read-only ``{column: value}`` map of the nonzero off-diagonal
         entries of row ``i``."""
         return MappingProxyType(self._off[i])
+
+    def support(self, i: int) -> KeysView[int]:
+        """Row ``i``'s nonzero off-diagonal columns: its read-only key view."""
+        return self._off[i].keys()
 
     def __eq__(self, other) -> bool:
         return (
@@ -247,17 +252,15 @@ class SymmetricMatrix:
 
     # -- elimination-based queries -------------------------------------
 
-    def _square_factor(self) -> tuple["SymmetricMatrix", list[int], "LDL"]:
-        """G = M^2, the positions P of the nonzero pivots of its elimination
-        in index order, and the factor of G on P.  G is semidefinite with
-        M's kernel, and in a semidefinite Schur complement a zero diagonal
-        entry has a zero row, so G's elimination is in order.  Its zero
-        pivots are the free columns of M's reduced row echelon form (those
-        that depend on the columns before them), and G is positive definite on P."""
+    def _square_factor(self) -> tuple["SymmetricMatrix", "LDL"]:
+        """G = M^2 and its one elimination, in index order.  G is
+        semidefinite with M's kernel, and in a semidefinite Schur complement
+        a zero diagonal entry has a zero row, so the record is complete.
+        Its zero pivots are the free columns of M's reduced row echelon
+        form (those that depend on the columns before them), and
+        :meth:`LDL.solve` sets the unknowns there to 0."""
         square = SymmetricMatrix([self.apply(row) for row in self.rows])
-        pivots = square._eliminate(range(self.n)).pivots
-        kept = [p for p, top in enumerate(pivots) if top]
-        return square, kept, square._eliminate(kept)
+        return square, square._eliminate(range(self.n))
 
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
         """Basis of the null space, read off the factor of M^2: for each
@@ -268,14 +271,13 @@ class SymmetricMatrix:
         ordered by its free column; the result is empty exactly when the
         matrix is nonsingular.
         """
-        square, kept, factor = self._square_factor()
+        square, factor = self._square_factor()
         basis = []
-        for f in sorted(set(range(self.n)).difference(kept)):
-            v = [_ZERO] * self.n
-            v[f] = Fraction(1)
-            for p, x in zip(kept, factor.solve([-square.entry(q, f) for q in kept])):
-                v[p] = x
-            basis.append(_primitive_integral(v))
+        for f, top in enumerate(factor.pivots):
+            if not top:
+                v = factor.solve([-x for x in square.rows[f]])
+                v[f] = Fraction(1)
+                basis.append(_primitive_integral(v))
         return tuple(basis)
 
     def solve(self, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -291,11 +293,7 @@ class SymmetricMatrix:
         if len(b) != self.n:
             raise InputError(f"rhs has length {len(b)}, expected {self.n}")
         rhs = tuple([as_rational(x) for x in b])
-        _, kept, factor = self._square_factor()
-        y = [_ZERO] * self.n
-        for p, x in zip(kept, factor.solve([rhs[p] for p in kept])):
-            y[p] = x
-        x = self.apply(y)
+        x = self.apply(self._square_factor()[1].solve(rhs))
         return x if self.apply(x) == rhs else None
 
     def ldl(self, indices: Optional[Collection[int]] = None) -> "LDL":
@@ -546,14 +544,15 @@ class LDL:
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def solve(self, rhs: Sequence) -> list[Fraction]:
-        """The unique x with M x = rhs, for a complete record with nonzero
-        pivots, by fraction-free forward and back substitution.
+        """The x with M x = rhs, for a complete record, by fraction-free
+        forward and back substitution: x is 0 at each zero pivot (a zero
+        row, as in a semidefinite block) and solves the block on the rest.
 
         M x = rhs is A S^-1 x = S rhs / g.  With b = beta S rhs integral,
         the forward pass carries b through the elimination as the minors
         det A[K+q, K+b] of [A | b]; the back pass gives the Cramer
-        numerators Z = det A * A^-1 b; and x = S Z / (beta g det A), one
-        ``Fraction`` per nonzero entry.
+        numerators Z = det A[P] A[P, P]^-1 b_P, P the nonzero pivots' places
+        and det A[P] the last such pivot; and x = S Z / (beta g det A[P]).
         """
         beta = lcm(*[v.denominator for v in rhs])
         w = [
@@ -570,13 +569,13 @@ class LDL:
                 for q, nq in column:
                     w[q] = (top * _lift(w[q], over[q], minor) - nq * wp) // minor
                     over[q] = top
-        det = pivots[-1] if pivots else 1
+        det = (pivots[-1] or minors[-1]) if pivots else 1
         for p in range(len(w) - 1, -1, -1):  # w[q] becomes Z[q], q > p
             total = det * w[p]
             for q, nq in columns[p]:
                 if w[q]:
                     total -= nq * w[q]
-            w[p] = total // pivots[p]
+            w[p] = total // pivots[p] if pivots[p] else 0
         denominator = beta * self.content * det
         return [
             Fraction(s * v, denominator) if v else _ZERO

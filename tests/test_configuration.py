@@ -216,8 +216,8 @@ def sparse_configuration(rng, n):
 
 
 class TestNeighbourQueries:
-    """Graph and block queries walk neighbour lists; the dense Gram rows
-    are the oracle."""
+    """Graph and block queries walk the Gram's sparse rows; the dense Gram
+    rows are the oracle."""
 
     def configurations(self, seed, count):
         rng = random.Random(seed)
@@ -248,6 +248,14 @@ class TestNeighbourQueries:
                 assert config.neighbours(i) == {
                     j for j in range(config.n) if dense_adjacent(config, i, j)
                 }
+
+    def test_the_graph_is_read_off_the_gram(self):
+        # no second adjacency: a configuration keeps its nodes and its Gram,
+        # and a curve's neighbours are the key view of its Gram row
+        assert Configuration.__slots__ == ("_nodes", "_gram")
+        config = Configuration.build([("A", -2), ("B", -2), ("C", -1)], [(0, 1, 1)])
+        assert config.neighbours(0) == config.gram.support(0) == {1}
+        assert not hasattr(config.neighbours(0), "add")
 
     def test_disjoint_matches_dense_rows(self):
         for rng, config in self.configurations(107, 150):

@@ -90,6 +90,21 @@ class TestClassify:
         with pytest.raises(PreconditionError):
             classify_fibre_type(config, {0})
 
+    @pytest.mark.parametrize("subject", [[5], [-1], [0, 3]])
+    def test_curve_outside_the_configuration_rejected(self, subject):
+        # [5] raised a bare IndexError, and [-1] wrapped to the improper
+        # last curve and blamed it
+        from surfsat import CurveNode
+
+        config = Configuration(
+            [CurveNode(0, "A"), CurveNode(1, "B"), CurveNode(2, "F", proper=False)],
+            SymmetricMatrix.from_entries([-2, -2, 0], [(0, 1, 1)]),
+        )
+        bad = [i for i in subject if not 0 <= i < 3][0]
+        with pytest.raises(PreconditionError) as info:
+            classify_fibre_type(config, subject)
+        assert str(info.value) == f"node {bad} is not in the configuration"
+
     def test_multiple_fibre_kernel(self):
         config = Configuration.build(
             [("A", -2), ("B", -8)], [(0, 1, 4)]

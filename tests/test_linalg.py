@@ -853,6 +853,51 @@ def shuffled_random_tree(rng, n):
     )
 
 
+@st.composite
+def semidefinite_blocks(draw):
+    """G = s B^T B for a rational k x n matrix B with k < n and s = +-1:
+    semidefinite and singular, so its in-order elimination meets zero
+    pivots, each a zero row of its Schur complement."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    b = [[draw(_SMALL) for _ in range(n)] for _ in range(k)]
+    sign = draw(st.sampled_from([1, -1]))
+    return SymmetricMatrix(
+        [[sign * sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+    )
+
+
+class TestSemidefiniteSolve:
+    """``LDL.solve`` on the in-order record of a semidefinite block: the
+    unknown is 0 at each zero pivot, and the nonzero-pivot positions P
+    solve G[P, P] x_P = b_P, as ``oracle_ldl`` on P solves it."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(semidefinite_blocks(), st.data())
+    def test_matches_the_oracle_on_the_nonzero_pivots(self, g, data):
+        factor = g._eliminate(range(g.n))
+        assert len(factor.pivots) == g.n  # the record is complete
+        kept = [p for p, top in enumerate(factor.pivots) if top]
+        assert g.n - len(kept) == factor.inertia[2] > 0
+        rhs = data.draw(st.lists(_SMALL, min_size=g.n, max_size=g.n))
+        x = factor.solve(rhs)
+        assert all(type(v) is Fraction for v in x)
+        assert [v for p, v in enumerate(x) if p not in kept] == [0] * (g.n - len(kept))
+        _, lower, diag, _ = oracle_ldl(g, kept)
+        assert len(diag) == len(kept) and all(diag)
+        assert [x[p] for p in kept] == oracle_ldl_solve(
+            lower, diag, [rhs[p] for p in kept]
+        )
+
+    def test_zero_rows_first_middle_and_last(self):
+        # G = diag(0, 2, 0, 3, 0) with a zero row at each end and between
+        g = SymmetricMatrix.diagonal([0, 2, 0, 3, 0])
+        factor = g._eliminate(range(5))
+        assert factor.pivots == (0, 2, 0, 6, 0)
+        assert factor.solve([7, 1, 7, 1, 7]) == [0, Fraction(1, 2), 0, Fraction(1, 3), 0]
+        assert SymmetricMatrix.diagonal([0]).ldl().solve([5]) == [0]
+
+
 class TestOrderBudget:
     def test_shuffled_random_tree_of_2000_curves(self):
         # eliminating the curves in index order filled in the tree: 12 s
@@ -868,6 +913,23 @@ class TestOrderBudget:
             e = [int(p == q) for q in range(n)]
             assert inverse[p] == factor.solve(e)[p] < 0
         assert elapsed < 1.0, f"ldl and inverse_diagonal took {elapsed:.2f}s"
+
+    def test_two_sections_and_n_fibres(self):
+        # K_{2,n}: two sections of self-intersection -(n + 1), listed first,
+        # and n (-3)-curves that each meet both.  The fibres go first and
+        # fill nothing in (about 2 ms at n = 400); an order that takes a
+        # section first, such as reverse breadth first, joins all n fibres
+        # into a clique and took 6.6 s
+        n = 400
+        m = SymmetricMatrix.from_entries(
+            [-(n + 1)] * 2 + [-3] * n,
+            [(s, 2 + i, 1) for s in (0, 1) for i in range(n)],
+        )
+        start = time.perf_counter()
+        factor = m.ldl()
+        elapsed = time.perf_counter() - start
+        assert factor.inertia == (0, n + 2, 0)
+        assert elapsed < 0.5, f"ldl took {elapsed:.2f}s"
 
 
 class TestRationals:
@@ -979,6 +1041,30 @@ class TestSparseStorage:
             assert block.rows == expected
             assert block == SymmetricMatrix(expected)
             assert hash(block) == hash(SymmetricMatrix(expected))
+
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [
+            (-1, 1, "row -1 out of range for n=3"),
+            (-1, -1, "row -1 out of range for n=3"),
+            (3, 3, "row 3 out of range for n=3"),
+            (1, -1, "column -1 out of range for n=3"),
+        ],
+    )
+    def test_entry_checks_row_and_column(self, i, j, message):
+        # a negative row used to wrap to the last one, and (3, 3) raised a
+        # bare "tuple index out of range"
+        m = SymmetricMatrix.from_entries([1, 2, 3], [(0, 1, 5), (1, 2, 7)])
+        with pytest.raises(IndexError) as info:
+            m.entry(i, j)
+        assert str(info.value) == message
+
+    def test_support_is_the_rows_key_view(self):
+        m = SymmetricMatrix.from_entries([-2] * 4, [(0, 1, 1), (0, 3, 2)])
+        assert m.support(0) == {1, 3} and m.support(2) == set()
+        assert m.support(0) & {3, 2} == {3}
+        assert not hasattr(m.support(0), "add")
+        assert m.support(0) is not m.support(0)  # a view, not a stored copy
 
     def test_restrict_with_repeated_indices(self):
         m = SymmetricMatrix([[-2, 1], [1, -3]])

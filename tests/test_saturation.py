@@ -240,6 +240,14 @@ class TestAffinisationDimension:
         assert report.verdict is AffDim.ZERO
         assert "disjoint-false-fibres" in report.criteria()
 
+    def test_claim_on_a_missing_curve_is_a_precondition_error(self):
+        # it used to raise a bare IndexError from classify_fibre_type
+        claim = FalseFibreClaim(frozenset({7}), UserAsserted())
+        s = surface([("C", 0), ("D", -2), ("E", -2)], boundary=["C"], claims=[claim])
+        with pytest.raises(PreconditionError) as info:
+            affinisation_dimension(s)
+        assert str(info.value) == "node 7 is not in the configuration"
+
     def test_uncertified_zero_curve_is_honest(self):
         s = surface([("C", 0)], boundary=["C"])
         report = affinisation_dimension(s)
