@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
 from typing import Optional
@@ -37,8 +36,6 @@ from .schema import (
     load_document,
     rational_to_json,
 )
-
-log = logging.getLogger("surfsat")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -352,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help="output format (default: human)",
     )
-    parser.add_argument(
-        "--verbose", action="store_true", help="log intermediate steps"
-    )
     return parser
 
 
@@ -365,15 +359,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse has printed the help (status 0) or the usage error; a
         # usage error is an input error, not an indefinite verdict
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         doc = load_document(args.input)
-        log.debug(
-            "parsed %d curves, boundary of %d",
-            doc.surface.ambient.n,
-            len(doc.surface.boundary),
-        )
         report = COMMANDS[args.command](doc, args)
         if args.format == "json":
             text = json.dumps(report, indent=2, sort_keys=True)

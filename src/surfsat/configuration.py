@@ -82,9 +82,6 @@ class Divisor:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self._coeffs.values())
-
     def __add__(self, other: "Divisor") -> "Divisor":
         coeffs = dict(self._coeffs)
         for node, c in other._coeffs.items():
@@ -109,14 +106,6 @@ class Divisor:
             return "Divisor(0)"
         parts = [f"{c}*[{n}]" for n, c in self._coeffs.items()]
         return "Divisor(" + " + ".join(parts) + ")"
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """A sub-configuration together with the map back to ambient node ids."""
-
-    configuration: "Configuration"
-    ambient_ids: tuple[int, ...]
 
 
 class Configuration:
@@ -254,18 +243,6 @@ class Configuration:
     def gram_on(self, subset: Iterable[int]) -> SymmetricMatrix:
         """Principal submatrix of the Gram matrix on ``subset`` (sorted)."""
         return self._gram.restrict(self._check_subset(subset))
-
-    def restrict(self, subset: Iterable[int]) -> Restriction:
-        """Induced sub-configuration with re-indexed ids."""
-        ids = self._check_subset(subset)
-        nodes = [
-            CurveNode(new, self._nodes[old].name, self._nodes[old].genus,
-                      self._nodes[old].proper)
-            for new, old in enumerate(ids)
-        ]
-        return Restriction(
-            Configuration(nodes, self._gram.restrict(ids)), tuple(ids)
-        )
 
     def disjoint(self, a: Iterable[int], b: Iterable[int]) -> bool:
         """No shared nodes and no positive pairing across the two sets."""

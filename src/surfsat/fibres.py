@@ -226,62 +226,6 @@ def proportionality(
 
 
 @dataclass(frozen=True)
-class DisjointPairReport:
-    ok: bool
-    d2_verdict: FibreVerdict
-    violation: Optional[str] = None
-
-
-def check_disjoint_pair(
-    config: Configuration,
-    d1: Iterable[int],
-    d2: Iterable[int],
-    complete_surface: bool = False,
-) -> DisjointPairReport:
-    """Check that a divisor disjoint from a fibre-type one is itself of
-    fibre type, as forced on a proper surface by the index theorem.
-
-    Requires the caller to assert that the configuration lists all relevant
-    curves of a proper surface (``complete_surface``); without that, a
-    violation could simply mean missing data.
-    """
-    if not complete_surface:
-        raise PreconditionError(
-            "check_disjoint_pair needs the complete-surface assertion: the "
-            "conclusion uses the global signature of a proper surface"
-        )
-    s1, s2 = frozenset(d1), frozenset(d2)
-    r1 = classify_fibre_type(config, s1)
-    if r1.verdict is not FibreVerdict.FIBRE_TYPE:
-        raise PreconditionError(
-            f"first divisor {config.names(s1)} is {r1.verdict.value}, "
-            "expected fibre type"
-        )
-    if not config.disjoint(s1, s2):
-        raise PreconditionError("the two divisors meet; they must be disjoint")
-    if not config.is_connected(s2):
-        raise PreconditionError(f"second divisor {config.names(s2)} is not connected")
-    r2 = classify_fibre_type(config, s2)
-    if r2.verdict is FibreVerdict.NEGATIVE_DEFINITE:
-        raise PreconditionError(
-            f"second divisor {config.names(s2)} is negative definite; the "
-            "disjointness constraint says nothing about it"
-        )
-    if r2.verdict is FibreVerdict.FIBRE_TYPE:
-        return DisjointPairReport(ok=True, d2_verdict=r2.verdict)
-    return DisjointPairReport(
-        ok=False,
-        d2_verdict=r2.verdict,
-        violation=(
-            f"divisor {config.names(s2)} is {r2.verdict.value} while disjoint "
-            f"from the fibre-type divisor {config.names(s1)}; on a proper "
-            "surface the signature (1, rho-1) forbids this, so the input "
-            "data is inconsistent"
-        ),
-    )
-
-
-@dataclass(frozen=True)
 class ClaimsReport:
     ok: bool
     disjoint_triple: Optional[tuple[FalseFibreClaim, FalseFibreClaim, FalseFibreClaim]] = None
@@ -334,26 +278,3 @@ def _check_claims(
                 triple = (distinct[i], distinct[j], distinct[min(common)])
                 return ClaimsReport(ok=False, disjoint_triple=triple)
     return ClaimsReport(ok=True)
-
-
-def normal_bundle_certificate(
-    config: Configuration, node: int, *, nontorsion: bool
-) -> Optional[FalseFibreClaim]:
-    """Certify a single smooth curve as a false fibre via its normal bundle.
-
-    The bundle degree is the self-intersection, which must vanish for fibre
-    type.  Non-torsion must be asserted (or produced by the group-law
-    machinery); a merely torsion or trivial bundle decides nothing, so the
-    result is then ``None``.
-    """
-    if not 0 <= node < config.n:
-        raise PreconditionError(f"node {node} is not in the configuration")
-    degree = config.gram.entry(node, node)
-    if degree != 0:
-        raise PreconditionError(
-            f"normal bundle of {config.nodes[node].name!r} has degree "
-            f"{degree}; it must vanish for fibre type"
-        )
-    if not nontorsion:
-        return None
-    return FalseFibreClaim(frozenset({node}), NormalBundleNonTorsion())

@@ -23,6 +23,7 @@ kernel.  The dense ``rows`` view is built only when asked for (by
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,13 +34,15 @@ from .errors import InputError
 
 Rational = Fraction
 _ZERO = Fraction(0)
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def as_rational(value) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
-    Accepts ints, Fractions and strings like ``"2/3"`` or ``"-7"``.  Floats
-    are rejected: they would silently destroy exactness.
+    Accepts ints, Fractions and strings of the form ``-?[0-9]+(/[0-9]+)?``,
+    like ``"2/3"`` or ``"-7"``.  Floats are rejected: they would silently
+    destroy exactness.
     """
     if type(value) is Fraction:  # immutable, so the common case is free
         return value
@@ -48,10 +51,12 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational from {value!r}") from exc
+        if _RATIONAL_STRING.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):  # q = 0, or too many digits
+                pass
+        raise InputError(f"cannot parse rational from {value!r}")
     if isinstance(value, float):
         raise InputError(
             f"float {value!r} is not exact; encode rationals as 'p/q' strings"

@@ -341,8 +341,8 @@ def parse_document(data) -> Document:
 
 def load_document(path) -> Document:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)

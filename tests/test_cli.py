@@ -218,8 +218,7 @@ class TestUsageErrors:
 
 
 # Runs each argv list in turn with ``main`` in one interpreter, ending each
-# call's stdout and stderr with a marker, so the logging handler that the
-# first call installs writes to the real stderr as in a fresh interpreter.
+# call's stdout and stderr with a marker.
 _IN_ONE_PROCESS = """
 import json, sys
 from surfsat.cli import main
@@ -269,8 +268,8 @@ class TestParserReuse:
             assert (out, err, int(code)) == (
                 alone.stdout, alone.stderr, alone.returncode
             ), argv
-        assert "DEBUG surfsat: parsed" in errs[2] and errs[3] == ""
-        assert [fresh[tuple(c)].returncode for c in calls[::2]] == [1, 0, 0, 0]
+        assert "unrecognized arguments: --verbose" in errs[2] and errs[3] == ""
+        assert [fresh[tuple(c)].returncode for c in calls[::2]] == [1, 1, 0, 0]
 
     def test_parser_is_built_on_first_call_not_at_import(self):
         script = (
@@ -546,27 +545,6 @@ class TestGoldenOutput:
             "reasons[1].criterion: disjoint-false-fibres\n"
             "reasons[1].evidence: C: GroupLawObstruction\n"
         )
-
-    def test_verbose_flag_logs_parsing(self, capsys, caplog):
-        import logging
-
-        with caplog.at_level(logging.DEBUG, logger="surfsat"):
-            code, out, _ = run(
-                capsys, "saturate", SAMPLES / "serre_like.json", "--verbose"
-            )
-        assert code == 0
-        assert "verdict: saturated" in out
-        assert any("parsed" in rec.message for rec in caplog.records)
-
-    def test_verbose_flag_sets_the_level_on_every_call(self, capsys, caplog):
-        # the level comes from each call's flag, not from whichever call
-        # configured logging first
-        sample = SAMPLES / "serre_like.json"
-        for verbose in (False, True, False, True):
-            caplog.clear()
-            run(capsys, "saturate", sample, *(["--verbose"] if verbose else []))
-            logged = any("parsed" in rec.message for rec in caplog.records)
-            assert logged == verbose
 
 
 class TestRoundTrip:

@@ -116,55 +116,10 @@ class TestIntersectionNumber:
             )
 
 
-class TestRestrict:
-    def test_empty(self):
-        assert triangle().restrict([]).configuration.n == 0
-
-    def test_submatrix(self):
-        res = triangle().restrict({0, 2})
-        assert res.configuration.gram.rows == (
-            (Fraction(-2), Fraction(1)),
-            (Fraction(1), Fraction(-2)),
-        )
-        assert res.ambient_ids == (0, 2)
-
-    def test_preserves_genus_and_proper(self):
-        config = Configuration(
-            nodes=[
-                CurveNode(0, "A", genus=2, proper=True),
-                CurveNode(1, "B", genus=0, proper=False),
-            ],
-            gram=SymmetricMatrix([[0, 0], [0, 1]]),
-        )
-        sub = config.restrict([1]).configuration
-        assert sub.nodes[0].genus == 0
-        assert not sub.nodes[0].proper
-
-    def test_pairing_agrees_with_ambient(self):
-        rng = random.Random(31)
-        for _ in range(50):
-            config = random_configuration(rng, rng.randint(2, 7))
-            subset = sorted(
-                i for i in range(config.n) if rng.random() < 0.6
-            )
-            if not subset:
-                continue
-            res = config.restrict(subset)
-            d1 = Divisor({i: rng.randint(-3, 3) for i in subset})
-            d2 = Divisor({i: rng.randint(-3, 3) for i in subset})
-            back = {old: new for new, old in enumerate(res.ambient_ids)}
-            r1 = Divisor({back[i]: c for i, c in d1.coefficients.items()})
-            r2 = Divisor({back[i]: c for i, c in d2.coefficients.items()})
-            assert config.intersection_number(d1, d2) == (
-                res.configuration.intersection_number(r1, r2)
-            )
-
-
 class TestDivisors:
-    def test_support_and_effectivity(self):
+    def test_support(self):
         d = Divisor({0: 2, 1: -1})
         assert d.support() == {0, 1}
-        assert not d.is_effective()
 
     def test_reduced(self):
         d = Divisor.reduced({0, 1})
@@ -174,7 +129,6 @@ class TestDivisors:
     def test_zero_divisor(self):
         z = Divisor()
         assert z.support() == frozenset()
-        assert z.is_effective()
         assert z.is_zero()
 
     def test_arithmetic_drops_zeros(self):
@@ -198,7 +152,7 @@ class TestValidation:
 
     def test_subset_out_of_range(self):
         with pytest.raises(PreconditionError):
-            triangle().restrict([5])
+            triangle().gram_on([5])
 
 
 def sparse_configuration(rng, n):
@@ -264,16 +218,10 @@ class TestNeighbourQueries:
                 b = {i for i in range(config.n) if rng.random() < 0.3}
                 assert config.disjoint(a, b) == dense_disjoint(config, a, b)
 
-    def test_restrict_and_gram_on_match_dense_rows(self):
+    def test_gram_on_matches_dense_rows(self):
         for rng, config in self.configurations(109, 150):
             subset = sorted(i for i in range(config.n) if rng.random() < 0.6)
             assert config.gram_on(subset).rows == dense_restrict(config.gram, subset)
-            sub = config.restrict(subset).configuration
-            assert sub.gram.rows == dense_restrict(config.gram, subset)
-            # the restricted configuration's own neighbour sets
-            assert list(sub.connected_components()) == oracle_components(
-                sub, range(sub.n)
-            )
 
     def test_second_fibre_witness_matches_drop_one_loop(self):
         rng = random.Random(113)

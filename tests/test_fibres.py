@@ -17,10 +17,8 @@ from surfsat import (
     SymmetricMatrix,
     UserAsserted,
     blowup,
-    check_disjoint_pair,
     classify_fibre_type,
     configuration_from_classes,
-    normal_bundle_certificate,
     projective_plane,
     proportionality,
     validate_false_fibre_claims,
@@ -254,39 +252,6 @@ class TestProportionality:
         assert report.witness == Divisor.of(2)
 
 
-class TestDisjointPair:
-    def test_two_disjoint_zero_curves(self):
-        config = Configuration.build([("A", 0), ("B", 0)])
-        report = check_disjoint_pair(config, {0}, {1}, complete_surface=True)
-        assert report.ok
-        assert report.d2_verdict is FibreVerdict.FIBRE_TYPE
-
-    def test_positive_curve_flags_violation(self):
-        config = Configuration.build([("A", 0), ("H", 1)])
-        report = check_disjoint_pair(config, {0}, {1}, complete_surface=True)
-        assert not report.ok
-        assert "inconsistent" in report.violation
-
-    def test_non_disjoint_rejected(self):
-        config = Configuration.build([("A", 0), ("B", 0)], [(0, 1, 1)])
-        with pytest.raises(PreconditionError):
-            check_disjoint_pair(config, {0}, {1}, complete_surface=True)
-
-    def test_needs_completeness_assertion(self):
-        config = Configuration.build([("A", 0), ("B", 0)])
-        with pytest.raises(PreconditionError):
-            check_disjoint_pair(config, {0}, {1})
-
-    def test_negative_definite_second_divisor_rejected(self):
-        config = Configuration.build([("A", 0), ("E", -2), ("F", -2)], [(1, 2, 1)])
-        with pytest.raises(PreconditionError) as info:
-            check_disjoint_pair(config, {0}, {1, 2}, complete_surface=True)
-        assert str(info.value) == (
-            "second divisor ('E', 'F') is negative definite; the disjointness "
-            "constraint says nothing about it"
-        )
-
-
 class TestClaims:
     def ruled_config(self):
         # two disjoint sections of self-intersection zero on a ruled surface
@@ -410,23 +375,6 @@ class TestClaimsAgainstOracle:
         report = validate_false_fibre_claims(claims, config)
         assert report.disjoint_triple == oracle_disjoint_triple(claims, config)
         assert report.ok == (hubs < 3)
-
-
-class TestNormalBundleCertificate:
-    def test_degree_zero_nontorsion_accepted(self):
-        config = Configuration.build([("D", 0)])
-        claim = normal_bundle_certificate(config, 0, nontorsion=True)
-        assert claim == FalseFibreClaim(frozenset({0}), NormalBundleNonTorsion())
-
-    def test_torsion_only_is_inconclusive(self):
-        # a trivial normal bundle decides nothing either way
-        config = Configuration.build([("D", 0)])
-        assert normal_bundle_certificate(config, 0, nontorsion=False) is None
-
-    def test_nonzero_degree_rejected(self):
-        config = Configuration.build([("E", -1)])
-        with pytest.raises(PreconditionError, match="degree"):
-            normal_bundle_certificate(config, 0, nontorsion=True)
 
 
 def relabel(config, order):

@@ -1,7 +1,10 @@
 """The runtime stays stdlib-only: every import in the package is relative
-or names a standard-library module."""
+or names a standard-library module, and importing the command line leaves
+the host process's ``logging`` unloaded."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +31,13 @@ def test_imports_are_relative_or_stdlib(path):
         top = [name.partition(".")[0] for name in names]
         outside += [name for name in top if name not in sys.stdlib_module_names]
     assert outside == [], f"{path.name} imports non-stdlib modules {outside}"
+
+
+def test_importing_the_cli_leaves_logging_unloaded():
+    probe = "import sys, surfsat.cli; print('logging' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

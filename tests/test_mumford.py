@@ -129,7 +129,7 @@ class TestPullback:
             ctx = ContractionContext(config, frozenset(range(k)))
             strict = Divisor({k: rng.randint(0, 3), k + 1: rng.randint(0, 3)})
             pb = pullback(ctx, strict)
-            assert pb.is_effective()
+            assert all(c >= 0 for c in pb.coefficients.values())
             expected = set(strict.support())
             for part in ctx.components():
                 meets = any(

@@ -62,6 +62,16 @@ CASES = [
     ({"curves": [{"name": "A"}]}, "curves[0].self: missing self-intersection"),
     (curve(self=0.5), "curves[0].self: float 0.5 is not exact; encode rationals as 'p/q' strings"),
     (curve(self="x"), "curves[0].self: cannot parse rational from 'x'"),
+    # a rational string is -?[0-9]+(/[0-9]+)? and nothing else
+    (curve(self="1e10000000"), "curves[0].self: cannot parse rational from '1e10000000'"),
+    (curve(self="0.5"), "curves[0].self: cannot parse rational from '0.5'"),
+    (curve(self="+1"), "curves[0].self: cannot parse rational from '+1'"),
+    (curve(self=" 1"), "curves[0].self: cannot parse rational from ' 1'"),
+    (curve(self="1\n"), "curves[0].self: cannot parse rational from '1\\n'"),
+    (curve(self="1_0"), "curves[0].self: cannot parse rational from '1_0'"),
+    (curve(self="\u0661"), "curves[0].self: cannot parse rational from '\u0661'"),
+    (curve(self="1/-2"), "curves[0].self: cannot parse rational from '1/-2'"),
+    (curve(self="1/0"), "curves[0].self: cannot parse rational from '1/0'"),
     (curve(proper=1), "curves[0].proper: expected bool, got int"),
     (
         {"curves": [{"name": "A", "self": 0}, {"name": "A", "self": 1}]},
@@ -97,6 +107,7 @@ CASES = [
         "intersections[0][2]: float 0.5 is not exact; encode rationals as 'p/q' strings",
     ),
     (doc(intersections=[[0, 1, "-1/2"]]), "intersections[0][2]: distinct curves cannot meet negatively"),
+    (doc(intersections=[[0, 1, "2e0"]]), "intersections[0][2]: cannot parse rational from '2e0'"),
     (
         doc(intersections=[["A", "B", 1], [1, 0, 1]]),
         "intersections[1]: pair ('A', 'B') listed twice",
@@ -172,6 +183,10 @@ CASES = [
         {"elliptic": {"curve": {"a4": 0.5}}},
         "elliptic.curve.a4: float 0.5 is not exact; encode rationals as 'p/q' strings",
     ),
+    (
+        {"elliptic": {"curve": {"a3": "1.0", "a4": -1}}},
+        "elliptic.curve.a3: cannot parse rational from '1.0'",
+    ),
     ({"elliptic": {"curve": {}}}, "elliptic.curve: curve is singular (discriminant vanishes)"),
     ({"elliptic": {"curve": CUBIC, "points": {}}}, "elliptic.points: expected list, got dict"),
     ({"elliptic": {"curve": CUBIC, "points": [[0, 0]]}}, "elliptic.points[0]: expected dict, got list"),
@@ -183,6 +198,7 @@ CASES = [
         "elliptic.points[0].x: float 0.5 is not exact; encode rationals as 'p/q' strings",
     ),
     (point(x=0, y=None), "elliptic.points[0].y: expected a rational number, got NoneType"),
+    (point(x="0x0", y=0), "elliptic.points[0].x: cannot parse rational from '0x0'"),
     (point(x=0, y=0, m=0), "elliptic.points[0].m: multiplicity must be a positive integer, got 0"),
     (point(x=0, y=0, m=True), "elliptic.points[0].m: multiplicity must be a positive integer, got True"),
     (point(x=0, y=0, m="2"), "elliptic.points[0].m: multiplicity must be a positive integer, got '2'"),
@@ -205,6 +221,17 @@ def test_unreadable_file(tmp_path):
         load_document(path)
     assert str(info.value) == (
         f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+    )
+
+
+def test_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(InputError) as info:
+        load_document(path)
+    assert str(info.value) == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte"
     )
 
 
