@@ -3,8 +3,12 @@ CLI command, grows as the input doubles.
 
 Run from the repository root (standard library only, not part of tier-1):
 
-    python3 bench/scaling.py              # rewrites BENCH_20.json
-    python3 bench/scaling.py --out FILE   # writes FILE instead
+    python3 bench/scaling.py --out BENCH_22.json
+
+Each perf change writes a new ``BENCH_<n>.json`` with every family of the
+last one plus its own, so the slopes can be read across files; a committed
+file is never rewritten.  Run in a checkout of the parent commit (with this
+script copied in), the same command measures the code before the change.
 
 Each case runs in its own interpreter, capped at CAP_S seconds of wall time;
 a case that hits the cap is recorded as "timeout", and the larger sizes of
@@ -103,6 +107,29 @@ def inner_cycle_document(m):
     }
 
 
+def linked_chain_document(n):
+    """A boundary (-2)-chain of n curves with an interior (+1)-curve on each
+    link: mumford's Schur complement is dense on the n (+1)-curves."""
+    return {
+        "curves": [{"name": f"E{i}", "self": -2} for i in range(n)]
+        + [{"name": f"C{i}", "self": 1} for i in range(n)],
+        "intersections": [[i, i + 1, 1] for i in range(n - 1)]
+        + [[i, n + i, 1] for i in range(n)],
+        "boundary": [f"E{i}" for i in range(n)],
+    }
+
+
+def disjoint_pairs_document(n):
+    """n disjoint boundary (-2)-curves, each met by one interior (-1)-curve:
+    n one-curve parts, and an induced matrix that is diagonal."""
+    return {
+        "curves": [{"name": f"E{i}", "self": -2} for i in range(n)]
+        + [{"name": f"C{i}", "self": -1} for i in range(n)],
+        "intersections": [[i, n + i, 1] for i in range(n)],
+        "boundary": [f"E{i}" for i in range(n)],
+    }
+
+
 MATRICES = {
     "star": star,
     "random-tree": random_tree,
@@ -110,7 +137,12 @@ MATRICES = {
     "two-sections": two_sections,
     "chain": chain,
 }
-DOCUMENTS = {"star": star_document, "inner-cycle": inner_cycle_document}
+DOCUMENTS = {
+    "star": star_document,
+    "inner-cycle": inner_cycle_document,
+    "linked-chain": linked_chain_document,
+    "disjoint-pairs": disjoint_pairs_document,
+}
 
 # name: (input, operation, sizes, what it shows)
 FAMILIES = {
@@ -145,6 +177,14 @@ FAMILIES = {
     "star/cli-analyze": (
         "star", "cli analyze", [500, 1000, 2000],
         "the hub-first star as a boundary",
+    ),
+    "linked-chain/cli-mumford": (
+        "linked-chain", "cli mumford", [250, 500, 1000],
+        "boundary (-2)-chain of n curves, an interior (+1)-curve on each link",
+    ),
+    "disjoint-pairs/cli-mumford": (
+        "disjoint-pairs", "cli mumford", [500, 1000, 2000],
+        "n disjoint boundary (-2)-curves, each met by an interior (-1)-curve",
     ),
 }
 
@@ -232,7 +272,7 @@ def run_case(kind, op, n):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_20.json")
+    parser.add_argument("--out", type=Path, help="the report to write")
     parser.add_argument("--case", nargs=3, metavar=("INPUT", "OP", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -240,6 +280,8 @@ def main(argv=None) -> int:
         kind, op, n = args.case
         print(json.dumps(measure(kind, op, int(n))))
         return 0
+    if args.out is None:
+        parser.error("--out FILE is required")
     start = time.perf_counter()
     families = {}
     for name, (kind, op, sizes, what) in FAMILIES.items():

@@ -169,11 +169,11 @@ def cmd_mumford(doc: Document, args) -> dict:
 def _dense_json(gram) -> list:
     """JSON rows of a matrix, converting only its nonzero entries."""
     out = []
-    for i in range(gram.n):
-        row = [0] * gram.n
+    for i, d in enumerate(gram.diag):
+        row = [0] * len(gram.diag)
         for j, x in gram.off_diagonal(i).items():
             row[j] = rational_to_json(x)
-        row[i] = rational_to_json(gram.entry(i, i))
+        row[i] = rational_to_json(d)
         out.append(row)
     return out
 
@@ -308,12 +308,10 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
         if isinstance(item, dict):
             _flatten(path, item, lines)
         elif isinstance(item, list):
-            for entry in item:
-                if isinstance(entry, (dict, list)):
-                    _flatten(path, item, lines)
-                    break
-            else:
+            if {dict, list}.isdisjoint(map(type, item)):
                 lines.append(f"{path}: {', '.join(map(str, item)) if item else '[]'}")
+            else:
+                _flatten(path, item, lines)
         else:
             lines.append(f"{path}: {item}")
 

@@ -61,6 +61,13 @@ class Divisor:
         self._coeffs = dict(sorted(coeffs.items()))
 
     @classmethod
+    def _unchecked(cls, coefficients: dict[int, Fraction]) -> "Divisor":
+        """The divisor, for a map of nonzero ``Fraction``s on nodes."""
+        divisor = cls.__new__(cls)
+        divisor._coeffs = dict(sorted(coefficients.items()))
+        return divisor
+
+    @classmethod
     def of(cls, node: int, coefficient=1) -> "Divisor":
         return cls({node: coefficient})
 

@@ -15,10 +15,12 @@ entry as an integer minor of A over the minor of the pivots taken so far
 (Sylvester's identity, as in Bareiss's fraction-free elimination), so no
 update pays a gcd.  Its inertia, kernel vector, solves and inverse
 diagonal answer every definiteness question, and they form a ``Fraction``
-only for an output entry.  ``solve`` and ``kernel_basis``, which no
-verdict uses, read the factor of M^2, which is semidefinite with M's
-kernel.  The dense ``rows`` view is built only when asked for (by
-``repr``, by M^2 and by callers).
+only for an output entry: :meth:`LDL.solve_integral` gives a solution as
+integer numerators over one denominator, which ``LDL.solve`` reads and
+``mumford.contract`` sums the Schur complement and the pullbacks over.
+``solve`` and ``kernel_basis``, which no verdict uses, read the factor of
+M^2, which is semidefinite with M's kernel.  The dense ``rows`` view is
+built only when asked for (by ``repr``, by M^2 and by callers).
 """
 
 from __future__ import annotations
@@ -161,6 +163,10 @@ class SymmetricMatrix:
     @property
     def n(self) -> int:
         return len(self._diag)
+
+    @property
+    def diag(self) -> tuple[Fraction, ...]:
+        return self._diag
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -319,6 +325,10 @@ class SymmetricMatrix:
                 order.sort(key=lambda i: len(key.intersection(self._off[i])))
             factor = self._factors[key] = self._eliminate(order)
         return factor
+
+    def _remember(self, factor: "LDL") -> None:
+        """Keep ``factor`` as :meth:`ldl`'s for the block on its order."""
+        self._factors[frozenset(factor.order)] = factor
 
     def _eliminate(self, idx: Sequence[int]) -> "LDL":
         """The elimination of the block on ``idx`` in the given order,
@@ -549,21 +559,27 @@ class LDL:
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def solve(self, rhs: Sequence) -> list[Fraction]:
-        """The x with M x = rhs, for a complete record, by fraction-free
-        forward and back substitution: x is 0 at each zero pivot (a zero
-        row, as in a semidefinite block) and solves the block on the rest.
-
-        M x = rhs is A S^-1 x = S rhs / g.  With b = beta S rhs integral,
-        the forward pass carries b through the elimination as the minors
-        det A[K+q, K+b] of [A | b]; the back pass gives the Cramer
-        numerators Z = det A[P] A[P, P]^-1 b_P, P the nonzero pivots' places
-        and det A[P] the last such pivot; and x = S Z / (beta g det A[P]).
-        """
+        """The x with M x = rhs: :meth:`solve_integral` on beta rhs, beta
+        the lcm of its denominators, and one ``Fraction`` per nonzero x_p."""
         beta = lcm(*[v.denominator for v in rhs])
-        w = [
-            v.numerator * (beta // v.denominator) * s
-            for v, s in zip(rhs, self.scales)
-        ]
+        b = [v.numerator * (beta // v.denominator) for v in rhs]
+        nums, den = self.solve_integral(b)
+        den *= beta
+        return [Fraction(v, den) if v else _ZERO for v in nums]
+
+    def solve_integral(self, b: Sequence[int]) -> tuple[list[int], int]:
+        """Integer numerators X and a common denominator e with M (X / e) =
+        b, for a complete record and an integer b, by fraction-free forward
+        and back substitution: x is 0 at each zero pivot (a zero row, as in
+        a semidefinite block) and solves the block on the rest.
+
+        M x = b is A S^-1 x = S b / g.  The forward pass carries S b through
+        the elimination as the minors det A[K+q, K+b] of [A | S b]; the back
+        pass gives the Cramer numerators Z = det A[P] A[P, P]^-1 (S b)_P, P
+        the nonzero pivots' places and det A[P] the last such pivot; and
+        x = S Z / (g det A[P]).
+        """
+        w = [v * s for v, s in zip(b, self.scales)]
         over = [1] * len(w)
         pivots, minors, columns = self.pivots, self.minors, self.columns
         for p, column in enumerate(columns):
@@ -581,11 +597,7 @@ class LDL:
                 if w[q]:
                     total -= nq * w[q]
             w[p] = total // pivots[p] if pivots[p] else 0
-        denominator = beta * self.content * det
-        return [
-            Fraction(s * v, denominator) if v else _ZERO
-            for s, v in zip(self.scales, w)
-        ]
+        return [s * v for s, v in zip(self.scales, w)], self.content * det
 
     def null_vector(self) -> list[int]:
         """The primitive integral x with positive leading entry and L^T x a

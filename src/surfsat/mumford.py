@@ -9,20 +9,25 @@ product of two divisors downstairs is the product of their pullbacks.
 Each connected component of E is factorised once as L D L^T, which also
 decides its negative definiteness; every pullback is then a forward and
 back substitution against Gram rows, and the contracted Gram is the Schur
-complement M_RR - M_RE M_EE^-1 M_ER.  The Gram keeps the factor of every
-block it eliminates, so a part the boundary record has classified is not
-eliminated again.
+complement M_RR - M_RE M_EE^-1 M_ER.  :func:`contract` keeps the Schur
+complement and the pullbacks as integer numerators over each solve's
+denominator and forms one ``Fraction`` per output entry.  The Gram keeps
+the factor of every block it eliminates, so a part the boundary record has
+classified is not eliminated again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .configuration import Configuration, CurveNode, Divisor
 from .errors import PreconditionError
 from .linalg import SymmetricMatrix
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -167,39 +172,53 @@ def contract(
         {new_id[j]: v for j, v in gram.off_diagonal(old).items() if j in new_id}
         for old in remaining
     ]
-    pullback_coeffs = [{old: 1} for old in remaining]
+    pullback_coeffs = [{old: _ONE} for old in remaining]
+    # each changed Schur entry (a, b), b >= a, as sums[a][b] = (num, den)
+    sums: dict[int, dict[int, tuple[int, int]]] = {}
     for factor in factors:
         position = {node: p for p, node in enumerate(factor.order)}
         # remaining curves meeting this component, with their nonzero Gram
-        # entries on it as (position, value)
-        touching: dict[int, list[tuple[int, Fraction]]] = {}
+        # entries on it by position
+        touching: dict[int, dict[int, Fraction]] = {}
         for node in factor.order:
             for j, v in gram.off_diagonal(node).items():
                 if j in new_id:
-                    touching.setdefault(new_id[j], []).append((position[node], v))
-        touching_sorted = sorted(touching.items())
-        for t, (a, entries) in enumerate(touching_sorted):
-            rhs = [0] * len(factor.order)
-            for p, v in entries:
+                    touching.setdefault(new_id[j], {})[position[node]] = v
+        # M_Ea as integers u_a over their lcm l_a, and x_a = M_EE^-1 (-M_Ea)
+        # as integer numerators X_a over e l_a, e the solve's denominator
+        solved = []
+        for a, entries in sorted(touching.items()):
+            scale = lcm(*[v.denominator for v in entries.values()])
+            u = {p: v.numerator * (scale // v.denominator) for p, v in entries.items()}
+            rhs = [0] * len(position)
+            for p, v in u.items():
                 rhs[p] = -v
-            x = factor.solve(rhs)
-            pullback_coeffs[a].update(zip(factor.order, x))
-            # Schur complement: pullback(a) . b = M_ab + x . M_Eb, summed
-            # over the exceptional neighbours of b.  -M_EE is an irreducible
-            # nonsingular M-matrix, so x = (-M_EE)^-1 M_Ea > 0 and the entry
-            # only grows: it is never zero.
-            diag[a] += sum(x[p] * v for p, v in entries)
-            for b, entries_b in touching_sorted[t + 1:]:
-                off[a][b] = off[b][a] = off[a].get(b, 0) + sum(
-                    x[p] * v for p, v in entries_b
-                )
-    induced = SymmetricMatrix.from_entries(
-        diag, [(a, b, v) for a, row in enumerate(off) for b, v in row.items()]
-    )
+            nums, den = factor.solve_integral(rhs)
+            solved.append((a, u, nums, den * scale, scale))
+        for t, (a, _, nums, den, _) in enumerate(solved):
+            coeffs = [Fraction(x, den) for x in nums]
+            pullback_coeffs[a].update(zip(factor.order, coeffs))
+            # Schur complement: pullback(a) . b = M_ab + X_a . u_b / (e l_a
+            # l_b).  -M_EE is an irreducible nonsingular M-matrix, so x_a =
+            # (-M_EE)^-1 M_Ea > 0 and the entry only grows: every pullback
+            # coefficient on E and every induced entry is positive.
+            row = sums.setdefault(a, {})
+            for b, u, _, _, scale in solved[t:]:
+                top = sum([nums[p] * v for p, v in u.items()])
+                over = den * scale
+                gram_ab = diag[a] if a == b else off[a].get(b, 0)
+                n0, d0 = row.get(b) or gram_ab.as_integer_ratio()
+                d = lcm(d0, over)
+                row[b] = (n0 * (d // d0) + top * (d // over), d)
+    for a, row in sums.items():
+        diag[a] = Fraction(*row.pop(a))
+        for b, (n, d) in row.items():
+            off[a][b] = off[b][a] = Fraction(n, d)
+    induced = SymmetricMatrix._from_sparse(tuple(diag), tuple(off))
+    # ids 0..n-1, inherited names and genera, off-diagonal entries > 0
     nodes = [
-        CurveNode(new, config.nodes[old].name, config.nodes[old].genus,
-                  config.nodes[old].proper)
-        for new, old in enumerate(remaining)
+        CurveNode._unchecked(new, node.name, node.genus, node.proper)
+        for new, node in enumerate([config.nodes[old] for old in remaining])
     ]
     markers = tuple(
         SingularPoint(
@@ -210,8 +229,8 @@ def contract(
         for idx, part in enumerate(sorted(normalized, key=min))
     )
     return ContractedConfiguration(
-        configuration=Configuration(nodes, induced),
+        configuration=Configuration._unchecked(nodes, induced),
         ambient_ids=tuple(remaining),
         singular_points=markers,
-        pullbacks=tuple([Divisor(coeffs) for coeffs in pullback_coeffs]),
+        pullbacks=tuple(map(Divisor._unchecked, pullback_coeffs)),
     )

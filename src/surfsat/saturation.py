@@ -193,7 +193,8 @@ def apply_plan(
     components = set(surface.boundary_components())
     if all(frozenset(part) in components for part in plan.d_minus):
         # the kept components meet no contracted one, so only their ids
-        # change, increasingly
+        # change, increasingly: their blocks, records and ldl orders carry
+        kept = [r for r in surface.component_reports if r.subject.isdisjoint(removed)]
         saturated.__dict__["component_reports"] = tuple(
             replace(
                 r,
@@ -202,9 +203,11 @@ def apply_plan(
                     {new_id[i]: c for i, c in r.kernel.coefficients.items()}
                 ),
             )
-            for r in surface.component_reports
-            if r.subject.isdisjoint(removed)
+            for r in kept
         )
+        for factor in [surface.ambient.gram.ldl(r.subject) for r in kept]:
+            order = tuple([new_id[i] for i in factor.order])
+            saturated.ambient.gram._remember(replace(factor, order=order))
     return saturated
 
 

@@ -363,10 +363,9 @@ def load_document(path) -> Document:
 
 
 def rational_to_json(value: Fraction):
-    value = as_rational(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    """An int, or a ``"p/q"`` string, for an int or a ``Fraction``."""
+    num, den = value.as_integer_ratio()
+    return num if den == 1 else f"{num}/{den}"
 
 
 def certificate_to_json(certificate) -> dict:

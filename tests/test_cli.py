@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
@@ -20,7 +21,11 @@ from surfsat.schema import (
     rational_to_json,
 )
 
-from support import windmill_claims_document
+from support import (
+    oracle_contract,
+    random_contraction_setup,
+    windmill_claims_document,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
@@ -447,6 +452,104 @@ class TestCommands:
             )
             assert code in (0, 2)
             assert "criterion" in out
+
+
+def _rational_json(value):
+    value = Fraction(value)
+    if value.denominator == 1:
+        return value.numerator
+    return f"{value.numerator}/{value.denominator}"
+
+
+class TestFractionalMumford:
+    """CLI ``mumford`` on documents with "p/q" self-intersections and
+    meeting values, against the Gauss-Jordan pullbacks and pairings of
+    ``oracle_contract``, in both formats."""
+
+    @staticmethod
+    def documents():
+        rng = random.Random(113)
+        while True:
+            config, exceptional, _ = random_contraction_setup(rng)
+            gram = config.gram
+            diagonal = [gram.entry(i, i) for i in range(config.n)]
+            meetings = [
+                (i, j, v)
+                for i in range(config.n)
+                for j, v in gram.off_diagonal(i).items()
+                if i < j
+            ]
+            if all(x.denominator == 1 for x in diagonal) or all(
+                v.denominator == 1 for _, _, v in meetings
+            ):
+                continue
+            names = [node.name for node in config.nodes]
+            doc = {
+                "curves": [
+                    {"name": name, "self": str(d)}
+                    for name, d in zip(names, diagonal)
+                ],
+                "intersections": [[i, j, str(v)] for i, j, v in meetings],
+                "boundary": [names[i] for i in sorted(exceptional)],
+            }
+            yield doc, config, exceptional
+
+    def test_against_the_oracle_in_both_formats(self, capsys, tmp_path):
+        start = time.perf_counter()
+        path = tmp_path / "doc.json"
+        documents = self.documents()
+        for _ in range(120):
+            doc, config, exceptional = next(documents)
+            path.write_text(json.dumps(doc))
+            remaining, rows, pullbacks = oracle_contract(config, exceptional)
+            names = [config.nodes[i].name for i in remaining]
+            expected_pullbacks = {
+                config.nodes[i].name: {
+                    config.nodes[j].name: _rational_json(c)
+                    for j, c in pulled.coefficients.items()
+                }
+                for i, pulled in zip(remaining, pullbacks)
+            }
+            expected_rows = [[_rational_json(x) for x in row] for row in rows]
+            code, out, err = run(capsys, "mumford", path, "--format", "json")
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["pullbacks"] == expected_pullbacks
+            assert report["induced_matrix"] == {
+                "curves": names, "entries": expected_rows
+            }
+            code, out, err = run(capsys, "mumford", path)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert [line for line in lines if line.startswith("pullbacks.")] == [
+                f"pullbacks.{a}.{b}: {v}"
+                for a in sorted(expected_pullbacks)
+                for b, v in sorted(expected_pullbacks[a].items())
+            ]
+            assert [
+                line for line in lines if line.startswith("induced_matrix.entries")
+            ] == [
+                f"induced_matrix.entries[{k}]: {', '.join(map(str, row))}"
+                for k, row in enumerate(expected_rows)
+            ]
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"120 documents took {elapsed:.2f}s"
+
+    def test_two_curves(self, capsys, tmp_path):
+        # A^2 = -3/2, B^2 = 1/2, A.B = 1/2: B pulls back to B + A/3, and
+        # B^2 on the contracted surface is 1/2 + (1/2)(1/3) = 2/3
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "curves": [
+                {"name": "A", "self": "-3/2"}, {"name": "B", "self": "1/2"}
+            ],
+            "intersections": [[0, 1, "1/2"]],
+            "boundary": ["A"],
+        }))
+        code, out, _ = run(capsys, "mumford", path)
+        assert code == 0
+        assert "induced_matrix.entries[0]: 2/3" in out.splitlines()
+        assert "pullbacks.B.A: 1/3" in out.splitlines()
 
 
 def _multiple_of_p(k):

@@ -500,6 +500,39 @@ class TestInducedEntries:
                     assert all(pulled.coefficients.get(e, 0) > 0 for e in part)
 
 
+class TestUncheckedConstruction:
+    """``contract`` builds its configuration, nodes and pullbacks without
+    the checks of their constructors; what those checks ask still holds."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_the_checked_constructors_agree(self, rng):
+        config, exceptional, _ = random_contraction_setup(rng)
+        result = contract(config, config.connected_components(exceptional))
+        contracted = result.configuration
+        gram = contracted.gram
+        assert Configuration(contracted.nodes, gram) == contracted
+        assert [node.name for node in contracted.nodes] == [
+            config.nodes[i].name for i in result.ambient_ids
+        ]
+        assert all(type(d) is Fraction for d in gram.diag)
+        for i in range(gram.n):
+            assert all(
+                type(v) is Fraction and v > 0
+                for v in gram.off_diagonal(i).values()
+            )
+            assert gram.off_diagonal(i) == {
+                j: gram.entry(j, i) for j in gram.off_diagonal(i)
+            }
+        for pulled in result.pullbacks:
+            coefficients = pulled.coefficients
+            assert Divisor(coefficients) == pulled
+            assert list(coefficients) == sorted(coefficients)
+            assert all(
+                type(c) is Fraction and c != 0 for c in coefficients.values()
+            )
+
+
 class TestContextBudget:
     def test_long_chain_with_a_curve_on_each_link(self):
         # the context factorises the chain alone and the pullback is one

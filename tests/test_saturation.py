@@ -636,6 +636,13 @@ class TestAffinisationAfterPlan:
             plan = SaturationPlan(d_minus[:1], (), 0, True)
             once = apply_plan(s, plan)
             assert "component_reports" in vars(once)
+            # the kept factors are in the contracted Gram's memo: each is
+            # the elimination of its block in ldl's order on the new Gram
+            fresh = SymmetricMatrix(once.ambient.gram.rows)
+            for r in once.component_reports:
+                carried = once.ambient.gram._factors[r.subject]
+                assert carried == once.ambient.gram._eliminate(carried.order)
+                assert carried == fresh.ldl(r.subject)
             assert once == oracle_apply_plan(s, plan)
             again = dataclasses.replace(once)  # classified afresh
             assert [
@@ -849,6 +856,23 @@ class TestOneClassificationPerComponent:
             assert factorised == []
             contracted += 1
         assert contracted > 40
+
+    def test_a_second_plan_reads_the_kept_factors(self, factorised):
+        # A and B are (-2)-curves, C a (+1)-curve meeting both: contracting
+        # A keeps B, whose factor the contracted Gram carries, so the second
+        # plan, which contracts B, eliminates nothing
+        s = surface(
+            [("A", -2), ("B", -2), ("C", 1)], [(0, 2, 1), (1, 2, 1)],
+            boundary=["A", "B"],
+        )
+        s.component_reports
+        factorised.clear()
+        once = apply_plan(s, SaturationPlan((frozenset({0}),), (), 0, True))
+        apply_plan(once)
+        assert factorised == []
+        assert once.ambient.gram._factors[frozenset({0})] == (
+            once.ambient.gram._eliminate([0])
+        )
 
     def run(self, command, path, capsys):
         code = cli_main([command, str(path)])
