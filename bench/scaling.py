@@ -3,7 +3,7 @@ CLI command, grows as the input doubles.
 
 Run from the repository root (standard library only, not part of tier-1):
 
-    python3 bench/scaling.py --out BENCH_22.json
+    python3 bench/scaling.py --out BENCH_23.json
 
 Each perf change writes a new ``BENCH_<n>.json`` with every family of the
 last one plus its own, so the slopes can be read across files; a committed
@@ -13,11 +13,20 @@ script copied in), the same command measures the code before the change.
 Each case runs in its own interpreter, capped at CAP_S seconds of wall time;
 a case that hits the cap is recorded as "timeout", and the larger sizes of
 its family are recorded as not run.  A case reports the best of three wall
-times, the ``tracemalloc`` peak of one more run, and the bit length of the
-largest pivot that any elimination made in that run.  Only the operation is
-timed: building the matrix, or writing the document to a file, is not.  The
-CLI cases call ``surfsat.cli.main`` in process, so they leave out the
-interpreter's start-up.
+times and the bit length of the largest pivot that any elimination made in
+one more run.  The ``tracemalloc`` peak of a further run is taken in an
+interpreter of its own, under a cap of its own: a case whose traced run
+passes the cap keeps its times and reads "timeout" for the peak alone.
+Only the operation is timed: building the matrix, or writing the document
+to a file, is not.  The CLI cases call ``surfsat.cli.main`` in process, so
+they leave out the interpreter's start-up.
+
+The ``import/cli`` family times what those cases leave out: ``import
+surfsat.cli`` in IMPORT_RUNS fresh interpreters (after one discarded run,
+as ``perfbench`` does) with ``fractions`` already imported, under the
+caller's environment, so ``PYTHONDONTWRITEBYTECODE=1`` times the compile
+too.  It reports the best and the median wall time, and how many modules
+the import adds to ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -40,6 +50,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CAP_S = 30
 REPEATS = 3
+IMPORT_RUNS = 11
+IMPORT_PROBE = """
+import fractions, sys, time
+before = len(sys.modules)
+start = time.perf_counter()
+import surfsat.cli
+print(f"[{time.perf_counter() - start}, {len(sys.modules) - before}]")
+"""
 
 
 # -- inputs ---------------------------------------------------------------
@@ -217,6 +235,7 @@ def prepare(kind, op, n, tmp):
 
 
 def measure(kind, op, n):
+    """The timed runs, then one run that records the largest pivot."""
     from surfsat.linalg import SymmetricMatrix
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -237,37 +256,69 @@ def measure(kind, op, n):
             return factor
 
         SymmetricMatrix._eliminate = recording
-        run = setup()
+        setup()()
+    return {
+        "best_s": round(min(runs), 6),
+        "runs_s": [round(t, 6) for t in runs],
+        "max_pivot_bits": bits,
+    }
+
+
+def traced_peak(kind, op, n):
+    """The ``tracemalloc`` peak of one run, in KiB."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = prepare(kind, op, n, tmp)()
         tracemalloc.start()
         run()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    return {
-        "best_s": round(min(runs), 6),
-        "runs_s": [round(t, 6) for t in runs],
-        "tracemalloc_peak_kib": round(peak / 1024, 1),
-        "max_pivot_bits": bits,
-    }
+    return round(peak / 1024, 1)
 
 
 # -- the driver ------------------------------------------------------------
 
 
-def run_case(kind, op, n):
+def run_child(args):
+    """(True, the JSON printed by a fresh interpreter that imports the
+    package from this checkout), or (False, "timeout" past the cap, or an
+    error holding the last line of its stderr)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     ))
     try:
         done = subprocess.run(
-            [sys.executable, __file__, "--case", kind, op, str(n)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, timeout=CAP_S,
+            [sys.executable, *args], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, timeout=CAP_S,
         )
     except subprocess.TimeoutExpired:
-        return "timeout"
+        return False, "timeout"
     if done.returncode:
-        return {"error": done.stderr.strip().splitlines()[-1:]}
-    return json.loads(done.stdout)
+        return False, {"error": done.stderr.strip().splitlines()[-1:]}
+    return True, json.loads(done.stdout)
+
+
+def run_case(kind, op, n):
+    """The timed runs, then the traced run in an interpreter of its own."""
+    case = [__file__, "--case", kind, op, str(n)]
+    ok, result = run_child(case)
+    if ok:
+        result["tracemalloc_peak_kib"] = run_child(case + ["--peak"])[1]
+    return result
+
+
+def import_cli():
+    """``import surfsat.cli`` timed in fresh interpreters."""
+    outs = [run_child(["-c", IMPORT_PROBE]) for _ in range(IMPORT_RUNS + 1)][1:]
+    failed = [out for ok, out in outs if not ok]
+    if failed:
+        return failed[0]
+    runs = [t for _, (t, _) in outs]
+    return {
+        "best_s": round(min(runs), 6),
+        "median_s": round(statistics.median(runs), 6),
+        "runs_s": [round(t, 6) for t in runs],
+        "modules_added": outs[0][1][1],
+    }
 
 
 def main(argv=None) -> int:
@@ -275,10 +326,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="the report to write")
     parser.add_argument("--case", nargs=3, metavar=("INPUT", "OP", "N"),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--peak", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case:
         kind, op, n = args.case
-        print(json.dumps(measure(kind, op, int(n))))
+        print(json.dumps((traced_peak if args.peak else measure)(kind, op, int(n))))
         return 0
     if args.out is None:
         parser.error("--out FILE is required")
@@ -294,6 +346,13 @@ def main(argv=None) -> int:
             cases.append({"n": n, "result": result})
             print(f"{name} n={n}: {result}", file=sys.stderr)
         families[name] = {"input": what, "operation": op, "cases": cases}
+    result = import_cli()
+    print(f"import/cli n={IMPORT_RUNS}: {result}", file=sys.stderr)
+    families["import/cli"] = {
+        "input": "a fresh interpreter with fractions imported; n interpreters",
+        "operation": "import surfsat.cli",
+        "cases": [{"n": IMPORT_RUNS, "result": result}],
+    }
     report = {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -302,9 +361,13 @@ def main(argv=None) -> int:
         "cap_s": CAP_S,
         "repeats": REPEATS,
         "units": {
-            "best_s": "s, best of the repeats",
-            "tracemalloc_peak_kib": "KiB, one further run under tracemalloc",
-            "max_pivot_bits": "bits of the largest |pivot| of any elimination in that run",
+            "best_s": "s, best of the repeats (import/cli: of the interpreters)",
+            "median_s": "s, median over the interpreters (import/cli)",
+            "tracemalloc_peak_kib": "KiB, one further run under tracemalloc, "
+            "in an interpreter of its own",
+            "max_pivot_bits": "bits of the largest |pivot| of any elimination "
+            "in one more run",
+            "modules_added": "modules that import surfsat.cli adds to sys.modules",
         },
         "total_s": round(time.perf_counter() - start, 1),
         "families": families,

@@ -16,31 +16,21 @@ intersection, all in O(n + meetings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, KeysView, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .linalg import SymmetricMatrix, as_rational
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CurveNode:
-    id: int
-    name: str
-    genus: int = 0
-    proper: bool = True
+class CurveNode(Record):
+    __slots__ = ("id", "name", "genus", "proper")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise InputError(f"curve {self.name!r} has negative genus {self.genus}")
-
-    @classmethod
-    def _unchecked(cls, id: int, name: str, genus: int, proper: bool) -> "CurveNode":
-        """The node, for a genus the caller has checked."""
-        node = cls.__new__(cls)
-        node.__dict__.update(id=id, name=name, genus=genus, proper=proper)
-        return node
+    def __init__(self, id: int, name: str, genus: int = 0, proper: bool = True):
+        if genus < 0:
+            raise InputError(f"curve {name!r} has negative genus {genus}")
+        self.id, self.name, self.genus, self.proper = id, name, genus, proper
 
 
 class Divisor:

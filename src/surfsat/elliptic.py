@@ -45,7 +45,6 @@ weights: cancelling heavy weights never form a large point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, isqrt, lcm
@@ -53,8 +52,9 @@ from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .fibres import FalseFibreClaim, GroupLawObstruction
-from .linalg import as_rational
+from .linalg import _ZERO, as_rational
 from .nslattice import ClassRecord, NSLattice, cubic_blowup
+from .record import Record
 from .saturation import (
     AffDimReport,
     CompactifiedSurface,
@@ -82,20 +82,15 @@ EXACT_BITS_BUDGET = 1 << 14
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    a1: Fraction = Fraction(0)
-    a2: Fraction = Fraction(0)
-    a3: Fraction = Fraction(0)
-    a4: Fraction = Fraction(0)
-    a6: Fraction = Fraction(0)
+class WeierstrassCurve(Record):
+    __slots__ = (
+        "a1", "a2", "a3", "a4", "a6", "_u", "_integral", "_integral_discriminant",
+        "_lifts",
+    )
 
-    def __post_init__(self):
-        coefficients = []
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            value = as_rational(getattr(self, name))
-            object.__setattr__(self, name, value)
-            coefficients.append(value)
+    def __init__(self, a1=_ZERO, a2=_ZERO, a3=_ZERO, a4=_ZERO, a6=_ZERO):
+        coefficients = [as_rational(a) for a in (a1, a2, a3, a4, a6)]
+        self.a1, self.a2, self.a3, self.a4, self.a6 = coefficients
         u = lcm(*(c.denominator for c in coefficients))
         # the integral model's coefficients a_i u^i
         c1, c2, c3, c4, c6 = (
@@ -109,13 +104,11 @@ class WeierstrassCurve:
         delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if delta == 0:
             raise InputError("curve is singular (discriminant vanishes)")
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_integral", (c1, c2, c3, c4, c6))
-        object.__setattr__(self, "_integral_discriminant", delta)
+        self._u, self._integral = u, (c1, c2, c3, c4, c6)
+        self._integral_discriminant = delta
         # the triple of every point found on the curve, keyed by its
-        # coordinates' numerators and denominators; not a field, so equality
-        # and hashing ignore it
-        object.__setattr__(self, "_lifts", {})
+        # coordinates' numerators and denominators
+        self._lifts = {}
 
     def discriminant(self) -> Fraction:
         return Fraction(self._integral_discriminant, self._u ** 12)
@@ -164,17 +157,13 @@ class WeierstrassCurve:
         return ECPoint(Fraction(x, scale * scale), Fraction(y, scale ** 3))
 
 
-@dataclass(frozen=True)
-class ECPoint:
-    x: Optional[Fraction] = None
-    y: Optional[Fraction] = None
+class ECPoint(Record):
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: Optional[Fraction] = None, y: Optional[Fraction] = None):
+        if (x is None) != (y is None):
             raise InputError("affine point needs both coordinates")
-        if self.x is not None:
-            object.__setattr__(self, "x", as_rational(self.x))
-            object.__setattr__(self, "y", as_rational(self.y))
+        self.x, self.y = (x, y) if x is None else (as_rational(x), as_rational(y))
 
     @classmethod
     def infinity(cls) -> "ECPoint":
@@ -319,12 +308,12 @@ def _within_budget(
     return point
 
 
-@dataclass(frozen=True)
-class TorsionStatus:
-    torsion: bool
-    order: Optional[int] = None
-    # the bit budget the exact stage ran past; set only when undecided
-    bound: Optional[int] = None
+class TorsionStatus(Record):
+    # bound: the bit budget the exact stage ran past; set only when undecided
+    __slots__ = ("torsion", "order", "bound")
+
+    def __init__(self, torsion: bool, order: Optional[int] = None, bound=None):
+        self.torsion, self.order, self.bound = torsion, order, bound
 
     def __str__(self) -> str:
         if self.bound is not None:
@@ -441,12 +430,16 @@ def _reduced_order(
     return None
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    found: bool
-    torsion: TorsionStatus
-    curve: WeierstrassCurve = field(repr=False, compare=False)
-    points: tuple[tuple[ECPoint, int], ...] = field(repr=False, compare=False)
+class ObstructionReport(Record):
+    __slots__ = ("found", "torsion", "curve", "points", "__dict__")  # cached total
+    _shown = __slots__[:2]
+
+    def __init__(
+        self, found: bool, torsion: TorsionStatus, curve: WeierstrassCurve,
+        points: tuple[tuple[ECPoint, int], ...],
+    ):
+        self.found, self.torsion = found, torsion
+        self.curve, self.points = curve, points
 
     @property
     def verdict(self) -> str:
@@ -495,22 +488,29 @@ def sum_obstruction(
     )
 
 
-@dataclass(frozen=True)
-class HironakaReport:
+class HironakaReport(Record):
     """Everything the blown-up-cubic construction produces for n points."""
 
-    n: int
-    lattice: NSLattice
-    cubic_class: ClassRecord
-    exceptional_classes: tuple[ClassRecord, ...]
-    boundary_self_intersection: Fraction
-    surface: CompactifiedSurface
-    obstruction: ObstructionReport
-    saturation: SaturationVerdict
-    plan: SaturationPlan
-    scheme_saturation: SchemeSaturationReport
-    affinisation: AffDimReport
-    claim: Optional[FalseFibreClaim]
+    __slots__ = (
+        "n", "lattice", "cubic_class", "exceptional_classes",
+        "boundary_self_intersection", "surface", "obstruction", "saturation", "plan",
+        "scheme_saturation", "affinisation", "claim",
+    )
+
+    def __init__(
+        self, n: int, lattice: NSLattice, cubic_class: ClassRecord,
+        exceptional_classes: tuple[ClassRecord, ...],
+        boundary_self_intersection: Fraction, surface: CompactifiedSurface,
+        obstruction: ObstructionReport, saturation: SaturationVerdict,
+        plan: SaturationPlan, scheme_saturation: SchemeSaturationReport,
+        affinisation: AffDimReport, claim: Optional[FalseFibreClaim],
+    ):
+        self.n, self.lattice, self.cubic_class = n, lattice, cubic_class
+        self.exceptional_classes = exceptional_classes
+        self.boundary_self_intersection = boundary_self_intersection
+        self.surface, self.obstruction, self.claim = surface, obstruction, claim
+        self.saturation, self.plan = saturation, plan
+        self.scheme_saturation, self.affinisation = scheme_saturation, affinisation
 
 
 def hironaka_build(

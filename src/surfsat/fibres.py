@@ -11,13 +11,13 @@ certificates, never inferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configuration import Configuration, Divisor
 from .errors import PreconditionError
+from .record import Record
 
 
 class FibreVerdict(Enum):
@@ -27,43 +27,49 @@ class FibreVerdict(Enum):
     DISCONNECTED = "disconnected"
 
 
-@dataclass(frozen=True)
-class FibreTypeReport:
-    subject: frozenset[int]
-    verdict: FibreVerdict
-    kernel: Optional[Divisor] = None
+class FibreTypeReport(Record):
     # positive eigenvalues of the Gram; None for a disconnected subject
-    positive: Optional[int] = field(default=None, compare=False)
+    __slots__ = ("subject", "verdict", "kernel", "positive")
+    _compared = __slots__[:3]
+
+    def __init__(
+        self, subject: frozenset[int], verdict: FibreVerdict,
+        kernel: Optional[Divisor] = None, positive: Optional[int] = None,
+    ):
+        self.subject, self.verdict, self.kernel = subject, verdict, kernel
+        self.positive = positive
 
 
-@dataclass(frozen=True)
-class UserAsserted:
+class UserAsserted(Record):
     """The user vouches that the divisor supports no fibre of a fibration."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NormalBundleNonTorsion:
+
+class NormalBundleNonTorsion(Record):
     """A degree-zero, non-torsion normal bundle rules out supporting a fibre."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class GroupLawObstruction:
+
+class GroupLawObstruction(Record):
     """A non-torsion weighted point sum on a cubic rules out the divisor
     classes any fibre through those points would need."""
 
-    reference: str
+    __slots__ = ("reference",)
+
+    def __init__(self, reference: str):
+        self.reference = reference
 
 
 Certificate = Union[UserAsserted, NormalBundleNonTorsion, GroupLawObstruction]
 
 
-@dataclass(frozen=True)
-class FalseFibreClaim:
-    subject: frozenset[int]
-    certificate: Certificate
+class FalseFibreClaim(Record):
+    __slots__ = ("subject", "certificate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "subject", frozenset(self.subject))
+    def __init__(self, subject: Iterable[int], certificate: Certificate):
+        self.subject, self.certificate = frozenset(subject), certificate
 
 
 def classify_fibre_type(
@@ -109,22 +115,25 @@ def _classify_connected(config: Configuration, subject: frozenset) -> FibreTypeR
     return FibreTypeReport(subject, FibreVerdict.FIBRE_TYPE, kernel, positive=0)
 
 
-@dataclass(frozen=True)
-class ZariskiViolation:
-    kind: str
-    subset: tuple[int, ...]
+class ZariskiViolation(Record):
+    __slots__ = ("kind", "subset")
+
+    def __init__(self, kind: str, subset: tuple[int, ...]):
+        self.kind, self.subset = kind, subset
 
 
-@dataclass(frozen=True)
-class ZariskiReport:
+class ZariskiReport(Record):
     """``status`` is "ok" for a fibre-type subject: its kernel is a line and,
     by Zariski's lemma, its proper sub-supports are negative definite (see
     :func:`validate_zariski`); otherwise "violations", naming the failed
     fibre-type condition."""
 
-    status: str  # "ok" | "violations"
-    violations: tuple[ZariskiViolation, ...] = ()
-    note: str = ""
+    __slots__ = ("status", "violations", "note")
+
+    def __init__(
+        self, status: str, violations: tuple[ZariskiViolation, ...] = (), note=""
+    ):
+        self.status, self.violations, self.note = status, violations, note
 
 
 def validate_zariski(config: Configuration, subject: Iterable[int]) -> ZariskiReport:
@@ -180,11 +189,14 @@ def _kernel_ratio(
     return report
 
 
-@dataclass(frozen=True)
-class ProportionalityReport:
-    proportional: bool
-    ratio: Optional[Fraction] = None
-    witness: Optional[Divisor] = None
+class ProportionalityReport(Record):
+    __slots__ = ("proportional", "ratio", "witness")
+
+    def __init__(
+        self, proportional: bool, ratio: Optional[Fraction] = None,
+        witness: Optional[Divisor] = None,
+    ):
+        self.proportional, self.ratio, self.witness = proportional, ratio, witness
 
 
 def proportionality(
@@ -225,10 +237,11 @@ def proportionality(
     return ProportionalityReport(proportional=True, ratio=ratio)
 
 
-@dataclass(frozen=True)
-class ClaimsReport:
-    ok: bool
-    disjoint_triple: Optional[tuple[FalseFibreClaim, FalseFibreClaim, FalseFibreClaim]] = None
+class ClaimsReport(Record):
+    __slots__ = ("ok", "disjoint_triple")  # three pairwise disjoint claims
+
+    def __init__(self, ok: bool, disjoint_triple: Optional[tuple] = None):
+        self.ok, self.disjoint_triple = ok, disjoint_triple
 
 
 def validate_false_fibre_claims(

@@ -26,13 +26,13 @@ built only when asked for (by ``repr``, by M^2 and by callers).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Collection, Iterable, KeysView, Mapping, Optional, Sequence
 
 from .errors import InputError
+from .record import Record
 
 Rational = Fraction
 _ZERO = Fraction(0)
@@ -535,8 +535,7 @@ def _put(off, i: int, j: int, value: int, minor: int) -> None:
         off[j].pop(i, None)
 
 
-@dataclass(frozen=True)
-class LDL:
+class LDL(Record):
     """The elimination of a principal block, from :meth:`SymmetricMatrix.ldl`.
 
     ``order`` lists the block's indices in the order eliminated; right-hand
@@ -550,13 +549,16 @@ class LDL:
     ``columns[p]`` holds the nonzero (q, det A[K+q, K+p]) below it.
     """
 
-    order: tuple[int, ...]
-    inertia: tuple[int, int, int]
-    scales: tuple[int, ...]
-    content: int
-    minors: tuple[int, ...]
-    pivots: tuple[int, ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("order", "inertia", "scales", "content", "minors", "pivots", "columns")
+
+    def __init__(
+        self, order: tuple[int, ...], inertia: tuple[int, int, int],
+        scales: tuple[int, ...], content: int, minors: tuple[int, ...],
+        pivots: tuple[int, ...], columns: tuple[tuple[tuple[int, int], ...], ...],
+    ):
+        self.order, self.inertia, self.scales = order, inertia, scales
+        self.content, self.minors = content, minors
+        self.pivots, self.columns = pivots, columns
 
     def solve(self, rhs: Sequence) -> list[Fraction]:
         """The x with M x = rhs: :meth:`solve_integral` on beta rhs, beta

@@ -18,7 +18,6 @@ classified is not eliminated again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -26,28 +25,27 @@ from typing import Iterable, Sequence
 from .configuration import Configuration, CurveNode, Divisor
 from .errors import PreconditionError
 from .linalg import SymmetricMatrix
+from .record import Record
 
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ContractionContext:
-    ambient: Configuration
-    exceptional: frozenset[int]
+class ContractionContext(Record):
+    __slots__ = ("ambient", "exceptional", "_components")
 
-    def __post_init__(self):
-        exceptional = frozenset(self.exceptional)
-        object.__setattr__(self, "exceptional", exceptional)
-        components = self.ambient.connected_components(exceptional)
+    def __init__(self, ambient: Configuration, exceptional: Iterable[int]):
+        exceptional = frozenset(exceptional)
+        components = ambient.connected_components(exceptional)
         # E is block diagonal over its components, so it is negative
         # definite iff every component's factorisation succeeds
-        if any(self.ambient.gram.negative_definite_ldl(c) is None for c in components):
+        if any(ambient.gram.negative_definite_ldl(c) is None for c in components):
             raise PreconditionError(
                 "exceptional set "
-                f"{self.ambient.names(exceptional)} is not negative definite; "
+                f"{ambient.names(exceptional)} is not negative definite; "
                 "only negative definite curve sets are contractible"
             )
-        object.__setattr__(self, "_components", components)
+        self.ambient, self.exceptional = ambient, exceptional
+        self._components = components
 
     def components(self) -> tuple[frozenset[int], ...]:
         return self._components
@@ -100,22 +98,29 @@ def induced_product(ctx: ContractionContext, d1: Divisor, d2: Divisor) -> Fracti
     return ctx.ambient.intersection_number(p1, d2)
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(Record):
     """Marker for the point a contracted part maps to."""
 
-    name: str
-    contracted_nodes: frozenset[int]
-    contracted_names: tuple[str, ...]
+    __slots__ = ("name", "contracted_nodes", "contracted_names")
+
+    def __init__(
+        self, name: str, contracted_nodes: frozenset[int],
+        contracted_names: tuple[str, ...],
+    ):
+        self.name, self.contracted_nodes = name, contracted_nodes
+        self.contracted_names = contracted_names
 
 
-@dataclass(frozen=True)
-class ContractedConfiguration:
-    configuration: Configuration
-    ambient_ids: tuple[int, ...]
-    singular_points: tuple[SingularPoint, ...]
+class ContractedConfiguration(Record):
     # pullbacks[i] is the pullback of ambient curve ambient_ids[i]
-    pullbacks: tuple[Divisor, ...]
+    __slots__ = ("configuration", "ambient_ids", "singular_points", "pullbacks")
+
+    def __init__(
+        self, configuration: Configuration, ambient_ids: tuple[int, ...],
+        singular_points: tuple[SingularPoint, ...], pullbacks: tuple[Divisor, ...],
+    ):
+        self.configuration, self.ambient_ids = configuration, ambient_ids
+        self.singular_points, self.pullbacks = singular_points, pullbacks
 
 
 def contract(
@@ -217,7 +222,7 @@ def contract(
     induced = SymmetricMatrix._from_sparse(tuple(diag), tuple(off))
     # ids 0..n-1, inherited names and genera, off-diagonal entries > 0
     nodes = [
-        CurveNode._unchecked(new, node.name, node.genus, node.proper)
+        CurveNode(new, node.name, node.genus, node.proper)
         for new, node in enumerate([config.nodes[old] for old in remaining])
     ]
     markers = tuple(

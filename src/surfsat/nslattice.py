@@ -15,7 +15,6 @@ transform C = 3L - sum Ei with C^2 = 9 - n and C.Ei = 1, and Ei.Ej = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
@@ -23,6 +22,7 @@ from typing import Sequence, Union
 from .configuration import Configuration, CurveNode
 from .errors import InputError, PreconditionError
 from .linalg import SymmetricMatrix, as_rational
+from .record import Record
 
 
 def _integral_vector(values: Sequence, what: str) -> tuple[int, ...]:
@@ -38,50 +38,44 @@ def _integral_vector(values: Sequence, what: str) -> tuple[int, ...]:
     return tuple([int(x) for x in coords])
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(Record):
     """A tracked curve class: integer coordinates in the lattice basis plus
     the stored geometric genus of the curve it names."""
 
-    name: str
-    vector: tuple[int, ...]
-    genus: int = 0
+    __slots__ = ("name", "vector", "genus")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise InputError(f"class {self.name!r} has negative genus")
-        object.__setattr__(
-            self, "vector", _integral_vector(self.vector, f"class {self.name!r}")
-        )
+    def __init__(self, name: str, vector: Sequence[int], genus: int = 0):
+        if genus < 0:
+            raise InputError(f"class {name!r} has negative genus")
+        self.name, self.genus = name, genus
+        self.vector = _integral_vector(vector, f"class {name!r}")
 
 
-@dataclass(frozen=True)
-class NSLattice:
-    basis_names: tuple[str, ...]
-    gram: SymmetricMatrix
-    canonical: tuple[int, ...]
+class NSLattice(Record):
+    __slots__ = ("basis_names", "gram", "canonical", "__dict__")  # cached _sparse_rows
 
-    def __post_init__(self):
-        if self.gram.n != len(self.basis_names):
+    def __init__(
+        self, basis_names: tuple[str, ...], gram: SymmetricMatrix,
+        canonical: Sequence[int],
+    ):
+        if gram.n != len(basis_names):
             raise InputError("gram dimension does not match basis size")
-        if len(self.canonical) != len(self.basis_names):
+        if len(canonical) != len(basis_names):
             raise InputError("canonical class has wrong dimension")
-        gram = self.gram
         if any(
             gram.entry(i, i).denominator != 1
             or any(x.denominator != 1 for x in gram.off_diagonal(i).values())
             for i in range(gram.n)
         ):
             raise InputError("lattice pairing must be integral")
-        rank = self.gram.n
-        if self.gram.inertia() != (1, rank - 1, 0):
+        rank = gram.n
+        if gram.inertia() != (1, rank - 1, 0):
             raise InputError(
                 f"lattice pairing must have signature (1,{rank - 1}), got "
-                f"inertia {self.gram.inertia()}"
+                f"inertia {gram.inertia()}"
             )
-        object.__setattr__(
-            self, "canonical", _integral_vector(self.canonical, "canonical class")
-        )
+        self.basis_names, self.gram = basis_names, gram
+        self.canonical = _integral_vector(canonical, "canonical class")
 
     @property
     def rank(self) -> int:
@@ -128,11 +122,14 @@ class NSLattice:
         return Fraction(self._pair(v, v))
 
 
-@dataclass(frozen=True)
-class BlowupResult:
-    lattice: NSLattice
-    classes: tuple[ClassRecord, ...]
-    exceptional: ClassRecord
+class BlowupResult(Record):
+    __slots__ = ("lattice", "classes", "exceptional")
+
+    def __init__(
+        self, lattice: NSLattice, classes: tuple[ClassRecord, ...],
+        exceptional: ClassRecord,
+    ):
+        self.lattice, self.classes, self.exceptional = lattice, classes, exceptional
 
 
 def projective_plane() -> NSLattice:
@@ -166,7 +163,7 @@ def blowup(
 
     # The new generator is an orthogonal (-1)-class, so the Gram stays
     # integral and signature (1, r - 1) becomes (1, r) by construction: the
-    # lattice is built without the checks of NSLattice.__post_init__.
+    # lattice is built without the checks of NSLattice.__init__.
     old = lattice.gram
     gram = SymmetricMatrix.from_entries(
         [old.entry(i, i) for i in range(rank)] + [-1],
@@ -187,11 +184,9 @@ def _unchecked_lattice(
     basis_names: tuple[str, ...], gram: SymmetricMatrix, canonical: tuple[int, ...]
 ) -> NSLattice:
     """A lattice whose Gram is integral of signature (1, r - 1) by
-    construction, built without the checks of NSLattice.__post_init__."""
-    lattice = object.__new__(NSLattice)
-    object.__setattr__(lattice, "basis_names", basis_names)
-    object.__setattr__(lattice, "gram", gram)
-    object.__setattr__(lattice, "canonical", canonical)
+    construction, built without the checks of NSLattice.__init__."""
+    lattice = NSLattice.__new__(NSLattice)
+    lattice.basis_names, lattice.gram, lattice.canonical = basis_names, gram, canonical
     return lattice
 
 

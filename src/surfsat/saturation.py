@@ -7,7 +7,8 @@ the negative definite components and drops the isolated points; the
 classification of the affinisation dimension is invariant under this, so the
 classifier insists on a saturated input.  The plan contracts the
 components the boundary record classified, and the Gram hands their
-factorisations back from its memo.
+factorisations back from its memo.  A surface keeps that record, the one
+entry of its instance dictionary, beside its slotted fields.
 
 The affinisation dimension is 2, 1 or 0.  The boundary numbers decide 2
 outright, and 0 for an empty boundary, read off the kept components before
@@ -19,10 +20,9 @@ fibre witness.  Everything else is reported honestly as one-or-zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .configuration import Configuration, Divisor
 from .errors import DataInconsistencyError, PreconditionError
@@ -33,11 +33,12 @@ from .fibres import (
     _check_claims,
     _classify_connected,
 )
+from .linalg import LDL
 from .mumford import contract
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CompactifiedSurface:
+class CompactifiedSurface(Record):
     """An open surface given by a compactification.
 
     ``ambient`` lists every supplied proper curve; ``boundary`` is the set of
@@ -47,23 +48,27 @@ class CompactifiedSurface:
     divisors inside the surface.
     """
 
-    ambient: Configuration
-    boundary: frozenset[int]
-    isolated_boundary_points: int = 0
-    false_fibre_claims: tuple[FalseFibreClaim, ...] = ()
-    fibration_asserted: bool = False
+    __slots__ = (
+        "ambient", "boundary", "isolated_boundary_points", "false_fibre_claims",
+        "fibration_asserted", "__dict__",  # the cached component_reports
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "boundary", frozenset(self.boundary))
-        object.__setattr__(
-            self, "false_fibre_claims", tuple(self.false_fibre_claims)
-        )
+    def __init__(
+        self, ambient: Configuration, boundary: Iterable[int],
+        isolated_boundary_points: int = 0,
+        false_fibre_claims: Sequence[FalseFibreClaim] = (),
+        fibration_asserted: bool = False,
+    ):
+        self.ambient, self.boundary = ambient, frozenset(boundary)
+        self.isolated_boundary_points = isolated_boundary_points
+        self.false_fibre_claims = tuple(false_fibre_claims)
+        self.fibration_asserted = fibration_asserted
         for i in self.boundary:
-            if not 0 <= i < self.ambient.n:
+            if not 0 <= i < ambient.n:
                 raise PreconditionError(f"boundary node {i} does not exist")
-        if self.isolated_boundary_points < 0:
+        if isolated_boundary_points < 0:
             raise PreconditionError("isolated point count cannot be negative")
-        improper = [n.name for n in self.ambient.nodes if not n.proper]
+        improper = [n.name for n in ambient.nodes if not n.proper]
         if improper:
             raise PreconditionError(
                 f"ambient curves must all be proper; got improper {improper}"
@@ -86,12 +91,15 @@ class CompactifiedSurface:
         return tuple(report.subject for report in self.component_reports)
 
 
-@dataclass(frozen=True)
-class SaturationVerdict:
-    saturated: bool
-    offending_components: tuple[frozenset[int], ...]
-    isolated_points: int
-    criterion: str = "no-negative-definite-component"
+class SaturationVerdict(Record):
+    __slots__ = ("saturated", "offending_components", "isolated_points", "criterion")
+
+    def __init__(
+        self, saturated: bool, offending_components: tuple[frozenset[int], ...],
+        isolated_points: int, criterion: str = "no-negative-definite-component",
+    ):
+        self.saturated, self.offending_components = saturated, offending_components
+        self.isolated_points, self.criterion = isolated_points, criterion
 
 
 def is_saturated(surface: CompactifiedSurface) -> SaturationVerdict:
@@ -110,12 +118,16 @@ def is_saturated(surface: CompactifiedSurface) -> SaturationVerdict:
     )
 
 
-@dataclass(frozen=True)
-class SaturationPlan:
-    d_minus: tuple[frozenset[int], ...]
-    d_plus: tuple[frozenset[int], ...]
-    points_to_remove: int
-    resulting_boundary_ok: bool
+class SaturationPlan(Record):
+    __slots__ = ("d_minus", "d_plus", "points_to_remove", "resulting_boundary_ok")
+
+    def __init__(
+        self, d_minus: tuple[frozenset[int], ...], d_plus: tuple[frozenset[int], ...],
+        points_to_remove: int, resulting_boundary_ok: bool,
+    ):
+        self.d_minus, self.d_plus = d_minus, d_plus
+        self.points_to_remove = points_to_remove
+        self.resulting_boundary_ok = resulting_boundary_ok
 
 
 def _reject_contracted_claims(
@@ -167,7 +179,10 @@ def apply_plan(
     if not plan.d_minus:
         if surface.isolated_boundary_points == 0:
             return surface
-        saturated = replace(surface, isolated_boundary_points=0)
+        saturated = CompactifiedSurface(
+            surface.ambient, surface.boundary, 0, surface.false_fibre_claims,
+            surface.fibration_asserted,
+        )
         # the same curves and boundary, hence the same record
         saturated.__dict__["component_reports"] = surface.component_reports
         return saturated
@@ -196,18 +211,20 @@ def apply_plan(
         # change, increasingly: their blocks, records and ldl orders carry
         kept = [r for r in surface.component_reports if r.subject.isdisjoint(removed)]
         saturated.__dict__["component_reports"] = tuple(
-            replace(
-                r,
-                subject=frozenset(new_id[i] for i in r.subject),
-                kernel=r.kernel and Divisor(
+            FibreTypeReport(
+                frozenset(new_id[i] for i in r.subject), r.verdict,
+                r.kernel and Divisor(
                     {new_id[i]: c for i, c in r.kernel.coefficients.items()}
                 ),
+                r.positive,
             )
             for r in kept
         )
-        for factor in [surface.ambient.gram.ldl(r.subject) for r in kept]:
-            order = tuple([new_id[i] for i in factor.order])
-            saturated.ambient.gram._remember(replace(factor, order=order))
+        for f in [surface.ambient.gram.ldl(r.subject) for r in kept]:
+            saturated.ambient.gram._remember(LDL(
+                tuple([new_id[i] for i in f.order]), f.inertia, f.scales,
+                f.content, f.minors, f.pivots, f.columns,
+            ))
     return saturated
 
 
@@ -218,10 +235,11 @@ class AffDim(Enum):
     ONE_OR_ZERO = "one-or-zero"
 
 
-@dataclass(frozen=True)
-class AffDimReport:
-    verdict: AffDim
-    reasons: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+class AffDimReport(Record):
+    __slots__ = ("verdict", "reasons")
+
+    def __init__(self, verdict: AffDim, reasons: tuple[tuple[str, str], ...] = ()):
+        self.verdict, self.reasons = verdict, reasons
 
     def criteria(self) -> tuple[str, ...]:
         return tuple(tag for tag, _ in self.reasons)
@@ -443,12 +461,16 @@ class SchemeSaturationVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SchemeSaturationReport:
-    verdict: SchemeSaturationVerdict
-    contractible: tuple[frozenset[int], ...] = ()
-    unknown: tuple[frozenset[int], ...] = ()
-    note: str = ""
+class SchemeSaturationReport(Record):
+    __slots__ = ("verdict", "contractible", "unknown", "note")
+
+    def __init__(
+        self, verdict: SchemeSaturationVerdict,
+        contractible: tuple[frozenset[int], ...] = (),
+        unknown: tuple[frozenset[int], ...] = (), note: str = "",
+    ):
+        self.verdict, self.contractible = verdict, contractible
+        self.unknown, self.note = unknown, note
 
 
 def scheme_saturation_check(

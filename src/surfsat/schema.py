@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from .configuration import Configuration, CurveNode, Divisor
 from .elliptic import ECPoint, WeierstrassCurve
@@ -26,6 +24,7 @@ from .fibres import (
     UserAsserted,
 )
 from .linalg import SymmetricMatrix, as_rational
+from .record import Record
 from .saturation import CompactifiedSurface
 
 SCHEMA_VERSION = 1
@@ -48,16 +47,20 @@ _CERTIFICATE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class EllipticSection:
-    curve: WeierstrassCurve
-    points: tuple[tuple[ECPoint, int], ...]
+class EllipticSection(Record):
+    __slots__ = ("curve", "points")
+
+    def __init__(
+        self, curve: WeierstrassCurve, points: tuple[tuple[ECPoint, int], ...]
+    ):
+        self.curve, self.points = curve, points
 
 
-@dataclass(frozen=True)
-class Document:
-    surface: CompactifiedSurface
-    elliptic: Optional[EllipticSection] = None
+class Document(Record):
+    __slots__ = ("surface", "elliptic")
+
+    def __init__(self, surface: CompactifiedSurface, elliptic=None):
+        self.surface, self.elliptic = surface, elliptic
 
 
 _CURVE_KEYS = frozenset({"name", "genus", "self", "proper"})
@@ -180,7 +183,7 @@ def parse_document(data) -> Document:
                 f"duplicate curve name {name!r}", path=f"curves[{i}].name"
             )
         index_of[name] = i
-        nodes.append(CurveNode._unchecked(i, name, genus, proper))
+        nodes.append(CurveNode(i, name, genus, proper))
 
     inters = _expect(data.get("intersections", []), list, path="intersections")
     n = len(nodes)

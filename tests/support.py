@@ -39,15 +39,18 @@ of every pair of classes, where the package writes the lattice, the classes
 and the dual graph down in closed form.  The schema oracle is the former
 ``parse_document``, which formatted every field's path and called one
 helper per field on the success path, and the rendering oracle is the
-former recursive ``render_human``.
+former recursive ``render_human``.  The record oracles are the package's
+29 result records as the frozen dataclasses they were, before they became
+slotted classes on ``surfsat.record.Record``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Optional
 
 from surfsat import (
     ClassRecord,
@@ -78,6 +81,7 @@ from surfsat.fibres import (
     ZariskiViolation,
 )
 from surfsat.linalg import _primitive_integral, as_rational
+from surfsat.nslattice import _integral_vector
 from surfsat.schema import (
     _CERTIFICATE_KINDS,
     _TOP_LEVEL_KEYS,
@@ -786,7 +790,10 @@ def oracle_apply_plan(surface, plan):
     """The saturation plan carried out in full: the checked ``contract``
     and a new surface whose boundary record is built afresh."""
     if not plan.d_minus:
-        return replace(surface, isolated_boundary_points=0)
+        return CompactifiedSurface(
+            surface.ambient, surface.boundary, 0, surface.false_fibre_claims,
+            surface.fibration_asserted,
+        )
     contracted = contract(surface.ambient, plan.d_minus)
     removed = frozenset().union(*plan.d_minus)
     new_id = {old: new for new, old in enumerate(contracted.ambient_ids)}
@@ -1314,6 +1321,347 @@ def oracle_render_human(report: dict) -> str:
     rest = {k: v for k, v in report.items() if k not in ("command", "verdict")}
     _oracle_flatten("", rest, lines)
     return "\n".join(lines)
+
+
+# -- record oracles --------------------------------------------------------
+# The package's 29 result records as the frozen dataclasses they were, with
+# the checks and coercions of their ``__post_init__`` and their own
+# ``__repr__``/``__str__``; other methods are left out.  Each is named
+# ``Oracle`` + the package's class name, and ``RECORD_ORACLES`` lists them.
+
+
+@dataclass(frozen=True)
+class OracleCurveNode:
+    id: int
+    name: str
+    genus: int = 0
+    proper: bool = True
+
+    def __post_init__(self):
+        if self.genus < 0:
+            raise InputError(f"curve {self.name!r} has negative genus {self.genus}")
+
+
+@dataclass(frozen=True)
+class OracleLDL:
+    order: tuple[int, ...]
+    inertia: tuple[int, int, int]
+    scales: tuple[int, ...]
+    content: int
+    minors: tuple[int, ...]
+    pivots: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+
+
+@dataclass(frozen=True)
+class OracleFibreTypeReport:
+    subject: frozenset[int]
+    verdict: FibreVerdict
+    kernel: Optional[Divisor] = None
+    # positive eigenvalues of the Gram; None for a disconnected subject
+    positive: Optional[int] = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class OracleUserAsserted:
+    """The user vouches that the divisor supports no fibre of a fibration."""
+
+
+@dataclass(frozen=True)
+class OracleNormalBundleNonTorsion:
+    """A degree-zero, non-torsion normal bundle rules out supporting a fibre."""
+
+
+@dataclass(frozen=True)
+class OracleGroupLawObstruction:
+    reference: str
+
+
+@dataclass(frozen=True)
+class OracleFalseFibreClaim:
+    subject: frozenset[int]
+    certificate: Certificate
+
+    def __post_init__(self):
+        object.__setattr__(self, "subject", frozenset(self.subject))
+
+
+@dataclass(frozen=True)
+class OracleZariskiViolation:
+    kind: str
+    subset: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class OracleZariskiReport:
+    status: str  # "ok" | "violations"
+    violations: tuple[ZariskiViolation, ...] = ()
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class OracleProportionalityReport:
+    proportional: bool
+    ratio: Optional[Fraction] = None
+    witness: Optional[Divisor] = None
+
+
+@dataclass(frozen=True)
+class OracleClaimsReport:
+    ok: bool
+    disjoint_triple: Optional[tuple[FalseFibreClaim, FalseFibreClaim, FalseFibreClaim]] = None
+
+
+@dataclass(frozen=True)
+class OracleContractionContext:
+    ambient: Configuration
+    exceptional: frozenset[int]
+
+    def __post_init__(self):
+        exceptional = frozenset(self.exceptional)
+        object.__setattr__(self, "exceptional", exceptional)
+        components = self.ambient.connected_components(exceptional)
+        # E is block diagonal over its components, so it is negative
+        # definite iff every component's factorisation succeeds
+        if any(self.ambient.gram.negative_definite_ldl(c) is None for c in components):
+            raise PreconditionError(
+                "exceptional set "
+                f"{self.ambient.names(exceptional)} is not negative definite; "
+                "only negative definite curve sets are contractible"
+            )
+        object.__setattr__(self, "_components", components)
+
+
+@dataclass(frozen=True)
+class OracleSingularPoint:
+    name: str
+    contracted_nodes: frozenset[int]
+    contracted_names: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class OracleContractedConfiguration:
+    configuration: Configuration
+    ambient_ids: tuple[int, ...]
+    singular_points: tuple[SingularPoint, ...]
+    # pullbacks[i] is the pullback of ambient curve ambient_ids[i]
+    pullbacks: tuple[Divisor, ...]
+
+
+@dataclass(frozen=True)
+class OracleCompactifiedSurface:
+    ambient: Configuration
+    boundary: frozenset[int]
+    isolated_boundary_points: int = 0
+    false_fibre_claims: tuple[FalseFibreClaim, ...] = ()
+    fibration_asserted: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "boundary", frozenset(self.boundary))
+        object.__setattr__(
+            self, "false_fibre_claims", tuple(self.false_fibre_claims)
+        )
+        for i in self.boundary:
+            if not 0 <= i < self.ambient.n:
+                raise PreconditionError(f"boundary node {i} does not exist")
+        if self.isolated_boundary_points < 0:
+            raise PreconditionError("isolated point count cannot be negative")
+        improper = [n.name for n in self.ambient.nodes if not n.proper]
+        if improper:
+            raise PreconditionError(
+                f"ambient curves must all be proper; got improper {improper}"
+            )
+
+
+@dataclass(frozen=True)
+class OracleSaturationVerdict:
+    saturated: bool
+    offending_components: tuple[frozenset[int], ...]
+    isolated_points: int
+    criterion: str = "no-negative-definite-component"
+
+
+@dataclass(frozen=True)
+class OracleSaturationPlan:
+    d_minus: tuple[frozenset[int], ...]
+    d_plus: tuple[frozenset[int], ...]
+    points_to_remove: int
+    resulting_boundary_ok: bool
+
+
+@dataclass(frozen=True)
+class OracleAffDimReport:
+    verdict: AffDim
+    reasons: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+
+
+@dataclass(frozen=True)
+class OracleSchemeSaturationReport:
+    verdict: SchemeSaturationVerdict
+    contractible: tuple[frozenset[int], ...] = ()
+    unknown: tuple[frozenset[int], ...] = ()
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class OracleClassRecord:
+    name: str
+    vector: tuple[int, ...]
+    genus: int = 0
+
+    def __post_init__(self):
+        if self.genus < 0:
+            raise InputError(f"class {self.name!r} has negative genus")
+        object.__setattr__(
+            self, "vector", _integral_vector(self.vector, f"class {self.name!r}")
+        )
+
+
+@dataclass(frozen=True)
+class OracleNSLattice:
+    basis_names: tuple[str, ...]
+    gram: SymmetricMatrix
+    canonical: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.gram.n != len(self.basis_names):
+            raise InputError("gram dimension does not match basis size")
+        if len(self.canonical) != len(self.basis_names):
+            raise InputError("canonical class has wrong dimension")
+        gram = self.gram
+        if any(
+            gram.entry(i, i).denominator != 1
+            or any(x.denominator != 1 for x in gram.off_diagonal(i).values())
+            for i in range(gram.n)
+        ):
+            raise InputError("lattice pairing must be integral")
+        rank = self.gram.n
+        if self.gram.inertia() != (1, rank - 1, 0):
+            raise InputError(
+                f"lattice pairing must have signature (1,{rank - 1}), got "
+                f"inertia {self.gram.inertia()}"
+            )
+        object.__setattr__(
+            self, "canonical", _integral_vector(self.canonical, "canonical class")
+        )
+
+
+@dataclass(frozen=True)
+class OracleBlowupResult:
+    lattice: NSLattice
+    classes: tuple[ClassRecord, ...]
+    exceptional: ClassRecord
+
+
+@dataclass(frozen=True)
+class OracleWeierstrassCurve:
+    a1: Fraction = Fraction(0)
+    a2: Fraction = Fraction(0)
+    a3: Fraction = Fraction(0)
+    a4: Fraction = Fraction(0)
+    a6: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        coefficients = []
+        for name in ("a1", "a2", "a3", "a4", "a6"):
+            value = as_rational(getattr(self, name))
+            object.__setattr__(self, name, value)
+            coefficients.append(value)
+        u = lcm(*(c.denominator for c in coefficients))
+        # the integral model's coefficients a_i u^i
+        c1, c2, c3, c4, c6 = (
+            c.numerator * (u // c.denominator) * u ** (power - 1)
+            for c, power in zip(coefficients, (1, 2, 3, 4, 6))
+        )
+        b2 = c1 * c1 + 4 * c2
+        b4 = 2 * c4 + c1 * c3
+        b6 = c3 * c3 + 4 * c6
+        b8 = c1 * c1 * c6 + 4 * c2 * c6 - c1 * c3 * c4 + c2 * c3 * c3 - c4 * c4
+        delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if delta == 0:
+            raise InputError("curve is singular (discriminant vanishes)")
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_integral", (c1, c2, c3, c4, c6))
+        object.__setattr__(self, "_integral_discriminant", delta)
+        object.__setattr__(self, "_lifts", {})
+
+
+@dataclass(frozen=True)
+class OracleECPoint:
+    x: Optional[Fraction] = None
+    y: Optional[Fraction] = None
+
+    def __post_init__(self):
+        if (self.x is None) != (self.y is None):
+            raise InputError("affine point needs both coordinates")
+        if self.x is not None:
+            object.__setattr__(self, "x", as_rational(self.x))
+            object.__setattr__(self, "y", as_rational(self.y))
+
+    @property
+    def is_infinity(self) -> bool:
+        return self.x is None
+
+    def __repr__(self) -> str:
+        if self.is_infinity:
+            return "ECPoint(infinity)"
+        return f"ECPoint({self.x}, {self.y})"
+
+
+@dataclass(frozen=True)
+class OracleTorsionStatus:
+    torsion: bool
+    order: Optional[int] = None
+    # the bit budget the exact stage ran past; set only when undecided
+    bound: Optional[int] = None
+
+    def __str__(self) -> str:
+        if self.bound is not None:
+            return f"Undecided(bits>{self.bound})"
+        return f"Torsion({self.order})" if self.torsion else "NonTorsion"
+
+
+@dataclass(frozen=True)
+class OracleObstructionReport:
+    found: bool
+    torsion: TorsionStatus
+    curve: WeierstrassCurve = field(repr=False, compare=False)
+    points: tuple[tuple[ECPoint, int], ...] = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class OracleHironakaReport:
+    n: int
+    lattice: NSLattice
+    cubic_class: ClassRecord
+    exceptional_classes: tuple[ClassRecord, ...]
+    boundary_self_intersection: Fraction
+    surface: CompactifiedSurface
+    obstruction: ObstructionReport
+    saturation: SaturationVerdict
+    plan: SaturationPlan
+    scheme_saturation: SchemeSaturationReport
+    affinisation: AffDimReport
+    claim: Optional[FalseFibreClaim]
+
+
+@dataclass(frozen=True)
+class OracleEllipticSection:
+    curve: WeierstrassCurve
+    points: tuple[tuple[ECPoint, int], ...]
+
+
+@dataclass(frozen=True)
+class OracleDocument:
+    surface: CompactifiedSurface
+    elliptic: Optional[EllipticSection] = None
+
+
+RECORD_ORACLES = {
+    name.removeprefix("Oracle"): cls
+    for name, cls in list(globals().items())
+    if name.startswith("Oracle") and isinstance(cls, type) and is_dataclass(cls)
+}
 
 
 # -- fibre shapes ----------------------------------------------------------
