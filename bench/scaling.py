@@ -172,10 +172,6 @@ FAMILIES = {
         "random-tree", "ldl", [500, 1000, 2000],
         "random tree, shuffled indices, diagonal -(deg+1)",
     ),
-    "random-tree/ldl+inverse_diagonal": (
-        "random-tree", "ldl+inverse_diagonal", [500, 1000, 2000],
-        "the same trees, with the diagonal of the inverse",
-    ),
     "binary-tree/ldl": (
         "binary-tree", "ldl", [511, 1023, 2047],
         "complete binary tree, shuffled indices, diagonal -(deg+1)",
@@ -184,13 +180,14 @@ FAMILIES = {
         "two-sections", "ldl", [100, 200, 400],
         "K_{2,n}: two -(n+1) sections listed first, n (-3)-fibres meeting both",
     ),
-    "chain/ldl+inverse_diagonal": (
-        "chain", "ldl+inverse_diagonal", [2000, 4000, 8000],
+    "chain/ldl": (
+        "chain", "ldl", [2000, 4000, 8000],
         "(-2)-chain in index order",
     ),
     "inner-cycle/cli-affdim": (
         "inner-cycle", "cli affdim", [100, 200, 400],
-        "boundary genus-1 0-curve, inner A~ cycle of m curves with C^2 = -2 + 1/m^2",
+        "boundary genus-1 0-curve, inner A~ cycle of m curves with C^2 = -2 + 1/m^2:"
+        " the cycle's positive direction is refused (Hodge index theorem)",
     ),
     "star/cli-analyze": (
         "star", "cli analyze", [500, 1000, 2000],
@@ -221,17 +218,12 @@ def prepare(kind, op, n, tmp):
         argv = [op.split()[1], str(path)]
 
         def run():
-            with contextlib.redirect_stdout(io.StringIO()):
+            out = io.StringIO()  # a refusal prints its message on stderr
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                 cli.main(argv)
         return lambda: run
     diag, entries = MATRICES[kind](n)
-
-    def setup():
-        m = SymmetricMatrix.from_entries(diag, entries)
-        if op == "ldl":
-            return m.ldl
-        return lambda: m.ldl().inverse_diagonal()
-    return setup
+    return lambda: SymmetricMatrix.from_entries(diag, entries).ldl
 
 
 def measure(kind, op, n):

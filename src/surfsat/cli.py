@@ -246,6 +246,14 @@ def cmd_validate(doc: Document, args) -> dict:
     surface = doc.surface
     problems = []
 
+    config = surface.ambient
+    plus = sum(config.gram.ldl(c).inertia[0] for c in config.connected_components())
+    if plus > 1:
+        problems.append(
+            f"the intersection form has {plus} positive directions; the "
+            "Hodge index theorem allows at most one on a surface"
+        )
+
     try:
         claims_report = validate_false_fibre_claims(
             surface.false_fibre_claims, surface.ambient
@@ -295,8 +303,8 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
     """Append the lines of ``value``, a dict or a list holding a dict or a
     list, under ``prefix``: a dict key by key in sorted order, a list item
     by item.  Each item is sorted out where it is met: a scalar, an empty
-    list (``[]``) and a list of scalars take one line each, and only the
-    other dicts and lists recurse."""
+    list (``[]``), an empty dict (``{}``) and a list of scalars take one
+    line each, and only the other dicts and lists recurse."""
     if isinstance(value, dict):
         items = [
             (f"{prefix}.{key}" if prefix else key, value[key])
@@ -306,7 +314,10 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
         items = [(f"{prefix}[{idx}]", item) for idx, item in enumerate(value)]
     for path, item in items:
         if isinstance(item, dict):
-            _flatten(path, item, lines)
+            if item:
+                _flatten(path, item, lines)
+            else:
+                lines.append(f"{path}: {{}}")
         elif isinstance(item, list):
             if {dict, list}.isdisjoint(map(type, item)):
                 lines.append(f"{path}: {', '.join(map(str, item)) if item else '[]'}")

@@ -13,13 +13,13 @@ on that block reads it back.  The elimination runs in integers: it
 scales the block to an integer matrix A and keeps every Schur complement
 entry as an integer minor of A over the minor of the pivots taken so far
 (Sylvester's identity, as in Bareiss's fraction-free elimination), so no
-update pays a gcd.  Its inertia, kernel vector, solves and inverse
-diagonal answer every definiteness question, and they form a ``Fraction``
-only for an output entry: :meth:`LDL.solve_integral` gives a solution as
-integer numerators over one denominator, which ``LDL.solve`` reads and
-``mumford.contract`` sums the Schur complement and the pullbacks over.
-``solve`` and ``kernel_basis``, which no verdict uses, read the factor of
-M^2, which is semidefinite with M's kernel.  The dense ``rows`` view is
+update pays a gcd.  Its inertia, kernel vector and solves answer every
+definiteness question, and they form a ``Fraction`` only for an output
+entry: :meth:`LDL.solve_integral` gives a solution as integer numerators
+over one denominator, which ``LDL.solve`` reads and ``mumford.contract``
+sums the Schur complement and the pullbacks over.  ``solve`` and
+``kernel_basis``, which no verdict uses, read the factor of M^2, which is
+semidefinite with M's kernel.  The dense ``rows`` view is
 built only when asked for (by ``repr``, by M^2 and by callers).
 """
 
@@ -615,48 +615,3 @@ class LDL(Record):
         for p in range(len(y) - 2, -1, -1):
             y[p] = -sum([n * y[q] for q, n in self.columns[p]]) // self.pivots[p]
         return list(_primitive([s * v for s, v in zip(self.scales, y)]))
-
-    def inverse_diagonal(self) -> tuple[Fraction, ...]:
-        """The diagonal of M^-1 = S A^-1 S / g, for a complete record with
-        nonzero pivots.
-
-        W = det A * A^-1 is integral (the adjugate), and L^T A^-1 = D^-1
-        L^-1 is lower triangular with diagonal D^-1 (Takahashi), so for
-        p <= j, W[p][j] = ([p = j] det A minors[p] - sum_q N_qp W[q][j]) /
-        pivots[p], summed over column p: an exact division.  Running p down
-        from the end needs W only on the filled pattern, column p widened
-        by what the columns below it pass up the elimination tree; that
-        keeps every pattern a clique even where an update cancelled to zero.
-        """
-        k = len(self.order)
-        pattern = [dict(column) for column in self.columns]
-        for p in range(k):
-            if pattern[p]:
-                parent = min(pattern[p])
-                for q in pattern[p]:
-                    if q != parent:
-                        pattern[parent].setdefault(q, 0)
-        det = self.pivots[-1] if k else 1
-        upper: list[Optional[dict[int, int]]] = [None] * k  # W[p][j], j > p
-        inverse = [0] * k  # W[p][p]
-        for p in range(k - 1, -1, -1):
-            entries = pattern[p]
-            top = self.pivots[p]
-            row = {}
-            for j in entries:
-                total = 0
-                for q, n in entries.items():
-                    if n:
-                        total -= n * (
-                            inverse[j] if q == j else upper[min(q, j)][max(q, j)]
-                        )
-                row[j] = total // top
-            upper[p] = row
-            total = det * self.minors[p]
-            for q, n in entries.items():
-                total -= n * row[q]
-            inverse[p] = total // top
-        denominator = self.content * det
-        return tuple([
-            Fraction(s * s * w, denominator) for s, w in zip(self.scales, inverse)
-        ])

@@ -15,7 +15,9 @@ outright, and 0 for an empty boundary, read off the kept components before
 any contraction; they can never separate 1 from 0, so the 0 verdict requires a
 false-fibre certificate for every boundary component, and the 1 verdict a
 fibration assertion or enough supplied interior curves to force a second
-fibre witness.  Everything else is reported honestly as one-or-zero.
+fibre witness.  Everything else is reported honestly as one-or-zero.  Inner
+curves that span a positive direction beside a fibre-type boundary are
+refused (Hodge index theorem).
 """
 
 from __future__ import annotations
@@ -284,48 +286,37 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     """Detect, among the supplied curves, two different divisors inside the
     surface that are not negative definite.
 
-    Not-negative-definiteness is inherited by supersets, so two different
-    such divisors exist iff some proper subset of the inner curve set fails
-    to be negative definite; dropping one curve at a time covers all cases.
-    The inner Gram is block diagonal over its connected components, so
-    dropping i leaves a block that is not negative definite iff another
-    component is not negative definite, or i's own component C is not
-    semidefinite and C - {i} is not negative definite.  The Gram's one
-    factor of each component decides it: dropping a curve of a negative
-    definite or fibre-type C leaves it negative definite (Zariski's lemma),
-    and when C has two or more eigenvalues >= 0, dropping any curve leaves
-    one (Cauchy interlacing).  Otherwise C has inertia (1, m-1, 0), and
-    C - {i} has at most one eigenvalue >= 0; it is negative definite iff
-    det M_-i = det M (M^-1)_ii has the sign of det M, that is iff
-    (M^-1)_ii > 0, which C's factor gives for every i when it is complete.
+    Precondition: the boundary is nonempty and each of its components is of
+    fibre type, as when :func:`_decided_by_boundary` settles nothing.  Such
+    a component carries an effective F != 0 with F^2 = 0, and an inner
+    divisor v meets no boundary curve, so v.F = 0; by the Hodge index
+    theorem v^2 > 0 would force F to be numerically trivial.  So an inner
+    component with a positive direction is inconsistent data, and each
+    other one is negative definite or of fibre type, with a kernel of rank
+    1 (Perron-Frobenius).  Two fibre-type components are two such divisors;
+    a single one C is the only one iff every inner curve lies in C, as
+    dropping a curve of C leaves it negative definite (Zariski's lemma).
     """
     inner = _inner_nodes(surface)
     gram = surface.ambient.gram
-    loose = []  # the components that are not negative definite
+    fibres = []
     for comp in surface.ambient.connected_components(inner):
-        factor = gram.ldl(comp)
-        if factor.inertia[1] < len(comp):
-            loose.append((comp, factor))
-    if not loose:
-        return None
-    comp, factor = loose[0]
-    plus, _, zero = factor.inertia
-    if len(loose) > 1 or plus + zero > 1:
+        plus, minus, _ = gram.ldl(comp).inertia
+        if plus:
+            raise DataInconsistencyError(
+                f"the inner component of {len(comp)} curve(s) containing "
+                f"{surface.ambient.nodes[min(comp)].name!r} has a positive "
+                "direction beside a fibre-type boundary, which the Hodge "
+                "index theorem forbids"
+            )
+        if minus < len(comp):
+            fibres.append(comp)
+    if len(fibres) > 1:
         drop = inner[0]
+    elif not fibres or len(fibres[0]) == len(inner):
+        return None
     else:
-        if not plus:
-            keeps = comp.__contains__
-        elif len(factor.pivots) == len(comp):
-            positive = factor.inverse_diagonal()
-            keeps = {i for i, v in zip(factor.order, positive) if v > 0}.__contains__
-        else:  # a leading minor vanished, so the record stops short
-            def keeps(i):
-                # each block is asked for once, so the memo is passed by
-                rest = [j for j in factor.order if j != i]
-                return gram._eliminate(rest).inertia[1] == len(rest)
-        drop = next((i for i in inner if i not in comp or not keeps(i)), None)
-        if drop is None:
-            return None
+        drop = next(i for i in inner if i not in fibres[0])
     names = surface.ambient.names([i for i in inner if i != drop])
     return (
         f"supplied interior curves contain two different divisors "

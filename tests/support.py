@@ -1297,6 +1297,8 @@ def oracle_parse_document(data) -> Document:
 
 def _oracle_flatten(prefix: str, value, lines: list[str]) -> None:
     if isinstance(value, dict):
+        if not value:
+            lines.append(f"{prefix}: {{}}")
         for key in sorted(value):
             _oracle_flatten(f"{prefix}.{key}" if prefix else key, value[key], lines)
     elif isinstance(value, list):
@@ -1313,13 +1315,16 @@ def _oracle_flatten(prefix: str, value, lines: list[str]) -> None:
 
 def oracle_render_human(report: dict) -> str:
     """The package's former human renderer: one recursive call, and one
-    generator per scalar list, for every leaf of the report."""
+    generator per scalar list, for every leaf of the report; an empty
+    object below the top level prints as ``{}``, as an empty list prints
+    as ``[]``."""
     lines: list[str] = []
     for key in ("command", "verdict"):
         if key in report:
             lines.append(f"{key}: {report[key]}")
-    rest = {k: v for k, v in report.items() if k not in ("command", "verdict")}
-    _oracle_flatten("", rest, lines)
+    for key in sorted(report):
+        if key not in ("command", "verdict"):
+            _oracle_flatten(key, report[key], lines)
     return "\n".join(lines)
 
 

@@ -9,12 +9,16 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfsat
+from surfsat import CompactifiedSurface
 from surfsat.cli import COMMANDS, main
 from surfsat.elliptic import EXACT_BITS_BUDGET
 from surfsat.errors import InputError
 from surfsat.schema import (
+    Document,
     document_to_json,
     load_document,
     parse_document,
@@ -23,6 +27,8 @@ from surfsat.schema import (
 
 from support import (
     oracle_contract,
+    oracle_ldl,
+    random_configuration,
     random_contraction_setup,
     windmill_claims_document,
 )
@@ -424,6 +430,23 @@ class TestCommands:
         assert code == 1
         assert "not reproducible" in out
 
+    def test_mumford_prints_an_empty_object(self, capsys, tmp_path):
+        # every curve is contracted, so no curve has a pullback: the human
+        # report names the empty object as JSON does, as it names []
+        path = tmp_path / "all_contracted.json"
+        path.write_text(json.dumps({
+            "curves": [{"name": "A", "self": -2}, {"name": "B", "self": -2}],
+            "intersections": [[0, 1, 1]],
+            "boundary": ["A", "B"],
+        }))
+        code, out, _ = run(capsys, "mumford", path)
+        assert code == 0
+        assert "pullbacks: {}" in out.splitlines()
+        assert "induced_matrix.curves: []" in out.splitlines()
+        code, out, _ = run(capsys, "mumford", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["pullbacks"] == {}
+
     def test_json_output_has_stable_keys(self, capsys):
         code, out, _ = run(
             capsys,
@@ -459,6 +482,58 @@ def _rational_json(value):
     if value.denominator == 1:
         return value.numerator
     return f"{value.numerator}/{value.denominator}"
+
+
+def hodge_problem(plus):
+    return (
+        f"the intersection form has {plus} positive directions; the Hodge "
+        "index theorem allows at most one on a surface"
+    )
+
+
+def hodge_case(rng):
+    """A random configuration and boundary, and the positive index of its
+    whole Gram by the former elimination, ``oracle_ldl``."""
+    config = random_configuration(
+        rng, rng.randint(1, 8), diag_hi=rng.choice((-1, 0, 1, 2)), edge_hi=1
+    )
+    boundary = {i for i in range(config.n) if rng.random() < 0.4}
+    return Document(CompactifiedSurface(config, boundary)), oracle_ldl(config.gram)[3][0]
+
+
+class TestHodgeIndex:
+    """``validate`` refuses an intersection form with two or more positive
+    directions: on a surface it has exactly one (Hodge index theorem)."""
+
+    def test_two_positive_curves_that_meet_nowhere(self, capsys, tmp_path):
+        path = tmp_path / "two_positive.json"
+        path.write_text(json.dumps({
+            "curves": [
+                {"name": "A", "self": 1}, {"name": "B", "self": 1},
+                {"name": "C", "self": -2},
+            ],
+            "boundary": ["A"],
+        }))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 1
+        assert out.splitlines() == [
+            "command: validate", "verdict: inconsistent",
+            f"problems: {hodge_problem(2)}",
+        ]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_positive_index_of_the_former_elimination(self, rng):
+        doc, plus = hodge_case(rng)
+        problems = COMMANDS["validate"](doc, None)["problems"]
+        assert [p for p in problems if "Hodge" in p] == (
+            [hodge_problem(plus)] if plus > 1 else []
+        )
+
+    def test_both_sides_are_drawn(self):
+        rng = random.Random(163)
+        drawn = {hodge_case(rng)[1] > 1 for _ in range(100)}
+        assert drawn == {False, True}
 
 
 class TestFractionalMumford:
@@ -727,15 +802,37 @@ class TestClaimsBudget:
     @pytest.mark.parametrize("command", ["validate", "analyze"])
     def test_400_claims_through_two_hubs(self, command, tmp_path, capsys):
         # no three of the claims are pairwise disjoint; trying every triple
-        # took 24 s, and eliminating a hub first filled in its component
+        # took 24 s, and eliminating a hub first filled in its component.
+        # Two triangles through one hub span a positive direction, which the
+        # Hodge index theorem forbids beside the boundary 0-curve D
         doc = tmp_path / "claims.json"
         doc.write_text(json.dumps(windmill_claims_document(400, 2)))
         start = time.perf_counter()
-        code, out, _ = run(capsys, command, doc)
+        code, out, err = run(capsys, command, doc)
         elapsed = time.perf_counter() - start
-        verdict = {"validate": "consistent", "analyze": "one"}[command]
-        assert (code, out.splitlines()[1]) == (0, f"verdict: {verdict}")
+        assert code == 1
+        if command == "validate":
+            assert out.splitlines()[1:] == [
+                "verdict: inconsistent",
+                "problems: the intersection form has 2 positive directions; "
+                "the Hodge index theorem allows at most one on a surface",
+            ]
+        else:
+            assert (out, err) == ("", (
+                "error: the inner component of 401 curve(s) containing 'H0' has a "
+                "positive direction beside a fibre-type boundary, which the "
+                "Hodge index theorem forbids\n"
+            ))
         assert elapsed < 1.0, f"{command} took {elapsed:.2f}s"
+
+    def test_the_claims_are_checked_before_the_inner_curves(self, tmp_path, capsys):
+        # three hubs: the disjoint triple of claims is reported, not the
+        # positive direction of each hub's component
+        doc = tmp_path / "claims.json"
+        doc.write_text(json.dumps(windmill_claims_document(30, 3)))
+        code, out, err = run(capsys, "analyze", doc)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: three pairwise disjoint false-fibre claims")
 
 
 class TestHubFirstStarBudget:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from surfsat import (
     Configuration,
     CurveNode,
+    DataInconsistencyError,
     Divisor,
     InputError,
     PreconditionError,
@@ -30,6 +31,29 @@ from support import (
     random_negative_definite_configuration,
     tree,
 )
+
+
+REFUSED = "refused"
+
+
+def check_witness(surface):
+    """The witness, checked: the drop-one loop's answer when no inner
+    component has a positive direction (read off the dense inertia of the
+    inner block), else a refusal that names the Hodge index theorem, which
+    forbids one beside a fibre-type boundary; ``REFUSED`` then."""
+    config = surface.ambient
+    inner = [
+        i
+        for i in sorted(surface.interior_curves)
+        if not any(dense_adjacent(config, i, b) for b in surface.boundary)
+    ]
+    if inner and dense_inertia(SymmetricMatrix(dense_restrict(config.gram, inner)))[0]:
+        with pytest.raises(DataInconsistencyError, match="Hodge index theorem"):
+            _second_fibre_witness(surface)
+        return REFUSED
+    got = _second_fibre_witness(surface)
+    assert got == oracle_second_fibre_witness(surface)
+    return got
 
 
 def triangle():
@@ -233,9 +257,7 @@ class TestNeighbourQueries:
             config = random_configuration(rng, n, diag_lo=-5, diag_hi=hi, edge_hi=1)
             boundary = {i for i in range(n) if rng.random() < 0.3}
             surface = CompactifiedSurface(ambient=config, boundary=boundary)
-            assert _second_fibre_witness(surface) == oracle_second_fibre_witness(
-                surface
-            )
+            check_witness(surface)
 
     @staticmethod
     def around_fibres(rng, fibres):
@@ -285,10 +307,8 @@ class TestNeighbourQueries:
         witnessed = 0
         for _ in range(150):
             fibres = rng.sample(shapes, rng.choice((1, 1, 2)))
-            surface = self.around_fibres(rng, fibres)
-            got = _second_fibre_witness(surface)
-            assert got == oracle_second_fibre_witness(surface)
-            witnessed += got is not None
+            got = check_witness(self.around_fibres(rng, fibres))
+            witnessed += got not in (None, REFUSED)
         assert 30 < witnessed < 120
 
     def test_second_fibre_witness_on_disconnected_inner_sets(self):
@@ -334,25 +354,23 @@ class TestNeighbourQueries:
                 [(new_id[i], new_id[j], x) for i, j, x in inters],
             )
             surface = CompactifiedSurface(ambient=config, boundary={new_id[0]})
-            got = _second_fibre_witness(surface)
-            assert got == oracle_second_fibre_witness(surface)
+            got = check_witness(surface)
             inner = sorted(set(range(config.n)) - {new_id[0]})
             loose = [
                 dense_inertia(SymmetricMatrix(dense_restrict(config.gram, sorted(c))))
                 for c in oracle_components(config, inner)
             ]
             loose = [(p, z) for p, m, z in loose if p or z]
-            if len(loose) == 1:
-                cases[loose[0][:1] + (min(sum(loose[0]), 2), got is not None)] += 1
+            if got is REFUSED:
+                cases[REFUSED] += 1
+            elif len(loose) == 1:
+                cases[loose[0] + (got is not None,)] += 1
             else:
                 cases[min(len(loose), 2)] += 1
-        # no, or two or more components that are not negative definite; or
-        # one, of fibre type, with two or more eigenvalues >= 0, or with one
-        # positive eigenvalue, each with and without a witness where possible
-        assert {
-            0, 2, (0, 1, False), (0, 1, True), (1, 2, True), (2, 2, True),
-            (1, 1, True), (1, 1, False),
-        } <= set(cases), cases
+        # a positive direction; no, or two or more components that are not
+        # negative definite; or one, of fibre type, with and without a
+        # further inner curve to drop
+        assert {REFUSED, 0, 2, (0, 1, False), (0, 1, True)} == set(cases), cases
 
 
 def positive_direction_surface(rng):
@@ -391,62 +409,34 @@ def positive_direction_surface(rng):
 
 
 class TestWitnessFromTheFactor:
-    """A component of inertia (1, m-1, 0) loses its positive direction by
-    dropping curve i iff (M^-1)_ii > 0, read off the component's one
-    factor; the drop-one loop is the oracle."""
+    """An inner component with a positive direction beside a fibre-type
+    boundary is refused (Hodge index theorem), from the inertia of the
+    component's one factor; the draws without one match the drop-one
+    loop."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False))
-    def test_matches_the_drop_one_loop(self, rng):
-        surface = positive_direction_surface(rng)
-        assert _second_fibre_witness(surface) == oracle_second_fibre_witness(surface)
+    def test_refuses_a_positive_direction(self, rng):
+        check_witness(positive_direction_surface(rng))
 
-    def test_every_path_is_exercised(self):
-        # one component of inertia (1, m-1, 0), with a complete factor,
-        # with and without a witness, or one that stops at a vanishing
-        # leading minor; then dropping a curve after that singular leading
-        # block leaves a block that is not negative definite (interlacing),
-        # so there is always a witness
-        rng = random.Random(149)
-        cases = Counter()
-        for _ in range(400):
-            surface = positive_direction_surface(rng)
-            got = _second_fibre_witness(surface)
-            assert got == oracle_second_fibre_witness(surface)
-            config = surface.ambient
-            inner = sorted(set(range(config.n)) - surface.boundary)
-            comps = oracle_components(config, inner)
-            if len(comps) != 1:
-                continue
-            nodes = config.gram.ldl(comps[0]).order
-            block = SymmetricMatrix(dense_restrict(config.gram, nodes))
-            if dense_inertia(block) == (1, len(nodes) - 1, 0):
-                complete = len(config.gram.ldl(nodes).pivots) == len(nodes)
-                cases[complete, got is not None] += 1
-        assert set(cases) == {(True, True), (True, False), (False, True)}, cases
-
-    def test_the_fallback_keeps_no_factor(self):
-        # when the record stops short, the drop-one loop eliminates each
-        # C - {i} once, past the memo: the Gram keeps only the inner
-        # components' blocks, and a second run adds nothing
+    def test_the_refusal_keeps_no_sub_block_factor(self):
+        # the Gram keeps the factors of whole inner components only (the
+        # per-curve blocks of the former drop-one fallback are gone), and a
+        # second run adds none
         rng = random.Random(151)
-        fallbacks = 0
+        refused = 0
         for _ in range(400):
             surface = positive_direction_surface(rng)
             gram = surface.ambient.gram
             inner = sorted(set(range(surface.ambient.n)) - surface.boundary)
             blocks = set(surface.ambient.connected_components(inner))
-            got = _second_fibre_witness(surface)
-            assert set(gram._factors) == blocks
-            assert _second_fibre_witness(surface) == got
-            assert set(gram._factors) == blocks
-            if len(blocks) == 1:
-                (nodes,) = blocks
-                factor = gram.ldl(nodes)
-                fallbacks += factor.inertia == (1, len(nodes) - 1, 0) and (
-                    len(factor.pivots) < len(nodes)
-                )
-        assert fallbacks > 20
+            got = check_witness(surface)
+            kept = set(gram._factors)
+            assert kept <= blocks
+            assert check_witness(surface) == got
+            assert set(gram._factors) == kept
+            refused += got is REFUSED
+        assert 300 < refused < 400
 
 
 class TestValidationMessages:

@@ -704,11 +704,6 @@ class TestIntegerElimination:
             assert x == oracle_ldl_solve(lower, diag, rhs)
             assert block.apply(x) == tuple(rhs)
             assert all(type(v) is Fraction for v in x)
-            inverse = factor.inverse_diagonal()
-            assert all(type(v) is Fraction for v in inverse)
-            for p, v in enumerate(inverse):
-                e = [int(p == q) for q in range(len(order))]
-                assert v == oracle_solve(block, e)[p]
         elif all(diag[:-1]):
             # only the last pivot is zero: the kernel is a line
             x = factor.null_vector()
@@ -906,13 +901,12 @@ class TestOrderBudget:
         m = shuffled_random_tree(random.Random(167), n)
         start = time.perf_counter()
         factor = m.ldl()
-        inverse = factor.inverse_diagonal()
         elapsed = time.perf_counter() - start
         assert factor.inertia == (0, n, 0) and len(factor.pivots) == n
         for p in (0, n // 2, n - 1):
             e = [int(p == q) for q in range(n)]
-            assert inverse[p] == factor.solve(e)[p] < 0
-        assert elapsed < 1.0, f"ldl and inverse_diagonal took {elapsed:.2f}s"
+            assert factor.solve(e)[p] < 0
+        assert elapsed < 1.0, f"ldl took {elapsed:.2f}s"
 
     def test_two_sections_and_n_fibres(self):
         # K_{2,n}: two sections of self-intersection -(n + 1), listed first,
