@@ -1,9 +1,9 @@
-"""Scaling families for surfsat: how the cost of one elimination, or of one
-CLI command, grows as the input doubles.
+"""Scaling families for surfsat: how the cost of one elimination, of one
+group-law computation, or of one CLI command, grows as the input doubles.
 
 Run from the repository root (standard library only, not part of tier-1):
 
-    python3 bench/scaling.py --out BENCH_23.json
+    python3 bench/scaling.py --out BENCH_25.json
 
 Each perf change writes a new ``BENCH_<n>.json`` with every family of the
 last one plus its own, so the slopes can be read across files; a committed
@@ -17,9 +17,11 @@ times and the bit length of the largest pivot that any elimination made in
 one more run.  The ``tracemalloc`` peak of a further run is taken in an
 interpreter of its own, under a cap of its own: a case whose traced run
 passes the cap keeps its times and reads "timeout" for the peak alone.
-Only the operation is timed: building the matrix, or writing the document
-to a file, is not.  The CLI cases call ``surfsat.cli.main`` in process, so
-they leave out the interpreter's start-up.
+Only the operation is timed: building the matrix or the points, or
+writing the document to a file, is not.  The CLI cases call
+``surfsat.cli.main`` in process, so they leave out the interpreter's
+start-up.  The ``samples/cli-main`` family names each case by its sample
+document, and one run is a ``main`` call per command on it.
 
 The ``import/cli`` family times what those cases leave out: ``import
 surfsat.cli`` in IMPORT_RUNS fresh interpreters (after one discarded run,
@@ -45,9 +47,11 @@ import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "docs" / "samples"
 CAP_S = 30
 REPEATS = 3
 IMPORT_RUNS = 11
@@ -148,6 +152,34 @@ def disjoint_pairs_document(n):
     }
 
 
+def sample_document(name):
+    """The sample document ``docs/samples/<name>.json``."""
+    return json.loads((SAMPLES / f"{name}.json").read_text())
+
+
+# y^2 + y = x^3 - x (Cremona 37a1): P = (0, 0) generates E(Q) = Z
+CUBIC = {"a3": 1, "a4": -1}
+
+
+def one_point(m):
+    """P of weight m."""
+    from surfsat.elliptic import ECPoint
+
+    return ((ECPoint(0, 0), m),)
+
+
+def multiples(n):
+    """P, 2P, ..., nP, each of weight 1."""
+    from surfsat.elliptic import ECPoint, WeierstrassCurve, add
+
+    curve, p = WeierstrassCurve(**CUBIC), ECPoint(0, 0)
+    points, running = [], p
+    for _ in range(n):
+        points.append((running, 1))
+        running = add(curve, running, p)
+    return tuple(points)
+
+
 MATRICES = {
     "star": star,
     "random-tree": random_tree,
@@ -160,6 +192,11 @@ DOCUMENTS = {
     "inner-cycle": inner_cycle_document,
     "linked-chain": linked_chain_document,
     "disjoint-pairs": disjoint_pairs_document,
+    "samples": sample_document,
+}
+POINTS = {
+    "point": one_point,
+    "multiples": multiples,
 }
 
 # name: (input, operation, sizes, what it shows)
@@ -201,6 +238,18 @@ FAMILIES = {
         "disjoint-pairs", "cli mumford", [500, 1000, 2000],
         "n disjoint boundary (-2)-curves, each met by an interior (-1)-curve",
     ),
+    "point/sum_obstruction": (
+        "point", "sum_obstruction", [3000, 10**18],
+        "P = (0, 0) on y^2 + y = x^3 - x (37a) with weight m",
+    ),
+    "multiples/hironaka_build": (
+        "multiples", "hironaka_build", [40, 120],
+        "the plane blown up at P, 2P, ..., nP on y^2 + y = x^3 - x (37a)",
+    ),
+    "samples/cli-main": (
+        "samples", "cli main", sorted(path.stem for path in SAMPLES.glob("*.json")),
+        "each docs/samples document; one run calls main once per command",
+    ),
 }
 
 
@@ -209,19 +258,26 @@ FAMILIES = {
 
 def prepare(kind, op, n, tmp):
     """A callable that runs the operation once on fresh input: a new matrix
-    per run, as a matrix keeps the factors it has made."""
-    from surfsat import SymmetricMatrix, cli
+    or curve per run, as a matrix keeps the factors it has made and a curve
+    the points it has lifted."""
+    from surfsat import SymmetricMatrix, cli, elliptic
 
     if op.startswith("cli "):
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(DOCUMENTS[kind](n)))
-        argv = [op.split()[1], str(path)]
+        command = op.split()[1]
+        commands = sorted(cli.COMMANDS) if command == "main" else [command]
 
         def run():
             out = io.StringIO()  # a refusal prints its message on stderr
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-                cli.main(argv)
+                for command in commands:
+                    cli.main([command, str(path)])
         return lambda: run
+    if kind in POINTS:
+        points = POINTS[kind](n)
+        build = getattr(elliptic, op)
+        return lambda: partial(build, elliptic.WeierstrassCurve(**CUBIC), points)
     diag, entries = MATRICES[kind](n)
     return lambda: SymmetricMatrix.from_entries(diag, entries).ldl
 
@@ -322,7 +378,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.case:
         kind, op, n = args.case
-        print(json.dumps((traced_peak if args.peak else measure)(kind, op, int(n))))
+        n = int(n) if n.isdigit() else n  # a sample is named, not sized
+        print(json.dumps((traced_peak if args.peak else measure)(kind, op, n)))
         return 0
     if args.out is None:
         parser.error("--out FILE is required")

@@ -9,12 +9,11 @@ inconsistent data.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .elliptic import hironaka_build, sum_obstruction
 from .errors import DataInconsistencyError, InputError, PreconditionError
@@ -37,11 +36,15 @@ from .schema import (
     rational_to_json,
 )
 
+if TYPE_CHECKING:  # argparse is imported when a parser is built
+    import argparse
+
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INDEFINITE = 2
 
 _INDEFINITE = {"one-or-zero", "unknown", "inconclusive"}
+_FORMATS = ("human", "json")
 
 
 def _names(config, subset) -> list[str]:
@@ -92,7 +95,7 @@ def _fibre_component_to_json(config, report) -> dict:
     return out
 
 
-def cmd_saturate(doc: Document, args) -> dict:
+def cmd_saturate(doc: Document) -> dict:
     surface = doc.surface
     verdict = is_saturated(surface)
     return {
@@ -103,7 +106,7 @@ def cmd_saturate(doc: Document, args) -> dict:
     }
 
 
-def cmd_affdim(doc: Document, args) -> dict:
+def cmd_affdim(doc: Document) -> dict:
     surface = doc.surface
     out = {"command": "affdim"}
     plan = saturation_plan(surface)
@@ -117,7 +120,7 @@ def cmd_affdim(doc: Document, args) -> dict:
     return out
 
 
-def cmd_fibre(doc: Document, args) -> dict:
+def cmd_fibre(doc: Document) -> dict:
     surface = doc.surface
     if not surface.component_reports:
         raise InputError("no boundary components to classify", path="boundary")
@@ -131,7 +134,7 @@ def cmd_fibre(doc: Document, args) -> dict:
     }
 
 
-def cmd_mumford(doc: Document, args) -> dict:
+def cmd_mumford(doc: Document) -> dict:
     surface = doc.surface
     config = surface.ambient
     parts = is_saturated(surface).offending_components
@@ -178,7 +181,7 @@ def _dense_json(gram) -> list:
     return out
 
 
-def cmd_hironaka(doc: Document, args) -> dict:
+def cmd_hironaka(doc: Document) -> dict:
     if doc.elliptic is None:
         raise InputError(
             "the hironaka command needs an 'elliptic' section", path="elliptic"
@@ -220,7 +223,7 @@ def cmd_hironaka(doc: Document, args) -> dict:
     return out
 
 
-def cmd_analyze(doc: Document, args) -> dict:
+def cmd_analyze(doc: Document) -> dict:
     surface = doc.surface
     saturation = is_saturated(surface)
     plan = saturation_plan(surface)
@@ -242,7 +245,7 @@ def cmd_analyze(doc: Document, args) -> dict:
     return out
 
 
-def cmd_validate(doc: Document, args) -> dict:
+def cmd_validate(doc: Document) -> dict:
     surface = doc.surface
     problems = []
 
@@ -340,7 +343,11 @@ def render_human(report: dict) -> str:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and shared by every
-    later :func:`main` call in the process; it holds no per-call state."""
+    later :func:`main` call in the process; it holds no per-call state.
+    It is the only source of help and usage text; :func:`main` asks it only
+    for an argv that :func:`_plain_argv` does not read."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="surfsat",
         description=(
@@ -354,24 +361,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="JSON input document")
     parser.add_argument(
         "--format",
-        choices=("human", "json"),
+        choices=_FORMATS,
         default="human",
         help="output format (default: human)",
     )
     return parser
 
 
+def _plain_argv(argv) -> Optional[tuple[str, str, str]]:
+    """(command, input, format) for ``COMMAND INPUT`` and ``COMMAND INPUT
+    --format FMT`` with a known command and format and an INPUT that does
+    not start with ``-``, which the parser would read the same way; None
+    for any other argv, which goes to the parser."""
+    if len(argv) == 2:
+        (command, path), fmt = argv, "human"
+    elif len(argv) == 4 and argv[2] == "--format":
+        command, path, _, fmt = argv
+    else:
+        return None
+    if command in COMMANDS and fmt in _FORMATS and not path.startswith("-"):
+        return command, path, fmt
+    return None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    plain = _plain_argv(argv)
+    if plain is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse has printed the help (status 0) or the usage error; a
+            # usage error is an input error, not an indefinite verdict
+            return EXIT_OK if exc.code == 0 else EXIT_INPUT
+        plain = args.command, args.input, args.format
+    command, path, fmt = plain
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has printed the help (status 0) or the usage error; a
-        # usage error is an input error, not an indefinite verdict
-        return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    try:
-        doc = load_document(args.input)
-        report = COMMANDS[args.command](doc, args)
-        if args.format == "json":
+        doc = load_document(path)
+        report = COMMANDS[command](doc)
+        if fmt == "json":
             text = json.dumps(report, indent=2, sort_keys=True)
         else:
             text = render_human(report)

@@ -36,7 +36,7 @@ from .record import Record
 
 Rational = Fraction
 _ZERO = Fraction(0)
-_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_rational(value) -> Fraction:
@@ -53,9 +53,11 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        if _RATIONAL_STRING.fullmatch(value):
+        match = _RATIONAL_STRING.fullmatch(value)
+        if match:
+            num, den = match.groups()
             try:
-                return Fraction(value)
+                return Fraction(int(num), int(den or 1))
             except (ValueError, ZeroDivisionError):  # q = 0, or too many digits
                 pass
         raise InputError(f"cannot parse rational from {value!r}")
@@ -118,14 +120,19 @@ class SymmetricMatrix:
 
     @classmethod
     def _from_sparse(
-        cls, diag: tuple[Fraction, ...], off: tuple[dict[int, Fraction], ...]
+        cls,
+        diag: tuple[Fraction, ...],
+        off: tuple[dict[int, Fraction], ...],
+        integral: Optional[bool] = None,
     ) -> "SymmetricMatrix":
-        """Adopt already symmetric storage with no zero off-diagonal entry."""
+        """Adopt already symmetric storage with no zero off-diagonal entry;
+        ``integral``, when the caller knows it, is what :meth:`_is_integral`
+        would find."""
         matrix = cls.__new__(cls)
         matrix._diag = diag
         matrix._off = off
         matrix._rows = None
-        matrix._integral = None
+        matrix._integral = integral
         matrix._factors = {}
         return matrix
 

@@ -10,9 +10,9 @@ Unlisted intersection pairs default to zero.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .configuration import Configuration, CurveNode, Divisor
 from .elliptic import ECPoint, WeierstrassCurve
@@ -80,6 +80,15 @@ def _expect(data, type_, path):
             f"expected {wanted}, got {type(data).__name__}", path=path
         )
     return data
+
+
+class _Fractions(dict):
+    """Each int's ``Fraction``, built on its first lookup: one parse shares
+    one per distinct value."""
+
+    def __missing__(self, value: int) -> Fraction:
+        self[value] = fraction = Fraction(value)
+        return fraction
 
 
 def _rational(value, path, *args) -> Fraction:
@@ -159,6 +168,9 @@ def parse_document(data) -> Document:
     curves = _expect(data.get("curves", []), list, path="curves")
     nodes, diagonal = [], []
     index_of: dict[str, int] = {}
+    fraction = _Fractions()
+    # whether every value read so far is an integer: the Gram's integrality
+    integral = True
     for i, entry in enumerate(curves):
         if not isinstance(entry, dict) or not entry.keys() <= _CURVE_KEYS:
             _fields(entry, _CURVE_KEYS, f"curves[{i}]")
@@ -171,10 +183,12 @@ def parse_document(data) -> Document:
         if "self" not in entry:
             raise InputError("missing self-intersection", path=f"curves[{i}].self")
         value = entry["self"]
-        diagonal.append(
-            Fraction(value) if type(value) is int
-            else _rational(value, "curves[%d].self", i)
-        )
+        if type(value) is int:
+            value = fraction[value]
+        else:
+            value = _rational(value, "curves[%d].self", i)
+            integral = integral and value.denominator == 1
+        diagonal.append(value)
         proper = entry.get("proper", True)
         if type(proper) is not bool:
             _expect(proper, bool, f"curves[{i}].proper")
@@ -187,7 +201,7 @@ def parse_document(data) -> Document:
 
     inters = _expect(data.get("intersections", []), list, path="intersections")
     n = len(nodes)
-    triples = []
+    off: tuple[dict[int, Fraction], ...] = tuple([{} for _ in range(n)])
     seen_pairs = set()
     on_diagonal = False
     for k, entry in enumerate(inters):
@@ -201,9 +215,10 @@ def parse_document(data) -> Document:
         if type(j) is not int or not 0 <= j < n:
             j = _reference(j, index_of, n, k, 1)
         if type(value) is int:
-            value = Fraction(value)
+            value = fraction[value]
         else:
             value = _rational(value, "intersections[%d][2]", k)
+            integral = integral and value.denominator == 1
         if value.numerator < 0:
             raise InputError(
                 "distinct curves cannot meet negatively",
@@ -217,7 +232,8 @@ def parse_document(data) -> Document:
             )
         seen_pairs.add(key)
         on_diagonal = on_diagonal or i == j
-        triples.append((i, j, value))
+        if value:
+            off[i][j] = off[j][i] = value
 
     if on_diagonal:
         raise InputError(
@@ -225,9 +241,9 @@ def parse_document(data) -> Document:
             "'intersections'",
             path="intersections",
         )
-    # ids, names, genera and signs are checked above
+    # ids, names, genera, signs, ranges and repeated pairs are checked above
     config = Configuration._unchecked(
-        nodes, SymmetricMatrix.from_entries(diagonal, triples)
+        nodes, SymmetricMatrix._from_sparse(tuple(diagonal), off, integral)
     )
 
     boundary_names = _expect(data.get("boundary", []), list, path="boundary")
@@ -316,14 +332,14 @@ def parse_document(data) -> Document:
                 raise InputError("point needs x and y", path=f"elliptic.points[{k}]")
             x, y = entry["x"], entry["y"]
             if type(x) is int and type(y) is int:
-                x, y = Fraction(x), Fraction(y)
+                x, y = fraction[x], fraction[y]
             else:
                 x = _rational(x, "elliptic.points[%d].x", k)
                 y = _rational(y, "elliptic.points[%d].y", k)
             mult = entry.get("m", 1)
             if type(mult) is not int or mult < 1:
                 mult = _count(mult, 1, "multiplicity", f"elliptic.points[{k}].m")
-            point = ECPoint.affine(x, y)
+            point = ECPoint(x, y)
             if not curve.contains(point):
                 raise InputError(
                     f"point ({x}, {y}) is not on the curve",
@@ -344,8 +360,10 @@ def parse_document(data) -> Document:
 
 def load_document(path) -> Document:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(os.fspath(path), encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path, or text that is not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)

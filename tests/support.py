@@ -38,7 +38,8 @@ package's former ``hironaka`` surface: a tower of blowups and the pairing
 of every pair of classes, where the package writes the lattice, the classes
 and the dual graph down in closed form.  The schema oracle is the former
 ``parse_document``, which formatted every field's path and called one
-helper per field on the success path, and the rendering oracle is the
+helper per field on the success path and read a rational string with
+``Fraction(str)`` (``oracle_as_rational``), and the rendering oracle is the
 former recursive ``render_human``.  The record oracles are the package's
 29 result records as the frozen dataclasses they were, before they became
 slotted classes on ``surfsat.record.Record``.
@@ -47,6 +48,7 @@ slotted classes on ``surfsat.record.Record``.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 from math import lcm
@@ -1083,9 +1085,35 @@ def _oracle_expect(data, type_, path):
     return data
 
 
+_ORACLE_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def oracle_as_rational(value) -> Fraction:
+    """The package's former ``as_rational``: a string that matches the
+    pattern is converted by ``Fraction(str)``, which parses it again."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool):
+        raise InputError(f"expected a rational number, got boolean {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        if _ORACLE_RATIONAL_STRING.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise InputError(f"cannot parse rational from {value!r}")
+    if isinstance(value, float):
+        raise InputError(
+            f"float {value!r} is not exact; encode rationals as 'p/q' strings"
+        )
+    raise InputError(f"expected a rational number, got {type(value).__name__}")
+
+
 def _oracle_rational(value, path) -> Fraction:
     try:
-        return as_rational(value)
+        return oracle_as_rational(value)
     except InputError as exc:
         raise InputError(str(exc), path=path) from exc
 

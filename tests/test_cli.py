@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import surfsat
 from surfsat import CompactifiedSurface
-from surfsat.cli import COMMANDS, main
+from surfsat.cli import COMMANDS, _plain_argv, build_parser, main
 from surfsat.elliptic import EXACT_BITS_BUDGET
 from surfsat.errors import InputError
 from surfsat.schema import (
@@ -65,6 +65,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "affdim", SAMPLES / "does_not_exist.json")
         assert code == 1
         assert "error" in err
+
+    def test_nul_byte_in_the_path_is_input_error(self, capsys):
+        # no OS argv holds a NUL, but a caller of main can pass one
+        code, out, err = run(capsys, "analyze", "a\x00b.json")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot read a\x00b.json: embedded null byte\n"
 
     def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
         # the JSON decoder recurses once per level of nesting
@@ -188,7 +194,7 @@ class TestOverLongIntegers:
     def test_other_value_errors_still_raise(self, monkeypatch, tmp_path):
         # only the conversion limit is an input error; a ValueError from a
         # fault in a command is not hidden behind an error message
-        def broken(doc, args):
+        def broken(doc):
             raise ValueError("a fault")
 
         monkeypatch.setitem(COMMANDS, "fibre", broken)
@@ -294,6 +300,91 @@ class TestParserReuse:
             capture_output=True, text=True, env=self.cli_env(), timeout=120,
         )
         assert proc.stdout.split() == ["0", "1"], proc.stderr
+
+
+class TestPlainArgv:
+    """``main`` reads ``COMMAND INPUT`` and ``COMMAND INPUT --format FMT``
+    itself and hands every other argv to the parser."""
+
+    WORDS = [
+        *COMMANDS, "bogus", "Analyze", "human", "json", "xml", "--format",
+        "--format=json", "--fo", "--form", "-h", "--help", "--", "-", "-x",
+        "-1", "", "doc.json", "a b.json", "--colour", "x=y",
+    ]
+
+    def test_every_plain_argv_reads_as_the_parser_reads_it(self):
+        rng = random.Random(2510)
+        parser = build_parser()
+        shapes = {2: 0, 4: 0}
+        for _ in range(6000):
+            argv = [rng.choice(self.WORDS) for _ in range(rng.randint(0, 5))]
+            # lean towards the two plain shapes
+            if argv and rng.random() < 0.6:
+                argv[0] = rng.choice(sorted(COMMANDS))
+            if len(argv) > 2 and rng.random() < 0.6:
+                argv[2] = "--format"
+            if len(argv) > 3 and rng.random() < 0.6:
+                argv[3] = rng.choice(["human", "json"])
+            plain = _plain_argv(argv)
+            if plain is not None:
+                args = parser.parse_args(argv)
+                assert plain == (args.command, args.input, args.format), argv
+                shapes[len(argv)] += 1
+        assert min(shapes.values()) > 100, shapes
+
+    def test_other_argv_read_as_before(self, capsys):
+        # each argv against the plain argv the parser reads it as, or the
+        # help or usage error the parser prints
+        n10 = str(SAMPLES / "n10.json")
+        human = run(capsys, "analyze", n10)
+        as_json = run(capsys, "analyze", n10, "--format", "json")
+        assert human[0] == as_json[0] == 0 and human[1] != as_json[1]
+        for argv, want in [
+            (["analyze", n10, "--format=json"], as_json),
+            (["analyze", n10, "--fo", "json"], as_json),
+            (["--format", "json", "analyze", n10], as_json),
+            (["analyze", "--format", "json", n10], as_json),
+            (["analyze", "--", n10], human),
+            (["--", "analyze", n10], human),
+        ]:
+            assert _plain_argv(argv) is None, argv
+            assert run(capsys, *argv) == want, argv
+        for argv in (["-h"], ["--help"], ["analyze", n10, "-h"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "") and out.startswith("usage: surfsat ")
+        for argv, message in [
+            (["analyze", "-x"], "the following arguments are required: input"),
+            (["analyze"], "the following arguments are required: input"),
+            ([], "the following arguments are required: command, input"),
+            (["analyze", n10, "--format", "json", "extra"],
+             "unrecognized arguments: extra"),
+            (["analyze", n10, "--format"], "argument --format: expected one argument"),
+        ]:
+            assert _plain_argv(argv) is None, argv
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "") and err.startswith("usage: surfsat ")
+            assert err.endswith(f"surfsat: error: {message}\n"), argv
+        # after "--" an input may start with "-": it is read as a file name
+        code, out, err = run(capsys, "analyze", "--", "-x")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: cannot read -x: [Errno 2] No such file or directory: '-x'\n"
+        )
+
+    def test_a_plain_call_leaves_argparse_unloaded(self):
+        n10 = str(SAMPLES / "n10.json")
+        script = (
+            "import sys; from surfsat.cli import main; "
+            f"codes = [main(['analyze', {n10!r}]), "
+            f"main(['fibre', {n10!r}, '--format', 'json'])]; "
+            "print(codes, 'argparse' in sys.modules, 'gettext' in sys.modules)"
+        )
+        src = str(Path(surfsat.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.stdout.splitlines()[-1] == "[0, 0] False False", proc.stderr
 
 
 class TestClosedPipe:
@@ -525,7 +616,7 @@ class TestHodgeIndex:
     @given(st.randoms(use_true_random=False))
     def test_matches_the_positive_index_of_the_former_elimination(self, rng):
         doc, plus = hodge_case(rng)
-        problems = COMMANDS["validate"](doc, None)["problems"]
+        problems = COMMANDS["validate"](doc)["problems"]
         assert [p for p in problems if "Hodge" in p] == (
             [hodge_problem(plus)] if plus > 1 else []
         )

@@ -4,20 +4,28 @@
 check fails; ``oracle_parse_document`` is the former parse, with a helper
 call and a path string per field.  Mutants of the sample documents and of
 generated ones must give an equal ``Document`` from both, or the same
-exception with the same text and path.  ``render_human`` writes scalars
-where it meets them; ``oracle_render_human`` is the former recursive
-renderer, and both must print the same text for any report.
+exception with the same text and path, and the Gram's integrality, which
+the parse records from the values it read, must be what a scan of the
+entries finds.  The rational strings are read by splitting the matched
+digits, where the former parse called ``Fraction(str)``; the odd strings
+(leading zeros, ``-0``, a zero denominator, digit strings at and past the
+interpreter's conversion limit) must read the same both ways.
+``render_human`` writes scalars where it meets them;
+``oracle_render_human`` is the former recursive renderer, and both must
+print the same text for any report.
 """
 
 import copy
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from surfsat import CompactifiedSurface, FalseFibreClaim, UserAsserted
 from surfsat.cli import COMMANDS, render_human
 from surfsat.errors import SurfsatError
+from surfsat.linalg import SymmetricMatrix, as_rational
 from surfsat.schema import (
     Document,
     document_to_json,
@@ -26,6 +34,7 @@ from surfsat.schema import (
 )
 
 from support import (
+    oracle_as_rational,
     oracle_parse_document,
     oracle_render_human,
     random_configuration,
@@ -46,6 +55,13 @@ def outcome(parse, data):
         return parse(copy.deepcopy(data))
     except SurfsatError as exc:
         return type(exc), str(exc), getattr(exc, "path", None)
+
+
+def scanned_integral(doc) -> bool:
+    """What ``_is_integral`` finds on a copy of the Gram that records
+    nothing."""
+    gram = doc.surface.ambient.gram
+    return SymmetricMatrix._from_sparse(gram.diag, gram._off)._is_integral()
 
 
 def sample_documents():
@@ -174,12 +190,75 @@ def test_parse_matches_the_former_parse_on_mutants():
             messages.add(new[1].split(":")[0])
         else:
             parsed += 1
+            assert new.surface.ambient.gram._integral is scanned_integral(new)
     assert all(kinds.get(kind, 0) > 150 for kind in (
         "odd-value", "unknown-key", "drop-key", "reference", "missing-self",
         "duplicate-name", "pair-twice", "negative-meeting", "drop-item",
     )), kinds
     # both outcomes occur often, and the errors come from many fields
     assert 300 < parsed < 2700 and len(messages) > 80, (parsed, len(messages))
+
+
+def test_recorded_integrality_on_fractional_grams():
+    # generated documents with a fraction added to some entries, written
+    # as strings or as "p/1", so both outcomes occur often
+    rng = random.Random(1717)
+    seen = {True: 0, False: 0}
+    for data in generated_documents(rng, 300):
+        entries = [(c, "self") for c in data["curves"]]
+        entries += [(e, 2) for e in data["intersections"]]
+        for box, key in entries:
+            if rng.random() < 0.1:
+                value = Fraction(box[key]) + Fraction(1, rng.randint(1, 3))
+                box[key] = f"{value.numerator}/{value.denominator}"
+        new = outcome(parse_document, data)
+        assert new == outcome(oracle_parse_document, data), data
+        assert new.surface.ambient.gram._integral is scanned_integral(new)
+        seen[new.surface.ambient.gram._integral] += 1
+    assert min(seen.values()) > 50, seen
+
+
+LIMIT = sys.get_int_max_str_digits() or 4300
+ODD_STRINGS = [
+    "007", "-0", "-007/010", "0/5", "-0/3", "3/0", "-3/0", "0/0", "12/18",
+    "1" * LIMIT, "-" + "9" * LIMIT, "0" * (LIMIT - 1) + "7",
+    "8" * LIMIT + "/" + "3" * LIMIT, "1" * (LIMIT + 1), "-" + "1" * (LIMIT + 1),
+    "0" * LIMIT + "1", "1/" + "3" * (LIMIT + 1), "+1", " 1", "1 ", "1_0",
+    "1/-2", "1//2", "--1", "1.0", "1e3", "\u0663", "",
+]
+
+
+def test_rational_strings_read_as_before():
+    # ODD_STRINGS, then random strings over the characters the pattern and
+    # Fraction(str) care about
+    rng = random.Random(4300)
+    strings = ODD_STRINGS + [
+        "".join(rng.choice("0123456789-/ +_.") for _ in range(rng.randint(0, 7)))
+        for _ in range(3000)
+    ]
+    parsed = 0
+    for text in strings:
+        assert outcome(as_rational, text) == outcome(oracle_as_rational, text), text
+        parsed += not isinstance(outcome(as_rational, text), tuple)
+    assert parsed > 300, parsed
+
+
+def test_odd_rational_strings_parse_as_before():
+    cubic = {"a3": 1, "a4": -1}  # y^2 + y = x^3 - x, which holds (0, 0)
+    for text in ODD_STRINGS:
+        for data in (
+            {"curves": [{"name": "A", "self": text}]},
+            {
+                "curves": [{"name": "A", "self": -2}, {"name": "B", "self": -2}],
+                "intersections": [[0, 1, text]],
+            },
+            {"elliptic": {"curve": {**cubic, "a6": text}, "points": []}},
+            {"elliptic": {"curve": cubic, "points": [{"x": text, "y": 0}]}},
+        ):
+            new = outcome(parse_document, data)
+            assert new == outcome(oracle_parse_document, data), (text, data)
+            if not isinstance(new, tuple):
+                assert new.surface.ambient.gram._integral is scanned_integral(new)
 
 
 def random_report(rng, depth=0):
@@ -227,7 +306,7 @@ def test_render_matches_the_former_render_on_every_command_report():
         doc = load_document(path)
         for command in COMMANDS.values():
             try:
-                report = command(doc, None)
+                report = command(doc)
             except SurfsatError:
                 continue
             assert render_human(report) == oracle_render_human(report)

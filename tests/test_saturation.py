@@ -487,7 +487,7 @@ class TestComponentReports:
             if d_minus:
                 with pytest.raises(PreconditionError, match="lacks entries"):
                     scheme_saturation_check(s, dict(list(contractible.items())[1:]))
-            mumford = cmd_mumford(Document(s), None)
+            mumford = cmd_mumford(Document(s))
             assert mumford.get("contracted_components", []) == [
                 sorted(s.ambient.names(comp)) for comp in d_minus
             ]

@@ -243,3 +243,19 @@ def test_invalid_json(tmp_path):
     assert str(info.value) == (
         f"invalid JSON in {path}: Expecting value: line 1 column 13 (char 12)"
     )
+
+
+def test_a_path_is_named_as_given(tmp_path, monkeypatch):
+    # the error names the path the caller gave, not a normalised form
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InputError) as info:
+        load_document("./missing.json")
+    assert str(info.value) == (
+        "cannot read ./missing.json: [Errno 2] No such file or directory: "
+        "'./missing.json'"
+    )
+    with pytest.raises(InputError) as info:
+        load_document(f"{tmp_path}/")
+    assert str(info.value) == (
+        f"cannot read {tmp_path}/: [Errno 21] Is a directory: '{tmp_path}/'"
+    )
