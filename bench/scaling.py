@@ -3,12 +3,23 @@ group-law computation, or of one CLI command, grows as the input doubles.
 
 Run from the repository root (standard library only, not part of tier-1):
 
-    python3 bench/scaling.py --out BENCH_25.json
+    python3 bench/scaling.py --out BENCH_<n>.json --against <parent commit>
 
 Each perf change writes a new ``BENCH_<n>.json`` with every family of the
-last one plus its own, so the slopes can be read across files; a committed
-file is never rewritten.  Run in a checkout of the parent commit (with this
-script copied in), the same command measures the code before the change.
+last one plus its own; a committed file is never rewritten.  With
+``--against REV``, the tree of the git revision REV is exported with ``git
+archive`` into a temporary directory, and every case runs PAIRS times on
+each side, this checkout's ``src`` and REV's alternately (the parent first
+in even pairs), each run in a fresh interpreter with a bytecode cache of
+its side's own in the temporary directory, so that neither side reads
+bytecode the other lacks.  A case then records both sides, the ratio of
+this checkout's time to REV's in each pair, their median and
+interquartile range, and a verdict: "faster" or "slower" only when the
+pairs agree (all of them below ten pairs, nine in ten from ten on), else
+"no change shown".  The absolute times drift with the machine over a run,
+so they compare only inside one file; the ratios of interleaved pairs are
+what a change is judged by.  All processes are pinned to one CPU, as
+``perfbench`` pins its own.
 
 Each case runs in its own interpreter, capped at CAP_S seconds of wall time;
 a case that hits the cap is recorded as "timeout", and the larger sizes of
@@ -152,6 +163,31 @@ def disjoint_pairs_document(n):
     }
 
 
+def linked_chain_kept_document(n):
+    """A boundary (-2)-chain of n curves with an interior (-1)-curve on each
+    link, and a kept boundary genus-1 0-curve Z: the chain is contracted,
+    and the (-1)-curves are the inner set of the saturation, one component
+    whose closure is the chain with its n pendants."""
+    doc = linked_chain_document(n)
+    for curve in doc["curves"][n:]:
+        curve["self"] = -1
+    doc["curves"].append({"name": "Z", "genus": 1, "self": 0})
+    doc["boundary"].append("Z")
+    return doc
+
+
+def disjoint_pairs_kept_document(n):
+    """n disjoint (-2)/(-1) pairs as in ``disjoint_pairs_document``, and
+    three kept boundary genus-1 0-curves: n one-curve parts contracted, and
+    n inner components of the saturation, each read off a two-curve
+    closure."""
+    doc = disjoint_pairs_document(n)
+    for k in range(3):
+        doc["curves"].append({"name": f"Z{k}", "genus": 1, "self": 0})
+        doc["boundary"].append(f"Z{k}")
+    return doc
+
+
 def sample_document(name):
     """The sample document ``docs/samples/<name>.json``."""
     return json.loads((SAMPLES / f"{name}.json").read_text())
@@ -192,6 +228,8 @@ DOCUMENTS = {
     "inner-cycle": inner_cycle_document,
     "linked-chain": linked_chain_document,
     "disjoint-pairs": disjoint_pairs_document,
+    "linked-chain-kept": linked_chain_kept_document,
+    "disjoint-pairs-kept": disjoint_pairs_kept_document,
     "samples": sample_document,
 }
 POINTS = {
@@ -237,6 +275,16 @@ FAMILIES = {
     "disjoint-pairs/cli-mumford": (
         "disjoint-pairs", "cli mumford", [500, 1000, 2000],
         "n disjoint boundary (-2)-curves, each met by an interior (-1)-curve",
+    ),
+    "linked-chain-kept/cli-analyze": (
+        "linked-chain-kept", "cli analyze", [100, 200, 400, 800],
+        "boundary (-2)-chain of n curves, an interior (-1)-curve on each link,"
+        " a kept genus-1 0-curve: the inner set meets the contracted chain",
+    ),
+    "disjoint-pairs-kept/cli-analyze": (
+        "disjoint-pairs-kept", "cli analyze", [500, 1000, 2000],
+        "n disjoint boundary (-2)-curves, each met by an interior (-1)-curve,"
+        " and three kept genus-1 0-curves",
     ),
     "point/sum_obstruction": (
         "point", "sum_obstruction", [3000, 10**18],
@@ -326,13 +374,16 @@ def traced_peak(kind, op, n):
 # -- the driver ------------------------------------------------------------
 
 
-def run_child(args):
+def run_child(args, root=ROOT, pycache=None):
     """(True, the JSON printed by a fresh interpreter that imports the
-    package from this checkout), or (False, "timeout" past the cap, or an
-    error holding the last line of its stderr)."""
+    package from the checkout at ``root``, keeping its bytecode under
+    ``pycache`` when given), or (False, "timeout" past the cap, or an error
+    holding the last line of its stderr)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     ))
+    if pycache:
+        env["PYTHONPYCACHEPREFIX"] = str(pycache)
     try:
         done = subprocess.run(
             [sys.executable, *args], env=env, stdout=subprocess.PIPE,
@@ -369,9 +420,124 @@ def import_cli():
     }
 
 
+# -- against a revision: interleaved pairs ---------------------------------
+
+
+def export(rev, directory):
+    """Write the tree of the git revision ``rev`` to ``directory``; return
+    the commit it names."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+        stdout=subprocess.PIPE, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit], cwd=ROOT,
+        stdout=subprocess.PIPE, check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
+    return commit
+
+
+def verdict(ratios):
+    """"faster" or "slower" when the pairs agree (all of them below ten
+    pairs, nine in ten from ten on), else "no change shown"."""
+    need = len(ratios) if len(ratios) < 10 else -(-9 * len(ratios) // 10)
+    if sum(r < 1 for r in ratios) >= need:
+        return "faster"
+    if sum(r > 1 for r in ratios) >= need:
+        return "slower"
+    return "no change shown"
+
+
+def compare(change, parent):
+    """The pair ratios change / parent of two equally long time lists, with
+    their median, quartiles and verdict."""
+    ratios = [c / p for c, p in zip(change, parent)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {
+        "ratios": [round(r, 4) for r in ratios],
+        "median_ratio": round(statistics.median(ratios), 4),
+        "iqr": round(q3 - q1, 4),
+        "quartiles": [round(q1, 4), round(q3, 4)],
+        "verdict": verdict(ratios),
+    }
+
+
+def side_summary(results):
+    """One side's interpreters: each one's best of the repeats."""
+    bests = [r["best_s"] for r in results]
+    return {
+        "best_s": min(bests),
+        "median_s": round(statistics.median(bests), 6),
+        "interpreters_best_s": bests,
+        "max_pivot_bits": results[0]["max_pivot_bits"],
+    }
+
+
+def run_pairs(kind, op, n, roots, pairs, skip):
+    """Each side of ``roots`` (change and parent, each a checkout and a
+    bytecode cache) ``pairs`` times, alternately, then its traced run; a
+    side in ``skip``, or one that fails, runs no more.  Returns the case
+    record."""
+    case = [__file__, "--case", kind, op, str(n)]
+    done = {side: [] for side in roots}
+    failed = {side: "not run: a smaller size did not finish" for side in skip}
+    for k in range(pairs):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            if side not in failed:
+                ok, result = run_child(case, *roots[side])
+                if ok:
+                    done[side].append(result)
+                else:
+                    failed[side] = result
+    record = {}
+    for side, where in roots.items():
+        if side in failed:
+            record[side] = failed[side]
+            continue
+        record[side] = side_summary(done[side])
+        record[side]["tracemalloc_peak_kib"] = run_child(case + ["--peak"], *where)[1]
+    if not failed:
+        record["pairs"] = compare(
+            [r["best_s"] for r in done["change"]],
+            [r["best_s"] for r in done["parent"]],
+        )
+    return record
+
+
+def import_pairs(roots, pairs):
+    """``import surfsat.cli`` on both sides alternately, after one
+    discarded pair."""
+    times = {side: [] for side in roots}
+    modules = {}
+    for k in range(pairs + 1):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            ok, out = run_child(["-c", IMPORT_PROBE], *roots[side])
+            if not ok:
+                return {side: out}
+            if k:
+                times[side].append(out[0])
+            modules[side] = out[1]
+    record = {
+        side: {
+            "best_s": round(min(runs), 6),
+            "median_s": round(statistics.median(runs), 6),
+            "runs_s": [round(t, 6) for t in runs],
+            "modules_added": modules[side],
+        }
+        for side, runs in times.items()
+    }
+    record["pairs"] = compare(times["change"], times["parent"])
+    return record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="the report to write")
+    parser.add_argument("--against", metavar="REV",
+                        help="run each case against this git revision, in pairs")
+    parser.add_argument("--pairs", type=int, default=5,
+                        help="pairs per case with --against (at least 5)")
     parser.add_argument("--case", nargs=3, metavar=("INPUT", "OP", "N"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--peak", action="store_true", help=argparse.SUPPRESS)
@@ -383,26 +549,61 @@ def main(argv=None) -> int:
         return 0
     if args.out is None:
         parser.error("--out FILE is required")
+    if args.pairs < 5:
+        parser.error("--pairs must be at least 5")
+    if hasattr(os, "sched_setaffinity"):  # the children inherit it
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = None
+        if args.against:
+            tree = Path(tmp) / "tree"
+            tree.mkdir()
+            commit = export(args.against, tree)
+            roots = {
+                "change": (ROOT, Path(tmp) / "pycache-change"),
+                "parent": (tree, Path(tmp) / "pycache-parent"),
+            }
+        report = measure_all(roots, args.pairs)
+    if roots:
+        report["against"] = {
+            "rev": args.against, "commit": commit, "pairs": args.pairs,
+            "ratio": "this checkout's time over the revision's, per pair",
+        }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+def measure_all(roots, pairs):
+    """Every family, then ``import/cli``: one run per case, or with
+    ``roots``, interleaved pairs."""
     start = time.perf_counter()
     families = {}
     for name, (kind, op, sizes, what) in FAMILIES.items():
         cases = []
         for n in sizes:
-            if cases and "best_s" not in cases[-1]["result"]:
+            if roots:
+                skip = [
+                    side for side in roots
+                    if cases and "best_s" not in cases[-1][side]
+                ]
+                result = run_pairs(kind, op, n, roots, pairs, skip)
+            elif cases and "best_s" not in cases[-1]["result"]:
                 result = "not run: a smaller size did not finish"
             else:
                 result = run_case(kind, op, n)
-            cases.append({"n": n, "result": result})
+            case = {"n": n, **result} if roots else {"n": n, "result": result}
+            cases.append(case)
             print(f"{name} n={n}: {result}", file=sys.stderr)
         families[name] = {"input": what, "operation": op, "cases": cases}
-    result = import_cli()
+    result = import_pairs(roots, IMPORT_RUNS) if roots else import_cli()
     print(f"import/cli n={IMPORT_RUNS}: {result}", file=sys.stderr)
     families["import/cli"] = {
         "input": "a fresh interpreter with fractions imported; n interpreters",
         "operation": "import surfsat.cli",
-        "cases": [{"n": IMPORT_RUNS, "result": result}],
+        "cases": [{"n": IMPORT_RUNS, **result} if roots
+                  else {"n": IMPORT_RUNS, "result": result}],
     }
-    report = {
+    return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
@@ -410,19 +611,21 @@ def main(argv=None) -> int:
         "cap_s": CAP_S,
         "repeats": REPEATS,
         "units": {
-            "best_s": "s, best of the repeats (import/cli: of the interpreters)",
-            "median_s": "s, median over the interpreters (import/cli)",
+            "best_s": "s, best of the repeats (import/cli: of the interpreters);"
+            " with --against, the best over a side's interpreters",
+            "median_s": "s, median over the interpreters",
+            "interpreters_best_s": "s, each interpreter's best of the repeats",
             "tracemalloc_peak_kib": "KiB, one further run under tracemalloc, "
             "in an interpreter of its own",
             "max_pivot_bits": "bits of the largest |pivot| of any elimination "
             "in one more run",
             "modules_added": "modules that import surfsat.cli adds to sys.modules",
+            "ratios": "change / parent per interleaved pair of interpreters",
+            "absolute times": "valid only inside one file: the machine drifts",
         },
         "total_s": round(time.perf_counter() - start, 1),
         "families": families,
     }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
 
 
 if __name__ == "__main__":

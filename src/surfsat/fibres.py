@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configuration import Configuration, Divisor
 from .errors import PreconditionError
+from .linalg import _primitive
 from .record import Record
 
 
@@ -253,20 +254,56 @@ def validate_false_fibre_claims(
     a disjoint triple proves the input inconsistent.  Claims sharing a
     subject count once.
     """
-    return _check_claims(claims, config, {})
+    return _check_claims(claims, config, {}, {})
+
+
+def _closure(config: Configuration, subject: frozenset, contracted: Mapping):
+    """``subject`` with every contracted part that meets it (``contracted``
+    maps each curve of a part to the part)."""
+    closure = set(subject)
+    for i in subject if contracted else ():
+        for j in config.neighbours(i):
+            if j in contracted and j not in closure:
+                closure |= contracted[j]
+    return frozenset(closure)
+
+
+def _classify_contracted(
+    config: Configuration, subject: Iterable[int], contracted: Mapping
+) -> FibreTypeReport:
+    """:func:`classify_fibre_type` of ``subject`` where the negative definite
+    parts in ``contracted`` are contracted, read off its closure C.  Two of
+    its curves meet there iff they meet or meet one part, so C is connected
+    iff the subject is; contracting is a congruence, so the inertias add
+    (Haynsworth): C's block has the same positive and zero counts, and C's
+    kernel restricted to the subject spans the subject's."""
+    if not contracted:
+        return classify_fibre_type(config, subject)
+    nodes = frozenset(config._check_subset(subject))
+    closure = _closure(config, nodes, contracted)
+    report = classify_fibre_type(config, closure)
+    if closure == nodes:
+        return report
+    order = sorted(nodes)
+    kernel = report.kernel and Divisor(dict(zip(order, _primitive(
+        [report.kernel.coefficient(i).numerator for i in order]
+    ))))
+    return FibreTypeReport(nodes, report.verdict, kernel, report.positive)
 
 
 def _check_claims(
     claims: Sequence[FalseFibreClaim],
     config: Configuration,
     reports: Mapping[frozenset[int], FibreTypeReport],
+    contracted: Mapping,
 ) -> ClaimsReport:
-    """:func:`validate_false_fibre_claims`, reading the report of a subject
-    in ``reports`` instead of classifying it again."""
+    """:func:`validate_false_fibre_claims` where the parts in ``contracted``
+    are contracted (:func:`_classify_contracted`), reading the report of a
+    subject in ``reports`` instead of classifying it again."""
     unique: dict[frozenset[int], FalseFibreClaim] = {}
     for claim in claims:
-        report = reports.get(claim.subject) or classify_fibre_type(
-            config, claim.subject
+        report = reports.get(claim.subject) or _classify_contracted(
+            config, claim.subject, contracted
         )
         if report.verdict is not FibreVerdict.FIBRE_TYPE:
             raise PreconditionError(
@@ -276,10 +313,12 @@ def _check_claims(
             )
         unique.setdefault(claim.subject, claim)
     distinct = sorted(unique.values(), key=lambda c: sorted(c.subject))
-    # two subjects are disjoint when one misses the other's reach (itself
-    # and the curves meeting it); apart[i] holds the later claims apart
-    # from claim i, and the walk meets triples in lexicographic order
-    reach = [c.subject.union(*map(config.neighbours, c.subject)) for c in distinct]
+    # two subjects are disjoint when one misses the other's reach, its
+    # closure and the curves meeting it (no subject holds a contracted curve);
+    # apart[i] holds the later claims apart from claim i, and the walk
+    # meets triples in lexicographic order
+    closures = [_closure(config, c.subject, contracted) for c in distinct]
+    reach = [c.union(*map(config.neighbours, c)) for c in closures]
     apart = [
         {j for j, c in enumerate(distinct[i + 1:], i + 1) if r.isdisjoint(c.subject)}
         for i, r in enumerate(reach)

@@ -333,10 +333,6 @@ class SymmetricMatrix:
             factor = self._factors[key] = self._eliminate(order)
         return factor
 
-    def _remember(self, factor: "LDL") -> None:
-        """Keep ``factor`` as :meth:`ldl`'s for the block on its order."""
-        self._factors[frozenset(factor.order)] = factor
-
     def _eliminate(self, idx: Sequence[int]) -> "LDL":
         """The elimination of the block on ``idx`` in the given order,
         without the memo of :meth:`ldl`, in integers, updating only nonzero

@@ -4,18 +4,24 @@ An open surface presented as (proper ambient configuration, boundary) is
 saturated exactly when the boundary has no isolated points and no negative
 definite connected component.  When it is not, the saturation plan contracts
 the negative definite components and drops the isolated points; the
-classification of the affinisation dimension is invariant under this, so the
-classifier insists on a saturated input.  The plan contracts the
-components the boundary record classified, and the Gram hands their
-factorisations back from its memo.  A surface keeps that record, the one
-entry of its instance dictionary, beside its slotted fields.
+classification of the affinisation dimension is invariant under this.  A
+surface classifies each boundary component once and keeps that record, the
+one entry of its instance dictionary, beside its slotted fields.
+
+The classifier never builds the saturation (only ``mumford`` contracts):
+contracting a negative definite E is a congruence, M[T + E] ~ M[E] (+) S_T,
+so the inertias add (Haynsworth, *Linear Algebra Appl.* 1, 1968).  A set T
+of remaining curves is read off its closure, T with every contracted part
+that meets it: its components, verdict, kernel and neighbours there are
+those of the closure's block of the original Gram.  Kept components meet
+no contracted part, so they keep their blocks and reports.
 
 The affinisation dimension is 2, 1 or 0.  The boundary numbers decide 2
-outright, and 0 for an empty boundary, read off the kept components before
-any contraction; they can never separate 1 from 0, so the 0 verdict requires a
-false-fibre certificate for every boundary component, and the 1 verdict a
-fibration assertion or enough supplied interior curves to force a second
-fibre witness.  Everything else is reported honestly as one-or-zero.  Inner
+outright, and 0 for an empty boundary, read off the kept components alone;
+they can never separate 1 from 0, so the 0 verdict requires a false-fibre
+certificate for every boundary component, and the 1 verdict a fibration
+assertion or enough supplied interior curves to force a second fibre
+witness.  Everything else is reported honestly as one-or-zero.  Inner
 curves that span a positive direction beside a fibre-type boundary are
 refused (Hodge index theorem).
 """
@@ -24,9 +30,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .configuration import Configuration, Divisor
+from .configuration import Configuration
 from .errors import DataInconsistencyError, PreconditionError
 from .fibres import (
     FalseFibreClaim,
@@ -34,8 +40,8 @@ from .fibres import (
     FibreVerdict,
     _check_claims,
     _classify_connected,
+    _closure,
 )
-from .linalg import LDL
 from .mumford import contract
 from .record import Record
 
@@ -174,20 +180,19 @@ def saturation_plan(surface: CompactifiedSurface) -> SaturationPlan:
 def apply_plan(
     surface: CompactifiedSurface, plan: Optional[SaturationPlan] = None
 ) -> CompactifiedSurface:
-    """Carry out a saturation plan, re-indexing curves, claims and, when it
-    contracts whole boundary components, the boundary record."""
+    """Carry out a saturation plan: contract its parts with
+    :func:`~surfsat.mumford.contract` and re-index the curves and claims.
+    No verdict needs this surface: :func:`affinisation_dimension` reads the
+    saturation off ``surface`` itself."""
     if plan is None:
         plan = saturation_plan(surface)
     if not plan.d_minus:
         if surface.isolated_boundary_points == 0:
             return surface
-        saturated = CompactifiedSurface(
+        return CompactifiedSurface(
             surface.ambient, surface.boundary, 0, surface.false_fibre_claims,
             surface.fibration_asserted,
         )
-        # the same curves and boundary, hence the same record
-        saturated.__dict__["component_reports"] = surface.component_reports
-        return saturated
     _reject_contracted_claims(surface, plan.d_minus)
     contracted = contract(surface.ambient, plan.d_minus)
     removed = frozenset().union(*plan.d_minus)
@@ -198,7 +203,7 @@ def apply_plan(
         )
         for claim in surface.false_fibre_claims
     ])
-    saturated = CompactifiedSurface(
+    return CompactifiedSurface(
         ambient=contracted.configuration,
         boundary=frozenset(
             new_id[i] for i in surface.boundary if i not in removed
@@ -207,27 +212,6 @@ def apply_plan(
         false_fibre_claims=claims,
         fibration_asserted=surface.fibration_asserted,
     )
-    components = set(surface.boundary_components())
-    if all(frozenset(part) in components for part in plan.d_minus):
-        # the kept components meet no contracted one, so only their ids
-        # change, increasingly: their blocks, records and ldl orders carry
-        kept = [r for r in surface.component_reports if r.subject.isdisjoint(removed)]
-        saturated.__dict__["component_reports"] = tuple(
-            FibreTypeReport(
-                frozenset(new_id[i] for i in r.subject), r.verdict,
-                r.kernel and Divisor(
-                    {new_id[i]: c for i, c in r.kernel.coefficients.items()}
-                ),
-                r.positive,
-            )
-            for r in kept
-        )
-        for f in [surface.ambient.gram.ldl(r.subject) for r in kept]:
-            saturated.ambient.gram._remember(LDL(
-                tuple([new_id[i] for i in f.order]), f.inertia, f.scales,
-                f.content, f.minors, f.pivots, f.columns,
-            ))
-    return saturated
 
 
 class AffDim(Enum):
@@ -247,15 +231,15 @@ class AffDimReport(Record):
         return tuple(tag for tag, _ in self.reasons)
 
 
-def _boundary_claims(surface: CompactifiedSurface):
-    """The first claim on each boundary component, by component; a subject
-    that straddles or meets the boundary is rejected."""
-    components = set(surface.boundary_components())
+def _boundary_claims(surface: CompactifiedSurface, components: Collection):
+    """The first claim on each of the kept boundary ``components``, by
+    component; a subject that straddles or meets one is rejected."""
+    kept = frozenset().union(*components)
     boundary_claims: dict[frozenset[int], FalseFibreClaim] = {}
     for claim in surface.false_fibre_claims:
         if claim.subject in components:
             boundary_claims.setdefault(claim.subject, claim)
-        elif claim.subject & surface.boundary:
+        elif claim.subject & kept:
             raise PreconditionError(
                 f"claim subject {surface.ambient.names(claim.subject)} "
                 "overlaps the boundary without being one of its connected "
@@ -263,7 +247,7 @@ def _boundary_claims(surface: CompactifiedSurface):
             )
         else:
             for i in claim.subject:
-                if not surface.ambient.neighbours(i).isdisjoint(surface.boundary):
+                if not surface.ambient.neighbours(i).isdisjoint(kept):
                     raise PreconditionError(
                         f"claim subject {surface.ambient.names(claim.subject)} "
                         "meets the boundary, so it is not a divisor inside "
@@ -272,23 +256,28 @@ def _boundary_claims(surface: CompactifiedSurface):
     return boundary_claims
 
 
-def _inner_nodes(surface: CompactifiedSurface) -> list[int]:
-    """Interior curves that do not meet the boundary: the only curves that
-    can support a divisor contained in the open surface."""
+def _inner_nodes(surface: CompactifiedSurface, kept=None) -> list[int]:
+    """Interior curves that miss the kept boundary (default: the boundary):
+    the only curves that can support a divisor contained in the open
+    surface."""
+    kept = surface.boundary if kept is None else kept
     return [
         i
         for i in sorted(surface.interior_curves)
-        if surface.ambient.neighbours(i).isdisjoint(surface.boundary)
+        if surface.ambient.neighbours(i).isdisjoint(kept)
     ]
 
 
-def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
+def _second_fibre_witness(
+    surface: CompactifiedSurface, contracted: Optional[Mapping] = None
+) -> Optional[str]:
     """Detect, among the supplied curves, two different divisors inside the
-    surface that are not negative definite.
+    surface that are not negative definite; with ``contracted``, on the
+    surface where its boundary parts are contracted.
 
-    Precondition: the boundary is nonempty and each of its components is of
-    fibre type, as when :func:`_decided_by_boundary` settles nothing.  Such
-    a component carries an effective F != 0 with F^2 = 0, and an inner
+    Precondition: the kept boundary is nonempty and each of its components
+    is of fibre type, as when :func:`_decided_by_boundary` settles nothing.
+    Such a component carries an effective F != 0 with F^2 = 0, and an inner
     divisor v meets no boundary curve, so v.F = 0; by the Hodge index
     theorem v^2 > 0 would force F to be numerically trivial.  So an inner
     component with a positive direction is inconsistent data, and each
@@ -296,20 +285,25 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
     1 (Perron-Frobenius).  Two fibre-type components are two such divisors;
     a single one C is the only one iff every inner curve lies in C, as
     dropping a curve of C leaves it negative definite (Zariski's lemma).
+    An inner component T is read off its closure T + E, whose block has the
+    same positive and zero counts (Haynsworth).
     """
-    inner = _inner_nodes(surface)
-    gram = surface.ambient.gram
+    contracted = contracted or {}
+    inner = _inner_nodes(surface, surface.boundary.difference(contracted))
+    config = surface.ambient
+    blocks = config.connected_components(_closure(config, frozenset(inner), contracted))
+    pieces = [(block.difference(contracted), block) for block in blocks]
     fibres = []
-    for comp in surface.ambient.connected_components(inner):
-        plus, minus, _ = gram.ldl(comp).inertia
+    for comp, block in sorted(pieces, key=lambda pair: min(pair[0])):
+        plus, minus, _ = config.gram.ldl(block).inertia
         if plus:
             raise DataInconsistencyError(
                 f"the inner component of {len(comp)} curve(s) containing "
-                f"{surface.ambient.nodes[min(comp)].name!r} has a positive "
+                f"{config.nodes[min(comp)].name!r} has a positive "
                 "direction beside a fibre-type boundary, which the Hodge "
                 "index theorem forbids"
             )
-        if minus < len(comp):
+        if minus < len(block):
             fibres.append(comp)
     if len(fibres) > 1:
         drop = inner[0]
@@ -317,7 +311,7 @@ def _second_fibre_witness(surface: CompactifiedSurface) -> Optional[str]:
         return None
     else:
         drop = next(i for i in inner if i not in fibres[0])
-    names = surface.ambient.names([i for i in inner if i != drop])
+    names = config.names([i for i in inner if i != drop])
     return (
         f"supplied interior curves contain two different divisors "
         f"that are not negative definite (e.g. {names} and all inner "
@@ -340,41 +334,40 @@ def _decided_by_boundary(reports: Sequence[FibreTypeReport]) -> Optional[AffDimR
 
 def _affinisation_after_plan(surface: CompactifiedSurface, plan: SaturationPlan):
     """``affinisation_dimension(apply_plan(surface, plan))`` for the plan of
-    :func:`saturation_plan`, read off the kept components when they settle it."""
-    kept = set(plan.d_plus)
-    reports = [r for r in surface.component_reports if r.subject in kept]
-    return _decided_by_boundary(reports) or affinisation_dimension(
-        apply_plan(surface, plan)
-    )
+    :func:`saturation_plan`, classified without contracting."""
+    return affinisation_dimension(surface, plan)
 
 
-def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
-    """Classify the dimension of the affinisation of a saturated surface.
-
-    Raises when the surface is not saturated: apply the saturation plan
-    first (affinisations agree across big open embeddings, so the verdict
-    is unchanged).  Interior-based refinements are relative to the supplied
+def affinisation_dimension(
+    surface: CompactifiedSurface, plan: Optional[SaturationPlan] = None
+) -> AffDimReport:
+    """Classify the dimension of the affinisation of a saturated surface,
+    or of the saturation ``apply_plan(surface, plan)`` for ``plan =
+    saturation_plan(surface)``, read off ``surface`` by closures (see the
+    module docstring).  Without a plan, raises when the surface is not
+    saturated.  Interior-based refinements are relative to the supplied
     curves.
     """
-    verdict = is_saturated(surface)
-    if not verdict.saturated:
+    if plan is None and not is_saturated(surface).saturated:
         raise PreconditionError(
             "surface is not saturated; apply the saturation plan first "
             "(the classification is invariant under it)"
         )
-    decided = _decided_by_boundary(surface.component_reports)
+    removed = set() if plan is None else set(plan.d_minus)
+    reports = [r for r in surface.component_reports if r.subject not in removed]
+    decided = _decided_by_boundary(reports)
     if decided:
         return decided
-    components = surface.boundary_components()
+    contracted = {i: part for part in removed for i in part}
+    by_subject = {report.subject: report for report in reports}
+    components = tuple(by_subject)
     base_reason = (
         "fibre-type-boundary",
         f"every boundary component ({len(components)}) is of fibre type",
     )
 
     claims_check = _check_claims(
-        surface.false_fibre_claims,
-        surface.ambient,
-        {report.subject: report for report in surface.component_reports},
+        surface.false_fibre_claims, surface.ambient, by_subject, contracted
     )
     if not claims_check.ok:
         triple = claims_check.disjoint_triple
@@ -386,7 +379,7 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
             )
             + "; at most two disjoint false fibres can exist"
         )
-    boundary_claims = _boundary_claims(surface)
+    boundary_claims = _boundary_claims(surface, by_subject)
     uncovered = [comp for comp in components if comp not in boundary_claims]
 
     one_reasons: list[tuple[str, str]] = []
@@ -402,7 +395,7 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
                 "false fibres",
             )
         )
-    witness = _second_fibre_witness(surface)
+    witness = _second_fibre_witness(surface, contracted)
     if witness is not None:
         one_reasons.append(("second-fibre-type-divisor", witness))
 

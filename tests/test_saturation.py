@@ -31,6 +31,8 @@ from surfsat import FibreVerdict, SaturationPlan, classify_fibre_type
 from surfsat import cli, mumford, saturation
 from surfsat.cli import cmd_mumford
 from surfsat.cli import main as cli_main
+from surfsat.configuration import Divisor
+from surfsat.fibres import _classify_contracted
 from surfsat.saturation import (
     _affinisation_after_plan,
     _inner_nodes,
@@ -616,7 +618,6 @@ class TestAffinisationAfterPlan:
         assert seen[PreconditionError] > 20 and seen[DataInconsistencyError] > 0
 
     def test_carried_record_is_the_fresh_classification(self):
-        carried = 0
         for s in self.surfaces():
             try:
                 plan = saturation_plan(s)
@@ -624,7 +625,6 @@ class TestAffinisationAfterPlan:
                 continue
             saturated = apply_plan(s, plan)
             assert saturated == oracle_apply_plan(s, plan)
-            carried += "component_reports" in vars(saturated) and bool(plan.d_minus)
             fresh = rebuilt(saturated).component_reports
             assert [
                 (r.subject, r.verdict, r.kernel, r.positive)
@@ -633,12 +633,10 @@ class TestAffinisationAfterPlan:
                 (r.subject, r.verdict, r.kernel, r.positive)
                 for r in fresh
             ]
-        assert carried > 100
 
     def test_partial_plan_carries_the_record_it_keeps(self):
         # contract the first negative definite component only: the others
-        # stay in the carried record, re-indexed, and a second plan
-        # contracts them
+        # stay in the record, re-indexed, and a second plan contracts them
         partial = 0
         for s in self.surfaces():
             d_minus = oracle_saturation_partition(s)[0]
@@ -648,14 +646,6 @@ class TestAffinisationAfterPlan:
                 continue
             plan = SaturationPlan(d_minus[:1], (), 0, True)
             once = apply_plan(s, plan)
-            assert "component_reports" in vars(once)
-            # the kept factors are in the contracted Gram's memo: each is
-            # the elimination of its block in ldl's order on the new Gram
-            fresh = SymmetricMatrix(once.ambient.gram.rows)
-            for r in once.component_reports:
-                carried = once.ambient.gram._factors[r.subject]
-                assert carried == once.ambient.gram._eliminate(carried.order)
-                assert carried == fresh.ldl(r.subject)
             assert once == oracle_apply_plan(s, plan)
             again = rebuilt(once)  # classified afresh
             assert [
@@ -693,7 +683,6 @@ class TestAffinisationAfterPlan:
         )
         plan = SaturationPlan((frozenset({0}),), (), 0, True)
         saturated = apply_plan(s, plan)
-        assert "component_reports" not in vars(saturated)
         assert saturated == oracle_apply_plan(s, plan)
         with pytest.raises(PreconditionError, match="not negative definite"):
             apply_plan(s, SaturationPlan((frozenset({2}),), (), 0, True))
@@ -702,6 +691,97 @@ class TestAffinisationAfterPlan:
         twice = SaturationPlan((frozenset({0}),) * 2, (), 0, True)
         with pytest.raises(PreconditionError, match="pairwise disjoint"):
             apply_plan(t, twice)
+
+
+class TestClosureClassification:
+    """The saturation read off the closures of its curve sets, against
+    classifying the contracted surface (``oracle_affinisation_after_plan``),
+    where contracting changes what the curves upstairs show."""
+
+    @staticmethod
+    def outcomes(s):
+        got = TestAffinisationAfterPlan.outcome(
+            lambda s: _affinisation_after_plan(s, saturation_plan(s)), s
+        )
+        assert got == TestAffinisationAfterPlan.outcome(
+            oracle_affinisation_after_plan, s
+        )
+        return got
+
+    def test_a_positive_direction_that_appears_only_after_contracting(self):
+        # I^2 = -1 upstairs, and E.I = 2 makes it 1 once E is contracted:
+        # beside the kept genus-1 0-curve Z that is the Hodge refusal
+        s = surface(
+            [("E", -2), ("I", -1), ("Z", 0, 1)], [(0, 1, 2)], boundary=["E", "Z"]
+        )
+        assert s.ambient.gram.ldl([1]).inertia == (0, 1, 0)
+        kind, text = self.outcomes(s)
+        assert kind is DataInconsistencyError
+        assert "containing 'I' has a positive direction" in text
+
+    def test_two_inner_curves_meeting_only_through_a_contracted_curve(self):
+        # I1 - E - I2 is fibre type, so I1 + I2 is one inner fibre-type
+        # component on the saturation, and the disjoint X is a second divisor
+        s = surface(
+            [("E", -1), ("I1", -2), ("I2", -2), ("X", -2), ("Z", 0, 1)],
+            [(0, 1, 1), (0, 2, 1)],
+            boundary=["E", "Z"],
+        )
+        verdict, reasons = self.outcomes(s)
+        assert verdict is AffDim.ONE
+        assert reasons[-1][0] == "second-fibre-type-divisor"
+        assert "('I1', 'I2')" in reasons[-1][1]
+
+    def test_an_inner_cycle_closed_through_two_contracted_curves(self):
+        # the A~3 cycle A - E1 - B - E2 - A of (-2)-curves, with E1 and E2
+        # contracted: the saturation's inner A + B is of fibre type, and its
+        # kernel is the cycle's restricted to A and B
+        s = surface(
+            [("A", -2), ("E1", -2), ("B", -2), ("E2", -2), ("X", -2), ("Z", 0, 1)],
+            [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)],
+            boundary=["E1", "E2", "Z"],
+        )
+        verdict, reasons = self.outcomes(s)
+        assert verdict is AffDim.ONE
+        assert "('A', 'B')" in reasons[-1][1]
+        contracted = {1: frozenset({1}), 3: frozenset({3})}
+        report = _classify_contracted(s.ambient, {0, 2}, contracted)
+        model = oracle_apply_plan(s, saturation_plan(s))
+        assert (report.verdict, report.kernel, report.positive) == (
+            FibreVerdict.FIBRE_TYPE, Divisor({0: 1, 2: 1}), 0
+        )
+        assert classify_fibre_type(model.ambient, {0, 1}).kernel == Divisor(
+            {0: 1, 1: 1}
+        )
+
+    def test_a_claim_subject_connected_only_through_a_contracted_curve(self):
+        # the claim on I1 + I2 is a fibre-type divisor on the saturation,
+        # though the two curves do not meet upstairs
+        claim = FalseFibreClaim(frozenset({1, 2}), UserAsserted())
+        s = surface(
+            [("E", -1), ("I1", -2), ("I2", -2), ("Z", 0, 1)],
+            [(0, 1, 1), (0, 2, 1)],
+            boundary=["E", "Z"],
+            claims=[claim],
+        )
+        assert classify_fibre_type(s.ambient, {1, 2}).verdict is (
+            FibreVerdict.DISCONNECTED
+        )
+        verdict, reasons = self.outcomes(s)
+        assert verdict is AffDim.ONE_OR_ZERO
+        assert reasons[-1][0] == "missing-certificates"
+
+    def test_claims_that_meet_only_through_a_contracted_curve(self):
+        # X1 and X2 are 0-curves on the saturation that meet through E, so
+        # the three claims are no disjoint triple there; the inner X1 + X2
+        # then has a positive direction beside the kept Z
+        names = [("E", -2), ("X1", "-1/2"), ("X2", "-1/2"), ("X3", 0), ("Z", 0, 1)]
+        claims = [FalseFibreClaim({i}, UserAsserted()) for i in (1, 2, 3)]
+        s = surface(names, [(0, 1, 1), (0, 2, 1)], ["E", "Z"], claims=claims)
+        assert s.ambient.disjoint({1}, {2})
+        kind, text = self.outcomes(s)
+        assert kind is DataInconsistencyError
+        assert "containing 'X1' has a positive direction" in text
 
 
 class TestSaturationPlanBudget:
@@ -758,19 +838,22 @@ class TestOneClassificationPerComponent:
         # meeting them and an inner (-2)-chain; then a not-semidefinite
         # pair, and negative definite parts to contract, whose interior
         # neighbours G and H also meet the triangle, so they stay off the
-        # inner set on the saturated model
+        # inner set on the saturation, and K, which meets only F
         curves = {
             "A0": -2, "A1": -2, "A2": -2, "Z": 0, "I": -2, "J1": -2, "J2": -2,
             "P": 1, "Q": -2, "E1": -2, "E2": -2, "F": -1, "G": -1, "H": 0,
+            "K": -2,
         }
         meetings = [
             ("A0", "A1"), ("A1", "A2"), ("A0", "A2"), ("I", "A0"), ("J1", "J2"),
             ("P", "Q"), ("E1", "E2"), ("G", "E1"), ("G", "F"), ("H", "E2"),
-            ("G", "A1"), ("H", "A2"),
+            ("G", "A1"), ("H", "A2"), ("K", "F"),
         ]
         base = ["A0", "A1", "A2", "Z", "I", "J1", "J2"]
         plus = ["P", "Q"]
-        negative = ["E1", "E2", "F", "G", "H"]
+        # K meets only the contracted F, so its inner component's closure
+        # is K + F
+        negative = ["E1", "E2", "F", "G", "H", "K"]
         for name, names in (
             ("fibres", base),
             ("plus", base + plus),
@@ -783,7 +866,7 @@ class TestOneClassificationPerComponent:
             yield name, surface(
                 [(c, curves[c]) for c in names],
                 [(index[a], index[b], 1) for a, b in meetings if {a, b} <= set(names)],
-                [c for c in names if c not in ("I", "J1", "J2", "G", "H")],
+                [c for c in names if c not in ("I", "J1", "J2", "G", "H", "K")],
             )
 
     @staticmethod
@@ -796,22 +879,26 @@ class TestOneClassificationPerComponent:
     def expected(self, s, command):
         # the not-semidefinite pair P, Q of the plus documents is eliminated
         # once: affdim and analyze read its positive count off the record.
-        # The contraction reads each part's factor back from the Gram's
-        # memo, and the saturated model takes the kept components' reports,
-        # so neither eliminates a boundary component again.
+        # mumford's contraction reads each part's factor back from the Gram's
+        # memo, and affdim and analyze contract nothing: when the kept
+        # components settle nothing, they eliminate one block per inner
+        # component of the saturation, its closure (the component with the
+        # contracted parts it meets), and no boundary component again
         calls = self.classification(s)
-        if command in ("affdim", "analyze"):
-            model = apply_plan(s)
-            if (
-                model.boundary
-                and affinisation_dimension(model).verdict is not AffDim.TWO
-            ):
-                inner = _inner_nodes(model)
-                assert model.ambient.gram_on(inner).is_negative_definite()
-                calls += [
-                    tuple(sorted(comp))
-                    for comp in model.ambient.connected_components(inner)
-                ]
+        plan = saturation_plan(s)
+        kept = frozenset().union(*plan.d_plus)
+        removed = frozenset().union(*plan.d_minus)
+        positive = [r for r in s.component_reports if r.positive and r.subject <= kept]
+        if command in ("affdim", "analyze") and kept and not positive:
+            inner = {
+                i for i in s.interior_curves
+                if s.ambient.neighbours(i).isdisjoint(kept)
+            }
+            calls += [
+                tuple(sorted(piece))
+                for piece in s.ambient.connected_components(inner | removed)
+                if not piece <= removed
+            ]
         return Counter(calls)
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -872,20 +959,14 @@ class TestOneClassificationPerComponent:
 
     def test_a_second_plan_reads_the_kept_factors(self, factorised):
         # A and B are (-2)-curves, C a (+1)-curve meeting both: contracting
-        # A keeps B, whose factor the contracted Gram carries, so the second
-        # plan, which contracts B, eliminates nothing
+        # A keeps B, and the second plan, which contracts B, gives the
+        # surface the oracle builds from the first contraction
         s = surface(
             [("A", -2), ("B", -2), ("C", 1)], [(0, 2, 1), (1, 2, 1)],
             boundary=["A", "B"],
         )
-        s.component_reports
-        factorised.clear()
         once = apply_plan(s, SaturationPlan((frozenset({0}),), (), 0, True))
-        apply_plan(once)
-        assert factorised == []
-        assert once.ambient.gram._factors[frozenset({0})] == (
-            once.ambient.gram._eliminate([0])
-        )
+        assert apply_plan(once) == oracle_apply_plan(once, saturation_plan(once))
 
     def run(self, command, path, capsys):
         code = cli_main([command, str(path)])
