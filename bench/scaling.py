@@ -6,20 +6,20 @@ Run from the repository root (standard library only, not part of tier-1):
     python3 bench/scaling.py --out BENCH_<n>.json --against <parent commit>
 
 Each perf change writes a new ``BENCH_<n>.json`` with every family of the
-last one plus its own; a committed file is never rewritten.  With
-``--against REV``, the tree of the git revision REV is exported with ``git
+last one plus its own; a committed file is never rewritten.  The tree of
+the git revision REV, the parent of the change, is exported with ``git
 archive`` into a temporary directory, and every case runs PAIRS times on
 each side, this checkout's ``src`` and REV's alternately (the parent first
 in even pairs), each run in a fresh interpreter with a bytecode cache of
 its side's own in the temporary directory, so that neither side reads
 bytecode the other lacks.  A case then records both sides, the ratio of
-this checkout's time to REV's in each pair, their median and
-interquartile range, and a verdict: "faster" or "slower" only when the
-pairs agree (all of them below ten pairs, nine in ten from ten on), else
-"no change shown".  The absolute times drift with the machine over a run,
-so they compare only inside one file; the ratios of interleaved pairs are
-what a change is judged by.  All processes are pinned to one CPU, as
-``perfbench`` pins its own.
+this checkout's time to REV's in each pair, their median and interquartile
+range, and a verdict: "faster" or "slower" only when nine in ten of the
+pairs agree, rounded up (all PAIRS of a case, ten of the IMPORT_RUNS of
+``import/cli``), else "no change shown".  The absolute times drift with the
+machine over a run, so they compare only inside one file; the ratios of
+interleaved pairs are what a change is judged by.  All processes are pinned
+to one CPU, as ``perfbench`` pins its own.
 
 Each case runs in its own interpreter, capped at CAP_S seconds of wall time;
 a case that hits the cap is recorded as "timeout", and the larger sizes of
@@ -35,11 +35,11 @@ start-up.  The ``samples/cli-main`` family names each case by its sample
 document, and one run is a ``main`` call per command on it.
 
 The ``import/cli`` family times what those cases leave out: ``import
-surfsat.cli`` in IMPORT_RUNS fresh interpreters (after one discarded run,
-as ``perfbench`` does) with ``fractions`` already imported, under the
-caller's environment, so ``PYTHONDONTWRITEBYTECODE=1`` times the compile
-too.  It reports the best and the median wall time, and how many modules
-the import adds to ``sys.modules``.
+surfsat.cli`` in IMPORT_RUNS pairs of fresh interpreters (after one
+discarded pair, as ``perfbench`` discards a run) with ``fractions`` already
+imported, under the caller's environment, so ``PYTHONDONTWRITEBYTECODE=1``
+times the compile too.  It reports the best and the median wall time, and
+how many modules the import adds to ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "docs" / "samples"
 CAP_S = 30
 REPEATS = 3
+PAIRS = 5
 IMPORT_RUNS = 11
 IMPORT_PROBE = """
 import fractions, sys, time
@@ -374,16 +375,16 @@ def traced_peak(kind, op, n):
 # -- the driver ------------------------------------------------------------
 
 
-def run_child(args, root=ROOT, pycache=None):
+def run_child(args, root, pycache):
     """(True, the JSON printed by a fresh interpreter that imports the
     package from the checkout at ``root``, keeping its bytecode under
-    ``pycache`` when given), or (False, "timeout" past the cap, or an error
+    ``pycache``), or (False, "timeout" past the cap, or an error
     holding the last line of its stderr)."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    ))
-    if pycache:
-        env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(path),
+        PYTHONPYCACHEPREFIX=str(pycache),
+    )
     try:
         done = subprocess.run(
             [sys.executable, *args], env=env, stdout=subprocess.PIPE,
@@ -396,31 +397,7 @@ def run_child(args, root=ROOT, pycache=None):
     return True, json.loads(done.stdout)
 
 
-def run_case(kind, op, n):
-    """The timed runs, then the traced run in an interpreter of its own."""
-    case = [__file__, "--case", kind, op, str(n)]
-    ok, result = run_child(case)
-    if ok:
-        result["tracemalloc_peak_kib"] = run_child(case + ["--peak"])[1]
-    return result
-
-
-def import_cli():
-    """``import surfsat.cli`` timed in fresh interpreters."""
-    outs = [run_child(["-c", IMPORT_PROBE]) for _ in range(IMPORT_RUNS + 1)][1:]
-    failed = [out for ok, out in outs if not ok]
-    if failed:
-        return failed[0]
-    runs = [t for _, (t, _) in outs]
-    return {
-        "best_s": round(min(runs), 6),
-        "median_s": round(statistics.median(runs), 6),
-        "runs_s": [round(t, 6) for t in runs],
-        "modules_added": outs[0][1][1],
-    }
-
-
-# -- against a revision: interleaved pairs ---------------------------------
+# -- against the parent revision: interleaved pairs ------------------------
 
 
 def export(rev, directory):
@@ -439,9 +416,9 @@ def export(rev, directory):
 
 
 def verdict(ratios):
-    """"faster" or "slower" when the pairs agree (all of them below ten
-    pairs, nine in ten from ten on), else "no change shown"."""
-    need = len(ratios) if len(ratios) < 10 else -(-9 * len(ratios) // 10)
+    """"faster" or "slower" when nine in ten of the pairs agree, rounded up
+    (so all of them below ten pairs), else "no change shown"."""
+    need = -(-9 * len(ratios) // 10)
     if sum(r < 1 for r in ratios) >= need:
         return "faster"
     if sum(r > 1 for r in ratios) >= need:
@@ -474,15 +451,15 @@ def side_summary(results):
     }
 
 
-def run_pairs(kind, op, n, roots, pairs, skip):
+def run_pairs(kind, op, n, roots, skip):
     """Each side of ``roots`` (change and parent, each a checkout and a
-    bytecode cache) ``pairs`` times, alternately, then its traced run; a
+    bytecode cache) PAIRS times, alternately, then its traced run; a
     side in ``skip``, or one that fails, runs no more.  Returns the case
     record."""
     case = [__file__, "--case", kind, op, str(n)]
     done = {side: [] for side in roots}
     failed = {side: "not run: a smaller size did not finish" for side in skip}
-    for k in range(pairs):
+    for k in range(PAIRS):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
             if side not in failed:
                 ok, result = run_child(case, *roots[side])
@@ -505,12 +482,12 @@ def run_pairs(kind, op, n, roots, pairs, skip):
     return record
 
 
-def import_pairs(roots, pairs):
-    """``import surfsat.cli`` on both sides alternately, after one
-    discarded pair."""
+def import_pairs(roots):
+    """``import surfsat.cli`` on both sides alternately, IMPORT_RUNS pairs
+    after one discarded pair."""
     times = {side: [] for side in roots}
     modules = {}
-    for k in range(pairs + 1):
+    for k in range(IMPORT_RUNS + 1):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
             ok, out = run_child(["-c", IMPORT_PROBE], *roots[side])
             if not ok:
@@ -535,9 +512,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="the report to write")
     parser.add_argument("--against", metavar="REV",
-                        help="run each case against this git revision, in pairs")
-    parser.add_argument("--pairs", type=int, default=5,
-                        help="pairs per case with --against (at least 5)")
+                        help="the git revision to run each case against, in pairs")
     parser.add_argument("--case", nargs=3, metavar=("INPUT", "OP", "N"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--peak", action="store_true", help=argparse.SUPPRESS)
@@ -547,61 +522,48 @@ def main(argv=None) -> int:
         n = int(n) if n.isdigit() else n  # a sample is named, not sized
         print(json.dumps((traced_peak if args.peak else measure)(kind, op, n)))
         return 0
-    if args.out is None:
-        parser.error("--out FILE is required")
-    if args.pairs < 5:
-        parser.error("--pairs must be at least 5")
+    if args.out is None or args.against is None:
+        parser.error("--out FILE and --against REV are required")
     if hasattr(os, "sched_setaffinity"):  # the children inherit it
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory() as tmp:
-        roots = None
-        if args.against:
-            tree = Path(tmp) / "tree"
-            tree.mkdir()
-            commit = export(args.against, tree)
-            roots = {
-                "change": (ROOT, Path(tmp) / "pycache-change"),
-                "parent": (tree, Path(tmp) / "pycache-parent"),
-            }
-        report = measure_all(roots, args.pairs)
-    if roots:
-        report["against"] = {
-            "rev": args.against, "commit": commit, "pairs": args.pairs,
-            "ratio": "this checkout's time over the revision's, per pair",
-        }
+        tree = Path(tmp) / "tree"
+        tree.mkdir()
+        commit = export(args.against, tree)
+        report = measure_all({
+            "change": (ROOT, Path(tmp) / "pycache-change"),
+            "parent": (tree, Path(tmp) / "pycache-parent"),
+        })
+    report["against"] = {
+        "rev": args.against, "commit": commit, "pairs": PAIRS,
+        "ratio": "this checkout's time over the revision's, per pair",
+    }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
-def measure_all(roots, pairs):
-    """Every family, then ``import/cli``: one run per case, or with
-    ``roots``, interleaved pairs."""
+def measure_all(roots):
+    """Every family, then ``import/cli``, in interleaved pairs of the two
+    sides of ``roots``."""
     start = time.perf_counter()
     families = {}
     for name, (kind, op, sizes, what) in FAMILIES.items():
         cases = []
         for n in sizes:
-            if roots:
-                skip = [
-                    side for side in roots
-                    if cases and "best_s" not in cases[-1][side]
-                ]
-                result = run_pairs(kind, op, n, roots, pairs, skip)
-            elif cases and "best_s" not in cases[-1]["result"]:
-                result = "not run: a smaller size did not finish"
-            else:
-                result = run_case(kind, op, n)
-            case = {"n": n, **result} if roots else {"n": n, "result": result}
-            cases.append(case)
+            skip = [
+                side for side in roots
+                if cases and "best_s" not in cases[-1][side]
+            ]
+            result = run_pairs(kind, op, n, roots, skip)
+            cases.append({"n": n, **result})
             print(f"{name} n={n}: {result}", file=sys.stderr)
         families[name] = {"input": what, "operation": op, "cases": cases}
-    result = import_pairs(roots, IMPORT_RUNS) if roots else import_cli()
+    result = import_pairs(roots)
     print(f"import/cli n={IMPORT_RUNS}: {result}", file=sys.stderr)
     families["import/cli"] = {
         "input": "a fresh interpreter with fractions imported; n interpreters",
         "operation": "import surfsat.cli",
-        "cases": [{"n": IMPORT_RUNS, **result} if roots
-                  else {"n": IMPORT_RUNS, "result": result}],
+        "cases": [{"n": IMPORT_RUNS, **result}],
     }
     return {
         "python": platform.python_version(),
@@ -611,8 +573,7 @@ def measure_all(roots, pairs):
         "cap_s": CAP_S,
         "repeats": REPEATS,
         "units": {
-            "best_s": "s, best of the repeats (import/cli: of the interpreters);"
-            " with --against, the best over a side's interpreters",
+            "best_s": "s, the best over a side's interpreters",
             "median_s": "s, median over the interpreters",
             "interpreters_best_s": "s, each interpreter's best of the repeats",
             "tracemalloc_peak_kib": "KiB, one further run under tracemalloc, "

@@ -180,10 +180,8 @@ def saturation_plan(surface: CompactifiedSurface) -> SaturationPlan:
 def apply_plan(
     surface: CompactifiedSurface, plan: Optional[SaturationPlan] = None
 ) -> CompactifiedSurface:
-    """Carry out a saturation plan: contract its parts with
-    :func:`~surfsat.mumford.contract` and re-index the curves and claims.
-    No verdict needs this surface: :func:`affinisation_dimension` reads the
-    saturation off ``surface`` itself."""
+    """Carry out a saturation plan with :func:`~surfsat.mumford.contract`,
+    re-indexing the curves and claims; no verdict reads this surface."""
     if plan is None:
         plan = saturation_plan(surface)
     if not plan.d_minus:
@@ -332,28 +330,32 @@ def _decided_by_boundary(reports: Sequence[FibreTypeReport]) -> Optional[AffDimR
     return None
 
 
-def _affinisation_after_plan(surface: CompactifiedSurface, plan: SaturationPlan):
-    """``affinisation_dimension(apply_plan(surface, plan))`` for the plan of
-    :func:`saturation_plan`, classified without contracting."""
-    return affinisation_dimension(surface, plan)
+def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
+    """Classify the dimension of the affinisation of a saturated surface.
 
-
-def affinisation_dimension(
-    surface: CompactifiedSurface, plan: Optional[SaturationPlan] = None
-) -> AffDimReport:
-    """Classify the dimension of the affinisation of a saturated surface,
-    or of the saturation ``apply_plan(surface, plan)`` for ``plan =
-    saturation_plan(surface)``, read off ``surface`` by closures (see the
-    module docstring).  Without a plan, raises when the surface is not
-    saturated.  Interior-based refinements are relative to the supplied
+    Raises when the surface is not saturated: apply the saturation plan
+    first (affinisations agree across big open embeddings, so the verdict
+    is unchanged).  Interior-based refinements are relative to the supplied
     curves.
     """
-    if plan is None and not is_saturated(surface).saturated:
+    if not is_saturated(surface).saturated:
         raise PreconditionError(
             "surface is not saturated; apply the saturation plan first "
             "(the classification is invariant under it)"
         )
-    removed = set() if plan is None else set(plan.d_minus)
+    return _affinisation_after_plan(surface, saturation_plan(surface))
+
+
+def _affinisation_after_plan(surface: CompactifiedSurface, plan: SaturationPlan):
+    """``affinisation_dimension(apply_plan(surface, plan))``, read off
+    ``surface`` by closures (see the module docstring), which hold only for
+    :func:`saturation_plan`'s: the whole negative definite components."""
+    if plan.d_minus != saturation_plan(surface).d_minus:
+        raise PreconditionError(
+            "only the saturation plan's contraction is classified without "
+            "building it; carry out any other plan with apply_plan first"
+        )
+    removed = set(plan.d_minus)
     reports = [r for r in surface.component_reports if r.subject not in removed]
     decided = _decided_by_boundary(reports)
     if decided:

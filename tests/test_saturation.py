@@ -518,13 +518,28 @@ class TestAffinisationAfterPlan:
 
     @staticmethod
     def claims(rng, s):
+        d_minus, kept = oracle_saturation_partition(s)
         if rng.random() < 0.3:
             # certify every kept component: zero, or inconsistent data
-            kept = oracle_saturation_partition(s)[1]
             return tuple(FalseFibreClaim(comp, UserAsserted()) for comp in kept)
-        inner = _inner_nodes(s)
+        # inner subjects miss the kept boundary only, so they may meet a
+        # contracted part, and a piece of them may be connected through one
+        inner = set(_inner_nodes(s, frozenset().union(*kept)))
+        removed = frozenset().union(*d_minus)
+        pieces = [
+            piece - removed
+            for piece in s.ambient.connected_components(inner | removed)
+            if not piece <= removed
+        ] if inner else []
+        meeting = [
+            piece for piece in pieces
+            if any(s.ambient.neighbours(i) & removed for i in piece)
+        ]
+        if meeting and rng.random() < 0.7:
+            return (FalseFibreClaim(rng.choice(meeting), UserAsserted()),)
         subjects = list(s.ambient.connected_components(s.boundary))
         subjects += s.ambient.connected_components(inner) if inner else ()
+        subjects += pieces
         subjects += [frozenset(rng.sample(range(s.ambient.n), 1))]
         return tuple(
             FalseFibreClaim(rng.choice(subjects), UserAsserted())
@@ -534,7 +549,8 @@ class TestAffinisationAfterPlan:
     @staticmethod
     def with_fibres(rng, s):
         """``s`` with one to three disjoint fibre-type cycles of (-2)-curves
-        added, on the boundary, except that the first may lie inside."""
+        added, on the boundary, except that the first may lie inside, or
+        inside but for one curve, which the saturation contracts."""
         config = s.ambient
         curves = [(node.name, config.gram.entry(node.id, node.id))
                   for node in config.nodes]
@@ -554,8 +570,11 @@ class TestAffinisationAfterPlan:
                 for j, v in shape.gram.off_diagonal(i).items()
                 if i < j
             ]
-            if f or rng.random() < 0.7:
+            place = rng.random()
+            if f or place < 0.5:
                 boundary |= set(range(start, len(curves)))
+            elif shape.n > 1 and place < 0.8:
+                boundary.add(start)
         return CompactifiedSurface(
             ambient=Configuration.build(curves, edges), boundary=frozenset(boundary)
         )
@@ -616,6 +635,33 @@ class TestAffinisationAfterPlan:
         assert seen["not-negative-semidefinite"] > 40
         assert seen["fibre-type-boundary"] > 10
         assert seen[PreconditionError] > 20 and seen[DataInconsistencyError] > 0
+
+    def test_claims_on_inner_divisors_that_meet_contracted_parts(self):
+        # a kept 0-curve and fibre cycles, the first inside but for one
+        # curve that the saturation contracts in about a fifth of the draws:
+        # the claims drawn on its inner piece meet the contracted curve,
+        # beside a fibre-type boundary
+        rng = random.Random(149)
+        base = CompactifiedSurface(Configuration.build([("Z", 0)]), {0})
+        reached = Counter()
+        for _ in range(300):
+            s = self.with_fibres(rng, base)
+            s = CompactifiedSurface(
+                s.ambient, s.boundary, false_fibre_claims=self.claims(rng, s),
+                fibration_asserted=rng.random() < 0.2,
+            )
+            got = self.outcome(
+                lambda s: _affinisation_after_plan(s, saturation_plan(s)), s
+            )
+            assert got == self.outcome(oracle_affinisation_after_plan, s)
+            removed = frozenset().union(*oracle_saturation_partition(s)[0])
+            if any(
+                s.ambient.neighbours(i) & removed
+                for claim in s.false_fibre_claims
+                for i in claim.subject - s.boundary
+            ):
+                reached[got[0]] += 1
+        assert reached[AffDim.ONE_OR_ZERO] > 20 and reached[AffDim.ONE] > 5
 
     def test_carried_record_is_the_fresh_classification(self):
         for s in self.surfaces():
@@ -782,6 +828,34 @@ class TestClosureClassification:
         kind, text = self.outcomes(s)
         assert kind is DataInconsistencyError
         assert "containing 'X1' has a positive direction" in text
+
+    def test_only_the_saturation_plan_is_read_off_closures(self):
+        # the closures hold for whole negative definite boundary components:
+        # a plan contracting a part of one, a component that is not
+        # negative definite, or some of the components only, is refused
+        s = surface(
+            [("E1", -2), ("E2", -2), ("P", 1), ("C", 1), ("F", -1), ("G", -1),
+             ("Z", 0)],
+            [(0, 1, 1), (1, 2, 1), (0, 3, 1), (4, 3, 1), (5, 3, 1)],
+            boundary=["E1", "E2", "P", "F", "G", "Z"],
+        )
+        assert saturation_plan(s).d_minus == (frozenset({4}), frozenset({5}))
+        for d_minus in [{0}], [{2}], [{4}], [{4}, {5}, {6}]:
+            plan = SaturationPlan(tuple(map(frozenset, d_minus)), (), 0, True)
+            with pytest.raises(PreconditionError, match="saturation plan"):
+                _affinisation_after_plan(s, plan)
+        # the saturation plan's own parts, but a claim on one of them
+        claimed = CompactifiedSurface(
+            s.ambient, s.boundary,
+            false_fibre_claims=(FalseFibreClaim({4}, UserAsserted()),),
+        )
+        plan = SaturationPlan(saturation_plan(s).d_minus, (), 0, True)
+        with pytest.raises(PreconditionError, match="overlaps a contracted"):
+            _affinisation_after_plan(claimed, plan)
+        reason = "boundary pairing has 1 positive direction(s)"
+        assert self.outcomes(s) == (
+            AffDim.TWO, (("not-negative-semidefinite", reason),)
+        )
 
 
 class TestSaturationPlanBudget:
