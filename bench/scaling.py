@@ -31,8 +31,10 @@ passes the cap keeps its times and reads "timeout" for the peak alone.
 Only the operation is timed: building the matrix or the points, or
 writing the document to a file, is not.  The CLI cases call
 ``surfsat.cli.main`` in process, so they leave out the interpreter's
-start-up.  The ``samples/cli-main`` family names each case by its sample
-document, and one run is a ``main`` call per command on it.
+start-up; an operation ``cli COMMAND OPTION...`` calls ``main([COMMAND,
+document, OPTION...])``, and its output goes to a buffer.  The
+``samples/cli-main`` family names each case by its sample document, and
+one run is a ``main`` call per command on it.
 
 The ``import/cli`` family times what those cases leave out: ``import
 surfsat.cli`` in IMPORT_RUNS pairs of fresh interpreters (after one
@@ -277,6 +279,11 @@ FAMILIES = {
         "disjoint-pairs", "cli mumford", [500, 1000, 2000],
         "n disjoint boundary (-2)-curves, each met by an interior (-1)-curve",
     ),
+    "disjoint-pairs/cli-mumford-json": (
+        "disjoint-pairs", "cli mumford --format json", [500, 1000, 2000],
+        "n disjoint boundary (-2)-curves, each met by an interior (-1)-curve;"
+        " JSON output",
+    ),
     "linked-chain-kept/cli-analyze": (
         "linked-chain-kept", "cli analyze", [100, 200, 400, 800],
         "boundary (-2)-chain of n curves, an interior (-1)-curve on each link,"
@@ -314,14 +321,14 @@ def prepare(kind, op, n, tmp):
     if op.startswith("cli "):
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(DOCUMENTS[kind](n)))
-        command = op.split()[1]
+        command, *options = op.split()[1:]
         commands = sorted(cli.COMMANDS) if command == "main" else [command]
 
         def run():
             out = io.StringIO()  # a refusal prints its message on stderr
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                 for command in commands:
-                    cli.main([command, str(path)])
+                    cli.main([command, str(path), *options])
         return lambda: run
     if kind in POINTS:
         points = POINTS[kind](n)

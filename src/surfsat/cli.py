@@ -2,6 +2,9 @@
 
 Every command reads the same JSON document (see :mod:`surfsat.schema`) and
 emits either a stable line-oriented human report or JSON with stable keys.
+A command returns a report dict; ``mumford``'s induced matrix stays in it as
+the sparse Gram of the contracted surface until it is rendered, and each
+renderer writes its dense rows, every zero entry one shared text.
 Exit codes: 0 for a definite verdict, 2 for honest indefinite verdicts
 (one-or-zero, unknown, inconclusive), 1 for usage errors, input errors or
 inconsistent data.
@@ -22,6 +25,7 @@ from .fibres import (
     GroupLawObstruction,
     validate_false_fibre_claims,
 )
+from .linalg import SymmetricMatrix
 from .mumford import contract
 from .saturation import (
     _affinisation_after_plan,
@@ -158,7 +162,7 @@ def cmd_mumford(doc: Document) -> dict:
             "pullbacks": pullbacks,
             "induced_matrix": {
                 "curves": [node.name for node in contracted.nodes],
-                "entries": _dense_json(contracted.gram),
+                "entries": contracted.gram,
             },
             "singular_points": [
                 {"name": s.name, "contracted": list(s.contracted_names)}
@@ -166,18 +170,6 @@ def cmd_mumford(doc: Document) -> dict:
             ],
         }
     )
-    return out
-
-
-def _dense_json(gram) -> list:
-    """JSON rows of a matrix, converting only its nonzero entries."""
-    out = []
-    for i, d in enumerate(gram.diag):
-        row = [0] * len(gram.diag)
-        for j, x in gram.off_diagonal(i).items():
-            row[j] = rational_to_json(x)
-        row[i] = rational_to_json(d)
-        out.append(row)
     return out
 
 
@@ -302,12 +294,40 @@ COMMANDS = {
 }
 
 
+def _dense_rows(gram, zero, convert):
+    """Each row of ``gram`` as a list: ``zero``, one object shared by every
+    zero entry, and ``convert(x)`` at each nonzero entry x."""
+    n = gram.n
+    for i, d in enumerate(gram.diag):
+        row = [zero] * n
+        for j, x in gram.off_diagonal(i).items():
+            row[j] = convert(x)
+        row[i] = convert(d)
+        yield row
+
+
+def _entry_text(x) -> str:
+    """``str(rational_to_json(x))`` in one call."""
+    num, den = x.as_integer_ratio()
+    return f"{num}" if den == 1 else f"{num}/{den}"
+
+
+def _json_entry(x) -> str:
+    """``json.dumps(rational_to_json(x))`` in one call."""
+    num, den = x.as_integer_ratio()
+    return f"{num}" if den == 1 else f'"{num}/{den}"'
+
+
 def _flatten(prefix: str, value, lines: list[str]) -> None:
     """Append the lines of ``value``, a dict or a list holding a dict or a
     list, under ``prefix``: a dict key by key in sorted order, a list item
     by item.  Each item is sorted out where it is met: a scalar, an empty
     list (``[]``), an empty dict (``{}``) and a list of scalars take one
-    line each, and only the other dicts and lists recurse."""
+    line each, and only the other dicts and lists recurse.  A
+    ``SymmetricMatrix`` (``mumford``'s induced matrix, sparse until here)
+    takes one line per row, as its dense rows would: each row is a list in
+    which every zero entry is one shared ``"0"`` and only the nonzero
+    entries are converted, joined once, and an empty matrix reads ``[]``."""
     if isinstance(value, dict):
         items = [
             (f"{prefix}.{key}" if prefix else key, value[key])
@@ -326,6 +346,14 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
                 lines.append(f"{path}: {', '.join(map(str, item)) if item else '[]'}")
             else:
                 _flatten(path, item, lines)
+        elif isinstance(item, SymmetricMatrix):
+            if item.n:
+                rows = _dense_rows(item, "0", _entry_text)
+                lines.extend(
+                    f"{path}[{i}]: {', '.join(row)}" for i, row in enumerate(rows)
+                )
+            else:
+                lines.append(f"{path}: []")
         else:
             lines.append(f"{path}: {item}")
 
@@ -338,6 +366,28 @@ def render_human(report: dict) -> str:
     rest = {k: v for k, v in report.items() if k not in ("command", "verdict")}
     _flatten("", rest, lines)
     return "\n".join(lines)
+
+
+def render_json(report: dict) -> str:
+    """``report`` as JSON with stable keys, indented by two spaces.
+
+    ``mumford``'s induced matrix is written from its sparse rows, as
+    ``json.dumps`` would write its dense rows at that depth: the report is
+    dumped with NaN in place of the rows, and the rows' text replaces it.
+    No other value of a report is a float, and a quote inside a JSON string
+    is escaped, so ``"entries": NaN`` occurs once, where it was put."""
+    matrix = report.get("induced_matrix")
+    if matrix is None:
+        return json.dumps(report, indent=2, sort_keys=True)
+    nan = {**matrix, "entries": float("nan")}
+    text = json.dumps({**report, "induced_matrix": nan}, indent=2, sort_keys=True)
+    # a row sits at depth 3 of the report and its entries at depth 4
+    rows = ",\n".join(
+        "      [\n        " + ",\n        ".join(row) + "\n      ]"
+        for row in _dense_rows(matrix["entries"], "0", _json_entry)
+    )
+    entries = f"[\n{rows}\n    ]" if rows else "[]"
+    return text.replace('"entries": NaN', f'"entries": {entries}', 1)
 
 
 @functools.cache
@@ -400,10 +450,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         doc = load_document(path)
         report = COMMANDS[command](doc)
-        if fmt == "json":
-            text = json.dumps(report, indent=2, sort_keys=True)
-        else:
-            text = render_human(report)
+        text = render_json(report) if fmt == "json" else render_human(report)
     except (InputError, PreconditionError, DataInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -40,7 +40,9 @@ and the dual graph down in closed form.  The schema oracle is the former
 ``parse_document``, which formatted every field's path and called one
 helper per field on the success path and read a rational string with
 ``Fraction(str)`` (``oracle_as_rational``), and the rendering oracle is the
-former recursive ``render_human``.  The record oracles are the package's
+former recursive ``render_human``; ``oracle_dense_json`` is the former
+``cli._dense_json``, the dense JSON rows that ``mumford`` put in its report
+in place of the sparse induced matrix.  The record oracles are the package's
 29 result records as the frozen dataclasses they were, before they became
 slotted classes on ``surfsat.record.Record``.
 """
@@ -90,6 +92,7 @@ from surfsat.schema import (
     SCHEMA_VERSION,
     Document,
     EllipticSection,
+    rational_to_json,
 )
 
 
@@ -1354,6 +1357,18 @@ def oracle_render_human(report: dict) -> str:
         if key not in ("command", "verdict"):
             _oracle_flatten(key, report[key], lines)
     return "\n".join(lines)
+
+
+def oracle_dense_json(gram) -> list:
+    """JSON rows of a matrix, converting only its nonzero entries."""
+    out = []
+    for i, d in enumerate(gram.diag):
+        row = [0] * len(gram.diag)
+        for j, x in gram.off_diagonal(i).items():
+            row[j] = rational_to_json(x)
+        row[i] = rational_to_json(d)
+        out.append(row)
+    return out
 
 
 # -- record oracles --------------------------------------------------------

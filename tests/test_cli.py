@@ -534,9 +534,12 @@ class TestCommands:
         assert code == 0
         assert "pullbacks: {}" in out.splitlines()
         assert "induced_matrix.curves: []" in out.splitlines()
+        assert "induced_matrix.entries: []" in out.splitlines()
         code, out, _ = run(capsys, "mumford", path, "--format", "json")
         assert code == 0
         assert json.loads(out)["pullbacks"] == {}
+        assert json.loads(out)["induced_matrix"]["entries"] == []
+        assert '"entries": []' in out
 
     def test_json_output_has_stable_keys(self, capsys):
         code, out, _ = run(

@@ -12,10 +12,14 @@ digits, where the former parse called ``Fraction(str)``; the odd strings
 interpreter's conversion limit) must read the same both ways.
 ``render_human`` writes scalars where it meets them;
 ``oracle_render_human`` is the former recursive renderer, and both must
-print the same text for any report.
+print the same text for any report.  ``mumford``'s report carries its
+induced matrix sparse, and both renderers write it from the sparse rows:
+their text must be the former renderers' text on the dense rows of
+``oracle_dense_json``.
 """
 
 import copy
+import itertools
 import json
 import random
 import sys
@@ -23,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from surfsat import CompactifiedSurface, FalseFibreClaim, UserAsserted
-from surfsat.cli import COMMANDS, render_human
+from surfsat.cli import COMMANDS, render_human, render_json
 from surfsat.errors import SurfsatError
 from surfsat.linalg import SymmetricMatrix, as_rational
 from surfsat.schema import (
@@ -35,6 +39,7 @@ from surfsat.schema import (
 
 from support import (
     oracle_as_rational,
+    oracle_dense_json,
     oracle_parse_document,
     oracle_render_human,
     random_configuration,
@@ -309,4 +314,56 @@ def test_render_matches_the_former_render_on_every_command_report():
                 report = command(doc)
             except SurfsatError:
                 continue
-            assert render_human(report) == oracle_render_human(report)
+            # the oracle reads the report as the JSON renderer writes it
+            former = json.loads(render_json(report))
+            assert render_human(report) == oracle_render_human(former)
+
+
+# zero, negative, fractional and long values of a Gram entry
+GRAM_VALUES = [
+    0, 0, 0, 1, -1, -2, 5, Fraction(1, 2), Fraction(-7, 3), 10**25,
+    Fraction(-1, 10**12),
+]
+# curve names, some of them keys or texts that the JSON renderer handles
+NAMES = ["A", "entries", "NaN", 'x"entries": NaN', "induced_matrix", "0"]
+
+
+def random_sparse_gram(rng, n):
+    """A sparse Gram of order n whose rows are often empty: a row left
+    empty has a zero diagonal and meets no other row."""
+    empty = {i for i in range(n) if rng.random() < 0.3}
+    kept = [i for i in range(n) if i not in empty]
+    diag = [0 if i in empty else rng.choice(GRAM_VALUES) for i in range(n)]
+    entries = [
+        (i, j, rng.choice(GRAM_VALUES))
+        for i, j in itertools.combinations(kept, 2)
+        if rng.random() < 0.4
+    ]
+    return SymmetricMatrix.from_entries(diag, entries)
+
+
+def test_induced_matrix_renders_as_its_dense_rows():
+    rng = random.Random(1961)
+    seen = {"fractional": 0, "negative": 0, "empty row": 0}
+    for n in [0, 1, 0, 1] + [rng.randint(0, 9) for _ in range(596)]:
+        gram = random_sparse_gram(rng, n)
+        names = [rng.choice(NAMES) + str(k) for k in range(n)]
+        report = {
+            "command": "mumford",
+            "verdict": "contracted",
+            "contracted_components": [["E"]],
+            "pullbacks": {name: {name: 1, "entries": "1/2"} for name in names},
+            "induced_matrix": {"curves": names, "entries": gram},
+            "singular_points": [{"name": "p0", "contracted": ["E"]}],
+        }
+        rows = oracle_dense_json(gram)
+        former = {**report, "induced_matrix": {"curves": names, "entries": rows}}
+        assert render_human(report) == oracle_render_human(former), rows
+        text = render_json(report)
+        assert text == json.dumps(former, indent=2, sort_keys=True), rows
+        assert json.loads(text)["induced_matrix"]["entries"] == rows
+        values = [x for row in rows for x in row]
+        seen["fractional"] += any(isinstance(x, str) for x in values)
+        seen["negative"] += any(isinstance(x, int) and x < 0 for x in values)
+        seen["empty row"] += any(not any(row) for row in rows)
+    assert min(seen.values()) > 150, seen
