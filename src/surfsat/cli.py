@@ -27,11 +27,7 @@ from .fibres import (
 )
 from .linalg import SymmetricMatrix
 from .mumford import contract
-from .saturation import (
-    _affinisation_after_plan,
-    is_saturated,
-    saturation_plan,
-)
+from .saturation import affinisation_dimension, is_saturated, saturation_plan
 from .schema import (
     Document,
     certificate_to_json,
@@ -113,14 +109,13 @@ def cmd_saturate(doc: Document) -> dict:
 def cmd_affdim(doc: Document) -> dict:
     surface = doc.surface
     out = {"command": "affdim"}
-    plan = saturation_plan(surface)
     if not is_saturated(surface).saturated:
         out["note"] = (
             "input is not saturated; the saturation plan was applied first "
             "(the classification is invariant under it)"
         )
-        out["plan"] = _plan_to_json(surface, plan)
-    out.update(_affdim_to_json(_affinisation_after_plan(surface, plan)))
+        out["plan"] = _plan_to_json(surface, saturation_plan(surface))
+    out.update(_affdim_to_json(affinisation_dimension(surface)))
     return out
 
 
@@ -231,7 +226,7 @@ def cmd_analyze(doc: Document) -> dict:
         ]
     if not saturation.saturated:
         out["note"] = "affinisation classified after applying the saturation plan"
-    affdim = _affinisation_after_plan(surface, plan)
+    affdim = affinisation_dimension(surface)
     out["affinisation"] = _affdim_to_json(affdim)
     out["verdict"] = affdim.verdict.value
     return out
@@ -373,21 +368,26 @@ def render_json(report: dict) -> str:
 
     ``mumford``'s induced matrix is written from its sparse rows, as
     ``json.dumps`` would write its dense rows at that depth: the report is
-    dumped with NaN in place of the rows, and the rows' text replaces it.
-    No other value of a report is a float, and a quote inside a JSON string
-    is escaped, so ``"entries": NaN`` occurs once, where it was put."""
+    dumped with NaN in place of the rows, split there, and joined once with
+    the rows' text between.  No other value of a report is a float, and a
+    quote inside a JSON string is escaped, so ``"entries": NaN`` occurs
+    once, where it was put."""
     matrix = report.get("induced_matrix")
     if matrix is None:
         return json.dumps(report, indent=2, sort_keys=True)
     nan = {**matrix, "entries": float("nan")}
     text = json.dumps({**report, "induced_matrix": nan}, indent=2, sort_keys=True)
-    # a row sits at depth 3 of the report and its entries at depth 4
-    rows = ",\n".join(
-        "      [\n        " + ",\n        ".join(row) + "\n      ]"
+    head, tail = text.split('"entries": NaN', 1)
+    # a row sits at depth 3 of the report and its entries at depth 4; each
+    # row comes after a comma, and the first row's comma is dropped
+    rows = [
+        ",\n      [\n        " + ",\n        ".join(row) + "\n      ]"
         for row in _dense_rows(matrix["entries"], "0", _json_entry)
-    )
-    entries = f"[\n{rows}\n    ]" if rows else "[]"
-    return text.replace('"entries": NaN', f'"entries": {entries}', 1)
+    ]
+    if not rows:
+        return f'{head}"entries": []{tail}'
+    rows[0] = rows[0][1:]
+    return "".join([head, '"entries": [', *rows, "\n    ]", tail])
 
 
 @functools.cache

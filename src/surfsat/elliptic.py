@@ -62,7 +62,7 @@ from .saturation import (
     SaturationVerdict,
     SchemeContractibility,
     SchemeSaturationReport,
-    _affinisation_after_plan,
+    affinisation_dimension,
     is_saturated,
     saturation_plan,
     scheme_saturation_check,
@@ -572,7 +572,7 @@ def hironaka_build(
     oracle = {comp: contractibility for comp in plan.d_minus}
     scheme = scheme_saturation_check(surface, oracle)
 
-    affinisation = _affinisation_after_plan(surface, plan)
+    affinisation = affinisation_dimension(surface)
 
     return HironakaReport(
         n=n,

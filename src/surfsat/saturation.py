@@ -4,9 +4,10 @@ An open surface presented as (proper ambient configuration, boundary) is
 saturated exactly when the boundary has no isolated points and no negative
 definite connected component.  When it is not, the saturation plan contracts
 the negative definite components and drops the isolated points; the
-classification of the affinisation dimension is invariant under this.  A
-surface classifies each boundary component once and keeps that record, the
-one entry of its instance dictionary, beside its slotted fields.
+affinisation is invariant under this, so any surface is classified as its
+saturation, with the contracted parts E read off the record.  A surface
+classifies each boundary component once and keeps that record, the one
+entry of its instance dictionary, beside its slotted fields.
 
 The classifier never builds the saturation (only ``mumford`` contracts):
 contracting a negative definite E is a congruence, M[T + E] ~ M[E] (+) S_T,
@@ -254,11 +255,9 @@ def _boundary_claims(surface: CompactifiedSurface, components: Collection):
     return boundary_claims
 
 
-def _inner_nodes(surface: CompactifiedSurface, kept=None) -> list[int]:
-    """Interior curves that miss the kept boundary (default: the boundary):
-    the only curves that can support a divisor contained in the open
-    surface."""
-    kept = surface.boundary if kept is None else kept
+def _inner_nodes(surface: CompactifiedSurface, kept) -> list[int]:
+    """Interior curves that miss the ``kept`` boundary: the only curves that
+    can support a divisor contained in the open surface."""
     return [
         i
         for i in sorted(surface.interior_curves)
@@ -331,31 +330,14 @@ def _decided_by_boundary(reports: Sequence[FibreTypeReport]) -> Optional[AffDimR
 
 
 def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
-    """Classify the dimension of the affinisation of a saturated surface.
-
-    Raises when the surface is not saturated: apply the saturation plan
-    first (affinisations agree across big open embeddings, so the verdict
-    is unchanged).  Interior-based refinements are relative to the supplied
-    curves.
+    """Classify the dimension of the affinisation of the saturation of
+    ``surface``, which is that of ``surface`` itself (affinisations agree
+    across big open embeddings).  The saturation plan's contracted parts E
+    are read off the record and never built: each curve set is read off
+    its closure (see the module docstring).  Interior-based refinements are
+    relative to the supplied curves.
     """
-    if not is_saturated(surface).saturated:
-        raise PreconditionError(
-            "surface is not saturated; apply the saturation plan first "
-            "(the classification is invariant under it)"
-        )
-    return _affinisation_after_plan(surface, saturation_plan(surface))
-
-
-def _affinisation_after_plan(surface: CompactifiedSurface, plan: SaturationPlan):
-    """``affinisation_dimension(apply_plan(surface, plan))``, read off
-    ``surface`` by closures (see the module docstring), which hold only for
-    :func:`saturation_plan`'s: the whole negative definite components."""
-    if plan.d_minus != saturation_plan(surface).d_minus:
-        raise PreconditionError(
-            "only the saturation plan's contraction is classified without "
-            "building it; carry out any other plan with apply_plan first"
-        )
-    removed = set(plan.d_minus)
+    removed = set(saturation_plan(surface).d_minus)
     reports = [r for r in surface.component_reports if r.subject not in removed]
     decided = _decided_by_boundary(reports)
     if decided:

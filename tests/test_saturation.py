@@ -33,11 +33,7 @@ from surfsat.cli import cmd_mumford
 from surfsat.cli import main as cli_main
 from surfsat.configuration import Divisor
 from surfsat.fibres import _classify_contracted
-from surfsat.saturation import (
-    _affinisation_after_plan,
-    _inner_nodes,
-    _second_fibre_witness,
-)
+from surfsat.saturation import _inner_nodes, _second_fibre_witness
 from surfsat.schema import Document, document_to_json, parse_document
 
 from support import (
@@ -221,10 +217,15 @@ class TestWideDocumentBudget:
 
 
 class TestAffinisationDimension:
-    def test_requires_saturated_input(self):
-        s = surface([("C", -1)], boundary=["C"])
-        with pytest.raises(PreconditionError, match="saturation plan"):
-            affinisation_dimension(s)
+    def test_unsaturated_input_reads_as_its_saturation(self):
+        # contracting the (-1)-curve E1 leaves the proper surface: the
+        # affinisation of a surface is that of its saturation
+        s = surface([("C", 0), ("E1", -1)], [(0, 1, 1)], boundary=["E1"])
+        assert not is_saturated(s).saturated
+        report = affinisation_dimension(s)
+        assert report.verdict is AffDim.ZERO
+        assert report.criteria() == ("proper-surface",)
+        assert report == affinisation_dimension(apply_plan(s))
 
     def test_proper_surface_is_zero(self):
         s = surface([("C", 2)], boundary=[])
@@ -620,9 +621,7 @@ class TestAffinisationAfterPlan:
         # beside an inner positive direction is refused (Hodge index)
         seen = Counter()
         for s in self.surfaces(1200):
-            got = self.outcome(
-                lambda s: _affinisation_after_plan(s, saturation_plan(s)), s
-            )
+            got = self.outcome(affinisation_dimension, s)
             assert got == self.outcome(oracle_affinisation_after_plan, s)
             kept = oracle_saturation_partition(s)[1]
             if isinstance(got[0], AffDim) and len(kept) < len(s.boundary_components()):
@@ -650,9 +649,7 @@ class TestAffinisationAfterPlan:
                 s.ambient, s.boundary, false_fibre_claims=self.claims(rng, s),
                 fibration_asserted=rng.random() < 0.2,
             )
-            got = self.outcome(
-                lambda s: _affinisation_after_plan(s, saturation_plan(s)), s
-            )
+            got = self.outcome(affinisation_dimension, s)
             assert got == self.outcome(oracle_affinisation_after_plan, s)
             removed = frozenset().union(*oracle_saturation_partition(s)[0])
             if any(
@@ -705,9 +702,9 @@ class TestAffinisationAfterPlan:
                 r.verdict is FibreVerdict.NEGATIVE_DEFINITE
                 for r in once.component_reports
             )
-            assert self.outcome(
-                lambda s: _affinisation_after_plan(s, saturation_plan(s)), once
-            ) == self.outcome(oracle_affinisation_after_plan, again)
+            assert self.outcome(affinisation_dimension, once) == self.outcome(
+                oracle_affinisation_after_plan, again
+            )
             try:
                 expected = oracle_apply_plan(again, saturation_plan(again))
             except PreconditionError as exc:
@@ -746,9 +743,7 @@ class TestClosureClassification:
 
     @staticmethod
     def outcomes(s):
-        got = TestAffinisationAfterPlan.outcome(
-            lambda s: _affinisation_after_plan(s, saturation_plan(s)), s
-        )
+        got = TestAffinisationAfterPlan.outcome(affinisation_dimension, s)
         assert got == TestAffinisationAfterPlan.outcome(
             oracle_affinisation_after_plan, s
         )
@@ -830,9 +825,9 @@ class TestClosureClassification:
         assert "containing 'X1' has a positive direction" in text
 
     def test_only_the_saturation_plan_is_read_off_closures(self):
-        # the closures hold for whole negative definite boundary components:
-        # a plan contracting a part of one, a component that is not
-        # negative definite, or some of the components only, is refused
+        # the closures hold for whole negative definite boundary components,
+        # and the classifier reads those off the record itself: the two
+        # (-1)-curves F and G, not a part of E1 + E2 + P nor the 0-curve Z
         s = surface(
             [("E1", -2), ("E2", -2), ("P", 1), ("C", 1), ("F", -1), ("G", -1),
              ("Z", 0)],
@@ -840,18 +835,13 @@ class TestClosureClassification:
             boundary=["E1", "E2", "P", "F", "G", "Z"],
         )
         assert saturation_plan(s).d_minus == (frozenset({4}), frozenset({5}))
-        for d_minus in [{0}], [{2}], [{4}], [{4}, {5}, {6}]:
-            plan = SaturationPlan(tuple(map(frozenset, d_minus)), (), 0, True)
-            with pytest.raises(PreconditionError, match="saturation plan"):
-                _affinisation_after_plan(s, plan)
-        # the saturation plan's own parts, but a claim on one of them
+        # a claim on one of the contracted parts
         claimed = CompactifiedSurface(
             s.ambient, s.boundary,
             false_fibre_claims=(FalseFibreClaim({4}, UserAsserted()),),
         )
-        plan = SaturationPlan(saturation_plan(s).d_minus, (), 0, True)
         with pytest.raises(PreconditionError, match="overlaps a contracted"):
-            _affinisation_after_plan(claimed, plan)
+            affinisation_dimension(claimed)
         reason = "boundary pairing has 1 positive direction(s)"
         assert self.outcomes(s) == (
             AffDim.TWO, (("not-negative-semidefinite", reason),)
