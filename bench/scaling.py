@@ -16,10 +16,12 @@ bytecode the other lacks.  A case then records both sides, the ratio of
 this checkout's time to REV's in each pair, their median and interquartile
 range, and a verdict: "faster" or "slower" only when nine in ten of the
 pairs agree, rounded up (all PAIRS of a case, ten of the IMPORT_RUNS of
-``import/cli``), else "no change shown".  The absolute times drift with the
-machine over a run, so they compare only inside one file; the ratios of
-interleaved pairs are what a change is judged by.  All processes are pinned
-to one CPU, as ``perfbench`` pins its own.
+``import/cli``), and the two sides' median times differ the same way by
+more than the interquartile range of REV's times, else "no change shown".
+The absolute times drift with the machine over a run, so they compare only
+inside one file; the ratios of interleaved pairs are what a change is
+judged by.  All processes are pinned to one CPU, as ``perfbench`` pins its
+own.
 
 Each case runs in its own interpreter, capped at CAP_S seconds of wall time;
 a case that hits the cap is recorded as "timeout", and the larger sizes of
@@ -422,13 +424,17 @@ def export(rev, directory):
     return commit
 
 
-def verdict(ratios):
+def verdict(change, parent):
     """"faster" or "slower" when nine in ten of the pairs agree, rounded up
-    (so all of them below ten pairs), else "no change shown"."""
-    need = -(-9 * len(ratios) // 10)
-    if sum(r < 1 for r in ratios) >= need:
+    (so all of them below ten pairs), and the sides' medians differ that way
+    by more than the interquartile range of the parent's times; else "no
+    change shown"."""
+    need = -(-9 * len(change) // 10)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    moved = statistics.median(change) - statistics.median(parent)
+    if sum(c < p for c, p in zip(change, parent)) >= need and -moved > q3 - q1:
         return "faster"
-    if sum(r > 1 for r in ratios) >= need:
+    if sum(c > p for c, p in zip(change, parent)) >= need and moved > q3 - q1:
         return "slower"
     return "no change shown"
 
@@ -443,7 +449,7 @@ def compare(change, parent):
         "median_ratio": round(statistics.median(ratios), 4),
         "iqr": round(q3 - q1, 4),
         "quartiles": [round(q1, 4), round(q3, 4)],
-        "verdict": verdict(ratios),
+        "verdict": verdict(change, parent),
     }
 
 

@@ -6,7 +6,9 @@ set carries a canonical kernel divisor: the primitive effective integral
 divisor with full support pairing to zero with every component, unique up to
 multiples.  Whether the set actually supports a fibre cannot be decided from
 the numbers alone, so "false fibre" status is tracked through explicit
-certificates, never inferred.
+certificates, never inferred.  One pass checks every rule a claim subject
+must meet: its verdict, at most two disjoint claims, and its place on the
+kept boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configuration import Configuration, Divisor
 from .errors import PreconditionError
-from .linalg import _primitive
 from .record import Record
 
 
@@ -268,29 +269,6 @@ def _closure(config: Configuration, subject: frozenset, contracted: Mapping):
     return frozenset(closure)
 
 
-def _classify_contracted(
-    config: Configuration, subject: Iterable[int], contracted: Mapping
-) -> FibreTypeReport:
-    """:func:`classify_fibre_type` of ``subject`` where the negative definite
-    parts in ``contracted`` are contracted, read off its closure C.  Two of
-    its curves meet there iff they meet or meet one part, so C is connected
-    iff the subject is; contracting is a congruence, so the inertias add
-    (Haynsworth): C's block has the same positive and zero counts, and C's
-    kernel restricted to the subject spans the subject's."""
-    if not contracted:
-        return classify_fibre_type(config, subject)
-    nodes = frozenset(config._check_subset(subject))
-    closure = _closure(config, nodes, contracted)
-    report = classify_fibre_type(config, closure)
-    if closure == nodes:
-        return report
-    order = sorted(nodes)
-    kernel = report.kernel and Divisor(dict(zip(order, _primitive(
-        [report.kernel.coefficient(i).numerator for i in order]
-    ))))
-    return FibreTypeReport(nodes, report.verdict, kernel, report.positive)
-
-
 def _check_claims(
     claims: Sequence[FalseFibreClaim],
     config: Configuration,
@@ -298,35 +276,57 @@ def _check_claims(
     contracted: Mapping,
 ) -> ClaimsReport:
     """:func:`validate_false_fibre_claims` where the parts in ``contracted``
-    are contracted (:func:`_classify_contracted`), reading the report of a
-    subject in ``reports`` instead of classifying it again."""
-    unique: dict[frozenset[int], FalseFibreClaim] = {}
+    are contracted and ``reports`` classifies the kept boundary components.
+
+    Each subject not in ``reports`` is read off its closure C once: C is
+    connected iff the subject is there, and contracting is a congruence, so
+    the inertias add (Haynsworth) and C's verdict is the subject's.  After
+    the triple, a subject other than a kept component must miss them; they
+    meet no contracted part, so they miss its reach, C and the curves
+    meeting C, iff they miss the subject and the curves meeting it.
+    """
+    # the first claim on each subject, with its reach, in input order
+    first: dict[frozenset[int], tuple[FalseFibreClaim, frozenset[int]]] = {}
     for claim in claims:
-        report = reports.get(claim.subject) or _classify_contracted(
-            config, claim.subject, contracted
-        )
+        if claim.subject in first:
+            continue
+        nodes = frozenset(config._check_subset(claim.subject))
+        closure = _closure(config, nodes, contracted)
+        report = reports.get(claim.subject) or classify_fibre_type(config, closure)
         if report.verdict is not FibreVerdict.FIBRE_TYPE:
             raise PreconditionError(
                 f"false-fibre claim on {config.names(claim.subject)} is "
                 f"{report.verdict.value}; only fibre-type divisors can be "
                 "false fibres"
             )
-        unique.setdefault(claim.subject, claim)
-    distinct = sorted(unique.values(), key=lambda c: sorted(c.subject))
-    # two subjects are disjoint when one misses the other's reach, its
-    # closure and the curves meeting it (no subject holds a contracted curve);
-    # apart[i] holds the later claims apart from claim i, and the walk
-    # meets triples in lexicographic order
-    closures = [_closure(config, c.subject, contracted) for c in distinct]
-    reach = [c.union(*map(config.neighbours, c)) for c in closures]
+        first[claim.subject] = claim, closure.union(*map(config.neighbours, closure))
+    distinct = sorted(first.values(), key=lambda pair: sorted(pair[0].subject))
+    # two subjects are disjoint when one misses the other's reach (no subject
+    # holds a contracted curve); apart[i] holds the later claims apart from
+    # claim i, and the walk meets triples in lexicographic order
     apart = [
-        {j for j, c in enumerate(distinct[i + 1:], i + 1) if r.isdisjoint(c.subject)}
-        for i, r in enumerate(reach)
+        {j for j, (c, _) in enumerate(distinct[i + 1:], i + 1)
+         if r.isdisjoint(c.subject)}
+        for i, (_, r) in enumerate(distinct)
     ]
     for i, later in enumerate(apart):
         for j in sorted(later):
             common = later & apart[j]
             if common:
-                triple = (distinct[i], distinct[j], distinct[min(common)])
+                triple = tuple(distinct[k][0] for k in (i, j, min(common)))
                 return ClaimsReport(ok=False, disjoint_triple=triple)
+    kept = frozenset().union(*reports)
+    for subject, (_, r) in first.items():
+        if subject in reports:
+            continue
+        if subject & kept:
+            raise PreconditionError(
+                f"claim subject {config.names(subject)} overlaps the boundary "
+                "without being one of its connected components"
+            )
+        if not r.isdisjoint(kept):
+            raise PreconditionError(
+                f"claim subject {config.names(subject)} meets the boundary, so "
+                "it is not a divisor inside the surface"
+            )
     return ClaimsReport(ok=True)

@@ -13,9 +13,9 @@ The classifier never builds the saturation (only ``mumford`` contracts):
 contracting a negative definite E is a congruence, M[T + E] ~ M[E] (+) S_T,
 so the inertias add (Haynsworth, *Linear Algebra Appl.* 1, 1968).  A set T
 of remaining curves is read off its closure, T with every contracted part
-that meets it: its components, verdict, kernel and neighbours there are
-those of the closure's block of the original Gram.  Kept components meet
-no contracted part, so they keep their blocks and reports.
+that meets it: its components, verdict and neighbours there are those of
+the closure's block of the original Gram.  Kept components meet no
+contracted part, so they keep their blocks and reports.
 
 The affinisation dimension is 2, 1 or 0.  The boundary numbers decide 2
 outright, and 0 for an empty boundary, read off the kept components alone;
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .configuration import Configuration
 from .errors import DataInconsistencyError, PreconditionError
@@ -230,31 +230,6 @@ class AffDimReport(Record):
         return tuple(tag for tag, _ in self.reasons)
 
 
-def _boundary_claims(surface: CompactifiedSurface, components: Collection):
-    """The first claim on each of the kept boundary ``components``, by
-    component; a subject that straddles or meets one is rejected."""
-    kept = frozenset().union(*components)
-    boundary_claims: dict[frozenset[int], FalseFibreClaim] = {}
-    for claim in surface.false_fibre_claims:
-        if claim.subject in components:
-            boundary_claims.setdefault(claim.subject, claim)
-        elif claim.subject & kept:
-            raise PreconditionError(
-                f"claim subject {surface.ambient.names(claim.subject)} "
-                "overlaps the boundary without being one of its connected "
-                "components"
-            )
-        else:
-            for i in claim.subject:
-                if not surface.ambient.neighbours(i).isdisjoint(kept):
-                    raise PreconditionError(
-                        f"claim subject {surface.ambient.names(claim.subject)} "
-                        "meets the boundary, so it is not a divisor inside "
-                        "the surface"
-                    )
-    return boundary_claims
-
-
 def _inner_nodes(surface: CompactifiedSurface, kept) -> list[int]:
     """Interior curves that miss the ``kept`` boundary: the only curves that
     can support a divisor contained in the open surface."""
@@ -266,11 +241,11 @@ def _inner_nodes(surface: CompactifiedSurface, kept) -> list[int]:
 
 
 def _second_fibre_witness(
-    surface: CompactifiedSurface, contracted: Optional[Mapping] = None
+    surface: CompactifiedSurface, contracted: Mapping
 ) -> Optional[str]:
     """Detect, among the supplied curves, two different divisors inside the
-    surface that are not negative definite; with ``contracted``, on the
-    surface where its boundary parts are contracted.
+    surface that are not negative definite, on the surface where the
+    boundary parts in ``contracted`` are contracted.
 
     Precondition: the kept boundary is nonempty and each of its components
     is of fibre type, as when :func:`_decided_by_boundary` settles nothing.
@@ -285,7 +260,6 @@ def _second_fibre_witness(
     An inner component T is read off its closure T + E, whose block has the
     same positive and zero counts (Haynsworth).
     """
-    contracted = contracted or {}
     inner = _inner_nodes(surface, surface.boundary.difference(contracted))
     config = surface.ambient
     blocks = config.connected_components(_closure(config, frozenset(inner), contracted))
@@ -363,7 +337,8 @@ def affinisation_dimension(surface: CompactifiedSurface) -> AffDimReport:
             )
             + "; at most two disjoint false fibres can exist"
         )
-    boundary_claims = _boundary_claims(surface, by_subject)
+    # the first claim on each subject (reversed, so the first one is kept)
+    boundary_claims = {c.subject: c for c in reversed(surface.false_fibre_claims)}
     uncovered = [comp for comp in components if comp not in boundary_claims]
 
     one_reasons: list[tuple[str, str]] = []

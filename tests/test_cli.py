@@ -929,6 +929,48 @@ class TestClaimsBudget:
         assert err.startswith("error: three pairwise disjoint false-fibre claims")
 
 
+def order_document(claimed):
+    """The genus-1 0-curve Z is the boundary; A, B, C and D are inner
+    0-curves, D meets Z once, and each name in ``claimed`` is a claim."""
+    return {
+        "curves": [{"name": "Z", "genus": 1, "self": 0}]
+        + [{"name": name, "self": 0} for name in "ABCD"],
+        "intersections": [[4, 0, 1]],
+        "boundary": ["Z"],
+        "false_fibre_claims": [
+            {"subject": [name], "certificate": "user-asserted"} for name in claimed
+        ],
+    }
+
+
+class TestClaimErrorOrder:
+    # the claim rules run in a fixed order: each subject's verdict, then the
+    # disjoint triple, then the kept boundary; D breaks the last rule first
+    def test_the_triple_is_reported_before_a_claim_that_meets_the_boundary(
+        self, tmp_path, capsys
+    ):
+        doc = tmp_path / "order.json"
+        doc.write_text(json.dumps(order_document("DABC")))
+        assert run(capsys, "affdim", doc) == (1, "", (
+            "error: three pairwise disjoint false-fibre claims: A, B, C; at most "
+            "two disjoint false fibres can exist\n"
+        ))
+        code, out, _ = run(capsys, "validate", doc)
+        assert (code, out.splitlines()[1:]) == (1, [
+            "verdict: inconsistent",
+            "problems: three pairwise disjoint false-fibre claims: ['A']; ['B']; "
+            "['C']",
+        ])
+
+    def test_without_a_triple_the_boundary_rule_is_reported(self, tmp_path, capsys):
+        doc = tmp_path / "order.json"
+        doc.write_text(json.dumps(order_document("DA")))
+        assert run(capsys, "affdim", doc) == (1, "", (
+            "error: claim subject ('D',) meets the boundary, so it is not a "
+            "divisor inside the surface\n"
+        ))
+
+
 class TestHubFirstStarBudget:
     def test_analyze_on_a_star_of_2000_arms(self, tmp_path, capsys):
         # a hub of self-intersection -(n + 1) listed first, then n (-2)-arms,

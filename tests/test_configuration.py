@@ -49,9 +49,9 @@ def check_witness(surface):
     ]
     if inner and dense_inertia(SymmetricMatrix(dense_restrict(config.gram, inner)))[0]:
         with pytest.raises(DataInconsistencyError, match="Hodge index theorem"):
-            _second_fibre_witness(surface)
+            _second_fibre_witness(surface, {})
         return REFUSED
-    got = _second_fibre_witness(surface)
+    got = _second_fibre_witness(surface, {})
     assert got == oracle_second_fibre_witness(surface)
     return got
 

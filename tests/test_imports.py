@@ -1,7 +1,9 @@
 """The runtime stays stdlib-only: every import in the package is relative
 or names a standard-library module, and importing the command line leaves
 the host process's ``logging``, ``dataclasses``, ``inspect``, ``argparse``
-and ``gettext`` unloaded."""
+and ``gettext`` unloaded.  The package also carries nothing unused: every
+name a module imports is used there, and every private function or method
+is referenced somewhere in the package."""
 
 import ast
 import os
@@ -47,3 +49,46 @@ def test_importing_the_cli_leaves_logging_unloaded():
     assert (proc.returncode, proc.stdout) == (
         0, f"{[False] * len(unloaded)}\n"
     ), proc.stderr
+
+
+TREES = {
+    path.name: ast.parse(path.read_text(), filename=str(path))
+    for path in sorted(PACKAGE.glob("*.py"))
+}
+
+
+def _referenced(tree):
+    """Every name read in ``tree``: a bare name or an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
+def test_every_imported_name_is_used(name):
+    # __init__.py imports to re-export, so it is left out
+    tree = TREES[name]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    unused = sorted(imported - _referenced(tree))
+    assert unused == [], f"{name} imports {unused} and never uses them"
+
+
+def test_every_private_function_is_referenced():
+    referenced = set().union(*map(_referenced, TREES.values()))
+    unreferenced = sorted(
+        f"{name}:{node.name}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    )
+    assert unreferenced == [], f"private functions nobody calls: {unreferenced}"
