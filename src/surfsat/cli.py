@@ -2,9 +2,10 @@
 
 Every command reads the same JSON document (see :mod:`surfsat.schema`) and
 emits either a stable line-oriented human report or JSON with stable keys.
-A command returns a report dict; ``mumford``'s induced matrix stays in it as
-the sparse Gram of the contracted surface until it is rendered, and each
-renderer writes its dense rows, every zero entry one shared text.
+A command returns a report dict.  ``mumford`` writes each number from the
+integer record of :func:`~surfsat.mumford.contract`, with no ``Fraction``,
+and keeps its induced matrix sparse (:class:`SparseRows`) until a renderer
+writes the dense rows, every zero entry one shared text.
 Exit codes: 0 for a definite verdict, 2 for honest indefinite verdicts
 (one-or-zero, unknown, inconclusive), 1 for usage errors, input errors or
 inconsistent data.
@@ -16,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from math import gcd
 from typing import TYPE_CHECKING, Optional
 
 from .elliptic import hironaka_build, sum_obstruction
@@ -25,7 +27,6 @@ from .fibres import (
     GroupLawObstruction,
     validate_false_fibre_claims,
 )
-from .linalg import SymmetricMatrix
 from .mumford import contract
 from .saturation import affinisation_dimension, is_saturated, saturation_plan
 from .schema import (
@@ -145,19 +146,27 @@ def cmd_mumford(doc: Document) -> dict:
         out["verdict"] = "nothing-to-contract"
         return out
     result = contract(config, parts)
-    pullbacks = {
-        config.nodes[old].name: divisor_to_json(config, pb)
-        for old, pb in zip(result.ambient_ids, result.pullbacks)
-    }
-    contracted = result.configuration
+    _, diag, off, solves = result._exact  # its integer record
+    names = [node.name for node in config.nodes]
+    pullbacks = {}
+    for old, terms in zip(result.ambient_ids, solves):
+        pulled = pullbacks[names[old]] = {names[old]: 1}
+        for order, nums, den in terms:
+            for node, num in zip(order, nums):
+                pulled[names[node]] = _ratio_to_json(num, den)
+    values = [{} for _ in diag]  # one value for (a, b) and (b, a)
+    for a, row in enumerate(off):
+        for b, x in row.items():
+            if b > a:
+                values[a][b] = values[b][a] = _ratio_to_json(*x)
     out.update(
         {
             "verdict": "contracted",
             "contracted_components": [_names(config, p) for p in parts],
             "pullbacks": pullbacks,
             "induced_matrix": {
-                "curves": [node.name for node in contracted.nodes],
-                "entries": contracted.gram,
+                "curves": [names[old] for old in result.ambient_ids],
+                "entries": SparseRows(([_ratio_to_json(*x) for x in diag], values)),
             },
             "singular_points": [
                 {"name": s.name, "contracted": list(s.contracted_names)}
@@ -289,28 +298,33 @@ COMMANDS = {
 }
 
 
-def _dense_rows(gram, zero, convert):
-    """Each row of ``gram`` as a list: ``zero``, one object shared by every
-    zero entry, and ``convert(x)`` at each nonzero entry x."""
-    n = gram.n
-    for i, d in enumerate(gram.diag):
-        row = [zero] * n
-        for j, x in gram.off_diagonal(i).items():
-            row[j] = convert(x)
-        row[i] = convert(d)
-        yield row
+def _ratio_to_json(num: int, den: int):
+    """``rational_to_json`` of num/den, den != 0, with no ``Fraction``: one
+    gcd, the sign put on the numerator."""
+    g = -gcd(num, den) if den < 0 else gcd(num, den)
+    return num // g if den == g else f"{num // g}/{den // g}"
 
 
-def _entry_text(x) -> str:
-    """``str(rational_to_json(x))`` in one call."""
-    num, den = x.as_integer_ratio()
-    return f"{num}" if den == 1 else f"{num}/{den}"
+def _json_text(value) -> str:
+    """``json.dumps`` of an int or of a ``"p/q"`` string."""
+    return f'"{value}"' if type(value) is str else f"{value}"
 
 
-def _json_entry(x) -> str:
-    """``json.dumps(rational_to_json(x))`` in one call."""
-    num, den = x.as_integer_ratio()
-    return f"{num}" if den == 1 else f'"{num}/{den}"'
+class SparseRows(tuple):
+    """``(diag, off)``, a square matrix in a report, sparse until it is
+    rendered: ``diag[i]`` and ``off[i]``, the {column: value} map of row i's
+    nonzero off-diagonal entries, hold JSON values (an int or ``"p/q"``)."""
+
+    def rows(self, zero, convert):
+        """Each dense row as a list: ``zero``, one object shared by every
+        zero entry, and ``convert(x)`` at each nonzero entry x."""
+        diag, off = self
+        for i, d in enumerate(diag):
+            row = [zero] * len(diag)
+            for j, x in off[i].items():
+                row[j] = convert(x)
+            row[i] = convert(d)
+            yield row
 
 
 def _flatten(prefix: str, value, lines: list[str]) -> None:
@@ -319,10 +333,10 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
     by item.  Each item is sorted out where it is met: a scalar, an empty
     list (``[]``), an empty dict (``{}``) and a list of scalars take one
     line each, and only the other dicts and lists recurse.  A
-    ``SymmetricMatrix`` (``mumford``'s induced matrix, sparse until here)
-    takes one line per row, as its dense rows would: each row is a list in
-    which every zero entry is one shared ``"0"`` and only the nonzero
-    entries are converted, joined once, and an empty matrix reads ``[]``."""
+    :class:`SparseRows` (``mumford``'s induced matrix) takes one line per
+    row, as its dense rows would: each row is a list in which every zero
+    entry is one shared ``"0"`` and only the nonzero entries are converted,
+    joined once, and an empty matrix reads ``[]``."""
     if isinstance(value, dict):
         items = [
             (f"{prefix}.{key}" if prefix else key, value[key])
@@ -341,9 +355,9 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
                 lines.append(f"{path}: {', '.join(map(str, item)) if item else '[]'}")
             else:
                 _flatten(path, item, lines)
-        elif isinstance(item, SymmetricMatrix):
-            if item.n:
-                rows = _dense_rows(item, "0", _entry_text)
+        elif isinstance(item, SparseRows):
+            if item[0]:
+                rows = item.rows("0", str)
                 lines.extend(
                     f"{path}[{i}]: {', '.join(row)}" for i, row in enumerate(rows)
                 )
@@ -382,7 +396,7 @@ def render_json(report: dict) -> str:
     # row comes after a comma, and the first row's comma is dropped
     rows = [
         ",\n      [\n        " + ",\n        ".join(row) + "\n      ]"
-        for row in _dense_rows(matrix["entries"], "0", _json_entry)
+        for row in matrix["entries"].rows("0", _json_text)
     ]
     if not rows:
         return f'{head}"entries": []{tail}'

@@ -9,11 +9,13 @@ product of two divisors downstairs is the product of their pullbacks.
 Each connected component of E is factorised once as L D L^T, which also
 decides its negative definiteness; every pullback is then a forward and
 back substitution against Gram rows, and the contracted Gram is the Schur
-complement M_RR - M_RE M_EE^-1 M_ER.  :func:`contract` keeps the Schur
-complement and the pullbacks as integer numerators over each solve's
-denominator and forms one ``Fraction`` per output entry.  The Gram keeps
-the factor of every block it eliminates, so a part the boundary record has
-classified is not eliminated again.
+complement M_RR - M_RE M_EE^-1 M_ER.  :func:`contract` keeps an integer
+record: every induced entry as a (numerator, denominator) pair, and every
+pullback coefficient as a numerator over its solve's denominator.  It forms
+``Fraction``s only when a caller reads the result's ``configuration`` or
+``pullbacks``; the CLI prints from the record.  The Gram keeps the factor
+of every block it eliminates, so a part the boundary record has classified
+is not eliminated again.
 """
 
 from __future__ import annotations
@@ -112,8 +114,12 @@ class SingularPoint(Record):
 
 
 class ContractedConfiguration(Record):
+    """The contracted surface.  :func:`contract`'s result holds its integer
+    record in ``_exact`` and forms each ``Fraction`` field on its first read."""
+
     # pullbacks[i] is the pullback of ambient curve ambient_ids[i]
-    __slots__ = ("configuration", "ambient_ids", "singular_points", "pullbacks")
+    __slots__ = ("configuration", "ambient_ids", "singular_points", "pullbacks",
+                 "_exact")
 
     def __init__(
         self, configuration: Configuration, ambient_ids: tuple[int, ...],
@@ -121,6 +127,28 @@ class ContractedConfiguration(Record):
     ):
         self.configuration, self.ambient_ids = configuration, ambient_ids
         self.singular_points, self.pullbacks = singular_points, pullbacks
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: a field contract left to this read
+        if name not in ("configuration", "pullbacks"):
+            raise AttributeError(name)
+        config, diag, off, solves = self._exact
+        if name == "pullbacks":
+            pullbacks = [{old: _ONE} for old in self.ambient_ids]
+            for coeffs, terms in zip(pullbacks, solves):
+                for order, nums, den in terms:
+                    coeffs.update(zip(order, [Fraction(x, den) for x in nums]))
+            self.pullbacks = tuple(map(Divisor._unchecked, pullbacks))
+            return self.pullbacks
+        induced = SymmetricMatrix._from_sparse(
+            tuple([Fraction(*x) for x in diag]),
+            tuple([{j: Fraction(*x) for j, x in row.items()} for row in off]),
+        )
+        # ids 0..n-1, inherited names and genera, off-diagonal entries > 0
+        nodes = [config.nodes[old] for old in self.ambient_ids]
+        nodes = [CurveNode(i, c.name, c.genus, c.proper) for i, c in enumerate(nodes)]
+        self.configuration = Configuration._unchecked(nodes, induced)
+        return self.configuration
 
 
 def contract(
@@ -172,14 +200,16 @@ def contract(
     gram = config.gram
     remaining = [i for i in range(config.n) if i not in owner]
     new_id = {old: new for new, old in enumerate(remaining)}
-    diag = [gram.entry(old, old) for old in remaining]
-    off = [
-        {new_id[j]: v for j, v in gram.off_diagonal(old).items() if j in new_id}
-        for old in remaining
-    ]
-    pullback_coeffs = [{old: _ONE} for old in remaining]
-    # each changed Schur entry (a, b), b >= a, as sums[a][b] = (num, den)
-    sums: dict[int, dict[int, tuple[int, int]]] = {}
+    # the induced Gram, each entry as a (numerator, denominator) pair
+    diag = [gram.entry(old, old).as_integer_ratio() for old in remaining]
+    off: list[dict[int, tuple[int, int]]] = [{} for _ in remaining]
+    for a, old in enumerate(remaining):
+        for j, v in gram.off_diagonal(old).items():
+            if j in new_id:
+                off[a][new_id[j]] = v.as_integer_ratio()
+    # the pullback of remaining curve a is a plus, per part it meets, the
+    # coefficients X / e on the part's curves: solves[a] holds (order, X, e)
+    solves: list[list] = [[] for _ in remaining]
     for factor in factors:
         position = {node: p for p, node in enumerate(factor.order)}
         # remaining curves meeting this component, with their nonzero Gram
@@ -199,43 +229,28 @@ def contract(
             for p, v in u.items():
                 rhs[p] = -v
             nums, den = factor.solve_integral(rhs)
+            solves[a].append((factor.order, nums, den * scale))
             solved.append((a, u, nums, den * scale, scale))
         for t, (a, _, nums, den, _) in enumerate(solved):
-            coeffs = [Fraction(x, den) for x in nums]
-            pullback_coeffs[a].update(zip(factor.order, coeffs))
             # Schur complement: pullback(a) . b = M_ab + X_a . u_b / (e l_a
             # l_b).  -M_EE is an irreducible nonsingular M-matrix, so x_a =
             # (-M_EE)^-1 M_Ea > 0 and the entry only grows: every pullback
-            # coefficient on E and every induced entry is positive.
-            row = sums.setdefault(a, {})
+            # coefficient on E and every induced entry is positive.  Pairs
+            # stay unreduced: each reader reduces an entry once.
             for b, u, _, _, scale in solved[t:]:
                 top = sum([nums[p] * v for p, v in u.items()])
                 over = den * scale
-                gram_ab = diag[a] if a == b else off[a].get(b, 0)
-                n0, d0 = row.get(b) or gram_ab.as_integer_ratio()
-                d = lcm(d0, over)
-                row[b] = (n0 * (d // d0) + top * (d // over), d)
-    for a, row in sums.items():
-        diag[a] = Fraction(*row.pop(a))
-        for b, (n, d) in row.items():
-            off[a][b] = off[b][a] = Fraction(n, d)
-    induced = SymmetricMatrix._from_sparse(tuple(diag), tuple(off))
-    # ids 0..n-1, inherited names and genera, off-diagonal entries > 0
-    nodes = [
-        CurveNode(new, node.name, node.genus, node.proper)
-        for new, node in enumerate([config.nodes[old] for old in remaining])
-    ]
-    markers = tuple(
-        SingularPoint(
-            name=f"q{idx + 1}",
-            contracted_nodes=part,
-            contracted_names=config.names(part),
-        )
+                n, d = diag[a] if a == b else off[a].get(b, (0, 1))
+                entry = (n * over + top * d, d * over)
+                if a == b:
+                    diag[a] = entry
+                else:
+                    off[a][b] = off[b][a] = entry
+    result = ContractedConfiguration.__new__(ContractedConfiguration)
+    result.ambient_ids = tuple(remaining)
+    result.singular_points = tuple([
+        SingularPoint(f"q{idx + 1}", part, config.names(part))
         for idx, part in enumerate(sorted(normalized, key=min))
-    )
-    return ContractedConfiguration(
-        configuration=Configuration._unchecked(nodes, induced),
-        ambient_ids=tuple(remaining),
-        singular_points=markers,
-        pullbacks=tuple(map(Divisor._unchecked, pullback_coeffs)),
-    )
+    ])
+    result._exact = (config, diag, off, solves)
+    return result

@@ -1,7 +1,8 @@
 """The value base of the result records.  A record keeps its fields in
 ``__slots__`` (those not starting with ``_``), sets them in its own
-``__init__`` and never again, and gets ``==`` (within its class), ``hash``
-and ``repr`` over them, narrowed by ``_compared`` and ``_shown``."""
+``__init__`` (or, for one formed on first read, then) and never again, and
+gets ``==`` (within its class), ``hash`` and ``repr`` over them, narrowed
+by ``_compared`` and ``_shown``."""
 
 
 class Record:

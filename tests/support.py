@@ -85,6 +85,7 @@ from surfsat.fibres import (
     ZariskiViolation,
 )
 from surfsat.linalg import _primitive_integral, as_rational
+from surfsat.mumford import ContractedConfiguration, SingularPoint
 from surfsat.nslattice import _integral_vector
 from surfsat.schema import (
     _CERTIFICATE_KINDS,
@@ -92,6 +93,7 @@ from surfsat.schema import (
     SCHEMA_VERSION,
     Document,
     EllipticSection,
+    divisor_to_json,
     rational_to_json,
 )
 
@@ -567,6 +569,97 @@ def oracle_contract(config: Configuration, exceptional):
         for pb in pullbacks
     ]
     return remaining, rows, pullbacks
+
+
+def oracle_contract_fractions(config: Configuration, parts) -> ContractedConfiguration:
+    """The package's former ``contract`` for disjoint negative definite
+    connected parts that do not meet, without its checks: the same solves,
+    forming one ``Fraction`` per pullback coefficient and per changed Schur
+    entry, accumulated pair by pair over the lcm of the denominators."""
+    normalized = [frozenset(part) for part in parts]
+    owner = {i: k for k, part in enumerate(normalized) for i in part}
+    factors = [config.gram.negative_definite_ldl(part) for part in normalized]
+    gram = config.gram
+    remaining = [i for i in range(config.n) if i not in owner]
+    new_id = {old: new for new, old in enumerate(remaining)}
+    diag = [gram.entry(old, old) for old in remaining]
+    off = [
+        {new_id[j]: v for j, v in gram.off_diagonal(old).items() if j in new_id}
+        for old in remaining
+    ]
+    pullback_coeffs = [{old: Fraction(1)} for old in remaining]
+    sums = {}
+    for factor in factors:
+        position = {node: p for p, node in enumerate(factor.order)}
+        touching = {}
+        for node in factor.order:
+            for j, v in gram.off_diagonal(node).items():
+                if j in new_id:
+                    touching.setdefault(new_id[j], {})[position[node]] = v
+        solved = []
+        for a, entries in sorted(touching.items()):
+            scale = lcm(*[v.denominator for v in entries.values()])
+            u = {p: v.numerator * (scale // v.denominator) for p, v in entries.items()}
+            rhs = [0] * len(position)
+            for p, v in u.items():
+                rhs[p] = -v
+            nums, den = factor.solve_integral(rhs)
+            solved.append((a, u, nums, den * scale, scale))
+        for t, (a, _, nums, den, _) in enumerate(solved):
+            pullback_coeffs[a].update(zip(factor.order, [Fraction(x, den) for x in nums]))
+            row = sums.setdefault(a, {})
+            for b, u, _, _, scale in solved[t:]:
+                top = sum([nums[p] * v for p, v in u.items()])
+                over = den * scale
+                gram_ab = diag[a] if a == b else off[a].get(b, 0)
+                n0, d0 = row.get(b) or gram_ab.as_integer_ratio()
+                d = lcm(d0, over)
+                row[b] = (n0 * (d // d0) + top * (d // over), d)
+    for a, row in sums.items():
+        diag[a] = Fraction(*row.pop(a))
+        for b, (n, d) in row.items():
+            off[a][b] = off[b][a] = Fraction(n, d)
+    induced = SymmetricMatrix._from_sparse(tuple(diag), tuple(off))
+    nodes = [
+        CurveNode(new, node.name, node.genus, node.proper)
+        for new, node in enumerate([config.nodes[old] for old in remaining])
+    ]
+    markers = tuple(
+        SingularPoint(f"q{idx + 1}", part, config.names(part))
+        for idx, part in enumerate(sorted(normalized, key=min))
+    )
+    return ContractedConfiguration(
+        Configuration._unchecked(nodes, induced), tuple(remaining), markers,
+        tuple(map(Divisor._unchecked, pullback_coeffs)),
+    )
+
+
+def oracle_mumford_report(config: Configuration, parts) -> dict:
+    """``cmd_mumford``'s report on a surface whose negative definite
+    boundary components are ``parts``, in that order, as the package
+    formerly made it: from :func:`oracle_contract_fractions`, each number
+    converted from its ``Fraction``, and the induced matrix as dense JSON
+    rows."""
+    result = oracle_contract_fractions(config, parts)
+    contracted = result.configuration
+    return {
+        "command": "mumford",
+        "criterion": "pullback-orthogonal-to-exceptional",
+        "verdict": "contracted",
+        "contracted_components": [sorted(config.names(p)) for p in parts],
+        "pullbacks": {
+            config.nodes[old].name: divisor_to_json(config, pb)
+            for old, pb in zip(result.ambient_ids, result.pullbacks)
+        },
+        "induced_matrix": {
+            "curves": [node.name for node in contracted.nodes],
+            "entries": oracle_dense_json(contracted.gram),
+        },
+        "singular_points": [
+            {"name": s.name, "contracted": list(s.contracted_names)}
+            for s in result.singular_points
+        ],
+    }
 
 
 # -- fibre-type oracle ----------------------------------------------------

@@ -1,6 +1,8 @@
+import json
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfsat import (
+    CompactifiedSurface,
     Configuration,
     ContractionContext,
     Divisor,
@@ -15,14 +18,20 @@ from surfsat import (
     SymmetricMatrix,
     contract,
     induced_product,
+    is_saturated,
     pullback,
 )
+from surfsat.cli import cmd_mumford, render_human, render_json
+from surfsat.schema import Document
 
 from support import (
     dense_disjoint,
     is_negative_semidefinite,
     oracle_contract,
+    oracle_contract_fractions,
+    oracle_mumford_report,
     oracle_pullback,
+    oracle_render_human,
     random_contraction_setup,
     random_negative_definite_configuration,
 )
@@ -358,6 +367,70 @@ class TestAgainstOracle:
         with pytest.raises(PreconditionError, match=f"unknown node {node}"):
             induced_product(ctx, Divisor({node: 1}), Divisor.of(1))
         assert pullback(ctx, Divisor({0: 2, 1: 1})) == Divisor({0: 2, 1: 1})
+
+
+def zero_schur_diagonal(rng, config, exceptional, rest):
+    """``config`` with one remaining curve that meets E given the
+    self-intersection that makes its induced one 0, or ``config`` itself
+    when no remaining curve meets E."""
+    meeting = [r for r in rest if config.neighbours(r) & exceptional]
+    if not meeting:
+        return config
+    r = rng.choice(meeting)
+    parts = config.connected_components(exceptional)
+    gram = oracle_contract_fractions(config, parts).configuration.gram
+    k = [i for i in range(config.n) if i not in exceptional].index(r)
+    rows = [list(row) for row in config.gram.rows]
+    rows[r][r] -= gram.entry(k, k)
+    return Configuration(config.nodes, SymmetricMatrix(rows))
+
+
+class TestIntegerRecord:
+    """``contract`` keeps its result as integers and forms the
+    ``Fraction``s of ``configuration`` and ``pullbacks`` on their first
+    read, and ``cmd_mumford`` prints from the integers: both against the
+    former Fraction-forming ``contract`` and the report it gave, rendered
+    by the former human renderer and by ``json.dumps``."""
+
+    def test_against_the_former_contract_and_report(self):
+        rng = random.Random(167)
+        seen = Counter()
+        for _ in range(300):
+            config, exceptional, rest = random_contraction_setup(rng)
+            if rng.random() < 0.3:
+                config = zero_schur_diagonal(rng, config, exceptional, rest)
+            surface = CompactifiedSurface(config, exceptional)
+            parts = is_saturated(surface).offending_components
+            former = oracle_contract_fractions(config, parts)
+            result = contract(config, parts)
+            if rng.random() < 0.5:  # either field may be read first
+                assert result.pullbacks == former.pullbacks
+            assert result.configuration == former.configuration
+            assert result.pullbacks == former.pullbacks
+            assert result == former and hash(result) == hash(former)
+            assert repr(contract(config, parts)) == repr(former)
+            report = oracle_mumford_report(config, parts)
+            printed = cmd_mumford(Document(surface, None))
+            assert render_human(printed) == oracle_render_human(report)
+            assert render_json(printed) == json.dumps(report, indent=2, sort_keys=True)
+
+            gram = config.gram
+            entries = [x for i in range(gram.n) for x in gram.rows[i]]
+            seen["fractional Gram"] += any(x.denominator != 1 for x in entries)
+            seen["several parts"] += len(parts) > 1
+            seen["odd part"] += any(len(part) % 2 for part in parts)
+            met = {r: [p for p in parts if config.neighbours(r) & p] for r in rest}
+            seen["meets no part"] += any(not met[r] for r in rest)
+            seen["pair two parts meet"] += any(
+                len([p for p in met[a] if p in met[b]]) > 1
+                for a in rest for b in rest if a < b
+            )
+            induced = former.configuration.gram
+            seen["zero Schur diagonal"] += any(
+                induced.entry(k, k) == 0 and met[r]
+                for k, r in enumerate(result.ambient_ids)
+            )
+        assert min(seen.values()) >= 50 and len(seen) == 6, seen
 
 
 class TestOneFactorisation:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from surfsat import CompactifiedSurface, FalseFibreClaim, UserAsserted
-from surfsat.cli import COMMANDS, render_human, render_json
+from surfsat.cli import COMMANDS, SparseRows, render_human, render_json
 from surfsat.errors import SurfsatError
 from surfsat.linalg import SymmetricMatrix, as_rational
 from surfsat.schema import (
@@ -35,6 +35,7 @@ from surfsat.schema import (
     document_to_json,
     load_document,
     parse_document,
+    rational_to_json,
 )
 
 from support import (
@@ -342,6 +343,17 @@ def random_sparse_gram(rng, n):
     return SymmetricMatrix.from_entries(diag, entries)
 
 
+def sparse_rows(gram):
+    """The report's form of ``gram``: each entry's JSON value, kept sparse."""
+    return SparseRows((
+        [rational_to_json(d) for d in gram.diag],
+        [
+            {j: rational_to_json(x) for j, x in gram.off_diagonal(i).items()}
+            for i in range(gram.n)
+        ],
+    ))
+
+
 def test_induced_matrix_renders_as_its_dense_rows():
     rng = random.Random(1961)
     seen = {"fractional": 0, "negative": 0, "empty row": 0}
@@ -353,7 +365,7 @@ def test_induced_matrix_renders_as_its_dense_rows():
             "verdict": "contracted",
             "contracted_components": [["E"]],
             "pullbacks": {name: {name: 1, "entries": "1/2"} for name in names},
-            "induced_matrix": {"curves": names, "entries": gram},
+            "induced_matrix": {"curves": names, "entries": sparse_rows(gram)},
             "singular_points": [{"name": "p0", "contracted": ["E"]}],
         }
         rows = oracle_dense_json(gram)
