@@ -9,9 +9,8 @@ fractional on singular surfaces.
 
 Boundary graphs are sparse, so the sign check reads only the nonzero
 off-diagonal entries of the Gram, and the graph is read off the Gram's
-sparse rows with no second copy: adjacency is a membership test,
-components are a breadth-first search and disjointness a row
-intersection, all in O(n + meetings).
+sparse rows with no second copy: adjacency is a membership test and
+components are a breadth-first search, both in O(n + meetings).
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ class Divisor:
     def of(cls, node: int, coefficient=1) -> "Divisor":
         return cls({node: coefficient})
 
-    @classmethod
-    def reduced(cls, subset: Iterable[int]) -> "Divisor":
-        """The reduced divisor: coefficient 1 on every node of ``subset``."""
-        return cls({node: 1 for node in subset})
-
     @property
     def coefficients(self) -> dict[int, Fraction]:
         return dict(self._coeffs)
@@ -75,9 +69,6 @@ class Divisor:
 
     def support(self) -> frozenset[int]:
         return frozenset(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __add__(self, other: "Divisor") -> "Divisor":
         coeffs = dict(self._coeffs)
@@ -240,15 +231,6 @@ class Configuration:
     def gram_on(self, subset: Iterable[int]) -> SymmetricMatrix:
         """Principal submatrix of the Gram matrix on ``subset`` (sorted)."""
         return self._gram.restrict(self._check_subset(subset))
-
-    def disjoint(self, a: Iterable[int], b: Iterable[int]) -> bool:
-        """No shared nodes and no positive pairing across the two sets."""
-        sa = self._check_subset(a)
-        sb = self._check_subset(b)
-        set_b = set(sb)
-        if not set_b.isdisjoint(sa):
-            return False
-        return all(self._gram.support(i).isdisjoint(set_b) for i in sa)
 
     def __eq__(self, other) -> bool:
         return (

@@ -110,9 +110,6 @@ class WeierstrassCurve(Record):
         # coordinates' numerators and denominators
         self._lifts = {}
 
-    def discriminant(self) -> Fraction:
-        return Fraction(self._integral_discriminant, self._u ** 12)
-
     def contains(self, point: "ECPoint") -> bool:
         return point.is_infinity or self._lift(point) is not None
 
@@ -192,10 +189,6 @@ def _lifted(curve: WeierstrassCurve, point: ECPoint) -> Optional[Triple]:
     if lifted is None:
         raise PreconditionError(f"{point!r} does not satisfy the curve equation")
     return lifted
-
-
-def negate(curve: WeierstrassCurve, p: ECPoint) -> ECPoint:
-    return curve._point(_negate(curve, _lifted(curve, p)))
 
 
 def _negate(curve: WeierstrassCurve, p: Optional[Triple]) -> Optional[Triple]:

@@ -14,7 +14,6 @@ kept boundary.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .configuration import Configuration, Divisor
@@ -161,82 +160,6 @@ def validate_zariski(config: Configuration, subject: Iterable[int]) -> ZariskiRe
     # M w = 0, so w is a multiple of the full-support kernel vector, which
     # is impossible because S is proper.
     return ZariskiReport(status="ok")
-
-
-def _kernel_ratio(
-    config: Configuration, divisor: Divisor, label: str
-) -> FibreTypeReport:
-    """Check that ``divisor`` is a positive multiple of the kernel divisor
-    of its own support, and return that support's report."""
-    if divisor.is_zero():
-        raise PreconditionError(f"{label} must be a nonzero divisor")
-    report = classify_fibre_type(config, divisor.support())
-    if report.verdict is not FibreVerdict.FIBRE_TYPE:
-        raise PreconditionError(
-            f"{label} is supported on {config.names(divisor.support())}, "
-            f"which is {report.verdict.value}, not fibre type"
-        )
-    kernel = report.kernel
-    assert kernel is not None
-    first = min(divisor.support())
-    ratio = divisor.coefficient(first) / kernel.coefficient(first)
-    if ratio <= 0 or any(
-        divisor.coefficient(i) != ratio * kernel.coefficient(i)
-        for i in divisor.support()
-    ):
-        raise PreconditionError(
-            f"{label} is not a positive multiple of the kernel divisor of "
-            f"its support {config.names(divisor.support())}"
-        )
-    return report
-
-
-class ProportionalityReport(Record):
-    __slots__ = ("proportional", "ratio", "witness")
-
-    def __init__(
-        self, proportional: bool, ratio: Optional[Fraction] = None,
-        witness: Optional[Divisor] = None,
-    ):
-        self.proportional, self.ratio, self.witness = proportional, ratio, witness
-
-
-def proportionality(
-    config: Configuration,
-    f1: Divisor,
-    f2: Divisor,
-    probes: Sequence[Divisor],
-) -> ProportionalityReport:
-    """Find the constant c with f1.P = c (f2.P) for every probe divisor P.
-
-    The two inputs must be kernel-divisor multiples of disjoint fibre-type
-    supports.  On an actual proper surface such a nonzero c always exists;
-    failure against the supplied probes is returned with the witness probe.
-    """
-    _kernel_ratio(config, f1, "first divisor")
-    _kernel_ratio(config, f2, "second divisor")
-    if not config.disjoint(f1.support(), f2.support()):
-        raise PreconditionError(
-            "the two fibre-type supports meet; proportionality applies to "
-            "disjoint ones"
-        )
-    pairs = [
-        (config.intersection_number(f1, p), config.intersection_number(f2, p), p)
-        for p in probes
-    ]
-    ratio: Optional[Fraction] = None
-    for a, b, probe in pairs:
-        if (a == 0) != (b == 0):
-            return ProportionalityReport(proportional=False, witness=probe)
-        if b != 0 and ratio is None:
-            ratio = a / b
-    if ratio is None:
-        # every probe pairs to zero with both divisors: any constant works
-        return ProportionalityReport(proportional=True, ratio=Fraction(1))
-    for a, b, probe in pairs:
-        if a != ratio * b:
-            return ProportionalityReport(proportional=False, witness=probe)
-    return ProportionalityReport(proportional=True, ratio=ratio)
 
 
 class ClaimsReport(Record):

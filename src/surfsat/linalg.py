@@ -163,10 +163,6 @@ class SymmetricMatrix:
                 off[j].pop(i, None)
         return cls._from_sparse(diag, off)
 
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "SymmetricMatrix":
-        return cls.from_entries(values)
-
     @property
     def n(self) -> int:
         return len(self._diag)
@@ -259,14 +255,6 @@ class SymmetricMatrix:
             sum((x * v[j] for j, x in row.items()), d * v[i])
             for i, (d, row) in enumerate(zip(self._diag, self._off))
         ])
-
-    def pair(self, u: Sequence, v: Sequence) -> Fraction:
-        """Bilinear form u^T M v."""
-        mv = self.apply(v)
-        return sum(
-            (as_rational(x) * y for x, y in zip(u, mv, strict=True)),
-            Fraction(0),
-        )
 
     # -- elimination-based queries -------------------------------------
 

@@ -86,20 +86,6 @@ def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
     return Divisor(total)  # drops the zero coefficients
 
 
-def induced_product(ctx: ContractionContext, d1: Divisor, d2: Divisor) -> Fraction:
-    """Intersection number on the contracted surface."""
-    overlap = d2.support() & ctx.exceptional
-    if overlap:
-        raise PreconditionError(
-            f"divisor is supported on exceptional curves "
-            f"{ctx.ambient.names(overlap)}; pass its strict part instead"
-        )
-    p1 = pullback(ctx, d1)
-    # Projection formula: the exceptional part of the second pullback pairs
-    # to zero against p1, so pairing with the strict part suffices.
-    return ctx.ambient.intersection_number(p1, d2)
-
-
 class SingularPoint(Record):
     """Marker for the point a contracted part maps to."""
 

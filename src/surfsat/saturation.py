@@ -96,9 +96,6 @@ class CompactifiedSurface(Record):
             for comp in self.ambient.connected_components(self.boundary)
         )
 
-    def boundary_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(report.subject for report in self.component_reports)
-
 
 class SaturationVerdict(Record):
     __slots__ = ("saturated", "offending_components", "isolated_points", "criterion")
@@ -225,9 +222,6 @@ class AffDimReport(Record):
 
     def __init__(self, verdict: AffDim, reasons: tuple[tuple[str, str], ...] = ()):
         self.verdict, self.reasons = verdict, reasons
-
-    def criteria(self) -> tuple[str, ...]:
-        return tuple(tag for tag, _ in self.reasons)
 
 
 def _inner_nodes(surface: CompactifiedSurface, kept) -> list[int]:

@@ -404,56 +404,3 @@ def divisor_to_json(config: Configuration, divisor: Divisor) -> dict:
         config.nodes[i].name: rational_to_json(c)
         for i, c in divisor.coefficients.items()
     }
-
-
-def document_to_json(doc: Document) -> dict:
-    """Inverse of :func:`parse_document` up to normalisation."""
-    surface = doc.surface
-    config = surface.ambient
-    curves = [
-        {
-            "name": node.name,
-            "genus": node.genus,
-            "self": rational_to_json(config.gram.entry(node.id, node.id)),
-            "proper": node.proper,
-        }
-        for node in config.nodes
-    ]
-    intersections = [
-        [i, j, rational_to_json(x)]
-        for i in range(config.n)
-        for j, x in sorted(config.gram.off_diagonal(i).items())
-        if j > i
-    ]
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "curves": curves,
-        "intersections": intersections,
-        "boundary": sorted(config.nodes[i].name for i in surface.boundary),
-        "isolated_boundary_points": surface.isolated_boundary_points,
-        "false_fibre_claims": [
-            {
-                "subject": sorted(config.nodes[i].name for i in claim.subject),
-                "certificate": certificate_to_json(claim.certificate),
-            }
-            for claim in surface.false_fibre_claims
-        ],
-        "fibration_asserted": surface.fibration_asserted,
-    }
-    if doc.elliptic is not None:
-        curve = doc.elliptic.curve
-        out["elliptic"] = {
-            "curve": {
-                key: rational_to_json(getattr(curve, key))
-                for key in ("a1", "a2", "a3", "a4", "a6")
-            },
-            "points": [
-                {
-                    "x": rational_to_json(point.x),
-                    "y": rational_to_json(point.y),
-                    "m": mult,
-                }
-                for point, mult in doc.elliptic.points
-            ],
-        }
-    return out

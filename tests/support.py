@@ -42,9 +42,13 @@ helper per field on the success path and read a rational string with
 ``Fraction(str)`` (``oracle_as_rational``), and the rendering oracle is the
 former recursive ``render_human``; ``oracle_dense_json`` is the former
 ``cli._dense_json``, the dense JSON rows that ``mumford`` put in its report
-in place of the sparse induced matrix.  The record oracles are the package's
-29 result records as the frozen dataclasses they were, before they became
-slotted classes on ``surfsat.record.Record``.
+in place of the sparse induced matrix.  ``document_to_json`` writes a parsed
+document back as JSON: no command serialises a document, so the inverse of
+``parse_document`` lives here.  The record oracles are the package's
+28 result records as the frozen dataclasses they were, before they became
+slotted classes on ``surfsat.record.Record``.  ``diagonal`` and ``pair`` are
+the diagonal matrix and the bilinear form u^T M v, which the tests build
+and read on a ``SymmetricMatrix``.
 """
 
 from __future__ import annotations
@@ -93,9 +97,29 @@ from surfsat.schema import (
     SCHEMA_VERSION,
     Document,
     EllipticSection,
+    certificate_to_json,
     divisor_to_json,
     rational_to_json,
 )
+
+
+# -- matrices the tests build and read -----------------------------------
+
+
+def diagonal(values) -> SymmetricMatrix:
+    """The diagonal matrix with ``values`` on its diagonal."""
+    return SymmetricMatrix.from_entries(values)
+
+
+def pair(matrix: SymmetricMatrix, u, v) -> Fraction:
+    """The bilinear form u^T M v, read off the dense rows."""
+    u = [as_rational(x) for x in u]
+    v = [as_rational(x) for x in v]
+    assert len(u) == len(v) == matrix.n
+    return sum(
+        (u[i] * x * v[j] for i, row in enumerate(matrix.rows) for j, x in enumerate(row)),
+        Fraction(0),
+    )
 
 
 # -- determinants and principal minors (cofactor expansion) ------------
@@ -1419,6 +1443,59 @@ def oracle_parse_document(data) -> Document:
     return Document(surface=surface, elliptic=elliptic)
 
 
+def document_to_json(doc: Document) -> dict:
+    """Inverse of :func:`parse_document` up to normalisation."""
+    surface = doc.surface
+    config = surface.ambient
+    curves = [
+        {
+            "name": node.name,
+            "genus": node.genus,
+            "self": rational_to_json(config.gram.entry(node.id, node.id)),
+            "proper": node.proper,
+        }
+        for node in config.nodes
+    ]
+    intersections = [
+        [i, j, rational_to_json(x)]
+        for i in range(config.n)
+        for j, x in sorted(config.gram.off_diagonal(i).items())
+        if j > i
+    ]
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "curves": curves,
+        "intersections": intersections,
+        "boundary": sorted(config.nodes[i].name for i in surface.boundary),
+        "isolated_boundary_points": surface.isolated_boundary_points,
+        "false_fibre_claims": [
+            {
+                "subject": sorted(config.nodes[i].name for i in claim.subject),
+                "certificate": certificate_to_json(claim.certificate),
+            }
+            for claim in surface.false_fibre_claims
+        ],
+        "fibration_asserted": surface.fibration_asserted,
+    }
+    if doc.elliptic is not None:
+        curve = doc.elliptic.curve
+        out["elliptic"] = {
+            "curve": {
+                key: rational_to_json(getattr(curve, key))
+                for key in ("a1", "a2", "a3", "a4", "a6")
+            },
+            "points": [
+                {
+                    "x": rational_to_json(point.x),
+                    "y": rational_to_json(point.y),
+                    "m": mult,
+                }
+                for point, mult in doc.elliptic.points
+            ],
+        }
+    return out
+
+
 def _oracle_flatten(prefix: str, value, lines: list[str]) -> None:
     if isinstance(value, dict):
         if not value:
@@ -1538,13 +1615,6 @@ class OracleZariskiReport:
     status: str  # "ok" | "violations"
     violations: tuple[ZariskiViolation, ...] = ()
     note: str = ""
-
-
-@dataclass(frozen=True)
-class OracleProportionalityReport:
-    proportional: bool
-    ratio: Optional[Fraction] = None
-    witness: Optional[Divisor] = None
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ from surfsat.elliptic import EXACT_BITS_BUDGET
 from surfsat.errors import InputError
 from surfsat.schema import (
     Document,
-    document_to_json,
     load_document,
     parse_document,
     rational_to_json,
 )
 
 from support import (
+    document_to_json,
     oracle_contract,
     oracle_ldl,
     random_configuration,

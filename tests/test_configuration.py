@@ -20,7 +20,6 @@ from surfsat.saturation import CompactifiedSurface, _second_fibre_witness
 
 from support import (
     dense_adjacent,
-    dense_disjoint,
     dense_inertia,
     dense_restrict,
     extended_dynkin,
@@ -145,19 +144,14 @@ class TestDivisors:
         d = Divisor({0: 2, 1: -1})
         assert d.support() == {0, 1}
 
-    def test_reduced(self):
-        d = Divisor.reduced({0, 1})
-        assert d.support() == {0, 1}
-        assert d.coefficient(0) == 1 and d.coefficient(1) == 1
-
     def test_zero_divisor(self):
         z = Divisor()
         assert z.support() == frozenset()
-        assert z.is_zero()
+        assert z.coefficients == {}
 
     def test_arithmetic_drops_zeros(self):
         d = Divisor({0: 1}) - Divisor({0: 1})
-        assert d.is_zero()
+        assert d.coefficients == {}
 
 
 class TestValidation:
@@ -234,13 +228,6 @@ class TestNeighbourQueries:
         config = Configuration.build([("A", -2), ("B", -2), ("C", -1)], [(0, 1, 1)])
         assert config.neighbours(0) == config.gram.support(0) == {1}
         assert not hasattr(config.neighbours(0), "add")
-
-    def test_disjoint_matches_dense_rows(self):
-        for rng, config in self.configurations(107, 150):
-            for _ in range(5):
-                a = {i for i in range(config.n) if rng.random() < 0.3}
-                b = {i for i in range(config.n) if rng.random() < 0.3}
-                assert config.disjoint(a, b) == dense_disjoint(config, a, b)
 
     def test_gram_on_matches_dense_rows(self):
         for rng, config in self.configurations(109, 150):

@@ -7,7 +7,6 @@ from math import gcd
 import pytest
 
 from surfsat import (
-    ClassRecord,
     Configuration,
     Divisor,
     FalseFibreClaim,
@@ -16,11 +15,7 @@ from surfsat import (
     PreconditionError,
     SymmetricMatrix,
     UserAsserted,
-    blowup,
     classify_fibre_type,
-    configuration_from_classes,
-    projective_plane,
-    proportionality,
     validate_false_fibre_claims,
     validate_zariski,
 )
@@ -196,60 +191,6 @@ class TestZariskiOracle:
                         sizes.append(size)
                         self.agree(config, subject)
         assert len(sizes) >= 40 and max(sizes) >= 4
-
-
-class TestProportionality:
-    def pencil_config(self):
-        lat = projective_plane()
-        cubic1 = ClassRecord("F1", (3,), genus=1)
-        cubic2 = ClassRecord("F2", (3,), genus=1)
-        line = ClassRecord("L", (1,), genus=0)
-        excs = []
-        for i in range(9):
-            result = blowup(
-                lat,
-                [(cubic1, 1), (cubic2, 1), (line, 0)] + [(e, 0) for e in excs],
-            )
-            lat = result.lattice
-            cubic1, cubic2, line = result.classes[:3]
-            excs = list(result.classes[3:]) + [result.exceptional]
-        return configuration_from_classes(lat, [cubic1, cubic2, line, excs[0]])
-
-    def test_two_fibres_of_one_pencil(self):
-        config = self.pencil_config()
-        report = proportionality(
-            config,
-            Divisor.of(0),
-            Divisor.of(1),
-            [Divisor.of(2), Divisor.of(3)],
-        )
-        assert report.proportional
-        assert report.ratio == 1
-
-    def test_scaling(self):
-        config = Configuration.build(
-            [("A", 0), ("B", 0), ("P", 0)], [(0, 2, 1), (1, 2, 2)]
-        )
-        report = proportionality(
-            config, Divisor.of(0), Divisor.of(1), [Divisor.of(2)]
-        )
-        assert report.proportional
-        assert report.ratio == Fraction(1, 2)
-
-    def test_not_fibre_type_rejected(self):
-        config = Configuration.build([("A", 0), ("E", -1)])
-        with pytest.raises(PreconditionError):
-            proportionality(config, Divisor.of(0), Divisor.of(1), [])
-
-    def test_witness_when_probe_separates(self):
-        config = Configuration.build(
-            [("A", 0), ("B", 0), ("P", 0)], [(0, 2, 1)]
-        )
-        report = proportionality(
-            config, Divisor.of(0), Divisor.of(1), [Divisor.of(2)]
-        )
-        assert not report.proportional
-        assert report.witness == Divisor.of(2)
 
 
 class TestClaims:

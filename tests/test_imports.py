@@ -2,8 +2,16 @@
 or names a standard-library module, and importing the command line leaves
 the host process's ``logging``, ``dataclasses``, ``inspect``, ``argparse``
 and ``gettext`` unloaded.  The package also carries nothing unused: every
-name a module imports is used there, and every private function or method
-is referenced somewhere in the package."""
+name a module imports is used there, every private function or method
+is referenced somewhere in the package, and every function, method and
+class is reached.  A definition is reached when module-level code (such
+as ``cli.COMMANDS``) or a reached definition names it, or when it is a
+pinned name: one that ``tests/test_acceptance.py`` imports or reads as an
+attribute, that README's ``## Library`` example uses, or that the
+benchmark's layer trace wraps.  Names are matched as names, so a
+definition that shares its name with a reached one counts as reached.
+The few definitions that stay unreached are listed, each with its
+reason, in ``UNREACHED_ALLOWED``."""
 
 import ast
 import os
@@ -12,8 +20,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_perfbench_names import traced_names
+from test_readme import library_block
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "surfsat"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def test_package_modules_are_found():
@@ -92,3 +103,115 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     )
     assert unreferenced == [], f"private functions nobody calls: {unreferenced}"
+
+
+# definitions no command reaches that stay, and why
+UNREACHED_ALLOWED = {
+    "nslattice.py:adjunction_genus": "library API on lattice classes, kept "
+    "for the planned class-document input, which is to use it or delete it",
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreached(trees, roots):
+    """The functions, methods and classes in ``trees`` (file name -> parsed
+    module) that neither module-level code nor a reached definition names,
+    and that are not in ``roots``, as ``"file:Qualified.name"``, sorted.
+
+    ``__init__.py`` only re-exports, so its names count for nothing.  A
+    method is reached only on a reached class, and a dunder method is
+    reached with its class, which Python calls it through.  Reaching is
+    run to a fixed point, so code that only unreached code names is
+    unreached too.
+    """
+    definitions = []  # [label, name, enclosing definition's index, names]
+    loose = set()  # names that module-level code reads
+
+    def scan(node, label, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFINITIONS):
+                definitions.append([f"{label}{child.name}", child.name, owner, set()])
+                scan(child, f"{label}{child.name}.", len(definitions) - 1)
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)):
+                name = child.id if isinstance(child, ast.Name) else child.attr
+                (loose if owner is None else definitions[owner][3]).add(name)
+            scan(child, label, owner)
+
+    for module, tree in trees.items():
+        if module != "__init__.py":
+            scan(tree, f"{module}:", None)
+
+    def dunder(name):
+        return name.startswith("__") and name.endswith("__")
+
+    reached = set()
+    while True:
+        live = loose.union(*(definitions[i][3] for i in reached))
+        grown = {
+            i for i, (_, name, owner, _) in enumerate(definitions)
+            if (owner is None or owner in reached)
+            and (name in live or name in roots or dunder(name))
+        }
+        if grown == reached:
+            break
+        reached = grown
+    return sorted(
+        label for i, (label, name, _, _) in enumerate(definitions)
+        if i not in reached and not dunder(name)
+    )
+
+
+def pinned_names():
+    """What ``test_acceptance.py`` imports from the package and reads as
+    attributes, the names README's library example uses, and every part
+    of each name the benchmark's layer trace wraps."""
+    acceptance = ast.parse(ACCEPTANCE.read_text(), filename=str(ACCEPTANCE))
+    names = {
+        node.attr for node in ast.walk(acceptance) if isinstance(node, ast.Attribute)
+    }
+    for node in ast.walk(acceptance):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("surfsat"):
+            names |= {alias.name for alias in node.names}
+    names |= _referenced(ast.parse(library_block()))
+    for _, attr in traced_names():
+        names |= set(attr.split("."))
+    return names
+
+
+def test_every_definition_is_reached():
+    # an allowlist entry whose definition is gone, or now reached, is stale
+    assert unreached(TREES, pinned_names()) == sorted(UNREACHED_ALLOWED), (
+        "definitions no command or pinned name reaches, against the allowlist"
+    )
+
+
+def test_the_reach_check_flags_an_unreached_function_and_method():
+    path = PACKAGE / "configuration.py"
+    mutant = ast.parse(path.read_text(), filename=str(path))
+    (config_class,) = (
+        node for node in mutant.body
+        if isinstance(node, ast.ClassDef) and node.name == "Configuration"
+    )
+    config_class.body += ast.parse(
+        "def orphan_method(self):\n    return self.gram_on(())\n"
+    ).body
+    # the helper is named, but only by an unreached function
+    mutant.body += ast.parse(
+        "def orphan_function():\n    return orphan_helper()\n"
+        "def orphan_helper():\n    return Configuration.build([])\n"
+    ).body
+    trees = {**TREES, "configuration.py": mutant}
+    roots = pinned_names()
+    base = set(unreached(TREES, roots))
+    flagged = set(unreached(trees, roots)) - base
+    assert flagged == {
+        "configuration.py:Configuration.orphan_method",
+        "configuration.py:orphan_function",
+        "configuration.py:orphan_helper",
+    }
+    # a pinned name is reached, and so is what it names
+    assert set(unreached(trees, roots | {"orphan_function"})) - base == {
+        "configuration.py:Configuration.orphan_method",
+    }

@@ -13,6 +13,7 @@ from surfsat.linalg import _primitive_integral
 from support import (
     dense_inertia,
     dense_restrict,
+    diagonal,
     ldl_diag,
     ldl_lower,
     oracle_inertia_charpoly,
@@ -61,10 +62,10 @@ class TestSolve:
             assert sum(c * vi for c, vi in zip(x, v)) == 0
 
     def test_rank_one_with_two_dimensional_kernel(self):
-        m = SymmetricMatrix.diagonal([0, 0, 2])
+        m = diagonal([0, 0, 2])
         assert m.solve([0, 0, 5]) == (0, 0, Fraction(5, 2))
         assert m.solve([1, 0, 0]) is None
-        assert SymmetricMatrix.diagonal([0, 0, 0]).solve([0, 0, 0]) == (0, 0, 0)
+        assert diagonal([0, 0, 0]).solve([0, 0, 0]) == (0, 0, 0)
 
     def test_canonical_solution_is_input_independent(self):
         # both right-hand sides lie in the column space; the canonical
@@ -93,7 +94,7 @@ class TestKernel:
 
 class TestInertia:
     def test_diagonal(self):
-        assert SymmetricMatrix.diagonal([1, -1, -1]).inertia() == (1, 2, 0)
+        assert diagonal([1, -1, -1]).inertia() == (1, 2, 0)
 
     def test_semidefinite_pair(self):
         assert SymmetricMatrix([[-2, 2], [2, -2]]).inertia() == (0, 1, 1)
@@ -886,11 +887,11 @@ class TestSemidefiniteSolve:
 
     def test_zero_rows_first_middle_and_last(self):
         # G = diag(0, 2, 0, 3, 0) with a zero row at each end and between
-        g = SymmetricMatrix.diagonal([0, 2, 0, 3, 0])
+        g = diagonal([0, 2, 0, 3, 0])
         factor = g._eliminate(range(5))
         assert factor.pivots == (0, 2, 0, 6, 0)
         assert factor.solve([7, 1, 7, 1, 7]) == [0, Fraction(1, 2), 0, Fraction(1, 3), 0]
-        assert SymmetricMatrix.diagonal([0]).ldl().solve([5]) == [0]
+        assert diagonal([0]).ldl().solve([5]) == [0]
 
 
 class TestOrderBudget:
@@ -1008,8 +1009,8 @@ class TestSparseStorage:
         m = SymmetricMatrix.from_entries([-2, -2], [(0, 1, 3), (1, 0, 1)])
         assert m == SymmetricMatrix([[-2, 1], [1, -2]])
         cleared = SymmetricMatrix.from_entries([-2, -2], [(0, 1, 3), (1, 0, 0)])
-        assert cleared == SymmetricMatrix.diagonal([-2, -2])
-        assert hash(cleared) == hash(SymmetricMatrix.diagonal([-2, -2]))
+        assert cleared == diagonal([-2, -2])
+        assert hash(cleared) == hash(diagonal([-2, -2]))
 
     def test_constructor_refuses_bad_entries(self):
         with pytest.raises(InputError, match="out of range"):

@@ -17,7 +17,6 @@ from surfsat import (
     PreconditionError,
     SymmetricMatrix,
     contract,
-    induced_product,
     is_saturated,
     pullback,
 )
@@ -153,17 +152,20 @@ class TestPullback:
 
 
 class TestInducedProduct:
+    # the product of D1 and D2 on the contracted surface is the product of
+    # their pullbacks upstairs
     def test_a1_self_product(self):
         config = Configuration.build([("E", -2), ("C", -1)], [(0, 1, 1)])
         ctx = ContractionContext(config, frozenset({0}))
-        d = Divisor.of(1)
-        assert induced_product(ctx, d, d) == Fraction(-1, 2)
+        p = pullback(ctx, Divisor.of(1))
+        assert config.intersection_number(p, p) == Fraction(-1, 2)
 
     def test_disjoint_divisor_keeps_ambient_product(self):
         config = Configuration.build([("E", -3), ("C", 2)])
         ctx = ContractionContext(config, frozenset({0}))
         d = Divisor.of(1)
-        assert induced_product(ctx, d, d) == 2
+        assert pullback(ctx, d) == d
+        assert config.intersection_number(pullback(ctx, d), d) == 2
 
     def test_projection_formula(self):
         rng = random.Random(59)
@@ -191,9 +193,11 @@ class TestInducedProduct:
             config = Configuration.build(curves, inters)
             ctx = ContractionContext(config, frozenset(range(k)))
             d1, d2 = Divisor.of(k), Divisor.of(k + 1)
-            assert induced_product(ctx, d1, d2) == config.intersection_number(
-                pullback(ctx, d1), d2
-            )
+            p1, p2 = pullback(ctx, d1), pullback(ctx, d2)
+            # the exceptional part of p2 pairs to zero against p1
+            assert config.intersection_number(p1, p2) == (
+                config.intersection_number(p1, d2)
+            ) == config.intersection_number(d1, p2)
 
 
 class TestContract:
@@ -349,7 +353,10 @@ class TestAgainstOracle:
             p2 = oracle_pullback(config, exceptional, d2)
             assert pullback(ctx, d1) == p1
             assert pullback(ctx, d2) == p2
-            assert induced_product(ctx, d1, d2) == config.intersection_number(p1, p2)
+            # the product downstairs by the projection formula
+            assert config.intersection_number(
+                pullback(ctx, d1), d2
+            ) == config.intersection_number(p1, p2)
 
     def test_unknown_node_is_refused(self):
         _, ctx = a1_setup()
@@ -359,13 +366,11 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("node", [5, -1])
     def test_unknown_node_is_refused_when_nothing_is_contracted(self, node):
         # an empty E leaves every divisor as it is, but only a divisor on
-        # the configuration: pullback refuses what induced_product refuses
+        # the configuration
         config, _ = a1_setup()
         ctx = ContractionContext(config, frozenset())
         with pytest.raises(PreconditionError, match=f"unknown node {node}"):
             pullback(ctx, Divisor({node: 1}))
-        with pytest.raises(PreconditionError, match=f"unknown node {node}"):
-            induced_product(ctx, Divisor({node: 1}), Divisor.of(1))
         assert pullback(ctx, Divisor({0: 2, 1: 1})) == Divisor({0: 2, 1: 1})
 
 
@@ -498,9 +503,8 @@ class TestOneFactorisation:
             factorised.clear()
             ctx = ContractionContext(config, exceptional)
             for _ in range(3):
-                induced_product(
-                    ctx, random_divisor(rng, rest), random_divisor(rng, rest)
-                )
+                pullback(ctx, random_divisor(rng, rest))
+                pullback(ctx, random_divisor(rng, rest))
             assert sorted(factorised) == sorted(
                 config.gram.ldl(p).order for p in ctx.components()
             )

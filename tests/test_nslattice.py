@@ -22,7 +22,7 @@ from surfsat import (
 from surfsat import elliptic, nslattice
 from surfsat.nslattice import cubic_blowup
 
-from support import oracle_hironaka_surface, random_hyperbolic_gram
+from support import diagonal, oracle_hironaka_surface, pair, random_hyperbolic_gram
 
 
 def blown_up_plane(n, cubic_mult=1):
@@ -117,7 +117,7 @@ class TestBlowupWithoutRecheck:
         original = SymmetricMatrix.inertia
 
         def counting(self):
-            if self == SymmetricMatrix.diagonal([1] + [-1] * (self.n - 1)):
+            if self == diagonal([1] + [-1] * (self.n - 1)):
                 calls.append(self.n)
             return original(self)
 
@@ -128,7 +128,7 @@ class TestBlowupWithoutRecheck:
         calls = self.count_lattice_inertia(monkeypatch)
         lat, _, _ = blown_up_plane(12)
         assert calls == [1]
-        assert lat.gram == SymmetricMatrix.diagonal([1] + [-1] * 12)
+        assert lat.gram == diagonal([1] + [-1] * 12)
         assert lat.canonical == (-3,) + (1,) * 12
 
     def test_hironaka_build_writes_the_closed_form(self, monkeypatch):
@@ -151,19 +151,19 @@ class TestBlowupWithoutRecheck:
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         report = hironaka_build(curve, points)
         assert calls == []
-        assert report.lattice.gram == SymmetricMatrix.diagonal([1] + [-1] * 10)
+        assert report.lattice.gram == diagonal([1] + [-1] * 10)
 
     def test_direct_lattice_is_still_checked(self, monkeypatch):
         calls = self.count_lattice_inertia(monkeypatch)
         with pytest.raises(InputError, match="signature"):
-            NSLattice(("L", "E"), SymmetricMatrix.diagonal([1, 1]), (-3, 1))
+            NSLattice(("L", "E"), diagonal([1, 1]), (-3, 1))
         with pytest.raises(InputError, match="integral"):
             NSLattice(
                 ("L", "E"),
                 SymmetricMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), -1]]),
                 (-3, 1),
             )
-        NSLattice(("L", "E"), SymmetricMatrix.diagonal([1, -1]), (-3, 1))
+        NSLattice(("L", "E"), diagonal([1, -1]), (-3, 1))
         assert calls == [2]
 
 
@@ -199,14 +199,14 @@ class TestIntegerPairing:
             (c, c.vector if isinstance(c, ClassRecord) else c) for c in classes
         ]
         for c1, u in pairs:
-            uu = lat.gram.pair(u, u)
+            uu = pair(lat.gram, u, u)
             assert lat.self_intersection(c1) == uu
-            expected_genus = uu / 2 + lat.gram.pair(u, lat.canonical) / 2 + 1
+            expected_genus = uu / 2 + pair(lat.gram, u, lat.canonical) / 2 + 1
             assert adjunction_genus(lat, c1) == expected_genus
             for c2, v in pairs:
                 value = lat.pair(c1, c2)
                 assert isinstance(value, Fraction)
-                assert value == lat.gram.pair(u, v)
+                assert value == pair(lat.gram, u, v)
 
     def test_random_blowup_towers(self):
         rng = random.Random(20245)
@@ -262,7 +262,7 @@ class TestAdjunction:
         lat, fibre, _ = blown_up_plane(9)
         f = fibre.vector
         assert lat.pair(f, f) == 0
-        assert lat.gram.pair(f, lat.canonical) == 0
+        assert pair(lat.gram, f, lat.canonical) == 0
         for c in (lat.canonical, f, tuple(2 * x for x in f)):
             shifted = tuple(a + b for a, b in zip(c, f))
             assert adjunction_genus(lat, shifted) == adjunction_genus(lat, c)
@@ -273,7 +273,7 @@ class TestAdjunction:
         for _ in range(80):
             lat, _, _ = blown_up_plane(rng.randint(0, 5))
             c = tuple(rng.randint(-4, 4) for _ in range(lat.rank))
-            val = lat.pair(c, c) + lat.gram.pair(c, lat.canonical)
+            val = lat.pair(c, c) + pair(lat.gram, c, lat.canonical)
             assert val % 2 == 0
             assert adjunction_genus(lat, c).denominator == 1
 

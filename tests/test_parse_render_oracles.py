@@ -32,13 +32,13 @@ from surfsat.errors import SurfsatError
 from surfsat.linalg import SymmetricMatrix, as_rational
 from surfsat.schema import (
     Document,
-    document_to_json,
     load_document,
     parse_document,
     rational_to_json,
 )
 
 from support import (
+    document_to_json,
     oracle_as_rational,
     oracle_dense_json,
     oracle_parse_document,

@@ -34,7 +34,7 @@ from surfsat.mumford import SingularPoint
 from surfsat.nslattice import ClassRecord, NSLattice
 from surfsat.saturation import CompactifiedSurface, SaturationPlan
 from surfsat.schema import EllipticSection
-from support import RECORD_ORACLES
+from support import RECORD_ORACLES, diagonal
 
 MODULES = (configuration, linalg, fibres, mumford, saturation, nslattice, elliptic, schema)
 RECORDS = {
@@ -51,7 +51,7 @@ CHAIN = Configuration.build([("A", -2), ("B", -2), ("C", 1)], [(0, 1, 1), (1, 2,
 PENCIL = Configuration.build([("F", 0, 1), ("S", -1)], [(0, 1, 1)])
 IMPROPER = Configuration(
     [CurveNode(0, "A"), CurveNode(1, "U", proper=False)],
-    SymmetricMatrix.diagonal([-2, -1]),
+    diagonal([-2, -1]),
 )
 CURVE = WeierstrassCurve(0, 0, 1, -1, 0)
 OTHER_CURVE = WeierstrassCurve(1, Fraction(1, 2), 0, 0, 3)
@@ -59,7 +59,7 @@ POINT = ECPoint.affine(0, 0)
 CLAIM = FalseFibreClaim({0}, UserAsserted())
 SURFACE = CompactifiedSurface(CHAIN, {2})
 PLANE = NSLattice(("L",), SymmetricMatrix([[1]]), (-3,))
-BLOWN_UP = NSLattice(("L", "E1"), SymmetricMatrix.diagonal([1, -1]), (-3, 1))
+BLOWN_UP = NSLattice(("L", "E1"), diagonal([1, -1]), (-3, 1))
 CUBIC = ClassRecord("C", (3,), genus=1)
 EXCEPTIONAL = ClassRecord("E1", (0, 1))
 COMPONENTS = [(), (frozenset({0}),), (frozenset({0}), frozenset({1, 2}))]
@@ -91,10 +91,6 @@ POOLS = {
     "ZariskiReport": dict(
         status=["ok", "violations"],
         violations=[(), (ZariskiViolation("disconnected", (0, 1)),)], note=["", "n"],
-    ),
-    "ProportionalityReport": dict(
-        proportional=[True, False], ratio=[None, Fraction(1), Fraction(1, 2)],
-        witness=[None, Divisor({0: 1})],
     ),
     "ClaimsReport": dict(ok=[True, False], disjoint_triple=[None, (CLAIM,) * 3]),
     "ContractionContext": dict(
@@ -136,8 +132,8 @@ POOLS = {
     "NSLattice": dict(
         basis_names=[("L",), ("L", "E1")],
         gram=[
-            SymmetricMatrix([[1]]), SymmetricMatrix.diagonal([1, -1]),
-            SymmetricMatrix.diagonal([1, 1]), SymmetricMatrix([[Fraction(1, 2)]]),
+            SymmetricMatrix([[1]]), diagonal([1, -1]),
+            diagonal([1, 1]), SymmetricMatrix([[Fraction(1, 2)]]),
         ],
         canonical=[(-3,), (-3, 1), [Fraction(-3)], (Fraction(1, 2),)],
     ),
@@ -206,7 +202,7 @@ def build(cls, arguments):
 
 
 def test_every_record_has_its_dataclass():
-    assert len(RECORD_ORACLES) == 29
+    assert len(RECORD_ORACLES) == 28
     assert sorted(RECORDS) == sorted(RECORD_ORACLES) == sorted(POOLS)
 
 
@@ -322,7 +318,7 @@ def test_each_check_refuses_alike(make):
         ("CompactifiedSurface", (CHAIN, [2, 2], 1, [CLAIM], True)),
         ("ContractionContext", (CHAIN, [1, 0])),
         ("ClassRecord", ("C", [Fraction(3), "-1", 0], 1)),
-        ("NSLattice", (["L", "E1"], SymmetricMatrix.diagonal([1, -1]), [-3, "1"])),
+        ("NSLattice", (["L", "E1"], diagonal([1, -1]), [-3, "1"])),
     ],
 )
 def test_each_coercion_converts_alike(name, args):
