@@ -27,9 +27,11 @@ Each case runs in its own interpreter, capped at CAP_S seconds of wall time;
 a case that hits the cap is recorded as "timeout", and the larger sizes of
 its family are recorded as not run.  A case reports the best of three wall
 times and the bit length of the largest pivot that any elimination made in
-one more run.  The ``tracemalloc`` peak of a further run is taken in an
-interpreter of its own, under a cap of its own: a case whose traced run
-passes the cap keeps its times and reads "timeout" for the peak alone.
+one more run, and the interpreter's peak resident set size
+(``ru_maxrss``) after them.  The ``tracemalloc`` peak of a further run is
+taken in an interpreter of its own, under a cap of its own: a case whose
+traced run passes the cap keeps its times and reads "timeout" for the peak
+alone.
 Only the operation is timed: building the matrix or the points, or
 writing the document to a file, is not.  The CLI cases call
 ``surfsat.cli.main`` in process, so they leave out the interpreter's
@@ -55,6 +57,7 @@ import json
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -367,6 +370,7 @@ def measure(kind, op, n):
         "best_s": round(min(runs), 6),
         "runs_s": [round(t, 6) for t in runs],
         "max_pivot_bits": bits,
+        "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
 
 
@@ -461,6 +465,7 @@ def side_summary(results):
         "median_s": round(statistics.median(bests), 6),
         "interpreters_best_s": bests,
         "max_pivot_bits": results[0]["max_pivot_bits"],
+        "peak_rss_kib": max(r["peak_rss_kib"] for r in results),
     }
 
 
@@ -591,6 +596,8 @@ def measure_all(roots):
             "interpreters_best_s": "s, each interpreter's best of the repeats",
             "tracemalloc_peak_kib": "KiB, one further run under tracemalloc, "
             "in an interpreter of its own",
+            "peak_rss_kib": "KiB, the largest ru_maxrss of a side's timed "
+            "interpreters, each of which runs the case REPEATS + 1 times",
             "max_pivot_bits": "bits of the largest |pivot| of any elimination "
             "in one more run",
             "modules_added": "modules that import surfsat.cli adds to sys.modules",

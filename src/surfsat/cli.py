@@ -2,10 +2,12 @@
 
 Every command reads the same JSON document (see :mod:`surfsat.schema`) and
 emits either a stable line-oriented human report or JSON with stable keys.
-A command returns a report dict.  ``mumford`` writes each number from the
-integer record of :func:`~surfsat.mumford.contract`, with no ``Fraction``,
-and keeps its induced matrix sparse (:class:`SparseRows`) until a renderer
-writes the dense rows, every zero entry one shared text.
+A command returns a report dict, which :func:`main` renders, except
+``mumford``, whose induced matrix and pullbacks can be quadratic in the
+document: it returns its text in either format, in pieces, formatting each
+induced row and pullback as :func:`~surfsat.mumford.contract`'s record
+yields it, each number with one ``gcd`` and no ``Fraction``.  Every piece
+is formed before the first byte is written, so an error writes nothing.
 Exit codes: 0 for a definite verdict, 2 for honest indefinite verdicts
 (one-or-zero, unknown, inconclusive), 1 for usage errors, input errors or
 inconsistent data.
@@ -17,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from bisect import bisect_left
 from math import gcd
 from typing import TYPE_CHECKING, Optional
 
@@ -134,7 +137,13 @@ def cmd_fibre(doc: Document) -> dict:
     }
 
 
-def cmd_mumford(doc: Document) -> dict:
+def cmd_mumford(doc: Document, fmt: str = "human") -> list[str]:
+    """The report as text in ``fmt``, in pieces to be written in turn: the
+    text ``render_human`` or ``render_json`` writes for the report dict,
+    with the pullbacks under ``pullbacks`` and the induced matrix's dense
+    rows under ``induced_matrix.entries``.  Each row and pullback is
+    formatted from :func:`~surfsat.mumford.contract`'s record as it is
+    read, each number with one ``gcd`` and no ``Fraction``."""
     surface = doc.surface
     config = surface.ambient
     parts = is_saturated(surface).offending_components
@@ -144,37 +153,114 @@ def cmd_mumford(doc: Document) -> dict:
     }
     if not parts:
         out["verdict"] = "nothing-to-contract"
-        return out
+        return [render_json(out) if fmt == "json" else render_human(out)]
     result = contract(config, parts)
-    _, diag, off, solves = result._exact  # its integer record
+    out["verdict"] = "contracted"
+    out["contracted_components"] = [_names(config, p) for p in parts]
     names = [node.name for node in config.nodes]
-    pullbacks = {}
-    for old, terms in zip(result.ambient_ids, solves):
-        pulled = pullbacks[names[old]] = {names[old]: 1}
-        for order, nums, den in terms:
-            for node, num in zip(order, nums):
-                pulled[names[node]] = _ratio_to_json(num, den)
-    values = [{} for _ in diag]  # one value for (a, b) and (b, a)
-    for a, row in enumerate(off):
-        for b, x in row.items():
-            if b > a:
-                values[a][b] = values[b][a] = _ratio_to_json(*x)
-    out.update(
-        {
-            "verdict": "contracted",
-            "contracted_components": [_names(config, p) for p in parts],
-            "pullbacks": pullbacks,
-            "induced_matrix": {
-                "curves": [names[old] for old in result.ambient_ids],
-                "entries": SparseRows(([_ratio_to_json(*x) for x in diag], values)),
-            },
-            "singular_points": [
-                {"name": s.name, "contracted": list(s.contracted_names)}
-                for s in result.singular_points
+    curves = [names[old] for old in result.ambient_ids]
+    quote = '"' if fmt == "json" else ""
+    labels = [json.dumps(name) for name in names] if quote else names
+    ranked = {}  # per part, by its first node: names, labels and positions by name
+    rows, pulls = [], []
+    for a, (row, den, terms) in enumerate(result._read()):
+        texts = _row_texts(row, den, len(curves), quote)
+        if quote:
+            rows.append(",\n      [\n        " + ",\n        ".join(texts) + "\n      ]")
+        else:
+            rows.append(f"induced_matrix.entries[{a}]: {', '.join(texts)}\n")
+        old = result.ambient_ids[a]
+        own = names[old]
+        head = "      " if quote else f"pullbacks.{own}."
+        own_line = f"{head}{labels[old]}: 1"
+        pulled = []  # (name, line) of each curve, when two or more parts meet a
+        for order, nums, over in terms:
+            if order[0] not in ranked:
+                ranked[order[0]] = list(zip(*sorted(
+                    [(names[node], labels[node], p) for p, node in enumerate(order)]
+                )))
+            keys, marks, places = ranked[order[0]]
+            below = f"/{over}{quote}"
+            lines = [
+                f"{head}{mark}: {x // g}" if (g := gcd(x, over)) == over
+                else f"{head}{mark}: {quote}{x}{below}" if g == 1
+                else f"{head}{mark}: {quote}{x // g}/{over // g}{quote}"
+                for mark, x in zip(marks, map(nums.__getitem__, places))
+            ]
+            if len(terms) > 1:
+                pulled += zip(keys, lines)
+            else:
+                lines.insert(bisect_left(keys, own), own_line)
+        if len(terms) != 1:
+            pulled.append((own, own_line))
+            lines = [line for _, line in sorted(pulled)]
+        if quote:
+            lines = ",\n".join(lines)
+            pulls.append((own, f",\n    {labels[old]}: {{\n{lines}\n    }}"))
+        else:
+            pulls.append((own, "\n".join(lines) + "\n"))
+    pulls = [text for _, text in sorted(pulls)]
+    if not quote:
+        # the lines render_human writes for the report dict
+        head = [
+            "command: mumford",
+            "verdict: contracted",
+            *[
+                f"contracted_components[{k}]: {', '.join(part)}"
+                for k, part in enumerate(out["contracted_components"])
             ],
-        }
-    )
-    return out
+            f"criterion: {out['criterion']}",
+            f"induced_matrix.curves: {', '.join(curves) if curves else '[]'}",
+        ]
+        tail = [
+            f"singular_points[{k}].contracted: {', '.join(s.contracted_names)}\n"
+            f"singular_points[{k}].name: {s.name}"
+            for k, s in enumerate(result.singular_points)
+        ]
+        return [
+            "\n".join(head) + "\n",
+            *(rows or ["induced_matrix.entries: []\n"]),
+            *(pulls or ["pullbacks: {}\n"]),
+            "\n".join(tail),
+        ]
+    # the JSON layout json.dumps(indent=2, sort_keys=True) gives the report
+    # dict: a row at depth 3, a pullback at depth 2, each after a comma,
+    # and the first one's comma dropped
+    head = {key: out[key] for key in ("command", "contracted_components", "criterion")}
+    points = [
+        {"name": s.name, "contracted": list(s.contracted_names)}
+        for s in result.singular_points
+    ]
+    tail = {"singular_points": points, "verdict": out["verdict"]}
+    listed = json.dumps(curves, indent=2).replace("\n", "\n    ")
+    if rows:
+        rows[0] = rows[0][1:]
+    if pulls:
+        pulls[0] = pulls[0][1:]
+    return [
+        render_json(head)[:-2] + ',\n  "induced_matrix": {\n    "curves": '
+        + listed + ',\n    "entries": [',
+        *rows,
+        ("\n    ]" if rows else "]") + '\n  },\n  "pullbacks": {',
+        *pulls,
+        ("\n  }" if pulls else "}") + "," + render_json(tail)[1:],
+    ]
+
+
+def _row_texts(row: dict, den: int, width: int, quote: str) -> list[str]:
+    """The texts of a row of ``width`` entries, ``row``'s {column:
+    numerator} over ``den`` > 0 and 0 elsewhere, each in lowest terms with
+    one gcd: an integer bare, a fraction between ``quote``s, and every
+    zero one shared ``"0"``."""
+    texts = ["0"] * width
+    below = f"/{den}{quote}"  # the tail of every x / den already in lowest terms
+    for b, x in row.items():
+        g = gcd(x, den)
+        texts[b] = (
+            f"{x // g}" if g == den else f"{quote}{x}{below}" if g == 1
+            else f"{quote}{x // g}/{den // g}{quote}"
+        )
+    return texts
 
 
 def cmd_hironaka(doc: Document) -> dict:
@@ -298,45 +384,12 @@ COMMANDS = {
 }
 
 
-def _ratio_to_json(num: int, den: int):
-    """``rational_to_json`` of num/den, den != 0, with no ``Fraction``: one
-    gcd, the sign put on the numerator."""
-    g = -gcd(num, den) if den < 0 else gcd(num, den)
-    return num // g if den == g else f"{num // g}/{den // g}"
-
-
-def _json_text(value) -> str:
-    """``json.dumps`` of an int or of a ``"p/q"`` string."""
-    return f'"{value}"' if type(value) is str else f"{value}"
-
-
-class SparseRows(tuple):
-    """``(diag, off)``, a square matrix in a report, sparse until it is
-    rendered: ``diag[i]`` and ``off[i]``, the {column: value} map of row i's
-    nonzero off-diagonal entries, hold JSON values (an int or ``"p/q"``)."""
-
-    def rows(self, zero, convert):
-        """Each dense row as a list: ``zero``, one object shared by every
-        zero entry, and ``convert(x)`` at each nonzero entry x."""
-        diag, off = self
-        for i, d in enumerate(diag):
-            row = [zero] * len(diag)
-            for j, x in off[i].items():
-                row[j] = convert(x)
-            row[i] = convert(d)
-            yield row
-
-
 def _flatten(prefix: str, value, lines: list[str]) -> None:
     """Append the lines of ``value``, a dict or a list holding a dict or a
     list, under ``prefix``: a dict key by key in sorted order, a list item
     by item.  Each item is sorted out where it is met: a scalar, an empty
     list (``[]``), an empty dict (``{}``) and a list of scalars take one
-    line each, and only the other dicts and lists recurse.  A
-    :class:`SparseRows` (``mumford``'s induced matrix) takes one line per
-    row, as its dense rows would: each row is a list in which every zero
-    entry is one shared ``"0"`` and only the nonzero entries are converted,
-    joined once, and an empty matrix reads ``[]``."""
+    line each, and only the other dicts and lists recurse."""
     if isinstance(value, dict):
         items = [
             (f"{prefix}.{key}" if prefix else key, value[key])
@@ -355,14 +408,6 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
                 lines.append(f"{path}: {', '.join(map(str, item)) if item else '[]'}")
             else:
                 _flatten(path, item, lines)
-        elif isinstance(item, SparseRows):
-            if item[0]:
-                rows = item.rows("0", str)
-                lines.extend(
-                    f"{path}[{i}]: {', '.join(row)}" for i, row in enumerate(rows)
-                )
-            else:
-                lines.append(f"{path}: []")
         else:
             lines.append(f"{path}: {item}")
 
@@ -378,30 +423,8 @@ def render_human(report: dict) -> str:
 
 
 def render_json(report: dict) -> str:
-    """``report`` as JSON with stable keys, indented by two spaces.
-
-    ``mumford``'s induced matrix is written from its sparse rows, as
-    ``json.dumps`` would write its dense rows at that depth: the report is
-    dumped with NaN in place of the rows, split there, and joined once with
-    the rows' text between.  No other value of a report is a float, and a
-    quote inside a JSON string is escaped, so ``"entries": NaN`` occurs
-    once, where it was put."""
-    matrix = report.get("induced_matrix")
-    if matrix is None:
-        return json.dumps(report, indent=2, sort_keys=True)
-    nan = {**matrix, "entries": float("nan")}
-    text = json.dumps({**report, "induced_matrix": nan}, indent=2, sort_keys=True)
-    head, tail = text.split('"entries": NaN', 1)
-    # a row sits at depth 3 of the report and its entries at depth 4; each
-    # row comes after a comma, and the first row's comma is dropped
-    rows = [
-        ",\n      [\n        " + ",\n        ".join(row) + "\n      ]"
-        for row in matrix["entries"].rows("0", _json_text)
-    ]
-    if not rows:
-        return f'{head}"entries": []{tail}'
-    rows[0] = rows[0][1:]
-    return "".join([head, '"entries": [', *rows, "\n    ]", tail])
+    """``report`` as JSON with stable keys, indented by two spaces."""
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 @functools.cache
@@ -461,10 +484,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_OK if exc.code == 0 else EXIT_INPUT
         plain = args.command, args.input, args.format
     command, path, fmt = plain
+    report = {}
     try:
         doc = load_document(path)
-        report = COMMANDS[command](doc)
-        text = render_json(report) if fmt == "json" else render_human(report)
+        if command == "mumford":
+            # its report can be quadratic in the document, so it comes as
+            # text, in pieces
+            pieces = COMMANDS[command](doc, fmt)
+        else:
+            report = COMMANDS[command](doc)
+            pieces = [render_json(report) if fmt == "json" else render_human(report)]
     except (InputError, PreconditionError, DataInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -480,7 +509,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
 
     try:
-        print(text)
+        # every piece is formed before the first is written, so an error
+        # above writes nothing; the pieces are never joined into one text
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (``| head``).  Point stdout at the null

@@ -526,6 +526,37 @@ def _put(off, i: int, j: int, value: int, minor: int) -> None:
         off[j].pop(i, None)
 
 
+# The two passes of LDL.solve_integral, each a function of its own: under
+# tracemalloc (bench/scaling.py's memory pass), CPython 3.11 walks the
+# running function's line table from its start on every allocation, so an
+# allocation costs more the later it sits in a long function.
+
+
+def _forward(w: list[int], pivots, minors, columns) -> None:
+    """Carry ``w`` through the elimination in place: w[q] becomes the
+    minor det A[K+q, K+b] of [A | w] over the pivot that last touched it."""
+    over = [1] * len(w)
+    for p, column in enumerate(columns):
+        if w[p]:
+            minor = minors[p]
+            wp = w[p] = _lift(w[p], over[p], minor)
+            top = pivots[p]
+            for q, nq in column:
+                w[q] = (top * _lift(w[q], over[q], minor) - nq * wp) // minor
+                over[q] = top
+
+
+def _back(w: list[int], det: int, pivots, columns) -> None:
+    """Back substitution in place: w becomes the Cramer numerators Z over
+    ``det``, 0 at each zero pivot."""
+    for p in range(len(w) - 1, -1, -1):  # w[q] becomes Z[q], q > p
+        total = det * w[p]
+        for q, nq in columns[p]:
+            if w[q]:
+                total -= nq * w[q]
+        w[p] = total // pivots[p] if pivots[p] else 0
+
+
 class LDL(Record):
     """The elimination of a principal block, from :meth:`SymmetricMatrix.ldl`.
 
@@ -561,36 +592,25 @@ class LDL(Record):
         return [Fraction(v, den) if v else _ZERO for v in nums]
 
     def solve_integral(self, b: Sequence[int]) -> tuple[list[int], int]:
-        """Integer numerators X and a common denominator e with M (X / e) =
-        b, for a complete record and an integer b, by fraction-free forward
+        """Integer numerators X and a common denominator e > 0 with M (X / e)
+        = b, for a complete record and an integer b, by fraction-free forward
         and back substitution: x is 0 at each zero pivot (a zero row, as in
         a semidefinite block) and solves the block on the rest.
 
         M x = b is A S^-1 x = S b / g.  The forward pass carries S b through
         the elimination as the minors det A[K+q, K+b] of [A | S b]; the back
-        pass gives the Cramer numerators Z = det A[P] A[P, P]^-1 (S b)_P, P
-        the nonzero pivots' places and det A[P] the last such pivot; and
-        x = S Z / (g det A[P]).
+        pass gives the Cramer numerators Z = d A[P, P]^-1 (S b)_P, P the
+        nonzero pivots' places and d = |det A[P]|, det A[P] the last such
+        pivot; and x = S Z / (g d).
         """
         w = [v * s for v, s in zip(b, self.scales)]
-        over = [1] * len(w)
-        pivots, minors, columns = self.pivots, self.minors, self.columns
-        for p, column in enumerate(columns):
-            if w[p]:
-                minor = minors[p]
-                wp = w[p] = _lift(w[p], over[p], minor)
-                top = pivots[p]
-                for q, nq in column:
-                    w[q] = (top * _lift(w[q], over[q], minor) - nq * wp) // minor
-                    over[q] = top
-        det = (pivots[-1] or minors[-1]) if pivots else 1
-        for p in range(len(w) - 1, -1, -1):  # w[q] becomes Z[q], q > p
-            total = det * w[p]
-            for q, nq in columns[p]:
-                if w[q]:
-                    total -= nq * w[q]
-            w[p] = total // pivots[p] if pivots[p] else 0
-        return [s * v for s, v in zip(self.scales, w)], self.content * det
+        pivots, minors = self.pivots, self.minors
+        _forward(w, pivots, minors, self.columns)
+        det = abs(pivots[-1] or minors[-1]) if pivots else 1
+        _back(w, det, pivots, self.columns)
+        if max(self.scales, default=1) > 1:  # S = 1 on an integral block
+            w = [s * v for s, v in zip(self.scales, w)]
+        return w, self.content * det
 
     def null_vector(self) -> list[int]:
         """The primitive integral x with positive leading entry and L^T x a

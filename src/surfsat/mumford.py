@@ -9,13 +9,16 @@ product of two divisors downstairs is the product of their pullbacks.
 Each connected component of E is factorised once as L D L^T, which also
 decides its negative definiteness; every pullback is then a forward and
 back substitution against Gram rows, and the contracted Gram is the Schur
-complement M_RR - M_RE M_EE^-1 M_ER.  :func:`contract` keeps an integer
-record: every induced entry as a (numerator, denominator) pair, and every
-pullback coefficient as a numerator over its solve's denominator.  It forms
-``Fraction``s only when a caller reads the result's ``configuration`` or
-``pullbacks``; the CLI prints from the record.  The Gram keeps the factor
-of every block it eliminates, so a part the boundary record has classified
-is not eliminated again.
+complement M_RR - M_RE M_EE^-1 M_ER.  :func:`contract` keeps only the
+record that grows with the document: each part's factor, each remaining
+curve's sparse integer column into each part, and the remaining ids.  A
+remaining curve's induced row and its pullback are read off that record one
+curve at a time, from one solve per part it meets, as integer numerators
+over one denominator (``ContractedConfiguration._read``); the CLI prints
+each row as it reads it, and ``Fraction``s are formed only when a caller
+reads the result's ``configuration`` or ``pullbacks``.  The Gram keeps the
+factor of every block it eliminates, so a part the boundary record has
+classified is not eliminated again.
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ class ContractionContext(Record):
             )
         self.ambient, self.exceptional = ambient, exceptional
         self._components = components
-
-    def components(self) -> tuple[frozenset[int], ...]:
-        return self._components
 
 
 def pullback(ctx: ContractionContext, strict: Divisor) -> Divisor:
@@ -100,8 +100,9 @@ class SingularPoint(Record):
 
 
 class ContractedConfiguration(Record):
-    """The contracted surface.  :func:`contract`'s result holds its integer
-    record in ``_exact`` and forms each ``Fraction`` field on its first read."""
+    """The contracted surface.  :func:`contract`'s result holds its record
+    in ``_exact`` and forms both ``Fraction`` fields on the first read of
+    either, through :meth:`_read`."""
 
     # pullbacks[i] is the pullback of ambient curve ambient_ids[i]
     __slots__ = ("configuration", "ambient_ids", "singular_points", "pullbacks",
@@ -118,23 +119,69 @@ class ContractedConfiguration(Record):
         # only an unset slot gets here: a field contract left to this read
         if name not in ("configuration", "pullbacks"):
             raise AttributeError(name)
-        config, diag, off, solves = self._exact
-        if name == "pullbacks":
-            pullbacks = [{old: _ONE} for old in self.ambient_ids]
-            for coeffs, terms in zip(pullbacks, solves):
-                for order, nums, den in terms:
-                    coeffs.update(zip(order, [Fraction(x, den) for x in nums]))
-            self.pullbacks = tuple(map(Divisor._unchecked, pullbacks))
-            return self.pullbacks
-        induced = SymmetricMatrix._from_sparse(
-            tuple([Fraction(*x) for x in diag]),
-            tuple([{j: Fraction(*x) for j, x in row.items()} for row in off]),
-        )
+        diag, off, pullbacks = [], [], []
+        for a, (row, den, terms) in enumerate(self._read()):
+            diag.append(Fraction(row.pop(a), den))
+            off.append({b: Fraction(x, den) for b, x in row.items()})
+            coeffs = {self.ambient_ids[a]: _ONE}
+            for order, nums, over in terms:
+                coeffs.update(zip(order, [Fraction(x, over) for x in nums]))
+            pullbacks.append(Divisor._unchecked(coeffs))
+        induced = SymmetricMatrix._from_sparse(tuple(diag), tuple(off))
         # ids 0..n-1, inherited names and genera, off-diagonal entries > 0
+        config = self._exact[0]
         nodes = [config.nodes[old] for old in self.ambient_ids]
         nodes = [CurveNode(i, c.name, c.genus, c.proper) for i, c in enumerate(nodes)]
         self.configuration = Configuration._unchecked(nodes, induced)
-        return self.configuration
+        self.pullbacks = tuple(pullbacks)
+        return getattr(self, name)
+
+    def _read(self):
+        """Each remaining curve's induced row and pullback, in id order,
+        read off the record one curve at a time: ``(row, den, terms)``, with
+        ``row`` the ``{new id: numerator}`` map over ``den`` of the row's
+        diagonal and of each entry that the Gram or a part makes nonzero,
+        and ``terms`` the pullback's ``(part order, numerators,
+        denominator)`` on each part the curve meets.
+
+        With u_b = q M_Eb the integer column of curve b into a part E (q
+        the Gram's common denominator), the part's solve X_a / e of
+        M_EE x = -u_a gives the pullback coefficients X_a / (e q), and the
+        Schur complement entry S_ab = M_ab + X_a . u_b / (e q^2): one
+        multiply-add per nonzero entry of u_b.  -M_EE is an irreducible
+        nonsingular M-matrix, so X_a / e > 0 and an entry only grows: every
+        pullback coefficient on E and every induced entry is positive.
+        Each row is summed over one denominator, unreduced: each reader
+        reduces an entry once."""
+        config, scale, blocks, columns = self._exact
+        gram = config.gram
+        new_id = {old: new for new, old in enumerate(self.ambient_ids)}
+        for a, old in enumerate(self.ambient_ids):
+            solved = []
+            den = scale * scale
+            for k, u in columns[a]:
+                factor, entries = blocks[k]
+                rhs = [0] * len(factor.order)
+                for p, v in u:
+                    rhs[p] = -v
+                nums, e = factor.solve_integral(rhs)
+                solved.append((nums, e, entries, factor.order))
+                den *= e
+            d = gram.diag[old]
+            row = {a: d.numerator * (den // d.denominator)}
+            for j, x in gram.off_diagonal(old).items():
+                if j in new_id:
+                    row[new_id[j]] = x.numerator * (den // x.denominator)
+            terms = []
+            for nums, e, entries, order in solved:
+                times = den // (e * scale * scale)
+                scaled = nums if times == 1 else [x * times for x in nums]
+                for b, p, v in entries:
+                    # u_b is most often one entry 1, and S_ab then X_a[p]
+                    x = scaled[p] if v == 1 else scaled[p] * v
+                    row[b] = row[b] + x if b in row else x
+                terms.append((order, nums, e * scale))
+            yield row, den, terms
 
 
 def contract(
@@ -186,57 +233,32 @@ def contract(
     gram = config.gram
     remaining = [i for i in range(config.n) if i not in owner]
     new_id = {old: new for new, old in enumerate(remaining)}
-    # the induced Gram, each entry as a (numerator, denominator) pair
-    diag = [gram.entry(old, old).as_integer_ratio() for old in remaining]
-    off: list[dict[int, tuple[int, int]]] = [{} for _ in remaining]
-    for a, old in enumerate(remaining):
-        for j, v in gram.off_diagonal(old).items():
-            if j in new_id:
-                off[a][new_id[j]] = v.as_integer_ratio()
-    # the pullback of remaining curve a is a plus, per part it meets, the
-    # coefficients X / e on the part's curves: solves[a] holds (order, X, e)
-    solves: list[list] = [[] for _ in remaining]
-    for factor in factors:
-        position = {node: p for p, node in enumerate(factor.order)}
-        # remaining curves meeting this component, with their nonzero Gram
-        # entries on it by position
-        touching: dict[int, dict[int, Fraction]] = {}
-        for node in factor.order:
-            for j, v in gram.off_diagonal(node).items():
-                if j in new_id:
-                    touching.setdefault(new_id[j], {})[position[node]] = v
-        # M_Ea as integers u_a over their lcm l_a, and x_a = M_EE^-1 (-M_Ea)
-        # as integer numerators X_a over e l_a, e the solve's denominator
-        solved = []
-        for a, entries in sorted(touching.items()):
-            scale = lcm(*[v.denominator for v in entries.values()])
-            u = {p: v.numerator * (scale // v.denominator) for p, v in entries.items()}
-            rhs = [0] * len(position)
-            for p, v in u.items():
-                rhs[p] = -v
-            nums, den = factor.solve_integral(rhs)
-            solves[a].append((factor.order, nums, den * scale))
-            solved.append((a, u, nums, den * scale, scale))
-        for t, (a, _, nums, den, _) in enumerate(solved):
-            # Schur complement: pullback(a) . b = M_ab + X_a . u_b / (e l_a
-            # l_b).  -M_EE is an irreducible nonsingular M-matrix, so x_a =
-            # (-M_EE)^-1 M_Ea > 0 and the entry only grows: every pullback
-            # coefficient on E and every induced entry is positive.  Pairs
-            # stay unreduced: each reader reduces an entry once.
-            for b, u, _, _, scale in solved[t:]:
-                top = sum([nums[p] * v for p, v in u.items()])
-                over = den * scale
-                n, d = diag[a] if a == b else off[a].get(b, (0, 1))
-                entry = (n * over + top * d, d * over)
-                if a == b:
-                    diag[a] = entry
-                else:
-                    off[a][b] = off[b][a] = entry
+    # the common denominator q of the Gram's entries, so q M is integral
+    scale = 1 if gram._is_integral() else lcm(
+        *[x.denominator for x in gram.diag],
+        *[x.denominator for i in range(config.n) for x in gram.off_diagonal(i).values()],
+    )
+    # per part its factor and the nonzero entries (b, position, q M_Eb) of
+    # the remaining columns u_b; per remaining curve a, each part k it
+    # meets with u_a as (position, value) pairs
+    blocks, columns = [], [[] for _ in remaining]
+    for k, factor in enumerate(factors):
+        entries = sorted([
+            (new_id[j], p, x.numerator * (scale // x.denominator))
+            for p, node in enumerate(factor.order)
+            for j, x in gram.off_diagonal(node).items()
+            if j in new_id
+        ])
+        for b, p, v in entries:  # by b, so a column's entries are adjacent
+            if not columns[b] or columns[b][-1][0] != k:
+                columns[b].append((k, []))
+            columns[b][-1][1].append((p, v))
+        blocks.append((factor, entries))
     result = ContractedConfiguration.__new__(ContractedConfiguration)
     result.ambient_ids = tuple(remaining)
     result.singular_points = tuple([
         SingularPoint(f"q{idx + 1}", part, config.names(part))
         for idx, part in enumerate(sorted(normalized, key=min))
     ])
-    result._exact = (config, diag, off, solves)
+    result._exact = (config, scale, blocks, columns)
     return result

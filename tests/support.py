@@ -42,7 +42,7 @@ helper per field on the success path and read a rational string with
 ``Fraction(str)`` (``oracle_as_rational``), and the rendering oracle is the
 former recursive ``render_human``; ``oracle_dense_json`` is the former
 ``cli._dense_json``, the dense JSON rows that ``mumford`` put in its report
-in place of the sparse induced matrix.  ``document_to_json`` writes a parsed
+dict; ``mumford`` now writes its text itself, and these oracles judge it.  ``document_to_json`` writes a parsed
 document back as JSON: no command serialises a document, so the inverse of
 ``parse_document`` lives here.  The record oracles are the package's
 28 result records as the frozen dataclasses they were, before they became
@@ -659,11 +659,12 @@ def oracle_contract_fractions(config: Configuration, parts) -> ContractedConfigu
 
 
 def oracle_mumford_report(config: Configuration, parts) -> dict:
-    """``cmd_mumford``'s report on a surface whose negative definite
+    """The report dict of ``mumford`` on a surface whose negative definite
     boundary components are ``parts``, in that order, as the package
     formerly made it: from :func:`oracle_contract_fractions`, each number
     converted from its ``Fraction``, and the induced matrix as dense JSON
-    rows."""
+    rows.  ``cmd_mumford``'s text must be what the former renderers write
+    for it."""
     result = oracle_contract_fractions(config, parts)
     contracted = result.configuration
     return {

@@ -9,9 +9,10 @@ as ``cli.COMMANDS``) or a reached definition names it, or when it is a
 pinned name: one that ``tests/test_acceptance.py`` imports or reads as an
 attribute, that README's ``## Library`` example uses, or that the
 benchmark's layer trace wraps.  Names are matched as names, so a
-definition that shares its name with a reached one counts as reached.
-The few definitions that stay unreached are listed, each with its
-reason, in ``UNREACHED_ALLOWED``."""
+definition that shares its name with a reached one counts as reached; a
+method, though, is named only by an attribute read (``x.name``), never by
+a bare name such as a parameter's.  The few definitions that stay
+unreached are listed, each with its reason, in ``UNREACHED_ALLOWED``."""
 
 import ast
 import os
@@ -120,23 +121,34 @@ def unreached(trees, roots):
     and that are not in ``roots``, as ``"file:Qualified.name"``, sorted.
 
     ``__init__.py`` only re-exports, so its names count for nothing.  A
-    method is reached only on a reached class, and a dunder method is
-    reached with its class, which Python calls it through.  Reaching is
-    run to a fixed point, so code that only unreached code names is
-    unreached too.
+    function or class is named by a bare name or an attribute read
+    (``x.name``); a method only by an attribute read, so a parameter or a
+    local that shares its name does not reach it.  A method is reached
+    only on a reached class, and a dunder method is reached with its
+    class, which Python calls it through.  Reaching is run to a fixed
+    point, so code that only unreached code names is unreached too.
     """
-    definitions = []  # [label, name, enclosing definition's index, names]
-    loose = set()  # names that module-level code reads
+    # [label, name, enclosing definition's index, is a method, bare names
+    # read in its body, attribute names read in its body]
+    definitions = []
+    loose = (set(), set())  # what module-level code reads: bare, attribute
 
     def scan(node, label, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, _DEFINITIONS):
-                definitions.append([f"{label}{child.name}", child.name, owner, set()])
+                method = isinstance(node, ast.ClassDef) and not isinstance(
+                    child, ast.ClassDef
+                )
+                definitions.append(
+                    [f"{label}{child.name}", child.name, owner, method, set(), set()]
+                )
                 scan(child, f"{label}{child.name}.", len(definitions) - 1)
                 continue
-            if isinstance(child, (ast.Name, ast.Attribute)):
-                name = child.id if isinstance(child, ast.Name) else child.attr
-                (loose if owner is None else definitions[owner][3]).add(name)
+            bare, attrs = loose if owner is None else definitions[owner][4:]
+            if isinstance(child, ast.Name):
+                bare.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                attrs.add(child.attr)
             scan(child, label, owner)
 
     for module, tree in trees.items():
@@ -148,17 +160,21 @@ def unreached(trees, roots):
 
     reached = set()
     while True:
-        live = loose.union(*(definitions[i][3] for i in reached))
+        bare = loose[0].union(*(definitions[i][4] for i in reached))
+        attrs = loose[1].union(*(definitions[i][5] for i in reached))
         grown = {
-            i for i, (_, name, owner, _) in enumerate(definitions)
+            i for i, (_, name, owner, method, _, _) in enumerate(definitions)
             if (owner is None or owner in reached)
-            and (name in live or name in roots or dunder(name))
+            and (
+                name in attrs or name in roots or dunder(name)
+                or (not method and name in bare)
+            )
         }
         if grown == reached:
             break
         reached = grown
     return sorted(
-        label for i, (label, name, _, _) in enumerate(definitions)
+        label for i, (label, name, *_) in enumerate(definitions)
         if i not in reached and not dunder(name)
     )
 
@@ -215,3 +231,21 @@ def test_the_reach_check_flags_an_unreached_function_and_method():
     assert set(unreached(trees, roots | {"orphan_function"})) - base == {
         "configuration.py:Configuration.orphan_method",
     }
+
+
+def test_a_parameter_does_not_reach_a_method_of_its_name():
+    # `from_entries` reads its parameter `diagonal`; a method `diagonal` that
+    # no attribute read names is still unreached
+    path = PACKAGE / "linalg.py"
+    mutant = ast.parse(path.read_text(), filename=str(path))
+    bare = {node.id for node in ast.walk(mutant) if isinstance(node, ast.Name)}
+    assert "diagonal" in bare
+    (matrix_class,) = (
+        node for node in mutant.body
+        if isinstance(node, ast.ClassDef) and node.name == "SymmetricMatrix"
+    )
+    matrix_class.body += ast.parse("def diagonal(self):\n    return self._diag\n").body
+    trees = {**TREES, "linalg.py": mutant}
+    roots = pinned_names()
+    flagged = set(unreached(trees, roots)) - set(unreached(TREES, roots))
+    assert flagged == {"linalg.py:SymmetricMatrix.diagonal"}

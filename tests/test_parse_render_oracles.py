@@ -12,22 +12,32 @@ digits, where the former parse called ``Fraction(str)``; the odd strings
 interpreter's conversion limit) must read the same both ways.
 ``render_human`` writes scalars where it meets them;
 ``oracle_render_human`` is the former recursive renderer, and both must
-print the same text for any report.  ``mumford``'s report carries its
-induced matrix sparse, and both renderers write it from the sparse rows:
-their text must be the former renderers' text on the dense rows of
-``oracle_dense_json``.
+print the same text for any report.  ``mumford`` writes its own text from
+the contraction's record, a row at a time: in both formats it must be the
+former renderers' text on ``oracle_mumford_report``, whose induced matrix
+is the dense rows of ``oracle_dense_json``.  ``document_to_json``, the
+test helper that serialises a document, lists a Gram's intersections as
+the pairwise scan did, and in linear time.
 """
 
 import copy
+import gc
 import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
-from surfsat import CompactifiedSurface, FalseFibreClaim, UserAsserted
-from surfsat.cli import COMMANDS, SparseRows, render_human, render_json
+from surfsat import (
+    CompactifiedSurface,
+    Configuration,
+    CurveNode,
+    FalseFibreClaim,
+    UserAsserted,
+)
+from surfsat.cli import COMMANDS, cmd_mumford, render_human, render_json
 from surfsat.errors import SurfsatError
 from surfsat.linalg import SymmetricMatrix, as_rational
 from surfsat.schema import (
@@ -40,7 +50,7 @@ from surfsat.schema import (
 from support import (
     document_to_json,
     oracle_as_rational,
-    oracle_dense_json,
+    oracle_mumford_report,
     oracle_parse_document,
     oracle_render_human,
     random_configuration,
@@ -310,14 +320,19 @@ def test_render_matches_the_former_render_on_random_reports():
 def test_render_matches_the_former_render_on_every_command_report():
     for path in sorted(SAMPLES.glob("*.json")):
         doc = load_document(path)
-        for command in COMMANDS.values():
+        for name, command in COMMANDS.items():
             try:
-                report = command(doc)
+                if name == "mumford":  # its text comes in pieces
+                    human = "".join(command(doc))
+                    former = json.loads("".join(command(doc, "json")))
+                else:
+                    report = command(doc)
+                    human = render_human(report)
+                    former = json.loads(render_json(report))
             except SurfsatError:
                 continue
             # the oracle reads the report as the JSON renderer writes it
-            former = json.loads(render_json(report))
-            assert render_human(report) == oracle_render_human(former)
+            assert human == oracle_render_human(former)
 
 
 # zero, negative, fractional and long values of a Gram entry
@@ -325,57 +340,107 @@ GRAM_VALUES = [
     0, 0, 0, 1, -1, -2, 5, Fraction(1, 2), Fraction(-7, 3), 10**25,
     Fraction(-1, 10**12),
 ]
-# curve names, some of them keys or texts that the JSON renderer handles
-NAMES = ["A", "entries", "NaN", 'x"entries": NaN', "induced_matrix", "0"]
+# curve names, some of them keys or texts that the JSON writer escapes
+NAMES = ["A", "entries", "NaN", 'x"entries": NaN', "induced_matrix", "0", "\u00e9\n"]
 
 
 def random_sparse_gram(rng, n):
-    """A sparse Gram of order n whose rows are often empty: a row left
-    empty has a zero diagonal and meets no other row."""
+    """A sparse Gram of order n, off-diagonal entries >= 0, whose rows are
+    often empty: a row left empty has a zero diagonal and meets no other
+    row."""
     empty = {i for i in range(n) if rng.random() < 0.3}
     kept = [i for i in range(n) if i not in empty]
     diag = [0 if i in empty else rng.choice(GRAM_VALUES) for i in range(n)]
     entries = [
-        (i, j, rng.choice(GRAM_VALUES))
+        (i, j, abs(rng.choice(GRAM_VALUES)))
         for i, j in itertools.combinations(kept, 2)
         if rng.random() < 0.4
     ]
     return SymmetricMatrix.from_entries(diag, entries)
 
 
-def sparse_rows(gram):
-    """The report's form of ``gram``: each entry's JSON value, kept sparse."""
-    return SparseRows((
-        [rational_to_json(d) for d in gram.diag],
-        [
-            {j: rational_to_json(x) for j, x in gram.off_diagonal(i).items()}
-            for i in range(gram.n)
-        ],
-    ))
-
-
 def test_induced_matrix_renders_as_its_dense_rows():
+    # n curves on a random sparse Gram, and a boundary curve E, contracted,
+    # that meets a few of them; the oracle report's matrix is dense
     rng = random.Random(1961)
     seen = {"fractional": 0, "negative": 0, "empty row": 0}
     for n in [0, 1, 0, 1] + [rng.randint(0, 9) for _ in range(596)]:
-        gram = random_sparse_gram(rng, n)
-        names = [rng.choice(NAMES) + str(k) for k in range(n)]
-        report = {
-            "command": "mumford",
-            "verdict": "contracted",
-            "contracted_components": [["E"]],
-            "pullbacks": {name: {name: 1, "entries": "1/2"} for name in names},
-            "induced_matrix": {"curves": names, "entries": sparse_rows(gram)},
-            "singular_points": [{"name": "p0", "contracted": ["E"]}],
-        }
-        rows = oracle_dense_json(gram)
-        former = {**report, "induced_matrix": {"curves": names, "entries": rows}}
-        assert render_human(report) == oracle_render_human(former), rows
-        text = render_json(report)
-        assert text == json.dumps(former, indent=2, sort_keys=True), rows
+        rest = random_sparse_gram(rng, n)
+        met = [(n, i, rng.choice((1, 2, Fraction(1, 2)))) for i in range(n)
+               if rng.random() < 0.3]
+        gram = SymmetricMatrix.from_entries(
+            [*rest.diag, rng.choice((-1, -2, Fraction(-3, 2)))],
+            [(i, j, x) for i in range(n) for j, x in rest.off_diagonal(i).items()]
+            + met,
+        )
+        names = [rng.choice(NAMES) + str(k) for k in range(n)] + ["E"]
+        config = Configuration([CurveNode(i, name) for i, name in enumerate(names)], gram)
+        doc = Document(CompactifiedSurface(config, [n]))
+        report = oracle_mumford_report(config, [frozenset([n])])
+        assert "".join(cmd_mumford(doc)) == oracle_render_human(report)
+        text = "".join(cmd_mumford(doc, "json"))
+        assert text == json.dumps(report, indent=2, sort_keys=True)
+        rows = report["induced_matrix"]["entries"]
         assert json.loads(text)["induced_matrix"]["entries"] == rows
         values = [x for row in rows for x in row]
         seen["fractional"] += any(isinstance(x, str) for x in values)
         seen["negative"] += any(isinstance(x, int) and x < 0 for x in values)
         seen["empty row"] += any(not any(row) for row in rows)
     assert min(seen.values()) > 150, seen
+
+
+class TestIntersectionListing:
+    @staticmethod
+    def pairwise(config):
+        # every pair, as the listing was first written
+        return [
+            [i, j, rational_to_json(config.gram.entry(i, j))]
+            for i in range(config.n)
+            for j in range(i + 1, config.n)
+            if config.gram.entry(i, j) != 0
+        ]
+
+    def test_matches_pairwise_listing(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(0, 9)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            meets = rng.sample(pairs, rng.randint(0, len(pairs)))
+            rng.shuffle(meets)
+            doc = parse_document(
+                {
+                    "curves": [
+                        {"name": f"C{i}", "self": rng.randint(-3, 1)}
+                        for i in range(n)
+                    ],
+                    "intersections": [
+                        [j, i, f"{rng.randint(0, 3)}/{rng.randint(1, 2)}"]
+                        if rng.random() < 0.5 else [i, j, rng.randint(0, 2)]
+                        for i, j in meets
+                    ],
+                }
+            )
+            listed = document_to_json(doc)["intersections"]
+            assert listed == self.pairwise(doc.surface.ambient)
+
+    def test_budget_on_2000_curves(self):
+        # a 1000-link chain with a curve on each link; listing every pair
+        # took seconds
+        n = 1000
+        doc = parse_document(
+            {
+                "curves": [{"name": f"E{i}", "self": -2} for i in range(n)]
+                + [{"name": f"C{i}", "self": 1} for i in range(n)],
+                "intersections": [[i, i + 1, 1] for i in range(n - 1)]
+                + [[i, n + i, 1] for i in range(n)],
+            }
+        )
+        # a full collection over the earlier tests' objects costs more than
+        # the budget inside a suite run; start the timed listing from empty
+        # generations, as the hironaka_build budget test does
+        gc.collect()
+        start = time.perf_counter()
+        listed = document_to_json(doc)["intersections"]
+        elapsed = time.perf_counter() - start
+        assert len(listed) == 2 * n - 1
+        assert elapsed < 0.1, f"document_to_json took {elapsed:.2f}s"

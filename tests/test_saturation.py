@@ -496,7 +496,7 @@ class TestComponentReports:
             if d_minus:
                 with pytest.raises(PreconditionError, match="lacks entries"):
                     scheme_saturation_check(s, dict(list(contractible.items())[1:]))
-            mumford = cmd_mumford(Document(s))
+            mumford = json.loads("".join(cmd_mumford(Document(s), "json")))
             assert mumford.get("contracted_components", []) == [
                 sorted(s.ambient.names(comp)) for comp in d_minus
             ]
